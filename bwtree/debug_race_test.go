@@ -145,10 +145,10 @@ func TestDebugSurfacesUnderMutation(t *testing.T) {
 
 	var hwg sync.WaitGroup
 	for url, check := range map[string]func([]byte) error{
-		base + "/metrics":           checkPrometheus,
-		base + "/debug/shape":       checkShape,
-		base + "/debug/flightrec":   checkFlightrec,
-		base + "/debug/phasetrace":  checkChromeTraceBody,
+		base + "/metrics":             checkPrometheus,
+		base + "/debug/shape":         checkShape,
+		base + "/debug/flightrec":     checkFlightrec,
+		base + "/debug/phasetrace":    checkChromeTraceBody,
 		base + "/debug/flightrec?n=7": checkFlightrec,
 	} {
 		hwg.Add(1)

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"runtime"
+	"io"
 	"slices"
 	"strings"
 	"sync"
@@ -44,8 +44,8 @@ type DurableOptions struct {
 // Durable wraps a Tree with write-ahead logging, epoch-consistent
 // checkpoints, and crash recovery (see internal/wal for the on-disk
 // format). Every mutation is logged before it is applied; recovery
-// rebuilds the tree from the newest checkpoint snapshot via BulkLoad and
-// replays the log tail.
+// merges the newest checkpoint snapshot with the folded log tail into one
+// BulkLoad.
 //
 // Concurrency: obtain one DurableSession per goroutine, exactly as with
 // Tree. Commit ordering between conflicting operations is established by
@@ -88,12 +88,13 @@ type Durable struct {
 
 // RecoveryStats describes what OpenDurable had to do to rebuild state.
 type RecoveryStats struct {
-	// SnapshotKeys is the number of pairs bulk-loaded from the
-	// checkpoint snapshot (0 when none existed).
+	// SnapshotKeys is the number of pairs read from the checkpoint
+	// snapshot (0 when none existed).
 	SnapshotKeys uint64
 	// SnapshotLSN is the manifest's replay-start LSN.
 	SnapshotLSN uint64
-	// Replayed is the number of log records re-applied.
+	// Replayed is the number of log records after SnapshotLSN that the
+	// rebuild decoded and folded.
 	Replayed int
 	// LastLSN is the highest LSN found in the log.
 	LastLSN uint64
@@ -104,8 +105,13 @@ type RecoveryStats struct {
 	// above it so a new prepare can never collide with a stale surviving
 	// decision record.
 	MaxTxnID uint64
-	// SnapshotLoad and Replay are the wall-clock durations of the two
-	// recovery phases.
+	// Replay and SnapshotLoad partition the rebuild's wall clock, whatever
+	// the directory holds. Replay is the work proportional to the log
+	// tail: decision pre-scan, tail decode, per-key fold, sort.
+	// SnapshotLoad is the work proportional to the live data: snapshot
+	// verification, the merge and the one BulkLoad — so it is non-zero
+	// for a log-only directory too, and a whole-rebuild rate divides by
+	// the sum.
 	SnapshotLoad time.Duration
 	Replay       time.Duration
 }
@@ -114,81 +120,22 @@ type RecoveryStats struct {
 var ErrDurableClosed = errors.New("bwtree: durable tree closed")
 
 // OpenDurable opens (creating or recovering) a durable tree rooted at
-// dir. If dir holds a previous incarnation's state, the tree is rebuilt:
-// the newest checkpoint snapshot is bulk-loaded, the log tail is
-// replayed (truncating a torn final record), and logging resumes at the
-// next LSN.
+// dir. If dir holds a previous incarnation's state, the tree is rebuilt
+// from the newest checkpoint snapshot and the log tail (truncating a torn
+// final record), and logging resumes at the next LSN.
 func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 	if o.Tree.NonUnique {
 		// The logical redo log records one value per key; replay depends on
 		// unique-key semantics (insert-if-absent / update-if-present).
 		return nil, errors.New("bwtree: durable trees require unique-key mode")
 	}
-	d := &Durable{dir: dir, o: o, seed: maphash.MakeSeed()}
-
-	m, haveCP, err := wal.LoadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	d.t = core.New(o.Tree)
-	if haveCP {
-		d.rec.SnapshotLSN = m.LSN
-		t0 := time.Now()
-		if err := loadSnapshot(d.t, dir, m); err != nil {
-			d.t.Close()
-			return nil, err
-		}
-		d.rec.SnapshotKeys = m.Count
-		d.rec.SnapshotLoad = time.Since(t0)
-	}
-
-	t0 := time.Now()
-	committed := o.TxnCommitted
-	preTorn := false
-	if committed == nil {
-		// Standalone decision pre-scan: a surviving two-phase prepare
-		// applies iff its decision record also survives in this log.
-		// Decisions and the ID high-water mark come from the same pass, so
-		// a stale decision that could poison a future prepare necessarily
-		// pushes the next incarnation's IDs above itself. (The pass also
-		// truncates a torn tail; remember it — the main replay then finds
-		// the log already clean.)
-		set, maxID, torn, perr := ScanTxnDecisions(dir)
-		if perr != nil {
-			d.t.Close()
-			return nil, perr
-		}
-		d.rec.MaxTxnID = maxID
-		preTorn = torn
-		committed = func(id uint64) bool { return set[id] }
-	}
-	var st wal.ReplayStats
-	if haveCP {
-		// Tail replay over snapshot state: apply records through sessions,
-		// partitioned by key so per-key order is kept.
-		st, err = replayParallel(d.t, dir, m.LSN, d.seed, committed)
-	} else {
-		// No snapshot: the tree is empty, so the log alone determines the
-		// final state. Fold it into a map and BulkLoad — far cheaper than
-		// a million individual root-to-leaf inserts.
-		st, err = replayFold(d.t, dir, committed)
+	d := &Durable{dir: dir, o: o, seed: maphash.MakeSeed(), t: core.New(o.Tree)}
+	next, err := d.rebuild()
+	if err == nil {
+		d.w, err = wal.NewWriter(dir, o.WAL, next)
 	}
 	if err != nil {
-		d.t.Close()
-		return nil, err
-	}
-	d.rec.Replayed = st.Records
-	d.rec.LastLSN = st.MaxLSN
-	d.rec.TornTail = st.Torn || preTorn
-	d.rec.Replay = time.Since(t0)
-
-	next := st.MaxLSN + 1
-	if m.LSN+1 > next {
-		next = m.LSN + 1
-	}
-	d.w, err = wal.NewWriter(dir, o.WAL, next)
-	if err != nil {
-		d.t.Close()
+		d.t.Close() // never hand back, or leak, a half-built tree
 		return nil, err
 	}
 	d.lastCP.Store(time.Now().UnixNano())
@@ -200,6 +147,62 @@ func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 			d.rec.Replayed, d.rec.SnapshotLSN, d.rec.TornTail))
 	}
 	return d, nil
+}
+
+// rebuild is the recovery engine, the same code for every directory
+// shape: fold the log tail after the manifest LSN into one transition per
+// touched key, merge the sorted transitions with the snapshot stream, and
+// bulk-load the result into the (empty) tree. A log-only directory is the
+// empty-snapshot case, a clean checkpoint the empty-tail case. It runs on
+// the caller's goroutine alone and returns the LSN logging resumes at.
+func (d *Durable) rebuild() (nextLSN uint64, err error) {
+	m, haveCP, err := wal.LoadManifest(d.dir)
+	if err != nil {
+		return 0, err
+	}
+	d.rec.SnapshotLSN = m.LSN
+
+	t0 := time.Now()
+	committed := d.o.TxnCommitted
+	preTorn := false
+	if committed == nil {
+		// Standalone decision pre-scan: a surviving two-phase prepare
+		// applies iff its decision record also survives in this log.
+		// Decisions and the ID high-water mark come from the same pass, so
+		// a stale decision that could poison a future prepare necessarily
+		// pushes the next incarnation's IDs above itself. (The pass also
+		// truncates a torn tail; remember it — the fold then finds the log
+		// already clean.)
+		set, maxID, torn, perr := ScanTxnDecisions(d.dir)
+		if perr != nil {
+			return 0, perr
+		}
+		d.rec.MaxTxnID = maxID
+		preTorn = torn
+		committed = func(id uint64) bool { return set[id] }
+	}
+	tail, st, err := foldTail(d.dir, m.LSN, committed)
+	if err != nil {
+		return 0, err
+	}
+	d.rec.Replayed = st.Records
+	d.rec.LastLSN = st.MaxLSN
+	d.rec.TornTail = st.Torn || preTorn
+	d.rec.Replay = time.Since(t0)
+
+	t0 = time.Now()
+	snap := func() ([]byte, uint64, error) { return nil, 0, io.EOF }
+	if haveCP {
+		if snap, err = wal.ReadSnapshot(d.dir, m); err != nil {
+			return 0, err
+		}
+		d.rec.SnapshotKeys = m.Count
+	}
+	if err := mergeLoad(d.t, snap, tail); err != nil {
+		return 0, err
+	}
+	d.rec.SnapshotLoad = time.Since(t0)
+	return max(st.MaxLSN, m.LSN) + 1, nil
 }
 
 // CheckpointAge returns the time since the last durability baseline (the
@@ -248,37 +251,76 @@ func ScanTxnDecisions(dir string) (committed map[uint64]bool, maxTxnID uint64, t
 	return set, maxTxnID, st.Torn, nil
 }
 
-// replayFold recovers a log-only directory into an empty tree: each
-// key's final state is decided by folding its own record sequence with
-// the guarded unique-key semantics (insert-if-absent, update-if-present,
-// delete), then the surviving pairs are bulk-loaded in key order.
-func replayFold(t *Tree, dir string, committed func(uint64) bool) (wal.ReplayStats, error) {
-	// Presize the fold map from the log's on-disk footprint (records are
-	// at least ~20 bytes framed) — incremental growth to hundreds of
-	// thousands of entries otherwise dominates recovery.
-	hint := int(wal.DirSize(dir) / 20)
-	if hint > 1<<26 {
-		hint = 1 << 26
-	}
-	state := make(map[string]uint64, hint)
-	fold := func(op byte, key []byte, value uint64) error {
-		switch op {
-		case wal.OpInsert:
-			if _, ok := state[string(key)]; !ok {
-				state[string(key)] = value
-			}
-		case wal.OpUpdate:
-			if _, ok := state[string(key)]; ok {
-				state[string(key)] = value
-			}
-		case wal.OpDelete:
-			delete(state, string(key))
-		default:
-			return errors.New("bwtree: unknown op in log record")
+// outcome is where a key ends on one branch of its transition.
+type outcome struct {
+	kind  byte // outAbsent, outKeep or outValue
+	value uint64
+}
+
+const (
+	outAbsent byte = iota // the key does not exist
+	outKeep               // the key holds what the snapshot gave it
+	outValue              // the key holds value
+)
+
+// apply composes one guarded unique-key operation onto o: insert takes
+// effect only on an absent key, update only on a present one, delete
+// always. The three outcomes are closed under all three.
+func (o *outcome) apply(op byte, value uint64) error {
+	switch op {
+	case wal.OpInsert:
+		if o.kind == outAbsent {
+			*o = outcome{outValue, value}
 		}
-		return nil
+	case wal.OpUpdate:
+		if o.kind != outAbsent {
+			*o = outcome{outValue, value}
+		}
+	case wal.OpDelete:
+		*o = outcome{}
+	default:
+		return errors.New("bwtree: unknown op in log record")
 	}
-	st, err := wal.Replay(dir, 0, func(r wal.Record) error {
+	return nil
+}
+
+// tailKey is one key the log tail touches, its records composed in LSN
+// order into a transition: where the key ends if the snapshot lacks it
+// (abs, starting absent) and where if the snapshot holds it (pres,
+// starting outKeep). The final state of a key depends only on its own
+// record sequence, so the fold needs no cross-key order.
+type tailKey struct {
+	key       string
+	abs, pres outcome
+}
+
+// foldTail decodes the log after afterLSN once and returns the touched
+// keys in ascending order, each with its composed transition.
+func foldTail(dir string, afterLSN uint64, committed func(uint64) bool) ([]tailKey, wal.ReplayStats, error) {
+	// A log-only directory replays every segment, so presize from the log's
+	// on-disk footprint (records are at least ~20 bytes framed) —
+	// incremental growth to hundreds of thousands of entries otherwise
+	// dominates recovery. After a checkpoint DirSize counts segments the
+	// snapshot already covers, not the tail, so no hint applies.
+	var hint int64
+	if afterLSN == 0 {
+		hint = min(wal.DirSize(dir)/20, 1<<26)
+	}
+	idx := make(map[string]int32, hint)
+	tail := make([]tailKey, 0, hint)
+	fold := func(op byte, key []byte, value uint64) error {
+		i, ok := idx[string(key)]
+		if !ok {
+			i = int32(len(tail))
+			tail = append(tail, tailKey{key: string(key), pres: outcome{kind: outKeep}})
+			idx[tail[i].key] = i
+		}
+		if err := tail[i].abs.apply(op, value); err != nil {
+			return err
+		}
+		return tail[i].pres.apply(op, value)
+	}
+	st, err := wal.Replay(dir, afterLSN, func(r wal.Record) error {
 		switch r.Op {
 		case wal.OpTxn, wal.OpTxnPrep:
 			// A self-contained commit always applies; a two-phase prepare
@@ -302,166 +344,53 @@ func replayFold(t *Tree, dir string, committed func(uint64) bool) (wal.ReplaySta
 		}
 		return fold(r.Op, r.Key, r.Value)
 	})
-	if err != nil || len(state) == 0 {
-		return st, err
+	if err != nil {
+		return nil, st, err
 	}
-	type kv struct {
-		k string
-		v uint64
-	}
-	pairs := make([]kv, 0, len(state))
-	for k, v := range state {
-		pairs = append(pairs, kv{k, v})
-	}
-	slices.SortFunc(pairs, func(a, b kv) int { return strings.Compare(a.k, b.k) })
-	i := 0
-	err = t.BulkLoad(func() ([]byte, uint64, bool) {
-		if i >= len(pairs) {
-			return nil, 0, false
-		}
-		p := pairs[i]
-		i++
-		return []byte(p.k), p.v, true
-	})
-	return st, err
+	slices.SortFunc(tail, func(a, b tailKey) int { return strings.Compare(a.key, b.key) })
+	return tail, st, nil
 }
 
-// replayParallel re-applies the log tail after afterLSN, fanned out over
-// several applier goroutines. The log's total order only matters per key
-// — the tree's final state for a key is determined by that key's own
-// record sequence — so records are partitioned by key hash: one key, one
-// applier, original order. Cross-key interleaving is free parallelism.
-func replayParallel(t *Tree, dir string, afterLSN uint64, seed maphash.Seed, committed func(uint64) bool) (wal.ReplayStats, error) {
-	nw := runtime.GOMAXPROCS(0)
-	if nw > 8 {
-		nw = 8
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	// A chunk carries records for one applier: opcodes, cumulative key
-	// offsets into one arena (safe to slice only once the chunk is sealed,
-	// since append may reallocate the arena), and values.
-	type chunk struct {
-		ops   []byte
-		koff  []int
-		arena []byte
-		vals  []uint64
-	}
-	const chunkRecs = 1024
-	chans := make([]chan chunk, nw)
-	var wg sync.WaitGroup
-	for i := range chans {
-		chans[i] = make(chan chunk, 4)
-		wg.Add(1)
-		go func(ch chan chunk) {
-			defer wg.Done()
-			s := t.NewSession()
-			defer s.Release()
-			for c := range ch {
-				start := 0
-				for j, op := range c.ops {
-					key := c.arena[start:c.koff[j]]
-					start = c.koff[j]
-					switch op {
-					case wal.OpInsert:
-						s.Insert(key, c.vals[j])
-					case wal.OpUpdate:
-						s.Update(key, c.vals[j])
-					case wal.OpDelete:
-						s.Delete(key, c.vals[j])
-					}
+// mergeLoad merge-joins the snapshot cursor with the sorted tail and
+// feeds the result to the one BulkLoad recovery performs. A snapshot key
+// the tail does not touch passes through; a tail key resolves through its
+// abs or pres branch, and is emitted at most once either way. A cursor
+// error ends the stream early and is returned in preference to anything
+// BulkLoad says about the truncated input.
+func mergeLoad(t *Tree, snap func() ([]byte, uint64, error), tail []tailKey) error {
+	sk, sv, serr := snap()
+	var buf []byte // BulkLoad clones keys, so tail keys share one buffer
+	err := t.BulkLoad(func() ([]byte, uint64, bool) {
+		for {
+			switch {
+			case serr != nil && serr != io.EOF:
+				return nil, 0, false
+			case serr == nil && (len(tail) == 0 || string(sk) < tail[0].key):
+				k, v := sk, sv
+				sk, sv, serr = snap()
+				return k, v, true
+			case len(tail) == 0:
+				return nil, 0, false
+			}
+			tk := tail[0]
+			tail = tail[1:]
+			o := tk.abs
+			if serr == nil && string(sk) == tk.key {
+				if o = tk.pres; o.kind == outKeep {
+					o = outcome{outValue, sv}
 				}
+				sk, sv, serr = snap()
 			}
-		}(chans[i])
-	}
-
-	pend := make([]chunk, nw)
-	flush := func(i int) {
-		if len(pend[i].ops) > 0 {
-			chans[i] <- pend[i]
-			pend[i] = chunk{}
-		}
-	}
-	scatter := func(op byte, key []byte, value uint64) {
-		i := int(maphash.Bytes(seed, key) % uint64(nw))
-		c := &pend[i]
-		c.ops = append(c.ops, op)
-		c.arena = append(c.arena, key...)
-		c.koff = append(c.koff, len(c.arena))
-		c.vals = append(c.vals, value)
-		if len(c.ops) >= chunkRecs {
-			flush(i)
-		}
-	}
-	st, err := wal.Replay(dir, afterLSN, func(r wal.Record) error {
-		switch r.Op {
-		case wal.OpInsert, wal.OpUpdate, wal.OpDelete:
-			scatter(r.Op, r.Key, r.Value)
-			return nil
-		case wal.OpTxn, wal.OpTxnPrep:
-			// Sub-ops of an applying transaction scatter per key like any
-			// other record: replay only needs per-key order, and a commit's
-			// keys are distinct, so its sub-ops never race each other. The
-			// commit's atomicity was already decided by framing — a record
-			// that survived replays in full.
-			if r.Op == wal.OpTxnPrep && !committed(r.Value) {
-				return nil
+			if o.kind == outValue {
+				buf = append(buf[:0], tk.key...)
+				return buf, o.value, true
 			}
-			ops, derr := wal.DecodeTxnOps(r.Key)
-			if derr != nil {
-				return derr
-			}
-			for i := range ops {
-				scatter(ops[i].Op, ops[i].Key, ops[i].Value)
-			}
-			return nil
-		case wal.OpTxnCommit:
-			return nil
-		default:
-			return errors.New("bwtree: unknown op in log record")
 		}
 	})
-	for i := range chans {
-		flush(i)
-		close(chans[i])
+	if serr != nil && serr != io.EOF {
+		return serr
 	}
-	wg.Wait()
-	return st, err
-}
-
-// loadSnapshot bulk-loads a checkpoint snapshot into an empty tree.
-func loadSnapshot(t *Tree, dir string, m wal.Manifest) error {
-	type pair struct {
-		k []byte
-		v uint64
-	}
-	// BulkLoad pulls; ReadSnapshot pushes. Bridge with a small channel so
-	// neither side buffers the whole snapshot.
-	ch := make(chan pair, 1024)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- wal.ReadSnapshot(dir, m, func(k []byte, v uint64) error {
-			kk := make([]byte, len(k))
-			copy(kk, k)
-			ch <- pair{kk, v}
-			return nil
-		})
-		close(ch)
-	}()
-	loadErr := t.BulkLoad(func() ([]byte, uint64, bool) {
-		p, ok := <-ch
-		if !ok {
-			return nil, 0, false
-		}
-		return p.k, p.v, true
-	})
-	for range ch { // drain on BulkLoad error so the reader goroutine exits
-	}
-	if err := <-errc; err != nil {
-		return err
-	}
-	return loadErr
+	return err
 }
 
 // Tree returns the wrapped in-memory tree for reads, stats, and

@@ -39,8 +39,8 @@ func lookup1(t *testing.T, d *Durable, key []byte) (uint64, bool) {
 	return out[0], true
 }
 
-// TestDurableTxnReplay covers the three record kinds on both replay
-// paths (fold without a checkpoint, parallel with one): a self-contained
+// TestDurableTxnReplay covers the three record kinds on both directory
+// shapes (log only, and snapshot plus tail): a self-contained
 // OpTxn applies, a prepare without a surviving decision presumes abort,
 // and a prepare plus decision applies.
 func TestDurableTxnReplay(t *testing.T) {
@@ -51,7 +51,7 @@ func TestDurableTxnReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Baseline singles, optionally folded into a checkpoint so the
-		// reopen takes the parallel tail-replay path.
+		// reopen merges the tail with a snapshot.
 		for i := uint64(0); i < 10; i++ {
 			if _, err := d.Insert(dkey(i), i); err != nil {
 				t.Fatal(err)

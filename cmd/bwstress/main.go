@@ -563,8 +563,8 @@ loop:
 		}
 		defer d2.Close()
 		rec := d2.RecoveryStats()
-		log.Printf("recovered: %d snapshot keys, %d replayed (LSN %d), torn=%v, load=%v replay=%v",
-			rec.SnapshotKeys, rec.Replayed, rec.LastLSN, rec.TornTail, rec.SnapshotLoad.Round(time.Millisecond), rec.Replay.Round(time.Millisecond))
+		log.Printf("recovered: %d snapshot keys, %d replayed (LSN %d), torn=%v, tail fold=%v merge+load=%v",
+			rec.SnapshotKeys, rec.Replayed, rec.LastLSN, rec.TornTail, rec.Replay.Round(time.Millisecond), rec.SnapshotLoad.Round(time.Millisecond))
 		t = d2.Tree()
 		pairs = treePairs(t)
 	}

@@ -268,8 +268,8 @@ func runRestore(dir string) error {
 		{"replayed_records", rec.Replayed},
 		{"last_lsn", rec.LastLSN},
 		{"torn_tail", rec.TornTail},
-		{"snapshot_load_ms", float64(rec.SnapshotLoad.Microseconds()) / 1000},
-		{"replay_ms", float64(rec.Replay.Microseconds()) / 1000},
+		{"tail_fold_ms", float64(rec.Replay.Microseconds()) / 1000},
+		{"merge_load_ms", float64(rec.SnapshotLoad.Microseconds()) / 1000},
 		{"live_keys", d.Tree().Count()},
 		{"validated", true},
 	})

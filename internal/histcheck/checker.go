@@ -388,11 +388,11 @@ func removeVal(set []uint64, v uint64) []uint64 {
 // directly.
 type bitset []byte
 
-func newBitset(n int) bitset         { return make(bitset, (n+7)/8) }
-func (b bitset) set(i int)           { b[i/8] |= 1 << (i % 8) }
-func (b bitset) clear(i int)         { b[i/8] &^= 1 << (i % 8) }
-func (b bitset) get(i int) bool      { return b[i/8]&(1<<(i%8)) != 0 }
-func (b bitset) clone() bitset       { return append(bitset(nil), b...) }
+func newBitset(n int) bitset    { return make(bitset, (n+7)/8) }
+func (b bitset) set(i int)      { b[i/8] |= 1 << (i % 8) }
+func (b bitset) clear(i int)    { b[i/8] &^= 1 << (i % 8) }
+func (b bitset) get(i int) bool { return b[i/8]&(1<<(i%8)) != 0 }
+func (b bitset) clone() bitset  { return append(bitset(nil), b...) }
 func (b bitset) empty() bool {
 	for _, x := range b {
 		if x != 0 {

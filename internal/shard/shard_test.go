@@ -65,7 +65,7 @@ func TestRangeRouterOrder(t *testing.T) {
 	// Routing must be monotone in the key: ascending keys never route to
 	// a lower shard (the property scatter-gather skipping relies on).
 	prev := 0
-	for i := uint64(0); i < 1 << 16; i += 97 {
+	for i := uint64(0); i < 1<<16; i += 97 {
 		k := []byte{byte(i >> 8), byte(i), 0xab}
 		s := r.Shard(k)
 		if s < prev {

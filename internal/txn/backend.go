@@ -18,11 +18,11 @@ func NewForDurable(d *bwtree.Durable) *Store {
 
 type durableBackend struct{ d *bwtree.Durable }
 
-func (b *durableBackend) NStripes() int            { return bwtree.NStripes }
-func (b *durableBackend) StripeOf(key []byte) int  { return b.d.StripeOf(key) }
-func (b *durableBackend) Lock(i int)               { b.d.StripeLock(i) }
-func (b *durableBackend) Unlock(i int)             { b.d.StripeUnlock(i) }
-func (b *durableBackend) TryLock(i int) bool       { return b.d.StripeTryLock(i) }
+func (b *durableBackend) NStripes() int           { return bwtree.NStripes }
+func (b *durableBackend) StripeOf(key []byte) int { return b.d.StripeOf(key) }
+func (b *durableBackend) Lock(i int)              { b.d.StripeLock(i) }
+func (b *durableBackend) Unlock(i int)            { b.d.StripeUnlock(i) }
+func (b *durableBackend) TryLock(i int) bool      { return b.d.StripeTryLock(i) }
 func (b *durableBackend) MaxRecoveredTxnID() uint64 {
 	return b.d.RecoveryStats().MaxTxnID
 }

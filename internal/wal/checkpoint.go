@@ -200,45 +200,49 @@ func LoadManifest(dir string) (m Manifest, ok bool, err error) {
 	return m, true, nil
 }
 
-// ReadSnapshot streams the manifest's snapshot pairs to fn in stored
-// (ascending-key) order, verifying the footer count and CRC. The key
-// slice passed to fn is only valid during the call.
-func ReadSnapshot(dir string, m Manifest, fn func(key []byte, value uint64) error) error {
+// ReadSnapshot verifies the manifest's snapshot — header, version, body
+// CRC and the footer's agreement with the manifest, all before the first
+// pair is handed out — and returns a cursor over its pairs in stored
+// (ascending-key) order. next reports io.EOF after the last pair, once
+// the record count has been checked against the footer; any other error
+// condemns the whole snapshot. Keys alias the file image, which lives as
+// long as the cursor does.
+func ReadSnapshot(dir string, m Manifest) (next func() (key []byte, value uint64, err error), err error) {
 	data, err := os.ReadFile(filepath.Join(dir, m.Snapshot))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(data) < 8+12 || string(data[0:4]) != snapMagic {
-		return errors.New("wal: bad snapshot header")
+		return nil, errors.New("wal: bad snapshot header")
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
-		return fmt.Errorf("wal: unsupported snapshot version %d", v)
+		return nil, fmt.Errorf("wal: unsupported snapshot version %d", v)
 	}
 	body := data[8 : len(data)-12]
 	count := binary.LittleEndian.Uint64(data[len(data)-12 : len(data)-4])
 	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.Checksum(body, castagnoli) != crc {
-		return errors.New("wal: snapshot CRC mismatch")
+		return nil, errors.New("wal: snapshot CRC mismatch")
 	}
 	if count != m.Count || crc != m.CRC {
-		return errors.New("wal: snapshot does not match manifest")
+		return nil, errors.New("wal: snapshot does not match manifest")
 	}
 	var seen uint64
-	for len(body) > 0 {
+	return func() ([]byte, uint64, error) {
+		if len(body) == 0 {
+			if seen != count {
+				return nil, 0, fmt.Errorf("wal: snapshot record count %d != footer %d", seen, count)
+			}
+			return nil, 0, io.EOF
+		}
 		klen, n := binary.Uvarint(body)
 		if n <= 0 || klen == 0 || uint64(len(body)) < uint64(n)+8+klen {
-			return errors.New("wal: truncated snapshot record")
+			return nil, 0, errors.New("wal: truncated snapshot record")
 		}
 		v := binary.LittleEndian.Uint64(body[n : n+8])
 		k := body[uint64(n)+8 : uint64(n)+8+klen]
-		if err := fn(k, v); err != nil {
-			return err
-		}
 		body = body[uint64(n)+8+klen:]
 		seen++
-	}
-	if seen != count {
-		return fmt.Errorf("wal: snapshot record count %d != footer %d", seen, count)
-	}
-	return nil
+		return k, v, nil
+	}, nil
 }

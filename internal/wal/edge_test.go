@@ -258,8 +258,42 @@ func TestSnapshotTruncationDetected(t *testing.T) {
 		if err := os.WriteFile(path, orig[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := ReadSnapshot(dir, m, func([]byte, uint64) error { return nil }); err == nil {
-			t.Fatalf("snapshot truncated to %d bytes passed verification", cut)
+		if next, err := ReadSnapshot(dir, m); err == nil || next != nil {
+			t.Fatalf("snapshot truncated to %d bytes passed verification (err=%v)", cut, err)
 		}
+	}
+}
+
+// TestSnapshotCountCheckedAtEnd forges the one damage the open-time
+// checks cannot see — a footer and manifest that agree on a record count
+// the (CRC-clean) body does not hold — and requires the cursor to end in
+// an error instead of io.EOF.
+func TestSnapshotCountCheckedAtEnd(t *testing.T) {
+	dir := t.TempDir()
+	i := 0
+	m, err := WriteCheckpoint(dir, 5, func() ([]byte, uint64, bool) {
+		if i >= 3 {
+			return nil, 0, false
+		}
+		i++
+		return []byte{'a' + byte(i)}, uint64(i), true
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, m.Snapshot)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Count++
+	binary.LittleEndian.PutUint64(data[len(data)-12:], m.Count)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	err = drainSnapshot(dir, m, func([]byte, uint64) { pairs++ })
+	if err == nil || pairs != 3 {
+		t.Fatalf("short snapshot: %d pairs, err=%v; want 3 pairs then a count error", pairs, err)
 	}
 }

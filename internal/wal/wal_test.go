@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -284,7 +285,7 @@ func TestCheckpointRecoverPrune(t *testing.T) {
 	}
 	var snapKeys int
 	prev := ""
-	if err := ReadSnapshot(dir, m2, func(k []byte, v uint64) error {
+	if err := drainSnapshot(dir, m2, func(k []byte, v uint64) {
 		if string(k) <= prev {
 			t.Fatalf("snapshot keys not strictly ascending: %q after %q", k, prev)
 		}
@@ -293,7 +294,6 @@ func TestCheckpointRecoverPrune(t *testing.T) {
 			t.Fatalf("snapshot value %d, want %d", v, snapKeys)
 		}
 		snapKeys++
-		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,30 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReadSnapshot(dir, m, func([]byte, uint64) error { return nil }); err == nil {
-		t.Fatal("corrupt snapshot passed verification")
+	// The CRC covers the whole body, so the damage is caught at open,
+	// before the cursor hands out a single pair.
+	if next, err := ReadSnapshot(dir, m); err == nil || next != nil {
+		t.Fatalf("corrupt snapshot passed verification (err=%v)", err)
+	}
+}
+
+// drainSnapshot opens m's snapshot and pulls its cursor to the end,
+// passing each pair to fn (nil just verifies).
+func drainSnapshot(dir string, m Manifest, fn func(key []byte, value uint64)) error {
+	next, err := ReadSnapshot(dir, m)
+	if err != nil {
+		return err
+	}
+	for {
+		k, v, err := next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if fn != nil {
+			fn(k, v)
+		}
 	}
 }
