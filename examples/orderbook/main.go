@@ -60,7 +60,7 @@ func main() {
 
 	// Concurrent matching: one goroutine lifts asks (deletes levels from
 	// the bottom of the ask stack), one adds bids, while a reader keeps
-	// computing the spread from consistent private iterator copies.
+	// computing the spread from consistent iterator snapshots.
 	var wg sync.WaitGroup
 	wg.Add(3)
 	go func() { // taker: consume the 20 cheapest asks

@@ -400,7 +400,12 @@ func okFrame(reqID uint32, ok bool) []byte {
 // successor key. done=1 means the key space itself ran out.
 func (sv *Server) scan(sess *shard.Session, reqID uint32, start []byte, n int) []byte {
 	const budget = MaxFrame - 64
-	return appendFrame(nil, reqID, StatusOK, func(b []byte) []byte {
+	// Presize for n pairs with keys as long as start (length prefix,
+	// header, done flag and count, then u16 klen + key + u64 value each)
+	// so the frame is allocated once instead of grown by doubling. The
+	// budget check below keeps the whole frame within budget bytes.
+	size := min(4+headerLen+1+4+n*(2+len(start)+8), budget)
+	return appendFrame(make([]byte, 0, size), reqID, StatusOK, func(b []byte) []byte {
 		doneAt := len(b)
 		b = append(b, 0) // done flag, patched below
 		countAt := len(b)

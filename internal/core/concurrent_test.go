@@ -190,7 +190,7 @@ func TestConcurrentHighContention(t *testing.T) {
 }
 
 // TestConcurrentIteration runs scans concurrently with mutations. The
-// iterator operates on private copies, so every scan must observe a
+// iterator reads immutable leaf bases, so every scan must observe a
 // sorted, duplicate-free key sequence.
 func TestConcurrentIteration(t *testing.T) {
 	tr := New(DefaultOptions())

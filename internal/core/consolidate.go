@@ -37,7 +37,7 @@ func (s *Session) needsConsolidation(head *delta) bool {
 // consolidation that has it.
 func (s *Session) maybeConsolidate(id nodeID, head *delta) {
 	if s.needsConsolidation(head) {
-		s.consolidateID(id, head, invalidNode, nil)
+		s.consolidateID(id, head, invalidNode, nil, false)
 	}
 }
 
@@ -45,13 +45,13 @@ func (s *Session) maybeConsolidate(id nodeID, head *delta) {
 // snapshot, enabling the merge trigger.
 func (s *Session) maybeConsolidateTr(tr *traversal, head *delta) {
 	if s.needsConsolidation(head) {
-		s.consolidateID(tr.id, head, tr.parentID, tr.parentHead)
+		s.consolidateID(tr.id, head, tr.parentID, tr.parentHead, false)
 	}
 }
 
 // consolidate folds tr's chain unconditionally (slab exhaustion path).
 func (s *Session) consolidate(tr *traversal, head *delta) {
-	s.consolidateID(tr.id, head, tr.parentID, tr.parentHead)
+	s.consolidateID(tr.id, head, tr.parentID, tr.parentHead, false)
 }
 
 // consolidateID replays head's chain into a fresh base node and publishes
@@ -60,16 +60,22 @@ func (s *Session) consolidate(tr *traversal, head *delta) {
 // PhaseConsolidate span captures consolidation work stolen by a sampled
 // foreground operation (there is no background consolidator — all SMO
 // work is cooperative).
-func (s *Session) consolidateID(id nodeID, head *delta, parentID nodeID, parentHead *delta) {
+//
+// It returns the replayed content and, when this call published it, the
+// new base: nil after a lost CaS or a split. A reader (the iterator)
+// passes reader=true: its base takes no slab and the retired chain's slab
+// goes to the Go GC rather than the pool (DESIGN.md, "Slab recycling").
+func (s *Session) consolidateID(id nodeID, head *delta, parentID nodeID, parentHead *delta, reader bool) (collected, *delta) {
 	t0 := s.phStart()
-	s.consolidateIDInner(id, head, parentID, parentHead)
+	c, nb := s.consolidateIDInner(id, head, parentID, parentHead, reader)
 	s.phEnd(obs.PhaseConsolidate, t0, uint64(head.depth))
+	return c, nb
 }
 
-func (s *Session) consolidateIDInner(id nodeID, head *delta, parentID nodeID, parentHead *delta) {
+func (s *Session) consolidateIDInner(id nodeID, head *delta, parentID nodeID, parentHead *delta, reader bool) (collected, *delta) {
 	switch head.kind {
 	case kRemove, kAbort:
-		return
+		return collected{}, nil
 	}
 	c := s.collect(head)
 	maxSize := s.t.opts.InnerNodeSize
@@ -80,17 +86,17 @@ func (s *Session) consolidateIDInner(id nodeID, head *delta, parentID nodeID, pa
 	}
 	if len(c.keys) > maxSize {
 		s.split(id, head, c, parentID, parentHead)
-		return
+		return c, nil
 	}
-	nb := s.buildBase(c, head)
+	nb := s.buildBase(c, head, !reader)
 	schedPoint(SPConsolidateSwap, id, 0, nil)
 	if !s.t.cas(id, head, nb) {
 		s.stats.casFailures.Add(1)
-		return
+		return c, nil
 	}
 	s.stats.consolidations.Add(1)
 	s.emit(obs.EvConsolidate, id, uint64(head.depth), uint64(nb.size))
-	s.retireChain(head)
+	s.retireChain(head, !reader)
 	if mergeSize > 0 && len(c.keys) < mergeSize &&
 		id != s.t.root && nb.lowKey != nil {
 		if parentID == invalidNode || parentHead == nil {
@@ -103,6 +109,7 @@ func (s *Session) consolidateIDInner(id nodeID, head *delta, parentID nodeID, pa
 			s.tryMerge(parentID, parentHead, id, nb)
 		}
 	}
+	return c, nb
 }
 
 // retireNoop is the reclamation callback for retired chains: in Go the
@@ -113,8 +120,9 @@ func retireNoop() {}
 
 // retireChain routes a replaced chain through the epoch GC, accounts the
 // retiring slab's utilization (Table 2's IPU/LPU), and — once the epoch
-// drains — returns the slab to the tree's recycling pool.
-func (s *Session) retireChain(head *delta) {
+// drains — returns the slab to the tree's recycling pool when pool is
+// set, or leaves it to the Go GC otherwise.
+func (s *Session) retireChain(head *delta, pool bool) {
 	sl := head.base.slab
 	if sl == nil {
 		s.h.Retire(retireNoop)
@@ -128,6 +136,10 @@ func (s *Session) retireChain(head *delta) {
 		s.stats.innerSlabUsed.Add(used)
 		s.stats.innerSlabCap.Add(capacity)
 	}
+	if !pool {
+		s.h.Retire(retireNoop)
+		return
+	}
 	t, leaf := s.t, head.isLeaf
 	s.h.Retire(func() {
 		if leaf {
@@ -139,8 +151,9 @@ func (s *Session) retireChain(head *delta) {
 }
 
 // buildBase materializes collected content as a fresh immutable base node
-// carrying head's current attributes.
-func (s *Session) buildBase(c collected, head *delta) *delta {
+// carrying head's current attributes, with a pre-allocation slab when
+// withSlab is set and the Preallocate optimization is on.
+func (s *Session) buildBase(c collected, head *delta, withSlab bool) *delta {
 	nb := &delta{
 		isLeaf:   c.leaf,
 		size:     int32(len(c.keys)),
@@ -165,7 +178,7 @@ func (s *Session) buildBase(c collected, head *delta) *delta {
 		nb.kids = c.kids
 	}
 	nb.base = nb
-	if s.t.opts.Preallocate {
+	if withSlab && s.t.opts.Preallocate {
 		nb.slab = s.t.getSlab(c.leaf)
 	}
 	return nb

@@ -8,19 +8,23 @@ import (
 )
 
 // Iterator provides ordered forward and backward traversal (§3.2). It
-// never operates on live tree nodes: each positioning step materializes a
-// private, consolidated copy of one logical leaf node, so concurrent
-// inserts, deletes, and SMOs cannot invalidate the cursor. Moving past
-// either end of the copy re-traverses the tree using the copy's low or
-// high key (Appendix C).
+// never operates on a mutable node: each positioning step pins one
+// logical leaf as an immutable base node, so concurrent inserts, deletes,
+// and SMOs cannot invalidate the cursor. A consolidated leaf is read in
+// place; a leaf with a delta chain is consolidated and the iterator reads
+// the base it published (see useLeaf). Moving past either end re-traverses
+// the tree using the leaf's low or high key (Appendix C).
 //
 // An Iterator is owned by its Session and must not outlive it or be used
 // concurrently with it from another goroutine.
 type Iterator struct {
 	s *Session
 
-	keys    [][]byte
-	vals    []uint64
+	// leaf is the current leaf's items: a published base read in place,
+	// or a private copy when the step could not publish one. Items
+	// [0, n) lie below highKey.
+	leaf    *delta
+	n       int
 	lowKey  []byte
 	highKey []byte
 	pos     int
@@ -49,28 +53,34 @@ func (it *Iterator) Valid() bool { return it.valid }
 // bare index-out-of-range that names neither the iterator nor the broken
 // contract.
 func (it *Iterator) mustBePositioned(method string) {
-	if !it.valid || it.pos < 0 || it.pos >= len(it.keys) {
+	if !it.valid || it.pos < 0 || it.pos >= it.n {
 		panic("core: Iterator." + method + " called while not positioned on an item; " +
 			"position with Seek/SeekFirst/SeekToLast and check Valid() before every access")
 	}
 }
 
 // Key returns the current item's key. The slice is shared with the
-// iterator's private copy and must not be modified. Key panics unless
+// tree's immutable base node and must not be modified. Key panics unless
 // Valid() holds.
 func (it *Iterator) Key() []byte {
 	it.mustBePositioned("Key")
-	return it.keys[it.pos]
+	return it.leaf.baseKey(it.pos)
 }
 
 // Value returns the current item's value. Value panics unless Valid()
 // holds.
 func (it *Iterator) Value() uint64 {
 	it.mustBePositioned("Value")
-	return it.vals[it.pos]
+	return it.leaf.vals[it.pos]
 }
 
-// loadNode materializes the logical leaf covering key into the iterator.
+// search returns the position of the current leaf's first item >= key.
+func (it *Iterator) search(key []byte) int {
+	pos, _ := it.leaf.baseSearchRange(key, 0, it.n)
+	return pos
+}
+
+// loadNode makes the logical leaf covering key the current leaf.
 func (it *Iterator) loadNode(key []byte) bool {
 	s := it.s
 	s.h.Enter()
@@ -82,11 +92,7 @@ func (it *Iterator) loadNode(key []byte) bool {
 			s.abortBackoff(&spins)
 			continue
 		}
-		t0 := s.phStart()
-		c := s.collect(tr.head)
-		s.phEnd(obs.PhaseChainWalk, t0, uint64(tr.head.depth))
-		it.keys, it.vals = c.keys, c.vals
-		it.lowKey, it.highKey = tr.head.lowKey, tr.head.highKey
+		it.useLeaf(&tr)
 		if s.t.opts.ScanPipelining {
 			it.prefetchRight(tr.head)
 		}
@@ -94,8 +100,47 @@ func (it *Iterator) loadNode(key []byte) bool {
 	}
 }
 
+// useLeaf makes leaf tr.head, reached under the caller's epoch pin, the
+// current leaf; both traversal directions go through it. A consolidated
+// leaf is read in place: bases are immutable, and writers prepend deltas
+// above one without disturbing it. A leaf with a delta chain is
+// consolidated once, as a writer would (splits and merges included), and
+// the iterator reads the base that publishes. If that CaS loses to a
+// writer, the replayed copy serves instead, so a step neither retries nor
+// replays a chain twice. InPlaceLeafUpdates mutates bases, so under it
+// every step reads a private copy.
+func (it *Iterator) useLeaf(tr *traversal) {
+	s := it.s
+	head := tr.head
+	leaf := head
+	switch {
+	case s.t.opts.InPlaceLeafUpdates:
+		t0 := s.phStart()
+		leaf = copyLeaf(s.collect(head))
+		s.phEnd(obs.PhaseChainWalk, t0, uint64(head.depth))
+	case head.kind != kLeafBase:
+		c, nb := s.consolidateID(tr.id, head, tr.parentID, tr.parentHead, true)
+		if leaf = nb; nb == nil {
+			leaf = copyLeaf(c)
+		}
+	}
+	it.leaf = leaf
+	it.lowKey, it.highKey = head.lowKey, head.highKey
+	// Every base is built without keys at or above its high key; the end
+	// index guards reading one in place against a base that is not.
+	it.n = leaf.baseLen()
+	if it.n > 0 && !keyLT(leaf.baseKey(it.n-1), head.highKey) {
+		it.n, _ = leaf.baseSearch(head.highKey)
+	}
+}
+
+// copyLeaf wraps collected leaf items as an unpublished slice-layout base.
+func copyLeaf(c collected) *delta {
+	return &delta{kind: kLeafBase, isLeaf: true, keys: c.keys, vals: c.vals}
+}
+
 // prefetchRight pipelines a forward scan: while the caller is about to
-// emit the just-materialized leaf, resolve the right sibling's mapping
+// emit the leaf useLeaf just pinned, resolve the right sibling's mapping
 // entry and touch its base keys at cache-line stride so the next
 // advanceNode finds them warm instead of paying a cold miss per probe.
 // It runs inside loadNode's epoch pin, so the sibling's chain cannot be
@@ -138,7 +183,7 @@ func (it *Iterator) prefetchRight(head *delta) {
 	it.warm = w
 }
 
-// loadNodeLeft materializes the logical leaf immediately left of key
+// loadNodeLeft makes the logical leaf immediately left of key
 // (i.e. covering key-ε), using the backward traversal rule of Appendix
 // C.2: when a separator equals the search key, take the next-smaller one.
 func (it *Iterator) loadNodeLeft(key []byte) bool {
@@ -188,9 +233,7 @@ restart:
 				continue restart
 			}
 			if head.isLeaf {
-				c := s.collect(head)
-				it.keys, it.vals = c.keys, c.vals
-				it.lowKey, it.highKey = head.lowKey, head.highKey
+				it.useLeaf(&traversal{id: id, head: head, parentID: parentID, parentHead: parentHead})
 				return true
 			}
 			child, ok := s.routeInnerLeft(head, key)
@@ -209,10 +252,9 @@ restart:
 func (it *Iterator) Seek(key []byte) {
 	checkKey(key)
 	it.loadNode(key)
-	pos, _ := searchKeys(it.keys, key)
-	it.pos = pos
+	it.pos = it.search(key)
 	it.valid = true
-	if pos >= len(it.keys) {
+	if it.pos >= it.n {
 		it.advanceNode()
 	}
 }
@@ -220,11 +262,11 @@ func (it *Iterator) Seek(key []byte) {
 // SeekFirst positions the iterator at the tree's smallest item.
 func (it *Iterator) SeekFirst() {
 	it.loadNode([]byte{0})
-	// The leftmost leaf has a nil low key; an empty or drained copy
+	// The leftmost leaf has a nil low key; an empty or drained leaf
 	// advances to the right.
 	it.pos = 0
 	it.valid = true
-	if len(it.keys) == 0 {
+	if it.n == 0 {
 		it.advanceNode()
 	}
 }
@@ -242,7 +284,7 @@ func (it *Iterator) SeekToLast() {
 			return
 		}
 	}
-	it.pos = len(it.keys) - 1
+	it.pos = it.n - 1
 	it.valid = it.pos >= 0
 	if !it.valid && it.lowKey != nil {
 		it.valid = true
@@ -257,7 +299,7 @@ func (it *Iterator) Next() {
 		return
 	}
 	it.pos++
-	if it.pos >= len(it.keys) {
+	if it.pos >= it.n {
 		it.advanceNode()
 	}
 }
@@ -274,7 +316,7 @@ func (it *Iterator) Prev() {
 }
 
 // advanceNode jumps to the next logical leaf (Appendix C.1): re-traverse
-// with the exhausted copy's high key and binary-search it, which lands
+// with the exhausted leaf's high key and binary-search it, which lands
 // correctly even if the next node merged or split meanwhile.
 func (it *Iterator) advanceNode() {
 	for {
@@ -284,8 +326,7 @@ func (it *Iterator) advanceNode() {
 		}
 		bound := it.highKey
 		it.loadNode(bound)
-		pos, _ := searchKeys(it.keys, bound)
-		if pos < len(it.keys) {
+		if pos := it.search(bound); pos < it.n {
 			it.pos = pos
 			return
 		}
@@ -304,12 +345,11 @@ func (it *Iterator) retreatNode() {
 		bound := it.lowKey
 		it.loadNodeLeft(bound)
 		// Position on the largest item strictly below bound.
-		pos, _ := searchKeys(it.keys, bound)
-		if pos > 0 {
+		if pos := it.search(bound); pos > 0 {
 			it.pos = pos - 1
 			return
 		}
-		// Nothing below the bound in this copy; continue left.
+		// Nothing below the bound in this leaf; continue left.
 	}
 }
 

@@ -84,8 +84,8 @@ type Options struct {
 	// measure the inner-node contribution on its own.
 	FlatInnerNodes bool
 	// ScanPipelining makes the iterator resolve the current leaf's right
-	// sibling through the mapping table and touch its base arena while
-	// the current leaf is being materialized, so a forward scan finds the
+	// sibling through the mapping table and touch its base arena as soon
+	// as the current leaf is in hand, so a forward scan finds the
 	// next leaf's keys already cache-resident (the BS-tree/FB+-tree
 	// pipelined-leaf pattern). Point operations are unaffected.
 	ScanPipelining bool

@@ -30,11 +30,11 @@ func (s *Session) split(id nodeID, head *delta, c collected, parentID nodeID, pa
 	if !ok {
 		// Every key is identical (non-unique pile-up): splitting is
 		// impossible, so install the oversized base and move on.
-		nb := s.buildBase(c, head)
+		nb := s.buildBase(c, head, true)
 		if t.cas(id, head, nb) {
 			s.stats.consolidations.Add(1)
 			s.emit(obs.EvConsolidate, id, uint64(head.depth), uint64(nb.size))
-			s.retireChain(head)
+			s.retireChain(head, true)
 		} else {
 			s.stats.casFailures.Add(1)
 		}
@@ -51,7 +51,7 @@ func (s *Session) split(id nodeID, head *delta, c collected, parentID nodeID, pa
 	rid := t.mt.Allocate()
 	right := s.buildBase(collected{
 		keys: c.keys[mid:], vals: sliceVals(c.vals, mid), vers: sliceVals(c.vers, mid), kids: sliceKids(c.kids, mid), leaf: c.leaf,
-	}, head)
+	}, head, true)
 	right.lowKey = splitKey
 	schedPoint(SPSplitPublish, id, rid, splitKey)
 	t.mt.Store(rid, right)
@@ -82,19 +82,22 @@ func (s *Session) split(id nodeID, head *delta, c collected, parentID nodeID, pa
 	// Fold the left half into a consolidated base. Failure just means a
 	// concurrent append; a later consolidation will fold the split.
 	left := s.buildBase(collected{
-		keys: c.keys[:mid], vals: sliceVals(c.vals, -mid), vers: sliceVals(c.vers, -mid), kids: sliceKids(c.kids, -mid), leaf: c.leaf,
-	}, head)
+		keys: c.keys[:mid:mid], vals: sliceVals(c.vals, -mid), vers: sliceVals(c.vers, -mid), kids: sliceKids(c.kids, -mid), leaf: c.leaf,
+	}, head, true)
 	left.highKey = splitKey
 	left.rightSib = rid
 	schedPoint(SPSplitLeftFold, id, rid, nil)
 	if t.cas(id, sd, left) {
 		s.stats.consolidations.Add(1)
-		s.retireChain(head)
+		s.retireChain(head, true)
 	}
 }
 
 // sliceVals returns vals[mid:] for mid >= 0 or vals[:-mid] for mid < 0,
 // tolerating nil slices (inner nodes have no vals; leaves have no kids).
+// A left half's capacity ends at -mid: InPlaceLeafUpdates appends to a
+// base's slices, and an append into spare capacity would overwrite the
+// right half's first item.
 func sliceVals(vals []uint64, mid int) []uint64 {
 	if vals == nil {
 		return nil
@@ -102,7 +105,7 @@ func sliceVals(vals []uint64, mid int) []uint64 {
 	if mid >= 0 {
 		return vals[mid:]
 	}
-	return vals[:-mid]
+	return vals[:-mid:-mid]
 }
 
 func sliceKids(kids []nodeID, mid int) []nodeID {
@@ -149,13 +152,13 @@ func (s *Session) splitRoot(head *delta, c collected) {
 	lid, rid := t.mt.Allocate(), t.mt.Allocate()
 
 	left := s.buildBase(collected{
-		keys: c.keys[:mid], vals: sliceVals(c.vals, -mid), vers: sliceVals(c.vers, -mid), kids: sliceKids(c.kids, -mid), leaf: c.leaf,
-	}, head)
+		keys: c.keys[:mid:mid], vals: sliceVals(c.vals, -mid), vers: sliceVals(c.vers, -mid), kids: sliceKids(c.kids, -mid), leaf: c.leaf,
+	}, head, true)
 	left.highKey = splitKey
 	left.rightSib = rid
 	right := s.buildBase(collected{
 		keys: c.keys[mid:], vals: sliceVals(c.vals, mid), vers: sliceVals(c.vers, mid), kids: sliceKids(c.kids, mid), leaf: c.leaf,
-	}, head)
+	}, head, true)
 	right.lowKey = splitKey
 	t.mt.Store(lid, left)
 	t.mt.Store(rid, right)
@@ -180,7 +183,7 @@ func (s *Session) splitRoot(head *delta, c collected) {
 	}
 	s.stats.splits.Add(1)
 	s.emit(obs.EvSplit, t.root, rid, uint64(mid))
-	s.retireChain(head)
+	s.retireChain(head, true)
 }
 
 // postSeparator publishes the (splitKey → rightID) separator in the
@@ -292,7 +295,7 @@ func (s *Session) completeSplitParts(parentID nodeID, parentHead *delta, sepKey 
 	if sep == nil {
 		// Parent slab exhausted: consolidate it, then rediscover.
 		s.stats.slabFull.Add(1)
-		s.consolidateID(parentID, parentHead, invalidNode, nil)
+		s.consolidateID(parentID, parentHead, invalidNode, nil, false)
 		return false
 	}
 	sep.inheritFrom(parentHead)

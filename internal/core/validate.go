@@ -150,7 +150,7 @@ func (t *Tree) consolidateAllNode(s *Session, id nodeID) {
 		if head == nil || head.depth == 0 && (head.kind == kLeafBase || head.kind == kInnerBase) {
 			return
 		}
-		s.consolidateID(id, head, invalidNode, nil)
+		s.consolidateID(id, head, invalidNode, nil, false)
 	}
 }
 

@@ -96,13 +96,20 @@ var minStartKey = []byte{0}
 // short scan doesn't over-fetch from every shard.
 const scanChunk = 256
 
+// scanSlack is how many pairs beyond its even share n/k a cursor's first
+// fill pulls, so that with keys spread evenly over the k shards a scan
+// rarely has to refill a cursor before it has emitted n pairs.
+const scanSlack = 8
+
 // cursor is one shard's pull-stream of ordered pairs, fetched in chunks
 // through the ordinary Scan entry point (so it works over plain and
 // durable sessions alike). Keys are copied into a per-cursor arena:
 // callback keys are only valid during the visit, but merge order means
 // a buffered key outlives its chunk's callbacks.
 type cursor struct {
-	sub    subSession
+	sub subSession
+	// add is c.push bound once, so a fill allocates no closure.
+	add    func(key []byte, value uint64) bool
 	arena  []byte
 	starts []int
 	vals   []uint64
@@ -125,6 +132,14 @@ func (c *cursor) key(i int) []byte {
 	return c.arena[c.starts[i]:end]
 }
 
+// push buffers one pair of the chunk being fetched.
+func (c *cursor) push(k []byte, v uint64) bool {
+	c.starts = append(c.starts, len(c.arena))
+	c.arena = append(c.arena, k...)
+	c.vals = append(c.vals, v)
+	return true
+}
+
 // fill pulls the next chunk from the shard. Reports whether the cursor
 // has a head afterwards.
 func (c *cursor) fill(chunk int) bool {
@@ -132,12 +147,7 @@ func (c *cursor) fill(chunk int) bool {
 		return false
 	}
 	c.arena, c.starts, c.vals, c.pos = c.arena[:0], c.starts[:0], c.vals[:0], 0
-	got := c.sub.Scan(c.resume, chunk, func(k []byte, v uint64) bool {
-		c.starts = append(c.starts, len(c.arena))
-		c.arena = append(c.arena, k...)
-		c.vals = append(c.vals, v)
-		return true
-	})
+	got := c.sub.Scan(c.resume, chunk, c.add)
 	if got < chunk {
 		c.tail = true
 	} else {
@@ -151,6 +161,9 @@ func (c *cursor) fill(chunk int) bool {
 // key >= start, gathered across every shard through a merged k-way
 // iterator: each shard contributes an ordered chunk stream and the merge
 // emits the minimum head until n pairs are out or all streams dry up.
+// Each of the k opened streams first fetches its even share of n plus
+// scanSlack pairs, and a drained stream refetches only what the scan
+// still owes, so a scan pulls about n pairs in all, not n per shard.
 //
 // Ordering rule under concurrency: each chunk is one atomic shard scan,
 // and chunks restart at the successor of the last emitted key, so the
@@ -167,11 +180,14 @@ func (s *Session) Scan(start []byte, n int, visit func(key []byte, value uint64)
 		// so it means "from the beginning".
 		start = minStartKey
 	}
-	chunk := scanChunk
-	if n < chunk {
-		chunk = n
-	}
+	chunk := min(n, scanChunk)
 	from := scanFrom(s.st.router, start)
+	// first is min(chunk, n/k + scanSlack), written so that n near
+	// math.MaxInt cannot overflow.
+	first := chunk
+	if share := n / (len(s.subs) - from); share < chunk-scanSlack {
+		first = share + scanSlack
+	}
 	if cap(s.curs) < len(s.subs) {
 		s.curs = make([]cursor, len(s.subs))
 	}
@@ -179,10 +195,13 @@ func (s *Session) Scan(start []byte, n int, visit func(key []byte, value uint64)
 	active := s.active[:0]
 	for i := from; i < len(s.subs); i++ {
 		c := &s.curs[i]
+		if c.add == nil {
+			c.add = c.push
+		}
 		c.tail = false
 		c.sub = s.subs[i]
 		c.resume = append(c.resume[:0], start...)
-		if c.fill(chunk) {
+		if c.fill(first) {
 			active = append(active, c)
 		}
 	}
@@ -192,25 +211,22 @@ func (s *Session) Scan(start []byte, n int, visit func(key []byte, value uint64)
 		// Linear min over the shard heads: shard counts are per-core small
 		// (tens, not thousands), where a scan through a cache-resident
 		// slice beats heap bookkeeping.
-		min := 0
+		best := 0
 		for i := 1; i < len(active); i++ {
-			if bytes.Compare(active[i].key(active[i].pos), active[min].key(active[min].pos)) < 0 {
-				min = i
+			if bytes.Compare(active[i].key(active[i].pos), active[best].key(active[best].pos)) < 0 {
+				best = i
 			}
 		}
-		c := active[min]
+		c := active[best]
 		if !visit(c.key(c.pos), c.vals[c.pos]) {
 			return count + 1
 		}
 		count++
 		c.pos++
 		if c.pos >= c.len() {
-			left := chunk
-			if rem := n - count; rem < left {
-				left = rem
-			}
+			left := min(chunk, n-count)
 			if left == 0 || !c.fill(left) {
-				active[min] = active[len(active)-1]
+				active[best] = active[len(active)-1]
 				active = active[:len(active)-1]
 			}
 		}

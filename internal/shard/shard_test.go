@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -110,7 +111,7 @@ func TestScanChunkBoundaries(t *testing.T) {
 		}
 	}
 	for _, start := range []uint64{0, 1, scanChunk - 1, scanChunk, scanChunk + 1, n - 5, n} {
-		for _, limit := range []int{1, 7, scanChunk, scanChunk + 1, n} {
+		for _, limit := range []int{1, 7, scanChunk, scanChunk + 1, n, math.MaxInt} {
 			want := uint64(start)
 			got := 0
 			s.Scan(key64(start), limit, func(k []byte, v uint64) bool {
@@ -125,13 +126,7 @@ func TestScanChunkBoundaries(t *testing.T) {
 				got++
 				return true
 			})
-			expect := int(n - start)
-			if expect > limit {
-				expect = limit
-			}
-			if expect < 0 {
-				expect = 0
-			}
+			expect := max(min(int(n-start), limit), 0)
 			if got != expect {
 				t.Fatalf("scan(start=%d,n=%d): visited %d, want %d", start, limit, got, expect)
 			}
@@ -146,6 +141,56 @@ func TestScanChunkBoundaries(t *testing.T) {
 	if visited != 3 || got != 3 {
 		t.Fatalf("early stop: visited=%d ret=%d, want 3", visited, got)
 	}
+}
+
+// countingSub counts the pairs a shard hands to the merged scan.
+type countingSub struct {
+	subSession
+	pulled *int
+}
+
+func (c countingSub) Scan(start []byte, n int, visit func([]byte, uint64) bool) int {
+	got := c.subSession.Scan(start, n, visit)
+	*c.pulled += got
+	return got
+}
+
+// TestScanFetchesRoughlyWhatItReturns pins the first-fill bound: a
+// 50-pair scan over two hash shards fetches its even share plus slack
+// from each, not 50 pairs from both.
+func TestScanFetchesRoughlyWhatItReturns(t *testing.T) {
+	st, err := Open(Options{Shards: 2, Tree: smallTreeOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := st.NewSession()
+	defer s.Release()
+	for i := uint64(0); i < 1000; i++ {
+		if ok, err := s.Insert(key64(i), i); err != nil || !ok {
+			t.Fatalf("insert %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	pulled := 0
+	for i, sub := range s.subs {
+		s.subs[i] = countingSub{sub, &pulled}
+	}
+	const n = 50
+	want := uint64(100)
+	got := s.Scan(key64(want), n, func(k []byte, v uint64) bool {
+		if ku := binary.BigEndian.Uint64(k); ku != want {
+			t.Fatalf("scan: got key %d, want %d", ku, want)
+		}
+		want++
+		return true
+	})
+	if got != n {
+		t.Fatalf("scan returned %d pairs, want %d", got, n)
+	}
+	if pulled >= 2*n {
+		t.Fatalf("a %d-pair scan over 2 shards pulled %d pairs, want < %d", n, pulled, 2*n)
+	}
+	t.Logf("a %d-pair scan over 2 shards pulled %d pairs", n, pulled)
 }
 
 // TestScatterGatherOracle is the satellite's concurrency test: a merged
