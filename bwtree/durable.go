@@ -41,15 +41,17 @@ type DurableOptions struct {
 	TxnCommitted func(txnID uint64) bool
 }
 
-// Durable wraps a Tree with write-ahead logging, epoch-consistent
+// Durable wraps a Tree with logging of effects, epoch-consistent
 // checkpoints, and crash recovery (see internal/wal for the on-disk
-// format). Every mutation is logged before it is applied; recovery
-// merges the newest checkpoint snapshot with the folded log tail into one
-// BulkLoad.
+// format). A single-key mutation is applied first and logged only if it
+// took effect, so a failed insert, update or delete writes nothing; a
+// transaction's resolved write set is logged, then applied. Recovery
+// merges the newest checkpoint snapshot with the log tail, folded
+// last-writer-wins per key, into one BulkLoad.
 //
 // Concurrency: obtain one DurableSession per goroutine, exactly as with
 // Tree. Commit ordering between conflicting operations is established by
-// a striped lock held across the log-append + tree-apply pair, so the
+// a striped lock held across the tree-apply + log-append pair, so the
 // log's LSN order agrees with the tree's apply order for any single key —
 // the property replay depends on. Checkpoint runs concurrently with
 // writers.
@@ -60,7 +62,7 @@ type Durable struct {
 	o   DurableOptions
 	rec RecoveryStats
 
-	// stripes serialize log-append+apply for conflicting keys. 256 ways
+	// stripes serialize apply+log-append for conflicting keys. 256 ways
 	// keeps disjoint-key concurrency while making same-key commit order
 	// deterministic.
 	stripes [256]sync.Mutex
@@ -125,8 +127,8 @@ var ErrDurableClosed = errors.New("bwtree: durable tree closed")
 // final record), and logging resumes at the next LSN.
 func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 	if o.Tree.NonUnique {
-		// The logical redo log records one value per key; replay depends on
-		// unique-key semantics (insert-if-absent / update-if-present).
+		// The log records the one value a key holds; last-writer-wins
+		// replay is only meaningful for unique keys.
 		return nil, errors.New("bwtree: durable trees require unique-key mode")
 	}
 	d := &Durable{dir: dir, o: o, seed: maphash.MakeSeed(), t: core.New(o.Tree)}
@@ -150,8 +152,9 @@ func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 }
 
 // rebuild is the recovery engine, the same code for every directory
-// shape: fold the log tail after the manifest LSN into one transition per
-// touched key, merge the sorted transitions with the snapshot stream, and
+// shape: fold the log tail after the manifest LSN into the state each
+// touched key's last record leaves it in, merge those sorted keys with
+// the snapshot stream (a tail key overrides its snapshot entry), and
 // bulk-load the result into the (empty) tree. A log-only directory is the
 // empty-snapshot case, a clean checkpoint the empty-tail case. It runs on
 // the caller's goroutine alone and returns the LSN logging resumes at.
@@ -251,51 +254,19 @@ func ScanTxnDecisions(dir string) (committed map[uint64]bool, maxTxnID uint64, t
 	return set, maxTxnID, st.Torn, nil
 }
 
-// outcome is where a key ends on one branch of its transition.
-type outcome struct {
-	kind  byte // outAbsent, outKeep or outValue
-	value uint64
-}
-
-const (
-	outAbsent byte = iota // the key does not exist
-	outKeep               // the key holds what the snapshot gave it
-	outValue              // the key holds value
-)
-
-// apply composes one guarded unique-key operation onto o: insert takes
-// effect only on an absent key, update only on a present one, delete
-// always. The three outcomes are closed under all three.
-func (o *outcome) apply(op byte, value uint64) error {
-	switch op {
-	case wal.OpInsert:
-		if o.kind == outAbsent {
-			*o = outcome{outValue, value}
-		}
-	case wal.OpUpdate:
-		if o.kind != outAbsent {
-			*o = outcome{outValue, value}
-		}
-	case wal.OpDelete:
-		*o = outcome{}
-	default:
-		return errors.New("bwtree: unknown op in log record")
-	}
-	return nil
-}
-
-// tailKey is one key the log tail touches, its records composed in LSN
-// order into a transition: where the key ends if the snapshot lacks it
-// (abs, starting absent) and where if the snapshot holds it (pres,
-// starting outKeep). The final state of a key depends only on its own
-// record sequence, so the fold needs no cross-key order.
+// tailKey is one key the log tail touches, in the state its last record
+// leaves it: every record is an effect (insert and update mean "the key
+// now holds value", delete "the key is now absent"), so the last one
+// wins, whatever the snapshot holds. A key's state depends only on its
+// own records, so the fold needs no cross-key order.
 type tailKey struct {
-	key       string
-	abs, pres outcome
+	key     string
+	present bool
+	value   uint64
 }
 
 // foldTail decodes the log after afterLSN once and returns the touched
-// keys in ascending order, each with its composed transition.
+// keys in ascending order, each in its final state.
 func foldTail(dir string, afterLSN uint64, committed func(uint64) bool) ([]tailKey, wal.ReplayStats, error) {
 	// A log-only directory replays every segment, so presize from the log's
 	// on-disk footprint (records are at least ~20 bytes framed) —
@@ -309,16 +280,17 @@ func foldTail(dir string, afterLSN uint64, committed func(uint64) bool) ([]tailK
 	idx := make(map[string]int32, hint)
 	tail := make([]tailKey, 0, hint)
 	fold := func(op byte, key []byte, value uint64) error {
+		if op != wal.OpInsert && op != wal.OpUpdate && op != wal.OpDelete {
+			return errors.New("bwtree: unknown op in log record")
+		}
 		i, ok := idx[string(key)]
 		if !ok {
 			i = int32(len(tail))
-			tail = append(tail, tailKey{key: string(key), pres: outcome{kind: outKeep}})
+			tail = append(tail, tailKey{key: string(key)})
 			idx[tail[i].key] = i
 		}
-		if err := tail[i].abs.apply(op, value); err != nil {
-			return err
-		}
-		return tail[i].pres.apply(op, value)
+		tail[i].present, tail[i].value = op != wal.OpDelete, value
+		return nil
 	}
 	st, err := wal.Replay(dir, afterLSN, func(r wal.Record) error {
 		switch r.Op {
@@ -353,10 +325,10 @@ func foldTail(dir string, afterLSN uint64, committed func(uint64) bool) ([]tailK
 
 // mergeLoad merge-joins the snapshot cursor with the sorted tail and
 // feeds the result to the one BulkLoad recovery performs. A snapshot key
-// the tail does not touch passes through; a tail key resolves through its
-// abs or pres branch, and is emitted at most once either way. A cursor
-// error ends the stream early and is returned in preference to anything
-// BulkLoad says about the truncated input.
+// the tail does not touch passes through; a tail key replaces the
+// snapshot's entry for it, and is emitted at most once, only if present.
+// A cursor error ends the stream early and is returned in preference to
+// anything BulkLoad says about the truncated input.
 func mergeLoad(t *Tree, snap func() ([]byte, uint64, error), tail []tailKey) error {
 	sk, sv, serr := snap()
 	var buf []byte // BulkLoad clones keys, so tail keys share one buffer
@@ -374,16 +346,12 @@ func mergeLoad(t *Tree, snap func() ([]byte, uint64, error), tail []tailKey) err
 			}
 			tk := tail[0]
 			tail = tail[1:]
-			o := tk.abs
 			if serr == nil && string(sk) == tk.key {
-				if o = tk.pres; o.kind == outKeep {
-					o = outcome{outValue, sv}
-				}
 				sk, sv, serr = snap()
 			}
-			if o.kind == outValue {
+			if tk.present {
 				buf = append(buf[:0], tk.key...)
-				return buf, o.value, true
+				return buf, tk.value, true
 			}
 		}
 	})
@@ -427,9 +395,9 @@ func (d *Durable) StripeOf(key []byte) int {
 }
 
 // StripeLock acquires stripe i. The transaction layer holds every write
-// stripe of a commit from log append through tree apply — the same
-// protocol as single-key commits, which is what keeps Checkpoint's
-// stripe-sweep barrier sound in the presence of multi-key commits.
+// stripe of a commit from log append through tree apply (single-key
+// commits hold theirs from apply through append); Checkpoint's
+// stripe-sweep barrier relies on that for multi-key commits.
 func (d *Durable) StripeLock(i int) { d.stripes[i].Lock() }
 
 // StripeUnlock releases stripe i.
@@ -458,9 +426,10 @@ func (d *Durable) SyncOnCommit() bool { return d.o.SyncOnCommit }
 // wrapped Session plus the logging protocol. Mutations return an error
 // only for durability failures (closed writer, simulated crash, disk
 // error); the bool carries the same semantics as the Tree operation. When
-// a mutation returns an error after Crash, its effect may or may not have
-// been applied in memory and may or may not be durable — the caller must
-// treat it as unresolved.
+// a mutation returns an error, its effect may or may not have been
+// applied in memory and may or may not be durable — the caller must treat
+// it as unresolved. As with Tree sessions, release every session before
+// Close.
 type DurableSession struct {
 	d *Durable
 	s *Session
@@ -489,19 +458,18 @@ func walOpClass(op byte) obs.OpClass {
 	}
 }
 
-// commit runs the write-ahead protocol for one mutation: under the key's
-// stripe lock, append the record (assigning its LSN) and apply it to the
-// tree; then, outside the lock, wait for group commit if configured.
+// commitProbed is the one single-key commit protocol: under the key's
+// stripe lock, apply the mutation to the tree and, only if it took
+// effect, append its record (assigning its LSN); then, outside the lock,
+// wait for group commit if configured. A failed operation writes nothing
+// and waits for nothing. Holding the stripe across apply and append keeps
+// each key's LSN order equal to its apply order.
 //
-// Deep-path tracing wraps the whole protocol in one probe operation: the
-// inner tree apply nests inside it (see obs.Probe.OpBegin), so a sampled
-// commit's trace carries the WAL-append and fsync-wait spans next to the
-// in-memory phases, and its flight-recorder latency is the full
-// acknowledged-commit latency, not just the tree apply.
-func (ds *DurableSession) commit(op byte, key []byte, value uint64, apply func() bool) (bool, error) {
-	return commitProbed(ds.d, ds.s.Probe(), op, key, value, apply)
-}
-
+// Deep-path tracing (p non-nil) wraps the whole protocol in one probe
+// operation: the inner tree apply nests inside it (see obs.Probe.OpBegin),
+// so a sampled commit's trace carries the WAL-append and fsync-wait spans
+// next to the in-memory phases, and its flight-recorder latency is the
+// full acknowledged-commit latency, not just the tree apply.
 func commitProbed(d *Durable, p *obs.Probe, op byte, key []byte, value uint64, apply func() bool) (ok bool, err error) {
 	var opT0 int64
 	if p != nil {
@@ -511,6 +479,10 @@ func commitProbed(d *Durable, p *obs.Probe, op byte, key []byte, value uint64, a
 	}
 	st := d.stripe(key)
 	st.Lock()
+	if ok = apply(); !ok {
+		st.Unlock()
+		return false, nil
+	}
 	var t0 int64
 	if p.Active() {
 		t0 = obs.Now()
@@ -519,12 +491,10 @@ func commitProbed(d *Durable, p *obs.Probe, op byte, key []byte, value uint64, a
 	if t0 != 0 {
 		p.Span(obs.PhaseWALAppend, t0, lsn)
 	}
-	if err != nil {
-		st.Unlock()
-		return false, err
-	}
-	ok = apply()
 	st.Unlock()
+	if err != nil {
+		return ok, err
+	}
 	if d.o.SyncOnCommit {
 		if t0 = 0; p.Active() {
 			t0 = obs.Now()
@@ -542,17 +512,17 @@ func commitProbed(d *Durable, p *obs.Probe, op byte, key []byte, value uint64, a
 
 // Insert adds (key, value); see Session.Insert for the bool semantics.
 func (ds *DurableSession) Insert(key []byte, value uint64) (bool, error) {
-	return ds.commit(wal.OpInsert, key, value, func() bool { return ds.s.Insert(key, value) })
+	return commitProbed(ds.d, ds.s.Probe(), wal.OpInsert, key, value, func() bool { return ds.s.Insert(key, value) })
 }
 
 // Update replaces key's value; see Session.Update.
 func (ds *DurableSession) Update(key []byte, value uint64) (bool, error) {
-	return ds.commit(wal.OpUpdate, key, value, func() bool { return ds.s.Update(key, value) })
+	return commitProbed(ds.d, ds.s.Probe(), wal.OpUpdate, key, value, func() bool { return ds.s.Update(key, value) })
 }
 
 // Delete removes (key, value); see Session.Delete.
 func (ds *DurableSession) Delete(key []byte, value uint64) (bool, error) {
-	return ds.commit(wal.OpDelete, key, value, func() bool { return ds.s.Delete(key, value) })
+	return commitProbed(ds.d, ds.s.Probe(), wal.OpDelete, key, value, func() bool { return ds.s.Delete(key, value) })
 }
 
 // Lookup reads through to the tree (reads are never logged).
@@ -606,43 +576,34 @@ func (d *Durable) Lookup(key []byte, out []uint64) ([]uint64, error) {
 	return res, nil
 }
 
+// convCommit runs commitProbed with the shared convenience session, held
+// under d.mu for the tree apply only, so convenience callers never
+// serialize on the group-commit wait. Probe state (single owner by
+// contract) cannot follow a shared session, so this path stays unprobed;
+// hot workloads use DurableSession, which is.
 func (d *Durable) convCommit(op byte, key []byte, value uint64, apply func(*Session) bool) (bool, error) {
-	d.mu.Lock()
-	s, err := d.conv()
-	if err != nil {
-		d.mu.Unlock()
-		return false, err
+	var closed error
+	ok, err := commitProbed(d, nil, op, key, value, func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		s, err := d.conv()
+		closed = err
+		return err == nil && apply(s)
+	})
+	if closed != nil {
+		return false, closed
 	}
-	// The conv session is shared across callers under d.mu, and the
-	// group-commit wait happens after the unlock — probe state (single
-	// owner by contract) cannot safely span it, so the convenience path
-	// stays unprobed. Hot workloads use DurableSession.commit, which is.
-	st := d.stripe(key)
-	st.Lock()
-	lsn, err := d.w.Append(op, key, value)
-	if err != nil {
-		st.Unlock()
-		d.mu.Unlock()
-		return false, err
-	}
-	ok := apply(s)
-	st.Unlock()
-	d.mu.Unlock()
-	if d.o.SyncOnCommit {
-		if err := d.w.WaitDurable(lsn); err != nil {
-			return ok, err
-		}
-	}
-	return ok, nil
+	return ok, err
 }
 
 // Checkpoint writes an epoch-consistent snapshot of the tree plus a
 // manifest, and prunes log segments the snapshot covers. It runs
 // concurrently with writers: the snapshot is fuzzy (each leaf is a
-// consistent cut, the whole file is not), which is safe because replay
-// from the returned LSN re-applies any operation the walk raced with and
-// the guarded operations converge. The log is forced durable through the
-// walk's end before the manifest is published.
+// consistent cut, the whole file is not), which is safe because every
+// effect the walk raced with is logged after the returned LSN, and replay
+// from there sets each such key to the value its last record names
+// (last-writer-wins), whatever the walk saw. The log is forced durable
+// through the walk's end before the manifest is published.
 //
 // Returns the manifest LSN (the new replay start). Concurrent
 // Checkpoint calls serialize, and Close waits for an in-flight
@@ -660,14 +621,15 @@ func (d *Durable) Checkpoint() (uint64, error) {
 	d.mu.Unlock()
 
 	cpLSN := d.w.AppendedLSN()
-	// commit holds the key's stripe lock from Append (LSN assignment)
-	// through the tree apply, so an operation with LSN <= cpLSN that is
-	// not yet visible in the tree still owns its stripe. Sweeping every
-	// stripe is therefore a barrier: once each lock has been taken and
-	// released, the tree reflects every operation at or below cpLSN.
-	// Without it the walk could miss an acknowledged op whose LSN the
-	// manifest claims to cover — and replay starts strictly after the
-	// manifest LSN, so the op would be lost.
+	// A single-key commit applies before it appends, so its effect is in
+	// the tree before it has an LSN. A transaction appends first and holds
+	// its write stripes through the tree apply, so a transaction with
+	// LSN <= cpLSN that is not yet visible in the tree still owns its
+	// stripes. Sweeping every stripe is therefore a barrier: once each
+	// lock has been taken and released, the tree reflects every record at
+	// or below cpLSN. Without it the walk could miss an acknowledged
+	// transaction whose LSN the manifest claims to cover — and replay
+	// starts strictly after the manifest LSN, so it would be lost.
 	for i := range d.stripes {
 		d.stripes[i].Lock()
 		d.stripes[i].Unlock() // empty critical section is the barrier

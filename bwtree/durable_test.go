@@ -1,10 +1,12 @@
 package bwtree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"maps"
 	"math/rand"
 	"os"
@@ -117,6 +119,59 @@ func TestDurableRecoverFreshLog(t *testing.T) {
 			t.Fatalf("key %d = %v, %v", i, out, err)
 		}
 	}
+}
+
+// TestDurableFailedOpLogsNothing: on a SyncOnCommit store, an insert on a
+// present key and an update or delete on an absent one return false, nil
+// through both DurableSession and the convenience methods, append no
+// record and wait for no fsync; an op that takes effect appends exactly
+// one record.
+func TestDurableFailedOpLogsNothing(t *testing.T) {
+	d, err := OpenDurable(t.TempDir(), DurableOptions{SyncOnCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := d.NewSession()
+	defer s.Release()
+	present, absent := dkey(1), dkey(2)
+	cases := []struct {
+		name string
+		op   func() (bool, error)
+		want bool
+	}{
+		{"session insert", func() (bool, error) { return s.Insert(present, 1) }, true},
+		{"session insert present", func() (bool, error) { return s.Insert(present, 2) }, false},
+		{"session update absent", func() (bool, error) { return s.Update(absent, 3) }, false},
+		{"session delete absent", func() (bool, error) { return s.Delete(absent, 0) }, false},
+		{"session update", func() (bool, error) { return s.Update(present, 4) }, true},
+		{"convenience insert present", func() (bool, error) { return d.Insert(present, 5) }, false},
+		{"convenience update absent", func() (bool, error) { return d.Update(absent, 6) }, false},
+		{"convenience delete absent", func() (bool, error) { return d.Delete(absent, 0) }, false},
+		{"convenience insert", func() (bool, error) { return d.Insert(absent, 7) }, true},
+		{"convenience delete", func() (bool, error) { return d.Delete(absent, 0) }, true},
+		{"session delete", func() (bool, error) { return s.Delete(present, 0) }, true},
+	}
+	for _, tc := range cases {
+		before := d.WALStats()
+		ok, err := tc.op()
+		after := d.WALStats()
+		if ok != tc.want || err != nil {
+			t.Fatalf("%s = %v, %v; want %v, nil", tc.name, ok, err, tc.want)
+		}
+		var appends uint64
+		if tc.want {
+			appends = 1
+		}
+		if got := after.Appends - before.Appends; got != appends {
+			t.Errorf("%s appended %d records, want %d", tc.name, got, appends)
+		}
+		if !tc.want && (after.Syncs != before.Syncs || after.DurableLSN != before.DurableLSN) {
+			t.Errorf("%s waited for a flush: syncs %d -> %d, durable LSN %d -> %d",
+				tc.name, before.Syncs, after.Syncs, before.DurableLSN, after.DurableLSN)
+		}
+	}
+	t.Logf("%d appends for %d ops", d.WALStats().Appends, len(cases))
 }
 
 // workerLog records, per worker, the mirror of acknowledged state plus at
@@ -487,12 +542,14 @@ func TestDurableRejectsNonUnique(t *testing.T) {
 }
 
 // TestDurableCheckpointStripeBarrier reconstructs the lost-write race
-// the stripe sweep in Checkpoint exists to close: a committer that has
-// appended its record (so its LSN is <= the checkpoint's cpLSN) but has
-// not yet applied it to the tree still holds its stripe lock. The
-// checkpoint must wait for that stripe before walking — otherwise the
-// snapshot misses the op, and replay (which starts strictly after the
-// manifest LSN) skips it too, silently dropping an acknowledged write.
+// the stripe sweep in Checkpoint exists to close. Single-key commits
+// apply before they append, so only the transaction path has the window:
+// a committer that has appended its OpTxn record (so its LSN is <= the
+// checkpoint's cpLSN) but has not yet applied it to the tree still holds
+// its write stripes. The checkpoint must wait for them before walking —
+// otherwise the snapshot misses the write set, and replay (which starts
+// strictly after the manifest LSN) skips it too, silently dropping an
+// acknowledged commit.
 func TestDurableCheckpointStripeBarrier(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, DurableOptions{})
@@ -505,12 +562,13 @@ func TestDurableCheckpointStripeBarrier(t *testing.T) {
 		}
 	}
 
-	// Emulate DurableSession.commit descheduled between Append and
-	// apply: take the stripe, append, and park.
+	// Emulate a transaction commit descheduled between its append and
+	// its apply: take the write stripe, append, and park.
 	key := dkey(1000)
+	ops := []wal.TxnOp{{Op: wal.OpInsert, Key: key, Value: 42}}
 	st := d.stripe(key)
 	st.Lock()
-	if _, err := d.w.Append(wal.OpInsert, key, 42); err != nil {
+	if _, err := d.AppendTxn(wal.OpTxn, 1, ops); err != nil {
 		st.Unlock()
 		t.Fatal(err)
 	}
@@ -534,9 +592,7 @@ func TestDurableCheckpointStripeBarrier(t *testing.T) {
 		t.Fatalf("Checkpoint finished while a committer held its stripe: lsn=%d err=%v", r.lsn, r.err)
 	default:
 	}
-	s := d.t.NewSession()
-	s.Insert(key, 42)
-	s.Release()
+	applyTxnOps(d, ops)
 	st.Unlock()
 
 	if r := <-cpc; r.err != nil {
@@ -656,42 +712,37 @@ func TestDurableCheckpointCloseRace(t *testing.T) {
 }
 
 // diffModel is the sequential oracle of the differential recovery test:
-// one map under the guarded unique-key semantics.
+// one map under the tree's unique-key semantics.
 type diffModel map[string]uint64
 
-func (m diffModel) apply(ops []wal.TxnOp) {
-	for _, o := range ops {
-		_, ok := m[string(o.Key)]
-		switch o.Op {
-		case wal.OpInsert:
-			if !ok {
-				m[string(o.Key)] = o.Value
-			}
-		case wal.OpUpdate:
-			if ok {
-				m[string(o.Key)] = o.Value
-			}
-		case wal.OpDelete:
-			delete(m, string(o.Key))
-		}
+// apply performs o on the model and reports whether it took effect:
+// insert only on an absent key, update and delete only on a present one.
+func (m diffModel) apply(o wal.TxnOp) bool {
+	_, ok := m[string(o.Key)]
+	switch {
+	case o.Op == wal.OpInsert && !ok, o.Op == wal.OpUpdate && ok:
+		m[string(o.Key)] = o.Value
+		return true
+	case o.Op == wal.OpDelete && ok:
+		delete(m, string(o.Key))
+		return true
 	}
+	return false
 }
 
 // TestDurableDifferentialRecovery drives recovery with seeded scripts of
 // single ops, one-frame transactions and two-phase prepares (committed
-// and undecided) over a small keyspace, laid out on disk by hand in four
-// shapes: log only, snapshot exactly at the manifest LSN, snapshot ahead
-// of the manifest LSN (each key cut at its own point in (i, j] — the
-// fuzzy checkpoint the concurrent tests only hit by luck), and snapshot
-// with an empty tail. The recovered tree must equal the sequential model
-// of the whole script.
-//
-// One pattern is kept out of the fuzzy window: an update that fails (key
-// absent) followed by an insert the snapshot already reflects. The log
-// records attempts, not outcomes, so replaying that pair over the newer
-// snapshot lets the update win — inherent to the record format, whatever
-// engine replays it (see DESIGN.md, Recovery). Failed updates outside
-// the window, and failed inserts and deletes anywhere, stay in.
+// and undecided) over a small keyspace, in four directory shapes: log
+// only, snapshot exactly at the manifest LSN, snapshot ahead of the
+// manifest LSN (each key cut at its own point between the manifest LSN
+// and the end of the log — the fuzzy checkpoint the concurrent tests only
+// hit by luck), and snapshot with an empty tail. The single ops, failed
+// ones included, go through Durable's write path, so the log holds what
+// that path chooses to write; the transaction records and the snapshot
+// are laid by hand. The recovered tree must equal the sequential model of
+// the whole script. A log of attempts fails this: an update that fails on
+// an absent key, then an insert the snapshot already holds, replays with
+// the update winning.
 func TestDurableDifferentialRecovery(t *testing.T) {
 	// Laying a directory out costs a handful of fsyncs; a few seeds in
 	// flight at once hide them.
@@ -709,107 +760,127 @@ func TestDurableDifferentialRecovery(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	var failed []error
 	for _, err := range errs {
 		if err != nil {
-			t.Error(err)
+			failed = append(failed, err)
 		}
+	}
+	if len(failed) > 0 {
+		t.Fatalf("%d of %d seeds failed; first: %v", len(failed), len(errs), failed[0])
 	}
 }
 
-// diffRecoverSeed builds seed's script and directory, recovers it and
-// compares the tree with the model.
+// diffRecoverSeed runs seed's script against a store in dir, lays out
+// its checkpoint, recovers it and compares the tree with the model.
 func diffRecoverSeed(dir string, seed int) error {
-	const nkeys = 10
+	const nkeys = 24
 	rng := rand.New(rand.NewSource(int64(seed)))
 	shape := seed % 4 // 0 log only, 1 exact, 2 snapshot ahead, 3 empty tail
 	n := 1 + rng.Intn(48)
-	lo, hi := n+1, n+1 // fuzzy window (lo, hi] in LSNs; empty unless shape 2
-	if shape == 2 {
-		lo = rng.Intn(n)
-		hi = lo + 1 + rng.Intn(n-lo)
+	wopts := wal.Options{NoSync: true}
+	if seed%8 >= 4 {
+		wopts.SegmentSize = 1024 // a few segments: the checkpoint prunes some
 	}
+	d, err := OpenDurable(dir, DurableOptions{WAL: wopts})
+	if err != nil {
+		return err
+	}
+	defer d.Close() // no-op once the script has closed it
 
-	type rec struct {
-		op  byte
-		id  uint64
-		ops []wal.TxnOp
-	}
-	var script []rec
 	model := diffModel{}
-	hist := []diffModel{{}} // hist[lsn] = model after record lsn
-	genOps := func(m int, applies bool) []wal.TxnOp {
-		lsn := len(script) + 1
+	hist := []diffModel{{}} // hist[lsn] = model after the record at lsn
+	// logged notes the model after one call to the write path. A call that
+	// logged nothing left the model as it was, so overwriting the newest
+	// entry is exact.
+	logged := func() {
+		hist = append(hist[:d.w.AppendedLSN()], maps.Clone(model))
+	}
+	// single runs one op through Durable's write path and checks its
+	// result against the model.
+	single := func(op byte, k int, v uint64) error {
+		key := []byte(fmt.Sprintf("k%02d", k))
+		var ok bool
+		var err error
+		switch op {
+		case wal.OpInsert:
+			ok, err = d.Insert(key, v)
+		case wal.OpUpdate:
+			ok, err = d.Update(key, v)
+		case wal.OpDelete:
+			ok, err = d.Delete(key, v)
+		}
+		if want := model.apply(wal.TxnOp{Op: op, Key: key, Value: v}); err == nil && ok != want {
+			err = fmt.Errorf("seed %d: op %c %s returned %v, model says %v", seed, op, key, ok, want)
+		}
+		logged()
+		return err
+	}
+	// genOps resolves m sub-operations against the model, as the
+	// transaction engine does under its write stripes: each one takes
+	// effect if its record applies.
+	genOps := func(step, m int) []wal.TxnOp {
 		ops := make([]wal.TxnOp, 0, m)
 		for _, k := range rng.Perm(nkeys)[:m] {
-			o := wal.TxnOp{
-				Op:    []byte{wal.OpInsert, wal.OpUpdate, wal.OpDelete}[rng.Intn(3)],
-				Key:   []byte(fmt.Sprintf("k%02d", k)),
-				Value: uint64(lsn)<<8 | uint64(k),
-			}
-			if _, ok := model[string(o.Key)]; applies && !ok && o.Op == wal.OpUpdate && lsn > lo && lsn <= hi {
-				o.Op = wal.OpInsert
+			o := wal.TxnOp{Op: wal.OpInsert, Key: []byte(fmt.Sprintf("k%02d", k)), Value: uint64(step)<<8 | uint64(k)}
+			if _, ok := model[string(o.Key)]; ok {
+				o.Op = []byte{wal.OpUpdate, wal.OpDelete}[rng.Intn(2)]
 			}
 			ops = append(ops, o)
 		}
 		return ops
 	}
-	emit := func(r rec, applies bool) {
-		script = append(script, r)
-		if applies {
-			model.apply(r.ops)
+	txn := func(op byte, id uint64, ops []wal.TxnOp, applies bool) error {
+		if _, err := d.AppendTxn(op, id, ops); err != nil {
+			return err
 		}
-		hist = append(hist, maps.Clone(model))
+		if applies {
+			applyTxnOps(d, ops)
+			for _, o := range ops {
+				model.apply(o)
+			}
+		}
+		logged()
+		return nil
 	}
 	var due []uint64 // committed prepares whose decision is not logged yet
-	for id := uint64(1); len(script) < n || len(due) > 0; id++ {
+	for step := 1; step <= n || len(due) > 0; step++ {
+		id := uint64(step)
 		switch c := rng.Intn(10); {
-		case len(due) > 0 && (len(script) >= n || c < 3):
-			emit(rec{op: wal.OpTxnCommit, id: due[0]}, false)
+		case len(due) > 0 && (step > n || c < 3):
+			err = txn(wal.OpTxnCommit, due[0], nil, false)
 			due = due[1:]
 		case c < 6:
-			ops := genOps(1, true)
-			emit(rec{op: ops[0].Op, ops: ops}, true)
+			k := rng.Intn(nkeys)
+			err = single([]byte{wal.OpInsert, wal.OpUpdate, wal.OpDelete}[rng.Intn(3)], k, uint64(step)<<8|uint64(k))
 		case c < 8:
-			emit(rec{op: wal.OpTxn, id: id, ops: genOps(1+rng.Intn(3), true)}, true)
+			err = txn(wal.OpTxn, id, genOps(step, 1+rng.Intn(3)), true)
 		case c < 9:
-			emit(rec{op: wal.OpTxnPrep, id: id, ops: genOps(1+rng.Intn(3), true)}, true)
+			err = txn(wal.OpTxnPrep, id, genOps(step, 1+rng.Intn(3)), true)
 			due = append(due, id)
 		default:
-			emit(rec{op: wal.OpTxnPrep, id: id, ops: genOps(1+rng.Intn(3), false)}, false)
-		}
-	}
-	last := len(script)
-
-	wopts := wal.Options{NoSync: true}
-	if seed%8 >= 4 {
-		wopts.SegmentSize = 1024 // a few segments: the checkpoint prunes some
-	}
-	w, err := wal.NewWriter(dir, wopts, 1)
-	if err != nil {
-		return err
-	}
-	for _, r := range script {
-		if wal.IsTxnOp(r.op) {
-			_, err = w.AppendTxn(r.op, r.id, r.ops)
-		} else {
-			_, err = w.Append(r.op, r.ops[0].Key, r.ops[0].Value)
+			err = txn(wal.OpTxnPrep, id, genOps(step, 1+rng.Intn(3)), false)
 		}
 		if err != nil {
 			return err
 		}
 	}
-	if err := w.Close(); err != nil {
+	last := int(d.w.AppendedLSN())
+	if err := d.Close(); err != nil {
 		return err
 	}
 
-	cp, snapKeys := 0, 0
+	cp, snapKeys, lo, hi := 0, 0, 0, 0 // snapshot keys cut in [lo, hi]
 	if shape != 0 {
 		switch shape {
 		case 1:
 			cp = rng.Intn(last + 1)
 			lo, hi = cp, cp
 		case 2:
-			cp = lo
+			if last > 0 {
+				lo = rng.Intn(last)
+			}
+			cp, hi = lo, last
 		case 3:
 			cp = last
 			lo, hi = cp, cp
@@ -830,20 +901,20 @@ func diffRecoverSeed(dir string, seed int) error {
 		}
 	}
 
-	where := fmt.Sprintf("seed %d (shape %d, manifest LSN %d, window (%d,%d] of %d)", seed, shape, cp, lo, hi, last)
-	d, err := OpenDurable(dir, DurableOptions{WAL: wopts})
+	where := fmt.Sprintf("seed %d (shape %d, manifest LSN %d, snapshot cut in [%d,%d] of %d)", seed, shape, cp, lo, hi, last)
+	r, err := OpenDurable(dir, DurableOptions{WAL: wopts})
 	if err != nil {
 		return fmt.Errorf("%s: %w", where, err)
 	}
-	defer d.Close()
-	if rs := d.RecoveryStats(); rs.Replayed != last-cp || rs.SnapshotKeys != uint64(snapKeys) || rs.LastLSN != uint64(last) {
+	defer r.Close()
+	if rs := r.RecoveryStats(); rs.Replayed != last-cp || rs.SnapshotKeys != uint64(snapKeys) || rs.LastLSN != uint64(last) {
 		return fmt.Errorf("%s: stats %+v", where, rs)
 	}
-	if err := d.Tree().Validate(); err != nil {
+	if err := r.Tree().Validate(); err != nil {
 		return fmt.Errorf("%s: %w", where, err)
 	}
 	got := diffModel{}
-	s := d.NewSession()
+	s := r.NewSession()
 	defer s.Release()
 	s.Scan([]byte{0}, nkeys+1, func(k []byte, v uint64) bool {
 		got[string(k)] = v
@@ -855,21 +926,31 @@ func diffRecoverSeed(dir string, seed int) error {
 	return nil
 }
 
-// TestDurableRecoverySnapshotErrors damages a checkpointed directory two
-// ways — a flipped body byte, caught before the first pair, and a forged
-// record count, caught only when the cursor runs short mid-merge — and
-// requires OpenDurable to fail with the wal error itself, not with what
-// BulkLoad makes of a truncated stream, and to leave no goroutine (the
-// half-built tree's included) behind.
+// TestDurableRecoverySnapshotErrors damages a checkpointed directory four
+// ways — a flipped body byte, caught before the first pair; a forged
+// record count, caught only when the cursor runs short mid-merge; and a
+// snapshot or a log segment stamped with format version 1 (which logged
+// attempts, not effects), each refused at its header before any pair is
+// loaded — and requires OpenDurable to fail with the wal error itself, not
+// with what BulkLoad makes of a truncated stream, to leave every file as
+// it found it (a refused segment is not truncated as a torn one), and to
+// leave no goroutine (the half-built tree's included) behind.
 func TestDurableRecoverySnapshotErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
-		damage     func(snap []byte, m *wal.Manifest)
+		damage     func(snap, seg []byte, m *wal.Manifest)
 	}{
-		{"crc", "snapshot CRC mismatch", func(snap []byte, _ *wal.Manifest) { snap[len(snap)/2] ^= 0xff }},
-		{"short", "snapshot record count", func(snap []byte, m *wal.Manifest) {
+		{"crc", "snapshot CRC mismatch", func(snap, _ []byte, _ *wal.Manifest) { snap[len(snap)/2] ^= 0xff }},
+		{"short", "snapshot record count", func(snap, _ []byte, m *wal.Manifest) {
 			m.Count++
 			binary.LittleEndian.PutUint64(snap[len(snap)-12:], m.Count)
+		}},
+		{"v1-snapshot", "unsupported snapshot version 1", func(snap, _ []byte, _ *wal.Manifest) {
+			binary.LittleEndian.PutUint32(snap[4:8], 1)
+		}},
+		{"v1-segment", "unsupported segment version 1", func(_, seg []byte, _ *wal.Manifest) {
+			binary.LittleEndian.PutUint32(seg[4:8], 1) // a valid v1 header: CRC recomputed
+			binary.LittleEndian.PutUint32(seg[16:20], crc32.Checksum(seg[0:16], crc32.MakeTable(crc32.Castagnoli)))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -896,15 +977,22 @@ func TestDurableRecoverySnapshotErrors(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(dir, m.Snapshot)
-			snap, err := os.ReadFile(path)
+			segPath, err := lastSegment(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.damage(snap, &m)
-			mdata, _ := json.Marshal(m)
-			if err := errors.Join(os.WriteFile(path, snap, 0o644), os.WriteFile(filepath.Join(dir, "MANIFEST"), mdata, 0o644)); err != nil {
+			snap, serr := os.ReadFile(path)
+			seg, gerr := os.ReadFile(segPath)
+			if err := errors.Join(serr, gerr); err != nil {
 				t.Fatal(err)
 			}
+			tc.damage(snap, seg, &m)
+			mdata, _ := json.Marshal(m)
+			if err := errors.Join(os.WriteFile(path, snap, 0o644), os.WriteFile(segPath, seg, 0o644),
+				os.WriteFile(filepath.Join(dir, "MANIFEST"), mdata, 0o644)); err != nil {
+				t.Fatal(err)
+			}
+			files := dirFiles(t, dir)
 
 			before := runtime.NumGoroutine()
 			if d, err := OpenDurable(dir, DurableOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -912,6 +1000,9 @@ func TestDurableRecoverySnapshotErrors(t *testing.T) {
 					d.Close()
 				}
 				t.Fatalf("OpenDurable = %v, want an error containing %q", err, tc.want)
+			}
+			if after := dirFiles(t, dir); !maps.EqualFunc(files, after, bytes.Equal) {
+				t.Fatal("failed open changed the directory")
 			}
 			deadline := time.Now().Add(2 * time.Second)
 			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -922,4 +1013,20 @@ func TestDurableRecoverySnapshotErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// dirFiles reads every file in dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }

@@ -8,12 +8,11 @@ import (
 	"strings"
 )
 
-// appendGarbageToLastSegment simulates a torn write by appending junk
-// bytes to the newest log segment in dir.
-func appendGarbageToLastSegment(dir string, junk []byte) error {
+// lastSegment returns the path of the newest log segment in dir.
+func lastSegment(dir string) (string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return err
+		return "", err
 	}
 	var segs []string
 	for _, e := range ents {
@@ -22,14 +21,38 @@ func appendGarbageToLastSegment(dir string, junk []byte) error {
 		}
 	}
 	if len(segs) == 0 {
-		return errors.New("no segments to corrupt")
+		return "", errors.New("no log segments")
 	}
 	sort.Strings(segs)
-	f, err := os.OpenFile(filepath.Join(dir, segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0)
+	return filepath.Join(dir, segs[len(segs)-1]), nil
+}
+
+// appendGarbageToLastSegment simulates a torn write by appending junk
+// bytes to the newest log segment in dir.
+func appendGarbageToLastSegment(dir string, junk []byte) error {
+	p, err := lastSegment(dir)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	_, err = f.Write(junk)
 	return err
+}
+
+// truncateLastSegment shears n bytes off the newest log segment,
+// simulating a torn write ending inside the final record's frame.
+func truncateLastSegment(dir string, n int64) error {
+	p, err := lastSegment(dir)
+	if err != nil {
+		return err
+	}
+	fi, err := os.Stat(p)
+	if err != nil {
+		return err
+	}
+	return os.Truncate(p, fi.Size()-n)
 }

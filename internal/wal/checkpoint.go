@@ -23,8 +23,8 @@ type Manifest struct {
 	// missing has a log record with a higher LSN. Because the snapshot is
 	// taken concurrently with writers (epoch-consistent, not
 	// point-in-time), it may also contain the effects of records after
-	// LSN; replay is convergent for the guarded insert/update/delete
-	// operations, so re-applying them is harmless (see DESIGN.md).
+	// LSN; every record is an effect that replay applies last-writer-wins,
+	// so re-applying them is harmless (see DESIGN.md).
 	LSN uint64 `json:"lsn"`
 	// Count is the number of pairs in the snapshot.
 	Count uint64 `json:"count"`

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,9 +99,10 @@ func Replay(dir string, afterLSN uint64, fn func(Record) error) (ReplayStats, er
 		}
 		first, err := decodeSegmentHeader(data)
 		if err != nil {
-			if i == len(segs)-1 {
+			if i == len(segs)-1 && !errors.Is(err, errSegmentVersion) {
 				// Torn header write in the final segment: it holds no
-				// durable records.
+				// durable records. (A foreign version is refused, not
+				// truncated: its records are real, just not ours to read.)
 				if terr := truncateFile(filepath.Join(dir, name), 0); terr != nil {
 					return st, terr
 				}

@@ -34,8 +34,11 @@ const (
 )
 
 // TxnOp is one resolved sub-operation of a transactional write set. Op is
-// one of OpInsert/OpUpdate/OpDelete, carrying the same guarded replay
-// semantics as a standalone record of that kind.
+// one of OpInsert/OpUpdate/OpDelete, an effect exactly like a standalone
+// record of that kind: resolved under the writer's held stripes, it
+// cannot fail on apply, and it folds last-writer-wins on replay. The kind
+// still tells the applier whether the key was absent (insert) or present
+// (update).
 type TxnOp struct {
 	Op    byte
 	Key   []byte

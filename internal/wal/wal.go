@@ -11,6 +11,13 @@
 // logging of index operations, not LLAMA's page-level log-structured
 // store.
 //
+// Records are effects, not attempts: a writer appends a record only for
+// an operation that took effect, so OpInsert and OpUpdate mean "the key
+// now holds value" and OpDelete means "the key is now absent", and replay
+// is last-writer-wins per key. Format version 2 (segments and snapshots
+// share it) is this meaning; version 1 logged attempts, and its files are
+// refused rather than replayed under the wrong rule.
+//
 // # Log format
 //
 // The log is a sequence of segment files named wal-<firstLSN>.seg. Each
@@ -62,7 +69,7 @@ const (
 const (
 	segMagic   = "BWAL"
 	snapMagic  = "BSNP"
-	version    = 1
+	version    = 2 // records are effects; see the package comment
 	headerSize = 20
 	frameSize  = 8 // length + crc
 	// maxRecordSize bounds payloadLen during decoding so a corrupt length
@@ -192,6 +199,9 @@ func encodeSegmentHeader(firstLSN uint64) [headerSize]byte {
 }
 
 // decodeSegmentHeader validates a segment header and returns its firstLSN.
+// The CRC is checked before the version, so a torn header never reads as
+// a foreign version, and a verified header of another version
+// (errSegmentVersion) is a different format, never a torn write.
 func decodeSegmentHeader(b []byte) (firstLSN uint64, err error) {
 	if len(b) < headerSize {
 		return 0, errShortHeader
@@ -199,16 +209,17 @@ func decodeSegmentHeader(b []byte) (firstLSN uint64, err error) {
 	if string(b[0:4]) != segMagic {
 		return 0, fmt.Errorf("wal: bad segment magic %q", b[0:4])
 	}
-	if v := binary.LittleEndian.Uint32(b[4:8]); v != version {
-		return 0, fmt.Errorf("wal: unsupported segment version %d", v)
-	}
 	if crc32.Checksum(b[0:16], castagnoli) != binary.LittleEndian.Uint32(b[16:20]) {
 		return 0, errors.New("wal: segment header CRC mismatch")
+	}
+	if v := binary.LittleEndian.Uint32(b[4:8]); v != version {
+		return 0, fmt.Errorf("%w %d", errSegmentVersion, v)
 	}
 	return binary.LittleEndian.Uint64(b[8:16]), nil
 }
 
 var errShortHeader = errors.New("wal: segment shorter than header")
+var errSegmentVersion = errors.New("wal: unsupported segment version")
 
 // segmentName returns the file name of the segment whose first record has
 // the given LSN. Fixed-width decimal so lexicographic order equals LSN
