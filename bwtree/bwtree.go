@@ -48,7 +48,9 @@ type Session = core.Session
 // Iterator supports ordered forward and backward traversal over a Tree.
 type Iterator = core.Iterator
 
-// Options configures a Tree.
+// Options configures a Tree. LeafNodeSize has two roles: a leaf splits
+// past that many items, and the LeafNodeSize-th lookup of a leaf's delta
+// chain with no write in between consolidates the leaf.
 type Options = core.Options
 
 // Stats is a point-in-time aggregate of a Tree's internal counters.

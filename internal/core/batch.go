@@ -400,14 +400,6 @@ func (s *Session) lookupOne(tr *traversal, key []byte, out []uint64) []uint64 {
 			s.abortBackoff(&spins)
 			continue
 		}
-		if s.t.opts.NonUnique {
-			out, _ = s.collectValuesProbed(tr.head, key, out)
-			return out
-		}
-		r := s.leafSeekProbed(tr.head, key)
-		if r.found {
-			return append(out, r.value)
-		}
-		return out
+		return s.lookupLeaf(tr, key, out)
 	}
 }

@@ -49,6 +49,26 @@ func (s *Session) maybeConsolidateTr(tr *traversal, head *delta) {
 	}
 }
 
+// readDone closes every point read (Lookup, LookupVersion, LookupBatch)
+// on leaf tr.head: a read that walked a chain counts itself on the head,
+// and the read whose count reaches LeafNodeSize consolidates the leaf as
+// the iterator does, into a slab-less base. A write replaces the head and
+// so restarts the count; a leaf that is only read stops paying its chain
+// once readers have spent about one consolidation's worth of replays
+// (DESIGN.md, "Read-triggered consolidation"). A lost CaS is ignored: the
+// read is already answered. A published base becomes tr.head, so a cached
+// traversal never reuses the retired chain.
+func (s *Session) readDone(tr *traversal) {
+	head := tr.head
+	if head.kind == kLeafBase || s.t.opts.InPlaceLeafUpdates ||
+		int(head.reads.Add(1)) != s.t.opts.LeafNodeSize {
+		return
+	}
+	if _, nb := s.consolidateID(tr.id, head, tr.parentID, tr.parentHead, true); nb != nil {
+		tr.head = nb
+	}
+}
+
 // consolidate folds tr's chain unconditionally (slab exhaustion path).
 func (s *Session) consolidate(tr *traversal, head *delta) {
 	s.consolidateID(tr.id, head, tr.parentID, tr.parentHead, false)
@@ -62,9 +82,10 @@ func (s *Session) consolidate(tr *traversal, head *delta) {
 // work is cooperative).
 //
 // It returns the replayed content and, when this call published it, the
-// new base: nil after a lost CaS or a split. A reader (the iterator)
-// passes reader=true: its base takes no slab and the retired chain's slab
-// goes to the Go GC rather than the pool (DESIGN.md, "Slab recycling").
+// new base: nil after a lost CaS or a split. A reader (the iterator, or a
+// point read in readDone) passes reader=true: its base takes no slab and
+// the retired chain's slab goes to the Go GC rather than the pool
+// (DESIGN.md, "Slab recycling").
 func (s *Session) consolidateID(id nodeID, head *delta, parentID nodeID, parentHead *delta, reader bool) (collected, *delta) {
 	t0 := s.phStart()
 	c, nb := s.consolidateIDInner(id, head, parentID, parentHead, reader)

@@ -18,7 +18,9 @@ import (
 // Stream format: byte 0 is a config header (bit 0 non-unique, bit 1
 // centralized GC); the rest is a sequence of operations, each one opcode
 // byte followed by its operands (see fuzzStep). Truncated operands end
-// the stream.
+// the stream. The opcode's low three bits pick the operation; bit 3 turns
+// a lookup into LeafNodeSize (16) lookups of one key, which consolidate
+// a chained leaf from the read path.
 func FuzzTreeVsModel(f *testing.F) {
 	f.Add([]byte{0x00})
 	// A little of everything, unique + decentralized.
@@ -206,6 +208,7 @@ func runFuzzStream(t *testing.T, data []byte) {
 // failing.
 func fuzzStep(t *testing.T, s *Session, fm *fuzzModel, data []byte) (rest []byte, ok bool) {
 	op := data[0] % 8
+	repeat := data[0]&8 != 0
 	data = data[1:]
 	need := func(n int) bool { return len(data) >= n }
 	switch op {
@@ -250,13 +253,21 @@ func fuzzStep(t *testing.T, s *Session, fm *fuzzModel, data []byte) (rest []byte
 				}
 			}
 		}
-	case 3: // lookup: key(2)
+	case 3: // lookup: key(2); with bit 3 set, LeafNodeSize lookups in a row
 		if !need(2) {
 			return nil, false
 		}
 		k := fuzzKey(binary.BigEndian.Uint16(data[:2]))
 		data = data[2:]
-		checkLookup(t, fm, string(k), s.Lookup(k, nil))
+		reads := 1
+		if repeat {
+			// Enough reads with no write between them to make the last
+			// one consolidate the leaf (readDone).
+			reads = s.t.opts.LeafNodeSize
+		}
+		for i := 0; i < reads; i++ {
+			checkLookup(t, fm, string(k), s.Lookup(k, nil))
+		}
 	case 4: // scan: start(2) count(1)
 		if !need(3) {
 			return nil, false

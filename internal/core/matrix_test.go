@@ -13,9 +13,10 @@ import (
 // flag combinations × 2 schemes — so no combination can silently rot
 // (every FlatBaseNodes × FlatInnerNodes pairing is covered). Nodes are
 // tiny so the smoke forces splits, merges, and consolidations; the
-// workload mixes the single-op and batch paths. Scan pipelining rides
-// along with either flat flag, so the prefetch path runs under
-// contention and -race here too.
+// workload mixes the single-op and batch paths, and a read-only phase
+// then checks that lookups consolidate the chains it left. Scan
+// pipelining rides along with either flat flag, so the prefetch path
+// runs under contention and -race here too.
 func TestOptionsMatrix(t *testing.T) {
 	gcName := map[GCScheme]string{GCDecentralized: "decentralized", GCCentralized: "centralized"}
 	for mask := 0; mask < 64; mask++ {
@@ -126,10 +127,23 @@ func optionsMatrixSmoke(t *testing.T, opts Options) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	// Every even private key must survive with its value; every odd one
-	// must be gone.
 	s := tr.NewSession()
 	defer s.Release()
+	// Read-only phase: LeafNodeSize lookups into each chained leaf, with
+	// no write between them, consolidate it from the read path.
+	if keys := chainedLeafKeys(tr); len(keys) > 0 {
+		before := tr.Stats().Consolidations
+		for _, k := range keys {
+			for i := 0; i < opts.LeafNodeSize; i++ {
+				s.Lookup(k, nil)
+			}
+		}
+		if tr.Stats().Consolidations == before {
+			t.Errorf("reading %d chained leaves %d times each consolidated none", len(keys), opts.LeafNodeSize)
+		}
+	}
+	// Every even private key must survive with its value; every odd one
+	// must be gone.
 	for w := 0; w < nw; w++ {
 		base := uint64(w) * stripe
 		for i := 0; i < stripe; i++ {
@@ -147,4 +161,33 @@ func optionsMatrixSmoke(t *testing.T, opts Options) {
 	if tr.Stats().Splits == 0 {
 		t.Error("smoke workload recorded no splits; nodes not tiny enough")
 	}
+}
+
+// chainedLeafKeys returns one key inside each leaf whose head is a delta
+// chain: its low key, or the smallest key for the leftmost leaf. The tree
+// must be quiescent.
+func chainedLeafKeys(tr *Tree) [][]byte {
+	s := tr.NewSession()
+	defer s.Release()
+	s.h.Enter()
+	defer s.h.Exit()
+	var keys [][]byte
+	var walk func(id nodeID)
+	walk = func(id nodeID) {
+		head := tr.load(id)
+		switch {
+		case !head.isLeaf:
+			for _, kid := range s.collect(head).kids {
+				walk(kid)
+			}
+		case head.kind != kLeafBase && head.kind != kRemove:
+			k := head.lowKey
+			if k == nil {
+				k = []byte{0}
+			}
+			keys = append(keys, cloneKey(k))
+		}
+	}
+	walk(tr.root)
+	return keys
 }

@@ -51,6 +51,10 @@ type delta struct {
 	// where the existing key sits. Drives fast consolidation (§4.3) and
 	// search shortcuts (§4.4). Negative when unknown.
 	offset int32
+	// reads counts the point reads that walked this leaf chain head (never
+	// a base); a write replaces the head, so it restarts at zero. It fills
+	// the padding before lowKey, so the struct does not grow (readDone).
+	reads atomic.Uint32
 
 	// lowKey is the smallest key of the logical node (nil = -inf).
 	lowKey []byte

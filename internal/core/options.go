@@ -33,7 +33,10 @@ const (
 // DefaultOptions or BaselineOptions.
 type Options struct {
 	// LeafNodeSize is the maximum number of items in a leaf base node
-	// before it splits (paper default 128).
+	// before it splits (paper default 128). It is also the read-trigger
+	// threshold: the LeafNodeSize-th point read of a leaf chain with no
+	// write in between consolidates the leaf, since by then readers have
+	// replayed about as much as one consolidation copies.
 	LeafNodeSize int
 	// InnerNodeSize is the maximum number of separator items in an inner
 	// base node before it splits (paper default 64).

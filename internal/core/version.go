@@ -28,6 +28,7 @@ func (s *Session) LookupVersion(key []byte) (value uint64, ver uint64, found boo
 			continue
 		}
 		r := s.leafSeekProbed(tr.head, key)
+		s.readDone(&tr)
 		return r.value, r.ver, r.found
 	}
 }

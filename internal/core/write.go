@@ -310,16 +310,20 @@ func (s *Session) Lookup(key []byte, out []uint64) []uint64 {
 			s.abortBackoff(&spins)
 			continue
 		}
-		if s.t.opts.NonUnique {
-			out, _ = s.collectValuesProbed(tr.head, key, out)
-			return out
-		}
-		r := s.leafSeekProbed(tr.head, key)
-		if r.found {
-			return append(out, r.value)
-		}
-		return out
+		return s.lookupLeaf(&tr, key, out)
 	}
+}
+
+// lookupLeaf answers a Lookup on the leaf tr points at, appending the
+// values to out.
+func (s *Session) lookupLeaf(tr *traversal, key []byte, out []uint64) []uint64 {
+	if s.t.opts.NonUnique {
+		out, _ = s.collectValuesProbed(tr.head, key, out)
+	} else if r := s.leafSeekProbed(tr.head, key); r.found {
+		out = append(out, r.value)
+	}
+	s.readDone(tr)
+	return out
 }
 
 // insertInPlace mutates the leaf base node directly — the Fig. 18
