@@ -100,8 +100,8 @@ type Options struct {
 	LatencyHistograms bool
 	// TraceRingSize, when positive, enables the structural event tracer:
 	// each session gets a fixed ring of that many split/merge/
-	// consolidate/abort/epoch-advance events, drained tree-wide in
-	// sequence order by Tree.TraceEvents. Zero disables tracing.
+	// consolidate/abort events, drained tree-wide in sequence order by
+	// Tree.TraceEvents. Zero disables tracing.
 	TraceRingSize int
 	// PhaseSampleEvery, when positive, phase-samples every Nth operation
 	// per session: the sampled op records a span per hot-path phase

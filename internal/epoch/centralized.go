@@ -25,9 +25,6 @@ type Centralized struct {
 	done     chan struct{}
 	stats    centralStats
 	closeOn  sync.Once
-
-	// advanceHook mirrors Decentralized.advanceHook.
-	advanceHook atomic.Pointer[func(uint64)]
 }
 
 type centralStats struct {
@@ -109,10 +106,7 @@ func (c *Centralized) advance() {
 	cur := c.current.Load()
 	cur.next.Store(fresh)
 	c.current.Store(fresh)
-	n := c.stats.advances.Add(1)
-	if fn := c.advanceHook.Load(); fn != nil {
-		(*fn)(n)
-	}
+	c.stats.advances.Add(1)
 
 	// Reclaim every leading epoch whose counter has drained. An epoch may
 	// only be reclaimed once it is no longer current (threads can no
@@ -136,15 +130,6 @@ func (c *Centralized) Close() {
 			c.stats.reclaimed.Add(e.garbage.drain())
 		}
 	})
-}
-
-// SetAdvanceHook implements GC.
-func (c *Centralized) SetAdvanceHook(fn func(uint64)) {
-	if fn == nil {
-		c.advanceHook.Store(nil)
-		return
-	}
-	c.advanceHook.Store(&fn)
 }
 
 // Stats implements GC.

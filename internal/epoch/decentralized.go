@@ -29,11 +29,6 @@ type Decentralized struct {
 	done    chan struct{}
 	stats   centralStats
 	closeOn sync.Once
-
-	// advanceHook is invoked by the background goroutine after each epoch
-	// advance; stored atomically because it is installed after run() has
-	// started.
-	advanceHook atomic.Pointer[func(uint64)]
 }
 
 // idleEpoch marks a worker as outside any critical section; it never
@@ -69,10 +64,7 @@ func (d *Decentralized) run() {
 			return
 		case <-ticker.C:
 			d.global.Add(1)
-			n := d.stats.advances.Add(1)
-			if fn := d.advanceHook.Load(); fn != nil {
-				(*fn)(n)
-			}
+			d.stats.advances.Add(1)
 			d.reclaimOrphans()
 		}
 	}
@@ -152,15 +144,6 @@ func (d *Decentralized) Close() {
 		}
 		d.stats.reclaimed.Add(uint64(len(orphans)))
 	})
-}
-
-// SetAdvanceHook implements GC.
-func (d *Decentralized) SetAdvanceHook(fn func(uint64)) {
-	if fn == nil {
-		d.advanceHook.Store(nil)
-		return
-	}
-	d.advanceHook.Store(&fn)
 }
 
 // Stats implements GC.

@@ -32,11 +32,6 @@ type GC interface {
 	Close()
 	// Stats reports cumulative reclamation counters.
 	Stats() Stats
-	// SetAdvanceHook installs fn to be called from the background
-	// goroutine after every epoch advance, with the cumulative advance
-	// count. fn must be fast and must not call back into the GC. A nil fn
-	// removes the hook. Safe to call while the GC is running.
-	SetAdvanceHook(fn func(advances uint64))
 }
 
 // Handle is a per-worker capability to enter epochs and retire garbage.
