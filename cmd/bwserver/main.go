@@ -87,7 +87,7 @@ func main() {
 		// The transaction engine hangs off the protocol server, so its
 		// counters (txn_commits, txn_conflicts, validate latency) join the
 		// store's series on /metrics.
-		debug, err = obs.Serve(*debugAddr, txn.AugmentVars(shard.DebugVars(st), srv.Txn()), time.Second)
+		debug, err = obs.Serve(*debugAddr, txn.AugmentVars(shard.DebugVars(st), srv.Txn()))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -103,7 +103,7 @@ func main() {
 	workers := flag.Int("workers", 8, "worker goroutines")
 	keyspace := flag.Uint64("keyspace", 100000, "shared keys per worker slice")
 	leafSize := flag.Int("leaf", 32, "leaf node size (small sizes maximize SMO churn)")
-	debugAddr := flag.String("debug-addr", "", "serve expvar/pprof/latency debug endpoints on this address (enables latency histograms and SMO tracing)")
+	debugAddr := flag.String("debug-addr", "", "serve the debug surface on this address: /debug/stats, /metrics, /debug lists the rest (enables latency histograms and SMO tracing)")
 	batch := flag.Int("batch", 0, "route inserts/deletes/lookups through the batch API in windows of this size (0 = single-op)")
 	check := flag.Bool("check", false, "record every op and verify the merged history for linearizability at exit")
 	checkOps := flag.Uint64("check-ops", 400_000, "total operation budget with -check (recorded histories must fit in memory)")
@@ -195,7 +195,7 @@ func main() {
 				log.Fatalf("debug server: %v", err)
 			}
 			defer srv.Close()
-			log.Printf("debug endpoints at http://%s/debug", srv.Addr())
+			log.Printf("debug stats at http://%s/debug/stats (all endpoints: /debug)", srv.Addr())
 		}
 		sd := uint64(*seed)
 		if sd == 0 {
@@ -277,7 +277,7 @@ func main() {
 			log.Fatalf("debug server: %v", err)
 		}
 		defer srv.Close()
-		log.Printf("debug endpoints at http://%s/debug (stats, latency, trace, flightrec, phasetrace, metrics, pprof)", srv.Addr())
+		log.Printf("debug stats at http://%s/debug/stats (also latency, trace, flightrec, phasetrace, metrics, pprof; index: /debug)", srv.Addr())
 	}
 
 	var stop atomic.Bool

@@ -89,7 +89,7 @@ func main() {
 	idxName := flag.String("index", "openbw", "index to replay against")
 	threads := flag.Int("threads", 1, "worker goroutines")
 	batch := flag.Int("batch", 0, "flush INSERT/READ lines through the batch API in windows of this size (0 = single-op)")
-	debugAddr := flag.String("debug-addr", "", "serve expvar/pprof/latency debug endpoints on this address (Bw-Tree indexes only)")
+	debugAddr := flag.String("debug-addr", "", "serve the debug surface on this address: /debug/stats, /metrics, /debug lists the rest (Bw-Tree indexes only)")
 	traceOut := flag.String("trace-out", "", "write sampled per-op phase traces as Chrome trace-event JSON to this file (Bw-Tree indexes only)")
 	phaseSample := flag.Int("phase-sample", 64, "with -trace-out or -debug-addr: sample one op in N for phase tracing")
 	gen := flag.String("gen", "", "synthesize the trace in-process instead of reading stdin: workload insert, a, b, c, or e")
@@ -125,7 +125,7 @@ func main() {
 			os.Exit(2)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug endpoints at http://%s/debug/vars\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "debug stats at http://%s/debug/stats\n", srv.Addr())
 	}
 
 	var ops []op

@@ -159,14 +159,14 @@ func (s *Session) batchRefresh(n int, tr *traversal) {
 // only decrements the nest counter (the batch-level OpEnd in batchDone
 // finalizes the flight entry / sampled trace).
 func (s *Session) opLat(c obs.OpClass, start int64) {
-	if s.lat == nil && (!deepProbes || s.probe == nil) {
+	if s.lat == nil && !(deepProbes && s.probe.RecordsOps()) {
 		return
 	}
 	end := obs.Now()
 	if s.lat != nil {
 		s.lat.Record(c, end-start)
 	}
-	if deepProbes && s.probe != nil {
+	if deepProbes && s.probe.RecordsOps() {
 		s.probe.OpEnd(c, start, end-start)
 	}
 }
@@ -188,14 +188,14 @@ func (s *Session) batchDone(n int, start int64) {
 		s.parentHits = 0
 		s.stats.batchParentHits.Add(c)
 	}
-	if s.lat == nil && (!deepProbes || s.probe == nil) {
+	if s.lat == nil && !(deepProbes && s.probe.RecordsOps()) {
 		return
 	}
 	end := obs.Now()
 	if s.lat != nil {
 		s.lat.Record(obs.OpBatch, end-start)
 	}
-	if deepProbes && s.probe != nil {
+	if deepProbes && s.probe.RecordsOps() {
 		s.probe.OpEnd(obs.OpBatch, start, end-start)
 	}
 }

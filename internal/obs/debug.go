@@ -15,8 +15,8 @@ import (
 // Vars is the pull-based data source behind a debug server. Any field
 // may be nil; the corresponding surface is simply absent.
 type Vars struct {
-	// Counters returns monotonic counters; the sampler derives
-	// "<name>_per_sec" rates from their deltas.
+	// Counters returns monotonic counters; /debug/stats derives
+	// "<name>_per_sec" rates from their deltas between reads.
 	Counters func() map[string]uint64
 	// Gauges returns point-in-time values (ratios, utilizations).
 	Gauges func() map[string]float64
@@ -24,10 +24,10 @@ type Vars struct {
 	Latency func() *LatencySnapshot
 	// Shape returns structural statistics (tree shape and base-node
 	// memory footprint). Served on demand at /debug/shape only — the
-	// underlying tree walk is too expensive for the periodic sampler.
+	// underlying tree walk is too expensive for every /debug/stats read.
 	Shape func() map[string]any
-	// Trace drains the event tracer. Draining is destructive, so the
-	// /debug/trace endpoint consumes events.
+	// Trace drains the structural events. Draining is destructive, so
+	// the /debug/trace endpoint consumes events.
 	Trace func() []Event
 	// TraceDropped returns the cumulative wraparound-loss count.
 	TraceDropped func() uint64
@@ -43,56 +43,23 @@ type Vars struct {
 	PhaseTraces func() []OpTrace
 }
 
-// expvarHolder lets the process-global expvar name "bwtree" follow the
-// most recently started debug server (expvar cannot unpublish).
-var expvarHolder struct {
-	mu   sync.Mutex
-	fn   func() any
-	once sync.Once
-}
-
-func publishExpvar(fn func() any) {
-	expvarHolder.mu.Lock()
-	expvarHolder.fn = fn
-	expvarHolder.mu.Unlock()
-	expvarHolder.once.Do(func() {
-		expvar.Publish("bwtree", expvar.Func(func() any {
-			expvarHolder.mu.Lock()
-			f := expvarHolder.fn
-			expvarHolder.mu.Unlock()
-			if f == nil {
-				return nil
-			}
-			return f()
-		}))
-	})
-}
-
-// Server is a live debug surface: expvar at /debug/vars, pprof under
-// /debug/pprof/, and JSON endpoints for stats, latency quantiles, and
-// the event trace.
+// Server is a live debug surface: Go's standard expvar vars at
+// /debug/vars, pprof under /debug/pprof/, and JSON endpoints for stats,
+// latency quantiles, and the event trace.
 type Server struct {
 	srv     *http.Server
 	ln      net.Listener
-	sampler *Sampler
 	closeOn sync.Once
 }
 
 // Serve starts a debug server on addr (host:port; port 0 picks a free
-// one) backed by v, sampling counter rates every sampleEvery (0 → 1s).
-func Serve(addr string, v Vars, sampleEvery time.Duration) (*Server, error) {
+// one) backed by v.
+func Serve(addr string, v Vars) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	var sampler *Sampler
-	if v.Counters != nil {
-		sampler = NewSampler(sampleEvery, v.Counters)
-	}
-	s := &Server{ln: ln, sampler: sampler}
-	mux := Mux(v, sampler)
-	s.srv = &http.Server{Handler: mux}
-	publishExpvar(func() any { return debugSnapshot(v, sampler) })
+	s := &Server{ln: ln, srv: &http.Server{Handler: Mux(v)}}
 	go s.srv.Serve(ln)
 	return s, nil
 }
@@ -100,45 +67,39 @@ func Serve(addr string, v Vars, sampleEvery time.Duration) (*Server, error) {
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server and its sampler.
+// Close stops the server.
 func (s *Server) Close() error {
 	var err error
-	s.closeOn.Do(func() {
-		if s.sampler != nil {
-			s.sampler.Close()
-		}
-		err = s.srv.Close()
-	})
+	s.closeOn.Do(func() { err = s.srv.Close() })
 	return err
 }
 
-// debugSnapshot assembles the composite JSON value served under the
-// expvar name "bwtree" and at /debug/stats.
-func debugSnapshot(v Vars, sampler *Sampler) map[string]any {
-	out := map[string]any{}
-	if v.Counters != nil {
-		out["counters"] = v.Counters()
-	}
-	if v.Gauges != nil {
-		out["gauges"] = v.Gauges()
-	}
-	if sampler != nil {
-		out["rates"] = sampler.Rates()
-	}
-	if v.Latency != nil {
-		if snap := v.Latency(); snap != nil {
-			out["latency"] = snap.Summary()
+// rates turns monotonic counters into per-second rates when they are
+// read: each read reports the deltas since the previous one.
+type rates struct {
+	mu     sync.Mutex
+	prev   map[string]uint64
+	prevAt time.Time
+}
+
+// read returns "<name>_per_sec" for every counter in cur, measured since
+// the previous read (empty on the first), and makes cur the new base.
+func (r *rates) read(cur map[string]uint64, now time.Time) map[string]float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]float64, len(cur))
+	if dt := now.Sub(r.prevAt).Seconds(); r.prev != nil && dt > 0 {
+		for k, v := range cur {
+			out[k+"_per_sec"] = float64(v-r.prev[k]) / dt
 		}
 	}
-	if v.TraceDropped != nil {
-		out["trace_dropped"] = v.TraceDropped()
-	}
+	r.prev, r.prevAt = cur, now
 	return out
 }
 
 // Mux builds the debug request router; exposed separately so servers
 // embedding the surface into an existing listener can mount it.
-func Mux(v Vars, sampler *Sampler) *http.ServeMux {
+func Mux(v Vars) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -153,9 +114,30 @@ func Mux(v Vars, sampler *Sampler) *http.ServeMux {
 		enc.SetIndent("", "  ")
 		enc.Encode(val)
 	}
+	rt := &rates{}
+	if v.Counters != nil {
+		// The first /debug/stats read reports rates since the mux was built.
+		rt.read(v.Counters(), time.Now())
+	}
 	mux.HandleFunc("/debug/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, debugSnapshot(Vars{Counters: v.Counters, Gauges: v.Gauges,
-			Latency: v.Latency, TraceDropped: v.TraceDropped}, sampler))
+		out := map[string]any{}
+		if v.Counters != nil {
+			c := v.Counters()
+			out["counters"] = c
+			out["rates"] = rt.read(c, time.Now())
+		}
+		if v.Gauges != nil {
+			out["gauges"] = v.Gauges()
+		}
+		if v.Latency != nil {
+			if snap := v.Latency(); snap != nil {
+				out["latency"] = snap.Summary()
+			}
+		}
+		if v.TraceDropped != nil {
+			out["trace_dropped"] = v.TraceDropped()
+		}
+		writeJSON(w, out)
 	})
 	mux.HandleFunc("/debug/latency", func(w http.ResponseWriter, r *http.Request) {
 		if v.Latency == nil {
@@ -193,7 +175,7 @@ func Mux(v Vars, sampler *Sampler) *http.ServeMux {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, v, sampler)
+		WritePrometheus(w, v)
 	})
 	mux.HandleFunc("/debug/flightrec", func(w http.ResponseWriter, r *http.Request) {
 		if v.Flight == nil {

@@ -1,10 +1,11 @@
 // Package obs is the tree's observability layer: allocation-free
-// log-bucketed latency histograms, a structured SMO/GC event tracer,
-// sampled per-operation phase traces with an always-on flight recorder
-// (phase.go), Chrome trace-event export (chrometrace.go), a
-// counter-delta rate sampler, and a live /debug + /metrics HTTP surface
-// built from expvar, net/http/pprof, and a Prometheus text renderer
-// (prom.go).
+// log-bucketed latency histograms; one trace pipeline (phase.go) whose
+// per-session handle keeps three rings of one generic type (ring.go) —
+// structural SMO events, sampled per-operation phase traces and the
+// always-on flight recorder — all ordered by one sequence counter;
+// Chrome trace-event export (chrometrace.go); and a live /debug +
+// /metrics HTTP surface built from expvar, net/http/pprof, and a
+// Prometheus text renderer (prom.go).
 //
 // The package is stdlib-only and imports nothing from the rest of the
 // module, so every layer (core, epoch, harness, commands) can depend on
@@ -12,9 +13,9 @@
 //
 //   - disabled (the default): zero allocations and a single nil check on
 //     the hot path;
-//   - enabled: recording stays allocation-free and lock-free (atomic
-//     adds into per-session fixed-size arrays), with aggregation cost
-//     paid only by the reader.
+//   - enabled: recording stays allocation-free (atomic adds, or one
+//     uncontended mutex section, into per-session fixed-size buffers),
+//     with aggregation cost paid only by the reader.
 package obs
 
 import (

@@ -9,25 +9,28 @@ import (
 	"time"
 )
 
-// This file is the deep-path tracing layer: sampled per-operation phase
-// traces and the always-on flight recorder.
+// This file is the trace pipeline: one Deep per tree and one Probe
+// handle per session. Each handle keeps three rings of the same generic
+// type (ring.go):
 //
-// A Deep instance owns a set of per-session Probes, mirroring how Tracer
-// owns Rings. Each probe keeps two ring buffers:
-//
+//   - events: structural modifications (split, merge, consolidate,
+//     abort), drained destructively by /debug/trace;
 //   - traces: full phase breakdowns of sampled operations (1 in
 //     SampleEvery), drained destructively for Chrome-trace export;
 //   - flight: compact summaries of *every* completed operation, kept for
 //     post-hoc inspection and dumped automatically on anomaly.
 //
-// The recording discipline matches the package contract: when tracing is
-// disabled the tree holds no Deep at all and every probe call is a single
-// nil check on a nil *Probe receiver. When enabled, the per-op state
-// (span array, counters) is owner-private plain memory; the only shared
-// work per op is one global sequence fetch plus one short uncontended
-// mutex section to publish the flight entry (and, for the 1-in-N sampled
-// ops, a second one for the trace ring). The mutexes exist solely so the
-// HTTP dump endpoints can copy entries without torn reads.
+// Every record draws its Seq from the Deep's one counter, so merging any
+// of the three streams across sessions, or all three together, restores
+// the tree-wide order in which the records were written.
+//
+// The recording discipline matches the package contract: with every
+// trace option off the tree holds no Deep at all, every session's handle
+// is nil, and every probe call is a single nil check. When enabled, the
+// per-op state (span array, counters) is owner-private plain memory; the
+// only shared work per record is one sequence fetch plus one short
+// uncontended mutex section to publish it. The mutexes exist solely so
+// the HTTP dump endpoints can copy records without torn reads.
 
 // Phase enumerates the hot-path segments a sampled operation is broken
 // into. The Arg a span carries is phase-specific (see the constants).
@@ -117,14 +120,18 @@ type OpSummary struct {
 // first).
 type AnomalySink func(reason string, recent []OpSummary)
 
-// DeepConfig configures a Deep tracing instance.
+// DeepConfig configures a Deep. Each per-session ring whose capacity is
+// zero is off.
 type DeepConfig struct {
+	// EventBuf is the per-session structural-event ring capacity; 0
+	// disables event tracing.
+	EventBuf int
 	// SampleEvery samples every Nth operation per session into a full
 	// phase trace; 0 disables phase sampling (the flight recorder can
 	// still run).
 	SampleEvery int
 	// TraceBuf is the per-session sampled-trace ring capacity
-	// (default 256).
+	// (default 256 when sampling).
 	TraceBuf int
 	// FlightBuf is the per-session flight-recorder capacity; 0 disables
 	// the flight recorder.
@@ -139,55 +146,62 @@ type DeepConfig struct {
 }
 
 func (c *DeepConfig) sanitize() {
-	if c.SampleEvery < 0 {
-		c.SampleEvery = 0
-	}
-	if c.TraceBuf <= 0 {
+	c.EventBuf = max(c.EventBuf, 0)
+	c.SampleEvery = max(c.SampleEvery, 0)
+	c.FlightBuf = max(c.FlightBuf, 0)
+	switch {
+	case c.SampleEvery == 0:
+		c.TraceBuf = 0
+	case c.TraceBuf <= 0:
 		c.TraceBuf = 256
-	}
-	if c.FlightBuf < 0 {
-		c.FlightBuf = 0
 	}
 }
 
-// Deep owns the deep-path tracing state for one tree: the probe pool,
-// the global op sequence, and the anomaly sink.
+// Deep owns one tree's trace pipeline: the handle registry, the one
+// sequence counter, the drop counts and the anomaly sink. A nil *Deep is
+// the tree with every trace option off: its accessors return empty
+// results and its Probe returns a nil handle.
 type Deep struct {
 	cfg DeepConfig
+	ops bool // sampling or flight recorder on: handles record operations
 
-	seq       atomic.Uint64
-	dropped   atomic.Uint64 // sampled traces lost to ring wraparound
-	anomalies atomic.Uint64 // anomaly triggers (dumped or rate-limited)
-	lastDump  atomic.Int64  // obs.Now of the last sink invocation
-	sink      atomic.Pointer[AnomalySink]
+	seq           atomic.Uint64
+	eventsDropped atomic.Uint64 // events lost to ring wraparound
+	tracesDropped atomic.Uint64 // sampled traces lost to ring wraparound
+	anomalies     atomic.Uint64 // anomaly triggers (dumped or rate-limited)
+	lastDump      atomic.Int64  // obs.Now of the last sink invocation
+	sink          atomic.Pointer[AnomalySink]
 
 	mu     sync.Mutex
 	probes []*Probe
 	free   []*Probe
 }
 
-// NewDeep returns a tracing instance with cfg (zero fields defaulted).
+// NewDeep returns a trace pipeline configured by cfg (zero fields
+// defaulted).
 func NewDeep(cfg DeepConfig) *Deep {
 	cfg.sanitize()
-	return &Deep{cfg: cfg}
+	return &Deep{cfg: cfg, ops: cfg.SampleEvery > 0 || cfg.FlightBuf > 0}
 }
-
-// Config returns the sanitized configuration.
-func (d *Deep) Config() DeepConfig { return d.cfg }
 
 // SetAnomalySink replaces the automatic-dump destination. A nil sink
 // restores the default, which logs a compact rendering to stderr.
 func (d *Deep) SetAnomalySink(fn AnomalySink) {
-	if fn == nil {
+	switch {
+	case d == nil:
+	case fn == nil:
 		d.sink.Store(nil)
-		return
+	default:
+		d.sink.Store(&fn)
 	}
-	d.sink.Store(&fn)
 }
 
-// Probe returns a probe for one session, reusing a released one when
-// available (its undrained traces are preserved).
+// Probe returns a handle for one session, reusing a released one when
+// available (its undrained records are preserved).
 func (d *Deep) Probe() *Probe {
+	if d == nil {
+		return nil
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if n := len(d.free); n > 0 {
@@ -195,18 +209,15 @@ func (d *Deep) Probe() *Probe {
 		d.free = d.free[:n-1]
 		return p
 	}
-	p := &Probe{d: d, worker: int32(len(d.probes))}
-	if d.cfg.SampleEvery > 0 {
-		p.traces = make([]OpTrace, d.cfg.TraceBuf)
-	}
-	if d.cfg.FlightBuf > 0 {
-		p.flight = make([]OpSummary, d.cfg.FlightBuf)
-	}
+	p := &Probe{d: d, worker: int32(len(d.probes)), ops: d.ops}
+	p.events.buf = make([]Event, d.cfg.EventBuf)
+	p.traces.buf = make([]OpTrace, d.cfg.TraceBuf)
+	p.flight.buf = make([]OpSummary, d.cfg.FlightBuf)
 	d.probes = append(d.probes, p)
 	return p
 }
 
-// Release returns a probe to the reuse pool. Its recorded state stays
+// Release returns a handle to the reuse pool. Its records stay
 // drainable.
 func (d *Deep) Release(p *Probe) {
 	if p == nil {
@@ -217,21 +228,42 @@ func (d *Deep) Release(p *Probe) {
 	d.mu.Unlock()
 }
 
-// snapshotProbes copies the probe registry for lock-free iteration.
-func (d *Deep) snapshotProbes() []*Probe {
+// handles copies the registry for lock-free iteration.
+func (d *Deep) handles() []*Probe {
+	if d == nil {
+		return nil
+	}
 	d.mu.Lock()
-	probes := make([]*Probe, len(d.probes))
-	copy(probes, d.probes)
-	d.mu.Unlock()
-	return probes
+	defer d.mu.Unlock()
+	return append([]*Probe(nil), d.probes...)
 }
 
-// Traces drains every probe's sampled phase traces into one stream
+// Events drains every handle's structural events into one stream sorted
+// by sequence number. Destructive: each event is returned once.
+func (d *Deep) Events() []Event {
+	var out []Event
+	for _, p := range d.handles() {
+		out = p.events.drain(out)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
+}
+
+// EventsDropped returns how many events were lost to ring wraparound
+// before they could be drained.
+func (d *Deep) EventsDropped() uint64 {
+	if d == nil {
+		return 0
+	}
+	return d.eventsDropped.Load()
+}
+
+// Traces drains every handle's sampled phase traces into one stream
 // sorted by sequence number. Destructive: each trace is returned once.
 func (d *Deep) Traces() []OpTrace {
 	var out []OpTrace
-	for _, p := range d.snapshotProbes() {
-		out = p.drainTraces(out)
+	for _, p := range d.handles() {
+		out = p.traces.drain(out)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
@@ -239,14 +271,19 @@ func (d *Deep) Traces() []OpTrace {
 
 // TracesDropped returns how many sampled traces were lost to ring
 // wraparound before they could be drained.
-func (d *Deep) TracesDropped() uint64 { return d.dropped.Load() }
+func (d *Deep) TracesDropped() uint64 {
+	if d == nil {
+		return 0
+	}
+	return d.tracesDropped.Load()
+}
 
 // Flight returns the newest n flight-recorder entries across every
 // session (all entries when n <= 0), oldest first. Non-destructive.
 func (d *Deep) Flight(n int) []OpSummary {
 	var out []OpSummary
-	for _, p := range d.snapshotProbes() {
-		out = p.flightCopy(out)
+	for _, p := range d.handles() {
+		out = p.flight.peek(out)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	if n > 0 && n < len(out) {
@@ -257,12 +294,17 @@ func (d *Deep) Flight(n int) []OpSummary {
 
 // Anomalies returns the cumulative anomaly-trigger count (including
 // triggers suppressed by the dump rate limit).
-func (d *Deep) Anomalies() uint64 { return d.anomalies.Load() }
+func (d *Deep) Anomalies() uint64 {
+	if d == nil {
+		return 0
+	}
+	return d.anomalies.Load()
+}
 
-// ChainDepths merges every probe's observed leaf-chain-depth histogram.
+// ChainDepths merges every handle's observed leaf-chain-depth histogram.
 func (d *Deep) ChainDepths() HistSnapshot {
 	var s HistSnapshot
-	for _, p := range d.snapshotProbes() {
+	for _, p := range d.handles() {
 		p.depth.AddTo(&s)
 	}
 	return s
@@ -270,11 +312,14 @@ func (d *Deep) ChainDepths() HistSnapshot {
 
 // Note pushes an out-of-band event (e.g. recovery start) through the
 // anomaly sink, bypassing the rate limit, with the current tree-wide
-// flight tail attached.
+// flight tail attached. A no-op unless handles record operations.
 func (d *Deep) Note(reason string) {
+	if d == nil || !d.ops {
+		return
+	}
 	d.anomalies.Add(1)
 	d.lastDump.Store(Now())
-	d.emit(reason, d.Flight(64))
+	d.dump(reason, d.Flight(64))
 }
 
 // anomalyDumpGap is the minimum spacing between automatic dumps, so an
@@ -293,10 +338,10 @@ func (d *Deep) anomaly(reason string, p *Probe) {
 	if (last != 0 && now-last < anomalyDumpGap) || !d.lastDump.CompareAndSwap(last, now) {
 		return
 	}
-	d.emit(reason, p.flightCopy(nil))
+	d.dump(reason, p.flight.peek(nil))
 }
 
-func (d *Deep) emit(reason string, recent []OpSummary) {
+func (d *Deep) dump(reason string, recent []OpSummary) {
 	if fn := d.sink.Load(); fn != nil {
 		(*fn)(reason, recent)
 		return
@@ -318,13 +363,14 @@ func defaultAnomalySink(reason string, recent []OpSummary) {
 	log.Print(line)
 }
 
-// Probe is one session's deep-tracing state. All Op*/Note*/Span methods
+// Probe is one session's trace handle. All Emit/Op*/Note*/Span methods
 // are called only by the owning session goroutine; a nil receiver is
 // valid everywhere and makes each call a single nil check — the
 // disabled-mode contract.
 type Probe struct {
 	d      *Deep
 	worker int32
+	ops    bool // Deep.ops: the per-operation methods record
 
 	// Owner-private per-op state: plain fields, single writer.
 	ctr      uint64 // outermost ops begun, drives sampling
@@ -339,26 +385,36 @@ type Probe struct {
 	// concurrently by ChainDepths).
 	depth Histogram
 
-	// Ring publication is mutex-guarded so dump endpoints never see torn
-	// entries; both locks are uncontended except during a dump.
-	tmu    sync.Mutex
-	traces []OpTrace // nil unless sampling enabled
-	tnext  uint64
-
-	fmu    sync.Mutex
-	flight []OpSummary // nil unless the flight recorder is enabled
-	fnext  uint64
+	events ring[Event]
+	traces ring[OpTrace]
+	flight ring[OpSummary]
 }
+
+// RecordsOps reports whether the handle records operations (phase
+// sampling or the flight recorder is on); callers gate their op clock
+// reads on it.
+func (p *Probe) RecordsOps() bool { return p != nil && p.ops }
 
 // Active reports whether the current operation is being phase-sampled;
 // span probes gate their clock reads on it.
 func (p *Probe) Active() bool { return p != nil && p.active }
 
+// Emit records one structural event. A no-op unless event tracing is on.
+func (p *Probe) Emit(kind EventKind, node, a, b uint64) {
+	if p == nil || !p.events.on() {
+		return
+	}
+	ev := Event{Seq: p.d.seq.Add(1), Time: Now(), Kind: kind, Node: node, A: a, B: b}
+	if p.events.push(ev) {
+		p.d.eventsDropped.Add(1)
+	}
+}
+
 // OpBegin opens one public operation. Nested calls (a durable commit
 // wrapping the in-memory apply, or per-op accounting inside a batch)
 // attach to the outermost operation; only it is sampled and summarized.
 func (p *Probe) OpBegin() {
-	if p == nil {
+	if !p.RecordsOps() {
 		return
 	}
 	p.nest++
@@ -366,7 +422,7 @@ func (p *Probe) OpBegin() {
 		return
 	}
 	p.opChain, p.opCAS, p.opAborts = 0, 0, 0
-	if p.traces != nil {
+	if p.traces.on() {
 		p.ctr++
 		if every := uint64(p.d.cfg.SampleEvery); p.ctr%every == 0 {
 			p.active = true
@@ -388,7 +444,7 @@ func (p *Probe) Span(ph Phase, start int64, arg uint64) {
 // NoteChain records one observed leaf-chain depth: it feeds the live
 // depth distribution and the current op's summary.
 func (p *Probe) NoteChain(n uint32) {
-	if p == nil {
+	if !p.RecordsOps() {
 		return
 	}
 	if n > p.opChain {
@@ -399,7 +455,7 @@ func (p *Probe) NoteChain(n uint32) {
 
 // NoteCASFail counts one lost mapping-table publish.
 func (p *Probe) NoteCASFail() {
-	if p == nil {
+	if !p.RecordsOps() {
 		return
 	}
 	p.opCAS++
@@ -407,7 +463,7 @@ func (p *Probe) NoteCASFail() {
 
 // NoteAbort counts one traversal restart.
 func (p *Probe) NoteAbort() {
-	if p == nil {
+	if !p.RecordsOps() {
 		return
 	}
 	p.opAborts++
@@ -417,7 +473,7 @@ func (p *Probe) NoteAbort() {
 // outermost level it publishes the flight entry, checks the anomaly
 // triggers, and finalizes the sampled trace if the op was sampled.
 func (p *Probe) OpEnd(c OpClass, start, dur int64) {
-	if p == nil {
+	if !p.RecordsOps() {
 		return
 	}
 	p.nest--
@@ -427,16 +483,11 @@ func (p *Probe) OpEnd(c OpClass, start, dur int64) {
 	if p.nest < 0 {
 		p.nest = 0 // tolerate an unmatched OpEnd rather than corrupt state
 	}
-	seq := p.d.seq.Add(1)
-	if p.flight != nil {
-		sum := OpSummary{
-			Seq: seq, Class: c, Start: start, Dur: dur,
+	if p.flight.on() {
+		p.flight.push(OpSummary{
+			Seq: p.d.seq.Add(1), Class: c, Start: start, Dur: dur,
 			ChainLen: p.opChain, CASRetries: p.opCAS, Aborts: p.opAborts,
-		}
-		p.fmu.Lock()
-		p.flight[p.fnext%uint64(len(p.flight))] = sum
-		p.fnext++
-		p.fmu.Unlock()
+		})
 		cfg := &p.d.cfg
 		switch {
 		case cfg.LatencyAnomalyNS > 0 && dur > cfg.LatencyAnomalyNS:
@@ -449,58 +500,15 @@ func (p *Probe) OpEnd(c OpClass, start, dur int64) {
 	}
 	if p.active {
 		p.active = false
-		p.cur.Seq = seq
+		p.cur.Seq = p.d.seq.Add(1)
 		p.cur.Class = c
 		p.cur.Start = start
 		p.cur.Dur = dur
 		p.cur.ChainLen = p.opChain
 		p.cur.CASRetries = p.opCAS
 		p.cur.Aborts = p.opAborts
-		p.tmu.Lock()
-		if p.tnext >= uint64(len(p.traces)) {
-			p.d.dropped.Add(1)
+		if p.traces.push(p.cur) {
+			p.d.tracesDropped.Add(1)
 		}
-		p.traces[p.tnext%uint64(len(p.traces))] = p.cur
-		p.tnext++
-		p.tmu.Unlock()
 	}
-}
-
-// drainTraces appends the probe's buffered traces (oldest first) to out
-// and resets the ring.
-func (p *Probe) drainTraces(out []OpTrace) []OpTrace {
-	if p.traces == nil {
-		return out
-	}
-	p.tmu.Lock()
-	defer p.tmu.Unlock()
-	size := uint64(len(p.traces))
-	n := p.tnext
-	if n > size {
-		n = size
-	}
-	for i := uint64(0); i < n; i++ {
-		out = append(out, p.traces[(p.tnext-n+i)%size])
-	}
-	p.tnext = 0
-	return out
-}
-
-// flightCopy appends the ring's current entries (oldest first) to out
-// without consuming them.
-func (p *Probe) flightCopy(out []OpSummary) []OpSummary {
-	if p.flight == nil {
-		return out
-	}
-	p.fmu.Lock()
-	defer p.fmu.Unlock()
-	size := uint64(len(p.flight))
-	n := p.fnext
-	if n > size {
-		n = size
-	}
-	for i := uint64(0); i < n; i++ {
-		out = append(out, p.flight[(p.fnext-n+i)%size])
-	}
-	return out
 }

@@ -50,8 +50,39 @@ func TestProbeNilReceiver(t *testing.T) {
 	p.NoteCASFail()
 	p.NoteAbort()
 	p.OpEnd(OpInsert, 0, 0)
-	if p.Active() {
-		t.Fatal("nil probe reports Active")
+	p.Emit(EvSplit, 1, 0, 0)
+	if p.Active() || p.RecordsOps() {
+		t.Fatal("nil probe reports Active or RecordsOps")
+	}
+	// A nil Deep is the tree with every trace option off.
+	var d *Deep
+	if d.Probe() != nil || d.Events() != nil || d.Traces() != nil || d.Flight(0) != nil ||
+		d.EventsDropped() != 0 || d.TracesDropped() != 0 || d.Anomalies() != 0 {
+		t.Fatal("nil Deep returned a handle or records")
+	}
+	d.Release(nil)
+	d.SetAnomalySink(nil)
+	d.Note("ignored")
+}
+
+func TestEventsOnlyHandleRecordsNoOps(t *testing.T) {
+	d := NewDeep(DeepConfig{EventBuf: 8})
+	var dumps atomic.Int64
+	d.SetAnomalySink(func(string, []OpSummary) { dumps.Add(1) })
+	p := d.Probe()
+	if p.RecordsOps() {
+		t.Fatal("events-only handle reports RecordsOps")
+	}
+	p.OpBegin()
+	p.NoteChain(40)
+	p.Emit(EvSplit, 1, 0, 0)
+	endOp(p, OpInsert, 10)
+	d.Note("recovery start")
+	if evs := d.Events(); len(evs) != 1 || evs[0].Seq != 1 {
+		t.Fatalf("events = %+v, want one with seq 1", evs)
+	}
+	if depth := d.ChainDepths(); depth.Total() != 0 || dumps.Load() != 0 || d.Traces() != nil || d.Flight(0) != nil {
+		t.Fatal("events-only handle recorded an operation")
 	}
 }
 
@@ -170,17 +201,26 @@ func TestAnomalyChainTrigger(t *testing.T) {
 }
 
 func TestProbeReusePreservesTraces(t *testing.T) {
-	d := NewDeep(DeepConfig{SampleEvery: 1, TraceBuf: 64})
+	d := NewDeep(DeepConfig{EventBuf: 16, SampleEvery: 1, TraceBuf: 64, FlightBuf: 8})
 	p := d.Probe()
 	p.OpBegin()
+	p.Emit(EvAbort, 1, 0, 0)
 	endOp(p, OpInsert, 10)
 	d.Release(p)
+	// Undrained records of every kind must survive release and reuse.
 	p2 := d.Probe()
 	if p2 != p {
 		t.Fatal("released probe not reused")
 	}
+	p2.Emit(EvAbort, 2, 0, 0)
+	if events := d.Events(); len(events) != 2 {
+		t.Fatalf("undrained event lost across release/reuse: got %d, want 2", len(events))
+	}
 	if traces := d.Traces(); len(traces) != 1 {
 		t.Fatalf("undrained trace lost across release/reuse: got %d", len(traces))
+	}
+	if fl := d.Flight(0); len(fl) != 1 {
+		t.Fatalf("flight entry lost across release/reuse: got %d", len(fl))
 	}
 }
 
@@ -257,7 +297,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		Counters:    func() map[string]uint64 { return map[string]uint64{"ops": 123} },
 		Gauges:      func() map[string]float64 { return map[string]float64{"epoch_lag": 2} },
 		MetricHists: func() []HistFeed { return []HistFeed{{Name: "bwtree_chain_depth", Help: "test", Snap: snap}} },
-	}, nil)
+	})
 	n, err := ParsePrometheus(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatalf("own output failed validation: %v\n%s", err, buf.String())

@@ -77,9 +77,10 @@ func writeSummary(w io.Writer, name, help string, labels string, snap *HistSnaps
 	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, snap.Total())
 }
 
-// WritePrometheus renders v (and the sampler's rates, if any) to w in
-// the Prometheus text exposition format, namespaced under bwtree_.
-func WritePrometheus(w io.Writer, v Vars, sampler *Sampler) {
+// WritePrometheus renders v to w in the Prometheus text exposition
+// format, namespaced under bwtree_. Rates are left to the scraper:
+// rate() over the *_total counters.
+func WritePrometheus(w io.Writer, v Vars) {
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
 
@@ -105,18 +106,6 @@ func WritePrometheus(w io.Writer, v Vars, sampler *Sampler) {
 		for _, k := range names {
 			n := "bwtree_" + promName(k)
 			fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", n, n, promFloat(g[k]))
-		}
-	}
-	if sampler != nil {
-		r := sampler.Rates()
-		names := make([]string, 0, len(r))
-		for k := range r {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
-			n := "bwtree_" + promName(k)
-			fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", n, n, promFloat(r[k]))
 		}
 	}
 	if v.Latency != nil {
