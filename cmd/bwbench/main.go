@@ -6,10 +6,10 @@
 //	bwbench [flags] <experiment> [<experiment> ...]
 //	bwbench [flags] all
 //	bwbench list
-//	bwbench [-json] [-bench-dir dir] trend
 //
 // Experiments are named after the paper: fig8 fig9 fig10 fig11 table2
-// fig12a fig12b fig13 fig14 fig15 table3 fig16 fig17 fig18.
+// fig12a fig12b fig13 fig14 fig15 table3 fig16 fig17 fig18; latency and
+// checked go beyond it.
 //
 // Flags scale the runs; defaults finish on a laptop in minutes. To
 // approach paper scale use -keys 52000000 -ops 20000000 -threads 20.
@@ -31,8 +31,6 @@ func main() {
 	ops := flag.Int("ops", def.Ops, "run-phase operations per run")
 	threads := flag.Int("threads", def.Threads, "worker goroutines for multi-threaded runs")
 	seed := flag.Uint64("seed", def.Seed, "workload seed")
-	jsonOut := flag.Bool("json", false, "trend: emit the trajectory as JSON instead of a table")
-	benchDir := flag.String("bench-dir", "bench", "trend: directory holding BENCH_*.json baselines")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: bwbench [flags] <experiment>... | all | list\n\nexperiments:\n")
 		for _, e := range harness.Experiments() {
@@ -53,14 +51,6 @@ func main() {
 	if args[0] == "list" {
 		for _, e := range harness.Experiments() {
 			fmt.Printf("%-8s %s\n", e.Name, e.Brief)
-		}
-		return
-	}
-
-	if args[0] == "trend" {
-		if err := harness.Trend(os.Stdout, *benchDir, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bwbench: trend: %v\n", err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -94,8 +84,8 @@ func main() {
 	exitGate()
 }
 
-// exitGate fails the process when a gate experiment (bench-gate, checked)
-// recorded violations, so CI can rely on the exit code.
+// exitGate fails the process when the checked experiment recorded
+// violations, so CI can rely on the exit code.
 func exitGate() {
 	if n := harness.GateFailures(); n > 0 {
 		fmt.Fprintf(os.Stderr, "bwbench: %d gate failure(s)\n", n)

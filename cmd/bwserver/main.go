@@ -16,10 +16,13 @@
 // down gracefully — stop accepting, drain connections, checkpoint every
 // shard, close the logs.
 //
-// Drive it with the stress rig or the benchmark harness:
+// Drive it with the stress rig:
 //
 //	go run ./cmd/bwstress -server localhost:7070 -workers 64 -check
-//	SERVER_ADDR=localhost:7070 go run ./cmd/bwbench server
+//
+// The repo benchmark's wire-point, wire-pipe and wire-scan workloads
+// measure the same server over loopback
+// (bash benchmark/run.sh --workload wire-point).
 package main
 
 import (

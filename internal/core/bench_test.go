@@ -11,7 +11,8 @@ import (
 // BenchmarkBaseSearch/slice-* vs BenchmarkBaseSearch/handrolled-* proves
 // deduplicating the four hand-rolled binary searches behind windowSearch
 // cost the slice path nothing; the flat-* variants show the arena layout
-// with prefix-skip comparisons.
+// with prefix-skip comparisons, and route-* the suffix-word plane inner
+// bases route through.
 
 // handrolledSearch is the pre-deduplication searchKeys, kept verbatim as
 // the regression reference.
@@ -61,25 +62,23 @@ func BenchmarkBaseSearch(b *testing.B) {
 					flat.baseSearch(probes[i&63])
 				}
 			})
-			// The same probes through the conditional-move variant inner
-			// routing uses (flatSearch dispatches on isLeaf).
-			inner := flatBaseFromKeys(keys)
-			inner.kind, inner.isLeaf = kInnerBase, false
-			b.Run("branchfree/"+tag, func(b *testing.B) {
+			// The same probes through the suffix-word routing search of a
+			// flat inner base.
+			inner := flatInnerFromKeys(keys, nil)
+			b.Run("route/"+tag, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					inner.baseSearch(probes[i&63])
+					inner.routeSearch(probes[i&63], true)
 				}
 			})
 		}
 	}
 }
 
-// BenchmarkDeepDescent is the end-to-end regime the flatnode inner arm
-// gates: consolidated lookups on a deliberately deep tree (fanout 64,
-// leaf size 16 — 3+ inner levels at this population, matching the
-// harness inner arm), with the inner arena layout on or off and flat
-// leaves on both sides. The guard for the suffix-word routing path:
-// flatinner=true must not lose to flatinner=false.
+// BenchmarkDeepDescent measures consolidated lookups on a deliberately
+// deep tree (fanout 64, leaf size 16 — 3+ inner levels at this
+// population), with the inner arena layout on or off and flat leaves on
+// both sides. The guard for the suffix-word routing path: flatinner=true
+// must not lose to flatinner=false.
 func BenchmarkDeepDescent(b *testing.B) {
 	const n = 200_000
 	keys := make([][]byte, n)

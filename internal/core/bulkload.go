@@ -181,6 +181,7 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 			arena:    top.arena,
 			offs:     top.offs,
 			pfx:      top.pfx,
+			sfx:      top.sfx,
 			nil0:     top.nil0,
 			kids:     top.kids,
 			rightSib: invalidNode,

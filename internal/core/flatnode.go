@@ -29,27 +29,20 @@ import (
 
 // buildFlat materializes a sorted key set as a flat arena. The offset
 // array always has len(keys)+1 entries; a non-nil offs is what marks a
-// base node as flat. stride is the uniform key length when every key has
-// the same non-zero length (the common case for padded fixed-width keys),
-// 0 otherwise; a nil -inf separator has length 0 and so always forces the
-// variable-width layout.
-func buildFlat(keys [][]byte) (arena []byte, offs []uint32, pfx uint32, stride uint32, nil0 bool) {
+// base node as flat.
+func buildFlat(keys [][]byte) (arena []byte, offs []uint32, pfx uint32, nil0 bool) {
 	n := len(keys)
 	offs = make([]uint32, n+1)
 	if n == 0 {
-		return nil, offs, 0, 0, false
+		return nil, offs, 0, false
 	}
 	nil0 = keys[0] == nil
 	// Keys are sorted, so the prefix shared by all of them is the prefix
 	// shared by the first and last.
 	p := commonPrefix(keys[0], keys[n-1])
 	total := 0
-	uniform := len(keys[0])
 	for _, k := range keys {
 		total += len(k)
-		if len(k) != uniform {
-			uniform = 0
-		}
 	}
 	arena = make([]byte, 0, total)
 	for i, k := range keys {
@@ -57,7 +50,7 @@ func buildFlat(keys [][]byte) (arena []byte, offs []uint32, pfx uint32, stride u
 		arena = append(arena, k...)
 	}
 	offs[n] = uint32(len(arena))
-	return arena, offs, uint32(p), uint32(uniform), nil0
+	return arena, offs, uint32(p), nil0
 }
 
 // commonPrefix returns the length of the longest common prefix of a and b
@@ -82,7 +75,7 @@ func (t *Tree) setBaseKeys(nb *delta, keys [][]byte) {
 		flat = t.opts.FlatInnerNodes
 	}
 	if flat {
-		nb.arena, nb.offs, nb.pfx, nb.stride, nb.nil0 = buildFlat(keys)
+		nb.arena, nb.offs, nb.pfx, nb.nil0 = buildFlat(keys)
 		if !nb.isLeaf {
 			nb.sfx = buildSuffixWords(keys, nb.pfx)
 		}
@@ -101,7 +94,8 @@ func (t *Tree) setBaseKeys(nb *delta, keys [][]byte) {
 // arena. Inner bases only: a descent probes every level's separator set,
 // and for fanout-64 nodes the whole plane is ~8 cache lines against ~40
 // scattered arena lines, while leaf probes happen once per operation and
-// keep the plain arena search.
+// keep the plain arena search. Every flat inner base carries its plane
+// (Validate checks it), so routing has no plane-less arm.
 func buildSuffixWords(keys [][]byte, pfx uint32) []uint64 {
 	sfx := make([]uint64, len(keys))
 	for i, k := range keys {
@@ -162,11 +156,11 @@ func (n *delta) baseKey(i int) []byte {
 	return n.keys[i]
 }
 
-// baseSearch returns the position of the first key of base n >= k and
-// whether an exact match exists there, under either layout.
+// baseSearch returns the position of the first key of leaf base n >= k
+// and whether an exact match exists there, under either layout.
 func (n *delta) baseSearch(k []byte) (int, bool) {
 	if n.offs != nil {
-		return n.flatSearch(k, 0, len(n.offs)-1, false)
+		return n.flatSearch(k, 0, len(n.offs)-1)
 	}
 	return searchKeys(n.keys, k)
 }
@@ -175,16 +169,16 @@ func (n *delta) baseSearch(k []byte) (int, bool) {
 // micro-indexed binary search of §4.4.
 func (n *delta) baseSearchRange(k []byte, lo, hi int) (int, bool) {
 	if n.offs != nil {
-		return n.flatSearch(k, lo, hi, false)
+		return n.flatSearch(k, lo, hi)
 	}
 	return searchKeysRange(n.keys, k, lo, hi)
 }
 
-// flatSearch returns the position of the first key of flat base n within
-// [lo, hi) that is >= k (strict=false) or > k (strict=true), plus whether
-// that position holds an exact match. The node's common prefix is
-// compared once up front; the binary search itself touches suffixes only.
-func (n *delta) flatSearch(k []byte, lo, hi int, strict bool) (int, bool) {
+// flatSearch returns the position of the first key of flat leaf base n
+// within [lo, hi) that is >= k, plus whether that position holds an exact
+// match. The node's common prefix is compared once up front; the binary
+// search itself touches suffixes only.
+func (n *delta) flatSearch(k []byte, lo, hi int) (int, bool) {
 	if p := int(n.pfx); p > 0 {
 		m := min(len(k), p)
 		// pfx > 0 implies key 0 is not the nil separator, so the shared
@@ -199,35 +193,20 @@ func (n *delta) flatSearch(k []byte, lo, hi int, strict bool) (int, bool) {
 		}
 		k = k[p:]
 	}
-	var pos int
-	if n.isLeaf {
-		pos = windowSearch(nil, n.arena, n.offs, n.pfx, k, lo, hi, strict)
-	} else {
-		// Inner windows have a small fixed fanout and every routing probe
-		// descends through several of them; the branch-free variant keeps
-		// the pipeline from flushing on the unpredictable comparison.
-		limit := 0
-		if strict {
-			limit = 1
-		}
-		pos = branchFreeSearch(n.arena, n.offs, n.pfx, k, lo, hi, limit)
-	}
+	pos := windowSearch(nil, n.arena, n.offs, n.pfx, k, lo, hi, false)
 	exact := pos < len(n.offs)-1 &&
 		bytes.Equal(n.arena[n.offs[pos]+n.pfx:n.offs[pos+1]], k)
 	return pos, exact
 }
 
-// routeSearch is flatSearch for inner routing probes, which never use the
-// exactness bit: it returns the position alone and skips the equality
-// check. The node's common prefix is compared once up front (a probe that
-// sorts outside the prefix is resolved by that compare alone); the search
-// proper then runs over the suffix-word plane when the base carries one,
-// falling back to the fixed-stride or variable-width arena search
-// otherwise. All dispatch branches are node-constant, so the predictor
-// eats them. Keys are stored whole in the arena, so the fallback's
-// full-suffix comparison is always correct; a leftmost inner base's nil
-// -inf separator reads as the empty key (word 0), which compares below
-// every real key — the same routing decision the slice layout makes.
+// routeSearch is the routing probe of a flat inner base: the position of
+// the first separator >= k (strict=false) or > k (strict=true), with no
+// exactness bit. The node's common prefix is compared once up front (a
+// probe that sorts outside the prefix is resolved by that compare alone);
+// the search proper runs over the suffix-word plane. A leftmost inner
+// base's nil -inf separator packs to word 0 over an empty suffix, which
+// compares below every real key — the same routing decision the slice
+// layout makes.
 func (n *delta) routeSearch(k []byte, strict bool) int {
 	limit := 0
 	if strict {
@@ -247,26 +226,25 @@ func (n *delta) routeSearch(k []byte, strict bool) int {
 		}
 		k = k[p:]
 	}
-	if n.sfx != nil {
-		return n.wordSearch(k, hi, limit)
-	}
-	if n.stride != 0 {
-		return strideSearch(n.arena, n.stride, n.pfx, hi, k, limit)
-	}
-	return branchFreeSearch(n.arena, n.offs, n.pfx, k, 0, hi, limit)
+	return n.wordSearch(k, hi, limit)
 }
 
 // wordSearch is the routing search over a flat inner base's suffix-word
-// plane: the same fixed-trip power-of-two descent as branchFreeSearch,
-// but each probe is one load from a pointer-free []uint64 and a register
-// compare instead of a bytes.Compare against scattered arena lines — the
-// whole plane of a fanout-64 node spans 8 cache lines. An unequal word
-// decides the probe outright (buildSuffixWords' packing order-embeds the
-// suffixes); an equal word means the first 8 suffix bytes are identical
-// and the tie falls back to the full suffix in the arena — rare for
-// separator sets, whose neighbours are whole leaves apart, and the branch
-// predictor treats the fallback as never-taken. k arrives with the node's
-// common prefix already stripped.
+// plane, written as a branchless lower/upper bound (Knuth's uniform binary
+// search): the stride runs through the descending powers of two from the
+// width, so the trip count is fixed by the width alone and the body's
+// data-dependent decision is a conditional add the compiler lowers to a
+// conditional move — no branch for the predictor to miss on the 50/50
+// comparison outcome. Each probe is one load from a pointer-free []uint64
+// and a register compare instead of a bytes.Compare against scattered
+// arena lines — the whole plane of a fanout-64 node spans 8 cache lines.
+// An unequal word decides the probe outright (buildSuffixWords' packing
+// order-embeds the suffixes); an equal word means the first 8 suffix bytes
+// are identical and the tie falls back to the full suffix in the arena —
+// rare for separator sets, whose neighbours are whole leaves apart, and
+// the branch predictor treats the fallback as never-taken. limit folds the
+// bound kind as in windowSearch: 0 finds the first key >= k, 1 the first
+// key > k. k arrives with the node's common prefix already stripped.
 func (n *delta) wordSearch(k []byte, hi, limit int) int {
 	if hi <= 0 {
 		return 0
@@ -288,63 +266,12 @@ func (n *delta) wordSearch(k []byte, hi, limit int) int {
 	return i
 }
 
-// strideSearch is branchFreeSearch for a fixed-width arena: when every key
-// of the base has the same length (delta.stride), probe addresses are pure
-// arithmetic — the dependent offs load between computing a probe index and
-// touching arena bytes disappears, so the comparison's memory access can
-// issue as soon as the index is known. Separator sets made of padded
-// fixed-width keys hit this path on every inner probe of a descent. pfx
-// skips the node's common prefix (k must arrive pre-stripped); pass 0 to
-// compare whole keys.
-func strideSearch(arena []byte, stride, pfx uint32, n int, k []byte, limit int) int {
-	if n <= 0 {
-		return 0
-	}
-	i := 0
-	for b := 1 << (bits.Len(uint(n)) - 1); b != 0; b >>= 1 {
-		if m := i + b; m <= n {
-			o := uint32(m-1) * stride
-			if bytes.Compare(arena[o+pfx:o+stride], k) < limit {
-				i = m
-			}
-		}
-	}
-	return i
-}
-
-// branchFreeSearch is windowSearch's arena arm restructured as a
-// branchless lower/upper bound (Knuth's uniform binary search): the
-// stride runs through the descending powers of two from the window width,
-// so the trip count is fixed by the width alone, and the body's
-// data-dependent decision is a conditional add the compiler lowers to a
-// conditional move — no branch for the predictor to miss on the 50/50
-// comparison outcome. Total comparisons are floor(log2(n))+1, the same as
-// the early-exit-free bisection in windowSearch — a naive fixed-trip
-// halving loop pays one extra (cache-cold) probe whenever the width is
-// not a power of two, which measurably loses on deep trees. limit folds
-// the bound kind exactly as in windowSearch: 0 finds the first key >= k,
-// 1 the first key > k. k arrives with the node's common prefix already
-// stripped, as in windowSearch.
-func branchFreeSearch(arena []byte, offs []uint32, pfx uint32, k []byte, lo, hi int, limit int) int {
-	i, n := lo, hi-lo
-	if n <= 0 {
-		return lo
-	}
-	for b := 1 << (bits.Len(uint(n)) - 1); b != 0; b >>= 1 {
-		if m := i + b; m <= hi {
-			if bytes.Compare(arena[offs[m-1]+pfx:offs[m]], k) < limit {
-				i = m
-			}
-		}
-	}
-	return i
-}
-
 // windowSearch returns the smallest position in [lo, hi) whose key is
 // >= k (strict=false) or > k (strict=true); hi when no key qualifies.
-// This is the one binary search behind every base-probe site:
-// searchKeys/searchKeysRange, flatSearch, and both routeBaseInner
-// variants reduce to a lower or upper bound over one of the layouts.
+// This is the binary search behind every leaf probe and slice-layout
+// route: searchKeys/searchKeysRange, flatSearch, and both routeBaseInner
+// variants on slice inner bases reduce to a lower or upper bound over one
+// of the layouts; flat inner bases route through wordSearch.
 // Slice probes pass keys (offs nil); flat probes pass arena/offs/pfx with
 // k already stripped of the node's common prefix. The layout branch sits
 // inside the loop but always takes the same arm for a given node, so the

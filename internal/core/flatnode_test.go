@@ -7,37 +7,45 @@ import (
 	"testing"
 )
 
-// flatBaseFromKeys builds a flat-layout base node over keys for direct
-// search testing.
+// flatBaseFromKeys builds a flat-layout leaf base node over keys for
+// direct search testing.
 func flatBaseFromKeys(keys [][]byte) *delta {
 	n := &delta{kind: kLeafBase, isLeaf: true, size: int32(len(keys))}
-	n.arena, n.offs, n.pfx, n.stride, n.nil0 = buildFlat(keys)
+	n.arena, n.offs, n.pfx, n.nil0 = buildFlat(keys)
+	n.base = n
+	return n
+}
+
+// flatInnerFromKeys builds a flat-layout inner base node over keys, with
+// its suffix-word plane, as setBaseKeys does.
+func flatInnerFromKeys(keys [][]byte, kids []nodeID) *delta {
+	n := &delta{kind: kInnerBase, size: int32(len(keys)), kids: kids}
+	n.arena, n.offs, n.pfx, n.nil0 = buildFlat(keys)
+	n.sfx = buildSuffixWords(keys, n.pfx)
 	n.base = n
 	return n
 }
 
 func TestBuildFlat(t *testing.T) {
 	cases := []struct {
-		name   string
-		keys   [][]byte
-		pfx    uint32
-		stride uint32
-		nil0   bool
+		name string
+		keys [][]byte
+		pfx  uint32
+		nil0 bool
 	}{
-		{"empty", nil, 0, 0, false},
-		{"single", [][]byte{[]byte("hello")}, 5, 5, false},
-		{"shared-prefix", [][]byte{[]byte("user123"), []byte("user456"), []byte("user789")}, 4, 7, false},
-		{"no-prefix", [][]byte{[]byte("alpha"), []byte("beta")}, 0, 0, false},
-		{"nil-separator", [][]byte{nil, []byte("m")}, 0, 0, true},
-		{"duplicates", [][]byte{[]byte("dup"), []byte("dup"), []byte("dup")}, 3, 3, false},
-		{"prefix-is-a-key", [][]byte{[]byte("ab"), []byte("abc"), []byte("abd")}, 2, 0, false},
+		{"empty", nil, 0, false},
+		{"single", [][]byte{[]byte("hello")}, 5, false},
+		{"shared-prefix", [][]byte{[]byte("user123"), []byte("user456"), []byte("user789")}, 4, false},
+		{"no-prefix", [][]byte{[]byte("alpha"), []byte("beta")}, 0, false},
+		{"nil-separator", [][]byte{nil, []byte("m")}, 0, true},
+		{"duplicates", [][]byte{[]byte("dup"), []byte("dup"), []byte("dup")}, 3, false},
+		{"prefix-is-a-key", [][]byte{[]byte("ab"), []byte("abc"), []byte("abd")}, 2, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n := flatBaseFromKeys(tc.keys)
-			if n.pfx != tc.pfx || n.stride != tc.stride || n.nil0 != tc.nil0 {
-				t.Fatalf("pfx=%d stride=%d nil0=%t, want %d/%d/%t",
-					n.pfx, n.stride, n.nil0, tc.pfx, tc.stride, tc.nil0)
+			if n.pfx != tc.pfx || n.nil0 != tc.nil0 {
+				t.Fatalf("pfx=%d nil0=%t, want %d/%t", n.pfx, n.nil0, tc.pfx, tc.nil0)
 			}
 			if got := n.baseLen(); got != len(tc.keys) {
 				t.Fatalf("baseLen=%d, want %d", got, len(tc.keys))
@@ -117,8 +125,7 @@ func TestFlatRouteMatchesSlice(t *testing.T) {
 	keys := [][]byte{nil, []byte("e"), []byte("ee"), []byte("k"), []byte("r")}
 	kids := []nodeID{10, 20, 30, 40, 50}
 	slice := &delta{kind: kInnerBase, keys: keys, kids: kids}
-	flat := &delta{kind: kInnerBase, kids: kids}
-	flat.arena, flat.offs, flat.pfx, flat.stride, flat.nil0 = buildFlat(keys)
+	flat := flatInnerFromKeys(keys, kids)
 
 	probes := []string{"a", "e", "e0", "ee", "eee", "j", "k", "k1", "q", "r", "z"}
 	for _, p := range probes {
@@ -294,7 +301,9 @@ func TestFlatBulkLoad(t *testing.T) {
 }
 
 // TestStructureStatsSliceFootprint pins the slice-layout pointer
-// accounting: 2 + one pointer per key.
+// accounting: 2 + one pointer per key. Its inner case pins what the inner
+// arena layout buys: on a 50k-key consolidated tree, flat inner bases
+// carry at least 5x fewer GC-visible pointers than slice ones.
 func TestStructureStatsSliceFootprint(t *testing.T) {
 	opts := DefaultOptions()
 	opts.FlatBaseNodes = false
@@ -317,6 +326,25 @@ func TestStructureStatsSliceFootprint(t *testing.T) {
 	if st.KeyBytes != 50*8 {
 		t.Errorf("KeyBytes=%d, want %d", st.KeyBytes, 50*8)
 	}
+
+	innerPtrs := func(flatInner bool) StructureStats {
+		opts := DefaultOptions()
+		opts.FlatInnerNodes = flatInner
+		tr := New(opts)
+		defer tr.Close()
+		s := tr.NewSession()
+		defer s.Release()
+		for i := 0; i < 50_000; i++ {
+			s.Insert(key64(uint64(i)), uint64(i))
+		}
+		tr.ConsolidateAll()
+		return tr.StructureStats()
+	}
+	on, off := innerPtrs(true), innerPtrs(false)
+	if on.GCPtrsPerInner == 0 || off.GCPtrsPerInner < 5*on.GCPtrsPerInner {
+		t.Errorf("GCPtrsPerInner off=%.1f on=%.1f, want a ratio >= 5", off.GCPtrsPerInner, on.GCPtrsPerInner)
+	}
+	t.Logf("GCPtrsPerInner off=%.1f on=%.1f over %d inner nodes", off.GCPtrsPerInner, on.GCPtrsPerInner, on.InnerNodes)
 }
 
 // TestLeafChainUnexpectedKind is the regression test for the stale
@@ -383,7 +411,7 @@ func TestLeafChainUnexpectedKind(t *testing.T) {
 
 // TestFlatLookupNoAllocs pins the zero-allocation contract of the flat
 // read path: unique-key lookups against consolidated flat bases must not
-// allocate.
+// allocate, one at a time or through LookupBatch.
 func TestFlatLookupNoAllocs(t *testing.T) {
 	opts := DefaultOptions()
 	tr := New(opts)
@@ -404,5 +432,21 @@ func TestFlatLookupNoAllocs(t *testing.T) {
 	})
 	if avg > 0.01 {
 		t.Errorf("Lookup allocates %.3f per op on flat bases, want 0", avg)
+	}
+
+	batch := make([][]byte, 64)
+	for i := range batch {
+		batch[i] = key64(uint64(i * (n / len(batch))))
+	}
+	found := 0
+	visit := func(i int, vals []uint64) { found += len(vals) }
+	perBatch := testing.AllocsPerRun(200, func() {
+		s.LookupBatch(batch, visit)
+	})
+	if perKey := perBatch / float64(len(batch)); perKey > 0.01 {
+		t.Errorf("LookupBatch allocates %.3f per key on flat bases, want <= 0.01", perKey)
+	}
+	if found == 0 {
+		t.Fatal("LookupBatch found none of the loaded keys")
 	}
 }

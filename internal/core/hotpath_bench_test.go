@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// BenchmarkYCSBCHotPath is the read-only (YCSB-C) hot path the
-// obs-overhead gate measures across build tags: Lookups against a
-// preloaded, consolidated tree with deep tracing *disabled*. Compiled
-// normally, every probe site costs its nil/flag check; compiled with
-// -tags notrace the probes are constant-folded away. The harness
-// obs-overhead experiment runs this benchmark under both tags and fails
-// the gate when the normal build is more than ~2% slower — i.e. when a
-// probe leaks real work into the disabled path.
+// BenchmarkYCSBCHotPath is the read-only (YCSB-C) hot path that prices
+// deep tracing's disabled mode: Lookups against a preloaded,
+// consolidated tree with tracing *disabled*. Compiled normally, every
+// probe site costs its nil/flag check; compiled with -tags notrace the
+// probes are constant-folded away. Run it under both tags in
+// alternating pairs: a normal build that is slower than the notrace one
+// beyond the pairs' spread means a probe leaks real work into the
+// disabled path.
 func BenchmarkYCSBCHotPath(b *testing.B) {
 	const keys = 200_000
 	t := New(DefaultOptions())

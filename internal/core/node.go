@@ -117,13 +117,9 @@ type delta struct {
 	arena []byte
 	offs  []uint32
 	pfx   uint32
-	// stride is the uniform key length of a flat base whose keys all have
-	// the same length (0 when lengths vary): key i starts at i*stride, so
-	// fixed-width probes skip the offs load entirely (see routeSearch).
-	stride uint32
-	// sfx is the partial-key search plane of a flat inner base: sfx[i] is
-	// the first 8 post-prefix bytes of key i packed big-endian (zero
-	// padded), so a routing probe binary-searches one pointer-free,
+	// sfx is the partial-key search plane every flat inner base carries:
+	// sfx[i] is the first 8 post-prefix bytes of key i packed big-endian
+	// (zero padded), so a routing probe binary-searches one pointer-free,
 	// line-sequential word array with register compares and touches the
 	// arena only on the rare word tie (see wordSearch).
 	sfx  []uint64

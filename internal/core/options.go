@@ -82,9 +82,8 @@ type Options struct {
 	// materialize separator keys into one arena + offset array plus a
 	// packed suffix-word search plane, and every routing probe runs a
 	// branch-free register-compare search over the plane instead of
-	// chasing a [][]byte pointer per separator (see flatnode.go).
-	// Independent of FlatBaseNodes so the flatnode experiment can
-	// measure the inner-node contribution on its own.
+	// chasing a [][]byte pointer per separator (see flatnode.go). It
+	// governs inner and root bases only; leaf bases follow FlatBaseNodes.
 	FlatInnerNodes bool
 	// ScanPipelining makes the iterator resolve the current leaf's right
 	// sibling through the mapping table and touch its base arena as soon

@@ -22,8 +22,7 @@ package core
 //
 // Production cost: one nil check of a package-level function variable
 // per site — the same cost class as casFailHook, and nothing is
-// allocated unless a hook is installed. The bench gate
-// (bench/BENCH_hotpath.json) holds this to tolerance.
+// allocated unless a hook is installed.
 
 // SyncPoint names one instrumented instant of the write/SMO protocol.
 // All points fire immediately BEFORE the action they name (so a hook

@@ -15,6 +15,7 @@ import (
 //   - sibling links stitch leaves into one ordered chain
 //   - inner separators route exactly onto their children's low keys
 //   - the item count attribute matches the materialized content
+//   - every flat inner base carries its suffix-word plane
 func (t *Tree) Validate() error {
 	s := t.NewSession()
 	defer s.Release()
@@ -62,6 +63,11 @@ func (t *Tree) validateNode(s *Session, id nodeID, low, high []byte) error {
 		if !sameKey(c.keys[0], low) {
 			return fmt.Errorf("inner node %d: first separator %q != low bound %q", id, c.keys[0], low)
 		}
+		if b := head.base; b != nil && b.offs != nil {
+			if err := checkSuffixWords(b); err != nil {
+				return fmt.Errorf("inner node %d: %v", id, err)
+			}
+		}
 		for i := range c.keys {
 			childHigh := high
 			if i+1 < len(c.keys) {
@@ -70,6 +76,26 @@ func (t *Tree) validateNode(s *Session, id nodeID, low, high []byte) error {
 			if err := t.validateNode(s, c.kids[i], c.keys[i], childHigh); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// checkSuffixWords requires flat inner base b to carry one suffix word per
+// key, packed as buildSuffixWords packs it: routeSearch has no arm for a
+// base without its plane.
+func checkSuffixWords(b *delta) error {
+	n := b.baseLen()
+	if len(b.sfx) != n {
+		return fmt.Errorf("flat inner base has %d suffix words for %d keys", len(b.sfx), n)
+	}
+	for i := 0; i < n; i++ {
+		var want uint64
+		if k := b.baseKey(i); int(b.pfx) < len(k) {
+			want = keyWord(k[b.pfx:])
+		}
+		if b.sfx[i] != want {
+			return fmt.Errorf("suffix word %d is %#x, want %#x", i, b.sfx[i], want)
 		}
 	}
 	return nil

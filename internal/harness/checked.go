@@ -3,11 +3,19 @@ package harness
 import (
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/histcheck"
 	"repro/internal/index"
 )
+
+// gateFailures counts runs of Checked that found violations; bwbench
+// exits non-zero when it is set, so CI can rely on the exit code.
+var gateFailures atomic.Int64
+
+// GateFailures reports how many Checked runs found violations.
+func GateFailures() int { return int(gateFailures.Load()) }
 
 // Checked is the correctness experiment: every index runs three mixed
 // workloads with the history recorder attached, and the merged histories

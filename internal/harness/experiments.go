@@ -56,12 +56,6 @@ func Experiments() []Experiment {
 		{"fig18", "Feature decomposition (-DC, -CAS, -MT, -DU)", Fig18},
 		{"latency", "Operation latency percentiles, Bw-Tree vs OpenBw-Tree", Latency},
 		{"checked", "History-checked correctness sweep: all indexes, three mixes, both GC schemes", Checked},
-		{"bench-gate", "Benchmark-regression gate: batched vs unbatched hot path, JSON report + baseline check", BenchGate},
-		{"flatnode", "Flat vs slice base-node layout, leaf and inner arms: consolidated Lookup speedups + allocs + inner GC pointers (gated), read-mostly/scan mixes, JSON report", FlatNode},
-		{"durability", "WAL cost, group-commit shape, and recovery rates, JSON report + gates", Durability},
-		{"obs-overhead", "Observability-overhead gate: disabled probes vs -tags notrace build (<2%), sampled-tracing cost, JSON report", ObsOverhead},
-		{"server", "Sharded serving tier over loopback TCP: pipelined vs point round trips, scan mix, JSON report + gate", ServerGate},
-		{"txn", "OCC multi-key transactions: bank transfers at two contention levels, read-only audits, OpTxn over loopback, serializability check, JSON report + gate", TxnGate},
 	}
 }
 

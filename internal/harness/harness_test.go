@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -82,36 +81,6 @@ func TestExperimentsSmoke(t *testing.T) {
 	sc := tinyScale()
 	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
-			// bench-gate writes a JSON report and asserts a speedup that
-			// tiny scales cannot show; point it at a scratch file and
-			// disable the ratio assertion — this smoke only checks that
-			// the driver completes.
-			t.Setenv("BENCH_GATE_OUT", filepath.Join(t.TempDir(), "BENCH_hotpath.json"))
-			t.Setenv("BENCH_GATE_MIN_SPEEDUP", "0")
-			// Same deal for durability: scratch report, no rate floors.
-			t.Setenv("DURABILITY_GATE_OUT", filepath.Join(t.TempDir(), "BENCH_durability.json"))
-			t.Setenv("DURABILITY_GATE_MIN_RATIO", "0")
-			t.Setenv("DURABILITY_GATE_MIN_REPLAY", "0")
-			// And for flatnode: scratch report, no speedup floor.
-			t.Setenv("FLATNODE_GATE_OUT", filepath.Join(t.TempDir(), "BENCH_flatnode.json"))
-			t.Setenv("FLATNODE_GATE_MIN_SPEEDUP", "0")
-			// obs-overhead: scratch report, one short round each, and no
-			// tolerance — tiny scales only smoke the drivers, they cannot
-			// measure a 2% effect.
-			t.Setenv("BENCH_OBS_OUT", filepath.Join(t.TempDir(), "BENCH_obs.json"))
-			t.Setenv("BENCH_OBS_ROUNDS", "1")
-			t.Setenv("BENCH_OBS_INPROC_ROUNDS", "1")
-			t.Setenv("BENCH_OBS_BENCHTIME", "10000x")
-			t.Setenv("BENCH_OBS_TOLERANCE", "1000")
-			t.Setenv("BENCH_OBS_ENABLED_TOLERANCE", "1000")
-			// server: scratch report and no baseline, so the loopback run
-			// only has to complete cleanly.
-			t.Setenv("SERVER_GATE_OUT", filepath.Join(t.TempDir(), "BENCH_server.json"))
-			t.Setenv("SERVER_GATE_BASELINE", filepath.Join(t.TempDir(), "absent.json"))
-			// txn: same — the correctness checks (money conservation,
-			// serializability) still run at full strength.
-			t.Setenv("TXN_GATE_OUT", filepath.Join(t.TempDir(), "BENCH_txn.json"))
-			t.Setenv("TXN_GATE_BASELINE", filepath.Join(t.TempDir(), "absent.json"))
 			var b strings.Builder
 			e.Run(&b, sc)
 			if !strings.Contains(b.String(), "===") {

@@ -35,10 +35,6 @@ type Config struct {
 	// histograms: the harness times each call at the session boundary, so
 	// it works for every index, not just the Bw-Tree.
 	MeasureLatency bool
-	// BatchSize > 1 drives the run phase through the BatchSession
-	// interface in windows of this many operations (see RunPhaseBatch).
-	// The load phase of mixed workloads stays unbatched.
-	BatchSize int
 }
 
 // Result is one run's measurements.
@@ -98,20 +94,19 @@ func Run(mk func() index.Index, cfg Config) Result {
 	}
 	if loadOps > 0 {
 		// For Insert-only configs the load phase is the measured run, so
-		// latency collection (when requested) must cover it and batching
-		// (when requested) applies; for mixed workloads the load is just
-		// setup and stays uninstrumented and unbatched.
-		loadLat, loadBatch := lat, cfg.BatchSize
+		// latency collection (when requested) must cover it; for mixed
+		// workloads the load is just setup and stays uninstrumented.
+		loadLat := lat
 		if cfg.Workload != ycsb.InsertOnly {
-			loadLat, loadBatch = nil, 0
+			loadLat = nil
 		}
-		dur := RunPhaseBatch(idx, ks, ycsb.InsertOnly, loadOps, cfg.Threads, phaseSeed(cfg.Seed, 0), loadBatch, loadLat)
+		dur := RunPhaseLat(idx, ks, ycsb.InsertOnly, loadOps, cfg.Threads, phaseSeed(cfg.Seed, 0), loadLat)
 		res.LoadMops = mops(loadOps, dur)
 	}
 	if cfg.Workload == ycsb.InsertOnly {
 		if loadOps == 0 {
 			// Mono-HC Insert-only: the run phase does the inserting.
-			dur := RunPhaseBatch(idx, ks, ycsb.InsertOnly, cfg.Ops, cfg.Threads, phaseSeed(cfg.Seed, 0), cfg.BatchSize, lat)
+			dur := RunPhaseLat(idx, ks, ycsb.InsertOnly, cfg.Ops, cfg.Threads, phaseSeed(cfg.Seed, 0), lat)
 			res.RunMops = mops(cfg.Ops, dur)
 			res.Ops = cfg.Ops
 		} else {
@@ -119,7 +114,7 @@ func Run(mk func() index.Index, cfg Config) Result {
 			res.Ops = loadOps
 		}
 	} else {
-		dur := RunPhaseBatch(idx, ks, cfg.Workload, cfg.Ops, cfg.Threads, phaseSeed(cfg.Seed, 1), cfg.BatchSize, lat)
+		dur := RunPhaseLat(idx, ks, cfg.Workload, cfg.Ops, cfg.Threads, phaseSeed(cfg.Seed, 1), lat)
 		res.RunMops = mops(cfg.Ops, dur)
 		res.Ops = cfg.Ops
 	}
@@ -163,22 +158,10 @@ func RunPhase(idx index.Index, ks *ycsb.KeySet, w ycsb.Workload, ops, threads in
 	return RunPhaseLat(idx, ks, w, ops, threads, seed, nil)
 }
 
-// RunPhaseDist is RunPhase with an explicit request distribution —
-// uniform requests are what memory-layout experiments need, where
-// Zipfian skew would degenerate the probe stream into a hot-node cache
-// benchmark (see ycsb.RequestDist).
-func RunPhaseDist(idx index.Index, ks *ycsb.KeySet, w ycsb.Workload, dist ycsb.RequestDist, ops, threads int, seed uint64) time.Duration {
-	return runPhaseDist(idx, ks, w, dist, ops, threads, seed, nil)
-}
-
 // RunPhaseLat is RunPhase with optional latency collection: when lat is
 // non-nil each worker records every operation's duration into a private
 // recorder, merged into lat after the barrier.
 func RunPhaseLat(idx index.Index, ks *ycsb.KeySet, w ycsb.Workload, ops, threads int, seed uint64, lat *obs.LatencySnapshot) time.Duration {
-	return runPhaseDist(idx, ks, w, ycsb.DistZipfian, ops, threads, seed, lat)
-}
-
-func runPhaseDist(idx index.Index, ks *ycsb.KeySet, w ycsb.Workload, dist ycsb.RequestDist, ops, threads int, seed uint64, lat *obs.LatencySnapshot) time.Duration {
 	perWorker := ops / threads
 	extra := ops % threads
 	recs := make([]*obs.Recorder, threads)
@@ -194,7 +177,7 @@ func runPhaseDist(idx index.Index, ks *ycsb.KeySet, w ycsb.Workload, dist ycsb.R
 			defer wg.Done()
 			s := idx.NewSession()
 			defer s.Release()
-			stream := ycsb.NewStreamDist(w, ks, worker, phaseSeed(seed, uint64(worker)), dist)
+			stream := ycsb.NewStream(w, ks, worker, phaseSeed(seed, uint64(worker)))
 			var rec *obs.Recorder
 			if lat != nil {
 				rec = &obs.Recorder{}

@@ -132,9 +132,6 @@ func (ks *KeySet) NextLoadKey() []byte {
 	return nil
 }
 
-// ResetLoad rewinds the load-phase cursor (for reusing a KeySet).
-func (ks *KeySet) ResetLoad() { ks.loadNext.Store(0) }
-
 // NewKeySet builds n keys of the given type. For Mono-HC the set is
 // seeded like Mono-Int (HC keys are generated at run time by HCKey).
 func NewKeySet(t KeyType, n int) *KeySet {

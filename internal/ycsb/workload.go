@@ -14,9 +14,9 @@ const (
 	ReadUpdate
 	// ScanInsert is YCSB-E (95% scan, 5% insert).
 	ScanInsert
-	// ReadMostly is YCSB-B (95% read, 5% update) — the read-mostly mix
-	// the flatnode experiment measures. Not part of the paper's four-mix
-	// grid (AllWorkloads), so the Fig. 8-18 tables are unchanged.
+	// ReadMostly is YCSB-B (95% read, 5% update). Not part of the
+	// paper's four-mix grid (AllWorkloads), so the Fig. 8-18 tables are
+	// unchanged.
 	ReadMostly
 )
 
