@@ -36,23 +36,25 @@ func TestDocsNameLiveExperiments(t *testing.T) {
 	}
 	calls := 0
 	for _, name := range docFiles {
-		data, err := os.ReadFile(filepath.Join("..", "..", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			if strings.Contains(line, "bench/BENCH") {
-				t.Errorf("%s:%d: points at a deleted bench/BENCH* baseline: %s", name, i+1, line)
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("..", "..", name))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, m := range bwbenchCall.FindAllStringSubmatch(line, -1) {
-				calls++
-				for _, exp := range strings.Fields(m[1]) {
-					if !known[exp] {
-						t.Errorf("%s:%d: bwbench has no experiment %q: %s", name, i+1, exp, line)
+			for i, line := range strings.Split(string(data), "\n") {
+				if strings.Contains(line, "bench/BENCH") {
+					t.Errorf("%s:%d: points at a deleted bench/BENCH* baseline: %s", name, i+1, line)
+				}
+				for _, m := range bwbenchCall.FindAllStringSubmatch(line, -1) {
+					calls++
+					for _, exp := range strings.Fields(m[1]) {
+						if !known[exp] {
+							t.Errorf("%s:%d: bwbench has no experiment %q: %s", name, i+1, exp, line)
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 	if calls == 0 {
 		t.Fatal("found no bwbench invocation in the documents; the pattern is broken")

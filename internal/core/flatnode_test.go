@@ -139,6 +139,32 @@ func TestFlatRouteMatchesSlice(t *testing.T) {
 	}
 }
 
+// TestCheckSuffixWords pins the rule Validate applies to flat inner bases:
+// one suffix word per key, packed as buildSuffixWords packs it. A base
+// without its plane, or with a stale word, is rejected.
+func TestCheckSuffixWords(t *testing.T) {
+	keys := [][]byte{nil, []byte("sep:a"), []byte("sep:bbbbbbbbbb"), []byte("sep:c")}
+	cases := []struct {
+		name  string
+		edit  func(n *delta)
+		valid bool
+	}{
+		{"intact", func(n *delta) {}, true},
+		{"no-plane", func(n *delta) { n.sfx = nil }, false},
+		{"short-plane", func(n *delta) { n.sfx = n.sfx[:len(n.sfx)-1] }, false},
+		{"stale-word", func(n *delta) { n.sfx[2]++ }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := flatInnerFromKeys(keys, []nodeID{1, 2, 3, 4})
+			tc.edit(n)
+			if err := checkSuffixWords(n); (err == nil) != tc.valid {
+				t.Fatalf("checkSuffixWords = %v, want valid=%t", err, tc.valid)
+			}
+		})
+	}
+}
+
 // TestFlatLayoutDifferential runs one random operation stream against an
 // arena-layout tree (each combination of leaf/inner flat flags) and an
 // all-slice tree with tiny nodes (forcing splits, merges, and
