@@ -87,6 +87,8 @@ func DebugVars(t *Tree) obs.Vars {
 			"gc_ptrs_per_leaf":     st.GCPtrsPerLeaf,
 			"gc_ptrs_per_inner":    st.GCPtrsPerInner,
 			"leaf_bytes_per_entry": st.LeafBytesPerEntry,
+			"leaf_slab_bytes":      st.LeafSlabBytes,
+			"inner_slab_bytes":     st.InnerSlabBytes,
 		}
 	}
 	if t.Options().LatencyHistograms {

@@ -359,6 +359,8 @@ func printShape(t *bwtree.Tree) {
 		{"gc_ptrs_per_leaf", st.GCPtrsPerLeaf},
 		{"gc_ptrs_per_inner", st.GCPtrsPerInner},
 		{"leaf_bytes_per_entry", st.LeafBytesPerEntry},
+		{"leaf_slab_bytes", st.LeafSlabBytes},
+		{"inner_slab_bytes", st.InnerSlabBytes},
 	})
 }
 

@@ -55,16 +55,10 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 		for i := range vers {
 			vers[i] = loadVer
 		}
-		nb := &delta{
-			kind:     kLeafBase,
-			isLeaf:   true,
-			size:     int32(len(keys)),
-			vals:     vals,
-			vers:     vers,
-			rightSib: invalidNode,
-		}
+		nb := newBaseNode(kLeafBase)
+		nb.size = int32(len(keys))
+		nb.vals, nb.vers = vals, vers
 		t.setBaseKeys(nb, keys)
-		nb.base = nb
 		if t.opts.Preallocate {
 			nb.slab = t.getSlab(true)
 		}
@@ -135,15 +129,11 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 				ks = append(ks, s.key)
 				kids = append(kids, s.id)
 			}
-			nb := &delta{
-				kind:     kInnerBase,
-				size:     int32(len(ks)),
-				kids:     kids,
-				lowKey:   ks[0],
-				rightSib: invalidNode,
-			}
+			nb := newBaseNode(kInnerBase)
+			nb.size = int32(len(ks))
+			nb.kids = kids
+			nb.lowKey = ks[0]
 			t.setBaseKeys(nb, ks)
-			nb.base = nb
 			if t.opts.Preallocate {
 				nb.slab = t.getSlab(false)
 			}
@@ -164,31 +154,18 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 	var newRoot *delta
 	if top.isLeaf {
 		// Tiny load: root must remain an inner node over the leaf level.
-		newRoot = &delta{
-			kind:     kInnerBase,
-			size:     1,
-			kids:     []nodeID{level[0].id},
-			rightSib: invalidNode,
-		}
+		newRoot = newBaseNode(kInnerBase)
+		newRoot.size = 1
+		newRoot.kids = []nodeID{level[0].id}
 		t.setBaseKeys(newRoot, [][]byte{nil})
 	} else {
-		// Adopt the top node's key payload wholesale, whichever layout it
-		// was built with.
-		newRoot = &delta{
-			kind:     kInnerBase,
-			size:     top.size,
-			keys:     top.keys,
-			arena:    top.arena,
-			offs:     top.offs,
-			pfx:      top.pfx,
-			sfx:      top.sfx,
-			nil0:     top.nil0,
-			kids:     top.kids,
-			rightSib: invalidNode,
-		}
+		// Adopt the top node's payload wholesale, whichever layout it was
+		// built with.
+		newRoot = newBaseNode(kInnerBase)
+		newRoot.size = top.size
+		*newRoot.baseData = *top.baseData
 		t.mt.Recycle(level[0].id)
 	}
-	newRoot.base = newRoot
 	if t.opts.Preallocate {
 		newRoot.slab = t.getSlab(false)
 	}

@@ -175,13 +175,13 @@ func (s *Session) retireChain(head *delta, pool bool) {
 // carrying head's current attributes, with a pre-allocation slab when
 // withSlab is set and the Preallocate optimization is on.
 func (s *Session) buildBase(c collected, head *delta, withSlab bool) *delta {
-	nb := &delta{
-		isLeaf:   c.leaf,
-		size:     int32(len(c.keys)),
-		lowKey:   head.lowKey,
-		highKey:  head.highKey,
-		rightSib: head.rightSib,
+	k := kInnerBase
+	if c.leaf {
+		k = kLeafBase
 	}
+	nb := newBaseNode(k)
+	nb.size = int32(len(c.keys))
+	nb.lowKey, nb.highKey, nb.rightSib = head.lowKey, head.highKey, head.rightSib
 	s.t.setBaseKeys(nb, c.keys)
 	if s.t.opts.anyFlatNodes() {
 		// The inherited bounds may alias the retired chain's arena (collect
@@ -191,14 +191,11 @@ func (s *Session) buildBase(c collected, head *delta, withSlab bool) *delta {
 		nb.highKey = cloneBound(head.highKey)
 	}
 	if c.leaf {
-		nb.kind = kLeafBase
 		nb.vals = c.vals
 		nb.vers = c.vers
 	} else {
-		nb.kind = kInnerBase
 		nb.kids = c.kids
 	}
-	nb.base = nb
 	if withSlab && s.t.opts.Preallocate {
 		nb.slab = s.t.getSlab(c.leaf)
 	}

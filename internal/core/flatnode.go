@@ -136,7 +136,7 @@ func cloneBound(k []byte) []byte {
 }
 
 // baseLen returns the number of keys in base node n under either layout.
-func (n *delta) baseLen() int {
+func (n *baseData) baseLen() int {
 	if n.offs != nil {
 		return len(n.offs) - 1
 	}
@@ -146,7 +146,7 @@ func (n *delta) baseLen() int {
 // baseKey returns key i of base node n: a zero-copy subslice of the arena
 // for flat bases, the stored slice otherwise. The -inf separator of a
 // leftmost inner base is nil under both layouts.
-func (n *delta) baseKey(i int) []byte {
+func (n *baseData) baseKey(i int) []byte {
 	if n.offs != nil {
 		if n.nil0 && i == 0 {
 			return nil
@@ -158,7 +158,7 @@ func (n *delta) baseKey(i int) []byte {
 
 // baseSearch returns the position of the first key of leaf base n >= k
 // and whether an exact match exists there, under either layout.
-func (n *delta) baseSearch(k []byte) (int, bool) {
+func (n *baseData) baseSearch(k []byte) (int, bool) {
 	if n.offs != nil {
 		return n.flatSearch(k, 0, len(n.offs)-1)
 	}
@@ -167,7 +167,7 @@ func (n *delta) baseSearch(k []byte) (int, bool) {
 
 // baseSearchRange is baseSearch restricted to the window [lo, hi) — the
 // micro-indexed binary search of §4.4.
-func (n *delta) baseSearchRange(k []byte, lo, hi int) (int, bool) {
+func (n *baseData) baseSearchRange(k []byte, lo, hi int) (int, bool) {
 	if n.offs != nil {
 		return n.flatSearch(k, lo, hi)
 	}
@@ -178,7 +178,7 @@ func (n *delta) baseSearchRange(k []byte, lo, hi int) (int, bool) {
 // within [lo, hi) that is >= k, plus whether that position holds an exact
 // match. The node's common prefix is compared once up front; the binary
 // search itself touches suffixes only.
-func (n *delta) flatSearch(k []byte, lo, hi int) (int, bool) {
+func (n *baseData) flatSearch(k []byte, lo, hi int) (int, bool) {
 	if p := int(n.pfx); p > 0 {
 		m := min(len(k), p)
 		// pfx > 0 implies key 0 is not the nil separator, so the shared
@@ -207,7 +207,7 @@ func (n *delta) flatSearch(k []byte, lo, hi int) (int, bool) {
 // base's nil -inf separator packs to word 0 over an empty suffix, which
 // compares below every real key — the same routing decision the slice
 // layout makes.
-func (n *delta) routeSearch(k []byte, strict bool) int {
+func (n *baseData) routeSearch(k []byte, strict bool) int {
 	limit := 0
 	if strict {
 		limit = 1
@@ -245,7 +245,7 @@ func (n *delta) routeSearch(k []byte, strict bool) int {
 // the branch predictor treats the fallback as never-taken. limit folds the
 // bound kind as in windowSearch: 0 finds the first key >= k, 1 the first
 // key > k. k arrives with the node's common prefix already stripped.
-func (n *delta) wordSearch(k []byte, hi, limit int) int {
+func (n *baseData) wordSearch(k []byte, hi, limit int) int {
 	if hi <= 0 {
 		return 0
 	}

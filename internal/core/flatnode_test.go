@@ -10,19 +10,20 @@ import (
 // flatBaseFromKeys builds a flat-layout leaf base node over keys for
 // direct search testing.
 func flatBaseFromKeys(keys [][]byte) *delta {
-	n := &delta{kind: kLeafBase, isLeaf: true, size: int32(len(keys))}
+	n := newBaseNode(kLeafBase)
+	n.size = int32(len(keys))
 	n.arena, n.offs, n.pfx, n.nil0 = buildFlat(keys)
-	n.base = n
 	return n
 }
 
 // flatInnerFromKeys builds a flat-layout inner base node over keys, with
 // its suffix-word plane, as setBaseKeys does.
 func flatInnerFromKeys(keys [][]byte, kids []nodeID) *delta {
-	n := &delta{kind: kInnerBase, size: int32(len(keys)), kids: kids}
+	n := newBaseNode(kInnerBase)
+	n.size = int32(len(keys))
+	n.kids = kids
 	n.arena, n.offs, n.pfx, n.nil0 = buildFlat(keys)
 	n.sfx = buildSuffixWords(keys, n.pfx)
-	n.base = n
 	return n
 }
 
@@ -124,16 +125,17 @@ func TestFlatSearchMatchesSlice(t *testing.T) {
 func TestFlatRouteMatchesSlice(t *testing.T) {
 	keys := [][]byte{nil, []byte("e"), []byte("ee"), []byte("k"), []byte("r")}
 	kids := []nodeID{10, 20, 30, 40, 50}
-	slice := &delta{kind: kInnerBase, keys: keys, kids: kids}
+	slice := newBaseNode(kInnerBase)
+	slice.keys, slice.kids = keys, kids
 	flat := flatInnerFromKeys(keys, kids)
 
 	probes := []string{"a", "e", "e0", "ee", "eee", "j", "k", "k1", "q", "r", "z"}
 	for _, p := range probes {
 		k := []byte(p)
-		if got, want := routeBaseInner(flat, k), routeBaseInner(slice, k); got != want {
+		if got, want := routeBaseInner(flat.baseData, k), routeBaseInner(slice.baseData, k); got != want {
 			t.Errorf("routeBaseInner(%q): flat %d, slice %d", p, got, want)
 		}
-		if got, want := routeBaseInnerLeft(flat, k), routeBaseInnerLeft(slice, k); got != want {
+		if got, want := routeBaseInnerLeft(flat.baseData, k), routeBaseInnerLeft(slice.baseData, k); got != want {
 			t.Errorf("routeBaseInnerLeft(%q): flat %d, slice %d", p, got, want)
 		}
 	}

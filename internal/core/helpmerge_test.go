@@ -96,7 +96,7 @@ func TestHelpMergeRedirects(t *testing.T) {
 	// Finish Stage III by hand so the structural validator passes:
 	// replace the victim's separator with a ∆separator-delete.
 	ph := tr.load(parentID)
-	sd := &delta{kind: kInnerDelete}
+	sd := newSMO(kInnerDelete)
 	sd.inheritFrom(ph)
 	sd.size = ph.size - 1
 	sd.key = rm.lowKey

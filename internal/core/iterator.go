@@ -20,10 +20,10 @@ import (
 type Iterator struct {
 	s *Session
 
-	// leaf is the current leaf's items: a published base read in place,
-	// or a private copy when the step could not publish one. Items
-	// [0, n) lie below highKey.
-	leaf    *delta
+	// leaf is the current leaf's items: a published base's payload read
+	// in place, or a private copy when the step could not publish one.
+	// Items [0, n) lie below highKey.
+	leaf    *baseData
 	n       int
 	lowKey  []byte
 	highKey []byte
@@ -112,15 +112,16 @@ func (it *Iterator) loadNode(key []byte) bool {
 func (it *Iterator) useLeaf(tr *traversal) {
 	s := it.s
 	head := tr.head
-	leaf := head
+	leaf := head.baseData
 	switch {
 	case s.t.opts.InPlaceLeafUpdates:
 		t0 := s.phStart()
 		leaf = copyLeaf(s.collect(head))
 		s.phEnd(obs.PhaseChainWalk, t0, uint64(head.depth))
 	case head.kind != kLeafBase:
-		c, nb := s.consolidateID(tr.id, head, tr.parentID, tr.parentHead, true)
-		if leaf = nb; nb == nil {
+		if c, nb := s.consolidateID(tr.id, head, tr.parentID, tr.parentHead, true); nb != nil {
+			leaf = nb.baseData
+		} else {
 			leaf = copyLeaf(c)
 		}
 	}
@@ -134,9 +135,10 @@ func (it *Iterator) useLeaf(tr *traversal) {
 	}
 }
 
-// copyLeaf wraps collected leaf items as an unpublished slice-layout base.
-func copyLeaf(c collected) *delta {
-	return &delta{kind: kLeafBase, isLeaf: true, keys: c.keys, vals: c.vals}
+// copyLeaf wraps collected leaf items as an unpublished slice-layout
+// base payload.
+func copyLeaf(c collected) *baseData {
+	return &baseData{keys: c.keys, vals: c.vals}
 }
 
 // prefetchRight pipelines a forward scan: while the caller is about to

@@ -34,11 +34,19 @@ var kindNames = [...]string{
 
 func (k kind) String() string { return kindNames[k] }
 
-// delta is one element of a logical node: either a base node or a delta
-// record. A single struct with a kind tag keeps chain traversal free of
-// interface dispatch. Every element carries the logical node's attributes
-// as of the moment it was appended (Table 1 of the paper), so navigation
-// and SMO decisions never need to replay the chain.
+// delta is one element of a logical node: either a base node's header or
+// a delta record. A single struct with a kind tag keeps chain traversal
+// free of interface dispatch. Every element carries the logical node's
+// attributes as of the moment it was appended (Table 1 of the paper), so
+// navigation and SMO decisions never need to replay the chain.
+//
+// The struct holds only what every element needs: the attributes and the
+// leaf record fields. A base keeps its key/value/child payload in a
+// baseData allocated in the same object (baseNode), and the four SMO kinds
+// keep their routing fields in an smoData; both hang off embedded
+// pointers, so head.kids or d.child need no cast, and a plain leaf
+// record, or a slab slot, pays for neither payload. Validate checks who
+// owns which payload.
 type delta struct {
 	kind   kind
 	isLeaf bool
@@ -55,6 +63,15 @@ type delta struct {
 	// a base); a write replaces the head, so it restarts at zero. It fills
 	// the padding before lowKey, so the struct does not grow (readDone).
 	reads atomic.Uint32
+
+	// *baseData is non-nil exactly on kLeafBase/kInnerBase elements and
+	// points into the same baseNode allocation (newBaseNode). It shares
+	// the first cache line with kind, so a descent that tests the kind
+	// has the payload's address without another miss.
+	*baseData
+	// *smoData is non-nil exactly on kSplit, kInnerInsert, kInnerDelete
+	// and kMerge records (newSMO).
+	*smoData
 
 	// lowKey is the smallest key of the logical node (nil = -inf).
 	lowKey []byte
@@ -85,6 +102,64 @@ type delta struct {
 	// fresh counter value — is detected. Absent keys read as version 0.
 	// Versions are in-memory only; recovery restamps from fresh counters.
 	ver uint64
+}
+
+// baseData is a base node's payload. keys/vals for leaves; keys/kids for
+// inner nodes, where kids[i] covers [keys[i], keys[i+1]). keys[0] of an
+// inner base equals the node's low key. The fields a descent reads on
+// every inner level (offs, pfx, nil0, sfx, kids) come first, so they sit
+// next to the header in the co-allocated baseNode.
+//
+// Keys use one of two layouts (see flatnode.go): the slice layout fills
+// keys; the flat layout (Options.FlatBaseNodes) leaves keys nil and fills
+// arena/offs/pfx/nil0 instead — key i is arena[offs[i]:offs[i+1]], pfx is
+// the length of the prefix shared by every key, and nil0 marks a leftmost
+// inner base whose key 0 is the nil -inf separator. A non-nil offs
+// identifies a flat base. Access goes through baseLen/baseKey/baseSearch*.
+type baseData struct {
+	offs []uint32
+	pfx  uint32
+	nil0 bool
+	// sfx is the partial-key search plane every flat inner base carries:
+	// sfx[i] is the first 8 post-prefix bytes of key i packed big-endian
+	// (zero padded), so a routing probe binary-searches one pointer-free,
+	// line-sequential word array with register compares and touches the
+	// arena only on the rare word tie (see wordSearch).
+	sfx   []uint64
+	kids  []nodeID
+	arena []byte
+	keys  [][]byte
+	vals  []uint64
+	// vers carries the per-record version stamps of a leaf base, parallel
+	// to vals; consolidation preserves each surviving record's stamp so a
+	// record's version only changes when its value may have.
+	vers []uint64
+
+	// slab is the node's pre-allocated delta area (when the Preallocate
+	// optimization is on).
+	slab *slab
+}
+
+// baseNode co-allocates a base header with its payload. Allocating the
+// payload separately costs a descent one more cache miss per level; in
+// one object the header's baseData pointer lands next to its target.
+type baseNode struct {
+	hdr  delta
+	data baseData
+}
+
+// newBaseNode returns the header of a fresh base node of kind k (kLeafBase
+// or kInnerBase) with an empty payload, no right sibling, and base
+// pointing at itself.
+func newBaseNode(k kind) *delta {
+	bn := &baseNode{hdr: delta{kind: k, isLeaf: k == kLeafBase, rightSib: invalidNode}}
+	bn.hdr.baseData = &bn.data
+	bn.hdr.base = &bn.hdr
+	return &bn.hdr
+}
+
+// smoData holds the fields only structure-modification records route by.
+type smoData struct {
 	// child is the routed node: the new separator's child for
 	// kInnerInsert, and the new right sibling for kSplit.
 	child nodeID
@@ -101,39 +176,20 @@ type delta struct {
 	// once the merge completes.
 	mergeContent *delta
 	deleteID     nodeID
+}
 
-	// Base-node payload. keys/vals for leaves; keys/kids for inner nodes,
-	// where kids[i] covers [keys[i], keys[i+1]). keys[0] of an inner base
-	// equals the node's low key.
-	//
-	// Keys use one of two layouts (see flatnode.go): the slice layout
-	// fills keys; the flat layout (Options.FlatBaseNodes) leaves keys nil
-	// and fills arena/offs/pfx/nil0 instead — key i is
-	// arena[offs[i]:offs[i+1]], pfx is the length of the prefix shared by
-	// every key, and nil0 marks a leftmost inner base whose key 0 is the
-	// nil -inf separator. A non-nil offs identifies a flat base. Access
-	// goes through baseLen/baseKey/baseSearch*.
-	keys  [][]byte
-	arena []byte
-	offs  []uint32
-	pfx   uint32
-	// sfx is the partial-key search plane every flat inner base carries:
-	// sfx[i] is the first 8 post-prefix bytes of key i packed big-endian
-	// (zero padded), so a routing probe binary-searches one pointer-free,
-	// line-sequential word array with register compares and touches the
-	// arena only on the rare word tie (see wordSearch).
-	sfx  []uint64
-	nil0 bool
-	vals []uint64
-	kids []nodeID
-	// vers carries the per-record version stamps of a leaf base, parallel
-	// to vals; consolidation preserves each surviving record's stamp so a
-	// record's version only changes when its value may have.
-	vers []uint64
+// ownsSMO reports whether records of kind k carry an smoData.
+func (k kind) ownsSMO() bool {
+	switch k {
+	case kSplit, kInnerInsert, kInnerDelete, kMerge:
+		return true
+	}
+	return false
+}
 
-	// slab is the node's pre-allocated delta area (bases only, when the
-	// Preallocate optimization is on).
-	slab *slab
+// newSMO returns a heap-allocated record of SMO kind k with its smoData.
+func newSMO(k kind) *delta {
+	return &delta{kind: k, smoData: &smoData{}}
 }
 
 // slab is the pre-allocated delta area attached to a base node (§4.1).
@@ -222,7 +278,7 @@ func (s *slab) used() int {
 // baseVer returns the version stamp of base record i, tolerating bases
 // built before version threading existed (nil vers reads as 0, the
 // "no observation" stamp).
-func (n *delta) baseVer(i int) uint64 {
+func (n *baseData) baseVer(i int) uint64 {
 	if i < len(n.vers) {
 		return n.vers[i]
 	}
@@ -292,7 +348,7 @@ func searchKeysRange(keys [][]byte, k []byte, lo, hi int) (int, bool) {
 // innerRoutePos returns the strict-upper-bound routing position within
 // inner base n: the index of the first separator > k, under either
 // layout. The covering child is kids[pos-1] (kids[0] on underflow).
-func innerRoutePos(n *delta, k []byte) int {
+func innerRoutePos(n *baseData, k []byte) int {
 	if n.offs != nil {
 		return n.routeSearch(k, true)
 	}
@@ -304,7 +360,7 @@ func innerRoutePos(n *delta, k []byte) int {
 // one). The caller guarantees k >= node.lowKey, so position 0 always
 // covers underflow. A nil separator at position 0 (-inf) compares below
 // any valid key under both layouts.
-func routeBaseInner(n *delta, k []byte) nodeID {
+func routeBaseInner(n *baseData, k []byte) nodeID {
 	lo := innerRoutePos(n, k)
 	if lo == 0 {
 		return n.kids[0]
@@ -315,7 +371,7 @@ func routeBaseInner(n *delta, k []byte) nodeID {
 // routeBaseInnerLeft returns the child covering keys immediately below k
 // (the largest separator strictly < k) — the backward-iteration rule of
 // Appendix C.2.
-func routeBaseInnerLeft(n *delta, k []byte) nodeID {
+func routeBaseInnerLeft(n *baseData, k []byte) nodeID {
 	var lo int
 	if n.offs != nil {
 		lo = n.routeSearch(k, false)

@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"testing"
-	"unsafe"
 )
 
 // pointReads are the three point-read paths that end in readDone. Each
@@ -226,14 +225,4 @@ func TestLookupLostConsolidationAnswers(t *testing.T) {
 		t.Fatal("no seed made the read's consolidation CaS lose to the insert")
 	}
 	t.Logf("the read's CaS lost in %d of 32 schedules", lost)
-}
-
-// TestDeltaReadCountFitsPadding pins the read counter inside the padding
-// between offset and lowKey, so counting reads does not grow every delta.
-func TestDeltaReadCountFitsPadding(t *testing.T) {
-	var d delta
-	if end := unsafe.Offsetof(d.reads) + unsafe.Sizeof(d.reads); end > unsafe.Offsetof(d.lowKey) {
-		t.Fatalf("reads ends at byte %d, past lowKey at %d", end, unsafe.Offsetof(d.lowKey))
-	}
-	t.Logf("unsafe.Sizeof(delta{}) = %d", unsafe.Sizeof(d))
 }

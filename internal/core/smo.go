@@ -57,7 +57,7 @@ func (s *Session) split(id nodeID, head *delta, c collected, parentID nodeID, pa
 	t.mt.Store(rid, right)
 
 	// Stage II: the ∆split.
-	sd := &delta{kind: kSplit}
+	sd := newSMO(kSplit)
 	sd.inheritFrom(head)
 	sd.key = splitKey
 	sd.child = rid
@@ -163,14 +163,10 @@ func (s *Session) splitRoot(head *delta, c collected) {
 	t.mt.Store(lid, left)
 	t.mt.Store(rid, right)
 
-	newRoot := &delta{
-		kind:     kInnerBase,
-		size:     2,
-		rightSib: invalidNode,
-		kids:     []nodeID{lid, rid},
-	}
+	newRoot := newBaseNode(kInnerBase)
+	newRoot.size = 2
+	newRoot.kids = []nodeID{lid, rid}
 	t.setBaseKeys(newRoot, [][]byte{nil, splitKey})
-	newRoot.base = newRoot
 	if s.t.opts.Preallocate {
 		newRoot.slab = s.t.getSlab(false)
 	}
@@ -302,8 +298,7 @@ func (s *Session) completeSplitParts(parentID nodeID, parentHead *delta, sepKey 
 	sep.kind = kInnerInsert
 	sep.size = parentHead.size + 1
 	sep.key = sepKey
-	sep.child = child
-	sep.nextKey = nextKey
+	sep.smoData = &smoData{child: child, nextKey: nextKey}
 	sep.offset = -1
 	schedPoint(SPSepPost, parentID, child, sepKey)
 	if !s.t.cas(parentID, parentHead, sep) {
@@ -453,7 +448,7 @@ func (s *Session) tryMerge(parentID nodeID, parentHead *delta, id nodeID, head *
 	// Stage III: drop the victim's separator and unlock in one CaS. The
 	// ∆separator-delete links directly to the pre-lock head, so the
 	// published chain never contains the ∆abort.
-	sd := &delta{kind: kInnerDelete}
+	sd := newSMO(kInnerDelete)
 	sd.inheritFrom(parentHead)
 	sd.size = parentHead.size - 1
 	sd.key = rm.lowKey
@@ -538,7 +533,7 @@ func (s *Session) mergeIntoLeft(parentHead *delta, victim nodeID, rm *delta) (no
 			}
 			return origLeft, leftSepKey, true
 		default:
-			m := &delta{kind: kMerge}
+			m := newSMO(kMerge)
 			m.inheritFrom(lhead)
 			m.key = rm.lowKey
 			m.mergeContent = rm.next

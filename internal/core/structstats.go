@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // StructureStats summarizes the tree's physical shape: average delta chain
 // lengths, base node sizes, and pre-allocation utilization — the
 // quantities reported in Table 2 of the paper (IDCL, LDCL, INS, LNS, IPU,
@@ -40,6 +42,12 @@ type StructureStats struct {
 	GCPtrsPerInner float64
 	// LeafBytesPerEntry is average key+value payload bytes per leaf item.
 	LeafBytesPerEntry float64
+
+	// LeafSlabBytes / InnerSlabBytes are the pre-allocated delta areas
+	// (§4.1) of the live leaf and inner bases: slots times the delta
+	// record size, claimed or not.
+	LeafSlabBytes  int64
+	InnerSlabBytes int64
 }
 
 // StructureStats walks the tree and aggregates shape statistics. The walk
@@ -51,6 +59,7 @@ func (t *Tree) StructureStats() StructureStats {
 	var innerSlabUsed, innerSlabCap, leafSlabUsed, leafSlabCap float64
 	var leafPtrs, innerPtrs float64
 	var leafItems, leafPayload int64
+	slotBytes := int64(unsafe.Sizeof(delta{}))
 	s := t.NewSession()
 	defer s.Release()
 	s.h.Enter()
@@ -102,6 +111,7 @@ func (t *Tree) StructureStats() StructureStats {
 			if base.slab != nil {
 				leafSlabUsed += float64(base.slab.used())
 				leafSlabCap += float64(len(base.slab.slots))
+				st.LeafSlabBytes += int64(len(base.slab.slots)) * slotBytes
 			}
 			return
 		}
@@ -112,6 +122,7 @@ func (t *Tree) StructureStats() StructureStats {
 		if base.slab != nil {
 			innerSlabUsed += float64(base.slab.used())
 			innerSlabCap += float64(len(base.slab.slots))
+			st.InnerSlabBytes += int64(len(base.slab.slots)) * slotBytes
 		}
 		c := s.collect(head)
 		for _, kid := range c.kids {

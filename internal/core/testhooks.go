@@ -43,7 +43,10 @@ func SetCASFailHook(hook func(CASInfo) bool) (restore func()) {
 		if old != nil && (old.kind == kAbort || old.kind == kRemove) {
 			return false
 		}
-		info := CASInfo{ID: uint64(id), Child: uint64(new.child)}
+		info := CASInfo{ID: uint64(id)}
+		if new.smoData != nil {
+			info.Child = uint64(new.child)
+		}
 		if old != nil {
 			info.OldKind = old.kind.String()
 		}

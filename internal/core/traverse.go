@@ -58,9 +58,10 @@ func (s *Session) descend(key []byte, tr *traversal) bool {
 		// positions prove nothing and fall through to the guarded path,
 		// which re-routes; that re-search is rare (~2/fanout of levels).
 		if head.kind == kInnerBase {
-			if pos := innerRoutePos(head, key); pos > 0 && pos < head.baseLen() {
+			b := head.baseData
+			if pos := innerRoutePos(b, key); pos > 0 && pos < b.baseLen() {
 				parentID, parentHead = id, head
-				id = head.kids[pos-1]
+				id = b.kids[pos-1]
 				continue
 			}
 		}
@@ -113,7 +114,7 @@ func (s *Session) routeInner(head *delta, key []byte) (nodeID, bool) {
 	// case between SMOs with the default inner chain length of 2. Route
 	// straight through the base probe without entering the chain loop.
 	if head.kind == kInnerBase {
-		return routeBaseInner(head, key), true
+		return routeBaseInner(head.baseData, key), true
 	}
 	d := head
 	for {
@@ -143,7 +144,7 @@ func (s *Session) routeInner(head *delta, key []byte) (nodeID, bool) {
 				continue
 			}
 		case kInnerBase:
-			return routeBaseInner(d, key), true
+			return routeBaseInner(d.baseData, key), true
 		case kRemove, kAbort:
 			return 0, false
 		default:
@@ -180,7 +181,7 @@ func (s *Session) routeInnerLeft(head *delta, key []byte) (nodeID, bool) {
 				continue
 			}
 		case kInnerBase:
-			return routeBaseInnerLeft(d, key), true
+			return routeBaseInnerLeft(d.baseData, key), true
 		default:
 			return 0, false
 		}

@@ -92,22 +92,17 @@ func New(opts Options) *Tree {
 
 	t.root = t.mt.Allocate()
 	leafID := t.mt.Allocate()
-	leaf := &delta{kind: kLeafBase, isLeaf: true, rightSib: invalidNode}
+	leaf := newBaseNode(kLeafBase)
 	t.setBaseKeys(leaf, nil)
-	leaf.base = leaf
 	if opts.Preallocate {
 		leaf.slab = t.getSlab(true)
 	}
 	t.mt.Store(leafID, leaf)
 
-	root := &delta{
-		kind:     kInnerBase,
-		rightSib: invalidNode,
-		kids:     []nodeID{leafID},
-		size:     1,
-	}
+	root := newBaseNode(kInnerBase)
+	root.size = 1
+	root.kids = []nodeID{leafID}
 	t.setBaseKeys(root, [][]byte{nil}) // -inf separator
-	root.base = root
 	if opts.Preallocate {
 		root.slab = t.getSlab(false)
 	}

@@ -16,6 +16,8 @@ import (
 //   - inner separators route exactly onto their children's low keys
 //   - the item count attribute matches the materialized content
 //   - every flat inner base carries its suffix-word plane
+//   - each chain element owns exactly its kind's payloads: a baseData on
+//     bases only, an smoData on the four SMO kinds only
 func (t *Tree) Validate() error {
 	s := t.NewSession()
 	defer s.Release()
@@ -32,6 +34,9 @@ func (t *Tree) validateNode(s *Session, id nodeID, low, high []byte) error {
 	}
 	if !sameKey(head.lowKey, low) {
 		return fmt.Errorf("node %d: low key %q, parent separator %q", id, head.lowKey, low)
+	}
+	if err := checkPayloads(head); err != nil {
+		return fmt.Errorf("node %d: %v", id, err)
 	}
 	c := s.collect(head)
 	if int(head.size) != len(c.keys) {
@@ -74,6 +79,29 @@ func (t *Tree) validateNode(s *Session, id nodeID, low, high []byte) error {
 				childHigh = c.keys[i+1]
 			}
 			if err := t.validateNode(s, c.kids[i], c.keys[i], childHigh); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkPayloads walks a chain, and the content chains its ∆merges
+// absorbed, requiring every element to own exactly the payloads of its
+// kind: a base its baseData, an SMO record its smoData, and nothing else
+// either. A record that carries a stray payload wastes the memory the
+// split layout saves; one that lacks its payload panics the first reader.
+func checkPayloads(head *delta) error {
+	for d := head; d != nil; d = d.next {
+		isBase := d.kind == kLeafBase || d.kind == kInnerBase
+		if isBase != (d.baseData != nil) {
+			return fmt.Errorf("%v at depth %d: base payload present=%v", d.kind, d.depth, d.baseData != nil)
+		}
+		if d.kind.ownsSMO() != (d.smoData != nil) {
+			return fmt.Errorf("%v at depth %d: SMO fields present=%v", d.kind, d.depth, d.smoData != nil)
+		}
+		if d.kind == kMerge {
+			if err := checkPayloads(d.mergeContent); err != nil {
 				return err
 			}
 		}
