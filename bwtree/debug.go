@@ -79,9 +79,7 @@ func DebugVars(t *Tree) obs.Vars {
 			"avg_leaf_node_size":   st.AvgLeafNodeSize,
 			"inner_prealloc_util":  st.InnerPreallocUse,
 			"leaf_prealloc_util":   st.LeafPreallocUse,
-			"flat_bases":           st.FlatBases,
 			"arena_bytes":          st.ArenaBytes,
-			"inner_flat_bases":     st.InnerFlatBases,
 			"inner_arena_bytes":    st.InnerArenaBytes,
 			"key_bytes":            st.KeyBytes,
 			"gc_ptrs_per_leaf":     st.GCPtrsPerLeaf,

@@ -3,14 +3,20 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
+	"repro/bwtree"
+	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/shard"
+	"repro/internal/wal"
 )
 
-// docFiles are the documents that tell a reader how to run bwbench.
+// docFiles are the documents that tell a reader how to run bwbench and
+// which options to set.
 // CHANGES.md and ROADMAP.md are history and may name what is gone;
 // benchmark/ documents its own module.
 var docFiles = []string{
@@ -58,5 +64,40 @@ func TestDocsNameLiveExperiments(t *testing.T) {
 	}
 	if calls == 0 {
 		t.Fatal("found no bwbench invocation in the documents; the pattern is broken")
+	}
+}
+
+// optionRef matches a back-quoted `Options.X` and captures X.
+var optionRef = regexp.MustCompile("`Options\\.(\\w+)")
+
+// TestDocsNameLiveOptions fails when a document names an `Options.X`
+// that is a field of none of the option structs a reader can set.
+func TestDocsNameLiveOptions(t *testing.T) {
+	fields := map[string]bool{}
+	for _, v := range []any{core.Options{}, shard.Options{}, bwtree.DurableOptions{}, wal.Options{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			fields[typ.Field(i).Name] = true
+		}
+	}
+	refs := 0
+	for _, name := range docFiles {
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("..", "..", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(data), "\n") {
+				for _, m := range optionRef.FindAllStringSubmatch(line, -1) {
+					refs++
+					if !fields[m[1]] {
+						t.Errorf("%s:%d: no option struct has a field %q: %s", name, i+1, m[1], line)
+					}
+				}
+			}
+		})
+	}
+	if refs == 0 {
+		t.Fatal("found no `Options.X` in the documents; the pattern is broken")
 	}
 }

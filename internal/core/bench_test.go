@@ -1,33 +1,16 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
 )
 
-// Micro-benchmarks for the shared window-search helper (flatnode.go).
-// BenchmarkBaseSearch/slice-* vs BenchmarkBaseSearch/handrolled-* proves
-// deduplicating the four hand-rolled binary searches behind windowSearch
-// cost the slice path nothing; the flat-* variants show the arena layout
-// with prefix-skip comparisons, and route-* the suffix-word plane inner
-// bases route through.
-
-// handrolledSearch is the pre-deduplication searchKeys, kept verbatim as
-// the regression reference.
-func handrolledSearch(keys [][]byte, k []byte) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if bytes.Compare(keys[mid], k) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(keys) && bytes.Equal(keys[lo], k)
-}
+// Micro-benchmarks for the in-node searches (flatnode.go). The flat-*
+// variants run the arena leaf search with prefix-skip comparisons,
+// route-* the suffix-word plane inner bases route through, and slice-* a
+// binary search over a plain [][]byte (searchKeys, as frozenNode uses) as
+// the per-key-pointer reference.
 
 func benchKeySet(n int, prefix string) [][]byte {
 	keys := make([][]byte, n)
@@ -47,11 +30,6 @@ func BenchmarkBaseSearch(b *testing.B) {
 				probes[i] = keys[(i*31)%len(keys)]
 			}
 			tag := fmt.Sprintf("n=%d,pfx=%d", size, len(prefix))
-			b.Run("handrolled/"+tag, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					handrolledSearch(keys, probes[i&63])
-				}
-			})
 			b.Run("slice/"+tag, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					searchKeys(keys, probes[i&63])
@@ -76,9 +54,8 @@ func BenchmarkBaseSearch(b *testing.B) {
 
 // BenchmarkDeepDescent measures consolidated lookups on a deliberately
 // deep tree (fanout 64, leaf size 16 — 3+ inner levels at this
-// population), with the inner arena layout on or off and flat leaves on
-// both sides. The guard for the suffix-word routing path: flatinner=true
-// must not lose to flatinner=false.
+// population), so descent through the suffix-word routing plane
+// dominates.
 func BenchmarkDeepDescent(b *testing.B) {
 	const n = 200_000
 	keys := make([][]byte, n)
@@ -86,29 +63,22 @@ func BenchmarkDeepDescent(b *testing.B) {
 		j := (i * 7919) % n // insertion order unrelated to sort order
 		keys[i] = []byte(fmt.Sprintf("user%08d@bench.example.com......", j))
 	}
-	for _, on := range []bool{false, true} {
-		b.Run(fmt.Sprintf("flatinner=%t", on), func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.FlatBaseNodes = true
-			opts.FlatInnerNodes = on
-			opts.ScanPipelining = false
-			opts.InnerNodeSize = 64
-			opts.LeafNodeSize = 16
-			tr := New(opts)
-			defer tr.Close()
-			s := tr.NewSession()
-			defer s.Release()
-			for i, k := range keys {
-				s.Insert(k, uint64(i))
-			}
-			tr.ConsolidateAll()
-			runtime.GC() // clear construction garbage before timing
-			var out []uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out = s.Lookup(keys[i%n], out[:0])
-			}
-		})
+	opts := DefaultOptions()
+	opts.InnerNodeSize = 64
+	opts.LeafNodeSize = 16
+	tr := New(opts)
+	defer tr.Close()
+	s := tr.NewSession()
+	defer s.Release()
+	for i, k := range keys {
+		s.Insert(k, uint64(i))
+	}
+	tr.ConsolidateAll()
+	runtime.GC() // clear construction garbage before timing
+	var out []uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = s.Lookup(keys[i%n], out[:0])
 	}
 }

@@ -58,7 +58,7 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 		nb := newBaseNode(kLeafBase)
 		nb.size = int32(len(keys))
 		nb.vals, nb.vers = vals, vers
-		t.setBaseKeys(nb, keys)
+		setBaseKeys(nb, keys)
 		if t.opts.Preallocate {
 			nb.slab = t.getSlab(true)
 		}
@@ -133,7 +133,7 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 			nb.size = int32(len(ks))
 			nb.kids = kids
 			nb.lowKey = ks[0]
-			t.setBaseKeys(nb, ks)
+			setBaseKeys(nb, ks)
 			if t.opts.Preallocate {
 				nb.slab = t.getSlab(false)
 			}
@@ -157,10 +157,9 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 		newRoot = newBaseNode(kInnerBase)
 		newRoot.size = 1
 		newRoot.kids = []nodeID{level[0].id}
-		t.setBaseKeys(newRoot, [][]byte{nil})
+		setBaseKeys(newRoot, [][]byte{nil})
 	} else {
-		// Adopt the top node's payload wholesale, whichever layout it was
-		// built with.
+		// Adopt the top node's payload wholesale.
 		newRoot = newBaseNode(kInnerBase)
 		newRoot.size = top.size
 		*newRoot.baseData = *top.baseData

@@ -181,15 +181,12 @@ func (s *Session) buildBase(c collected, head *delta, withSlab bool) *delta {
 	}
 	nb := newBaseNode(k)
 	nb.size = int32(len(c.keys))
-	nb.lowKey, nb.highKey, nb.rightSib = head.lowKey, head.highKey, head.rightSib
-	s.t.setBaseKeys(nb, c.keys)
-	if s.t.opts.anyFlatNodes() {
-		// The inherited bounds may alias the retired chain's arena (collect
-		// hands out zero-copy subslices); owning copies keep this node's
-		// attributes from pinning its predecessor's arena.
-		nb.lowKey = cloneBound(head.lowKey)
-		nb.highKey = cloneBound(head.highKey)
-	}
+	setBaseKeys(nb, c.keys)
+	// The inherited bounds may alias the retired chain's arena (collect
+	// hands out zero-copy subslices); owning copies keep this node's
+	// attributes from pinning its predecessor's arena.
+	nb.lowKey, nb.highKey = cloneBound(head.lowKey), cloneBound(head.highKey)
+	nb.rightSib = head.rightSib
 	if c.leaf {
 		nb.vals = c.vals
 		nb.vers = c.vers

@@ -8,17 +8,13 @@ import (
 	"testing"
 )
 
-// Tests for the inner-node arena layout (Options.FlatInnerNodes): the
-// suffix-word routing search and the scan-pipelining prefetch.
-
-// TestWindowSearchDifferential is the search differential: for random key
-// sets (with and without shared prefixes, with and without a leading nil
-// -inf separator) the slice path and the flat leaf search must return the
-// same position for every (lo, hi) window and probe, and the suffix-word
-// routing search the same position as the slice path for both bound kinds
-// — including probes shorter than the node's common prefix and probes
-// outside the key range.
-func TestWindowSearchDifferential(t *testing.T) {
+// TestSearchDifferential is the search differential: for random key sets
+// (with and without shared prefixes, with and without a leading nil -inf
+// separator) the leaf search must return the linear reference's position
+// for every (lo, hi) window and probe, and the suffix-word routing search
+// the reference's position for both bound kinds — including probes
+// shorter than the node's common prefix and probes outside the key range.
+func TestSearchDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	// The longer prefixes drive the prefix pre-check and leave short
 	// suffixes whose first 8 bytes collide often (word-tie fallback); the
@@ -62,9 +58,9 @@ func TestWindowSearchDifferential(t *testing.T) {
 			}
 			for lo := 0; lo <= len(keys); lo++ {
 				for hi := lo; hi <= len(keys); hi++ {
-					want := windowSearch(keys, nil, nil, 0, p, lo, hi, false)
-					if got, _ := leafD.flatSearch(p, lo, hi); got != want {
-						t.Fatalf("pfx=%q n=%d probe=%q window [%d,%d): slice %d, flat %d",
+					want := refSearch(keys, p, lo, hi, false)
+					if got, _ := leafD.baseSearchRange(p, lo, hi); got != want {
+						t.Fatalf("pfx=%q n=%d probe=%q window [%d,%d): reference %d, got %d",
 							pfx, len(keys), p, lo, hi, want, got)
 					}
 				}
@@ -73,63 +69,12 @@ func TestWindowSearchDifferential(t *testing.T) {
 			// key+\x00 probes force word ties, exercising the arena
 			// fallback.
 			for _, strict := range []bool{false, true} {
-				want := windowSearch(keys, nil, nil, 0, p, 0, len(keys), strict)
+				want := refSearch(keys, p, 0, len(keys), strict)
 				if got := innerD.routeSearch(p, strict); got != want {
-					t.Fatalf("pfx=%q n=%d probe=%q strict=%t: routeSearch %d, slice %d",
+					t.Fatalf("pfx=%q n=%d probe=%q strict=%t: routeSearch %d, reference %d",
 						pfx, len(keys), p, strict, got, want)
 				}
 			}
 		}
-	}
-}
-
-// TestScanPipelining checks the sibling prefetch end to end: a multi-leaf
-// scan with ScanPipelining on visits exactly the same sequence as with it
-// off, under both base layouts, and full scans cross enough leaves that
-// prefetchRight ran against real siblings.
-func TestScanPipelining(t *testing.T) {
-	for _, flat := range []bool{true, false} {
-		t.Run(fmt.Sprintf("flat=%t", flat), func(t *testing.T) {
-			mk := func(pipeline bool) *Tree {
-				opts := DefaultOptions()
-				opts.FlatBaseNodes = flat
-				opts.FlatInnerNodes = flat
-				opts.ScanPipelining = pipeline
-				opts.LeafNodeSize = 16
-				opts.InnerNodeSize = 8
-				tr := New(opts)
-				s := tr.NewSession()
-				defer s.Release()
-				for i := 0; i < 2000; i++ {
-					s.Insert([]byte(fmt.Sprintf("scan:%05d", i*3)), uint64(i))
-				}
-				tr.ConsolidateAll()
-				return tr
-			}
-			on := mk(true)
-			defer on.Close()
-			off := mk(false)
-			defer off.Close()
-
-			collect := func(tr *Tree) []string {
-				s := tr.NewSession()
-				defer s.Release()
-				var got []string
-				s.Scan([]byte("scan:"), 1<<30, func(k []byte, v uint64) bool {
-					got = append(got, fmt.Sprintf("%s=%d", k, v))
-					return true
-				})
-				return got
-			}
-			a, b := collect(on), collect(off)
-			if len(a) != 2000 || len(b) != 2000 {
-				t.Fatalf("scan lengths: pipelined %d, plain %d, want 2000", len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("item %d: pipelined %q, plain %q", i, a[i], b[i])
-				}
-			}
-		})
 	}
 }

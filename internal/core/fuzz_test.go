@@ -16,7 +16,8 @@ import (
 // keys force splits, merges, and consolidations.
 //
 // Stream format: byte 0 is a config header (bit 0 non-unique, bit 1
-// centralized GC); the rest is a sequence of operations, each one opcode
+// centralized GC, bit 2 merges off, bit 3 every observability probe on);
+// the rest is a sequence of operations, each one opcode
 // byte followed by its operands (see fuzzStep). Truncated operands end
 // the stream. The opcode's low three bits pick the operation; bit 3 turns
 // a lookup into LeafNodeSize (16) lookups of one key, which consolidate
@@ -29,12 +30,11 @@ func FuzzTreeVsModel(f *testing.F) {
 	f.Add(fuzzSeed(0x03))
 	f.Add(fuzzSeed(0x01))
 	f.Add(fuzzSeed(0x02))
-	// The four leaf × inner layout combinations (bits 2 and 3 are
-	// inverted: set means slice). 0x00 above is flat/flat.
-	f.Add(fuzzSeed(0x04)) // slice leaf, flat inner
-	f.Add(fuzzSeed(0x08)) // flat leaf, slice inner
-	f.Add(fuzzSeed(0x0C)) // slice leaf, slice inner
-	f.Add(fuzzSeed(0x0D)) // slice/slice + non-unique
+	// Merges off and probes on, alone and together.
+	f.Add(fuzzSeed(0x04)) // merges off
+	f.Add(fuzzSeed(0x08)) // probes on
+	f.Add(fuzzSeed(0x0C)) // merges off, probes on
+	f.Add(fuzzSeed(0x0D)) // merges off, probes on, non-unique
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runFuzzStream(t, data)
 	})
@@ -164,12 +164,6 @@ func runFuzzStream(t *testing.T, data []byte) {
 	if hdr&2 != 0 {
 		opts.GC = GCCentralized
 	}
-	// Bits 2 and 3 select the slice layout per level, so most of the
-	// existing corpus (arbitrary header bytes) exercises both flat
-	// layouts; all four leaf × inner combinations are reachable.
-	opts.FlatBaseNodes = hdr&4 == 0
-	opts.FlatInnerNodes = hdr&8 == 0
-	opts.ScanPipelining = opts.anyFlatNodes()
 	// Tiny nodes and short chains so a 512-key space drives splits,
 	// merges, and consolidations.
 	opts.LeafNodeSize = 16
@@ -178,6 +172,15 @@ func runFuzzStream(t *testing.T, data []byte) {
 	opts.InnerChainLength = 2
 	opts.LeafMergeSize = 4
 	opts.InnerMergeSize = 2
+	if hdr&4 != 0 {
+		opts.LeafMergeSize, opts.InnerMergeSize = 0, 0
+	}
+	if hdr&8 != 0 {
+		opts.LatencyHistograms = true
+		opts.TraceRingSize = 256
+		opts.PhaseSampleEvery = 7
+		opts.FlightRecorderSize = 64
+	}
 
 	tree := New(opts)
 	defer tree.Close()

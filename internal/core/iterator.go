@@ -29,12 +29,6 @@ type Iterator struct {
 	highKey []byte
 	pos     int
 	valid   bool
-
-	// warm absorbs the bytes read by the scan-pipelining prefetch
-	// (Options.ScanPipelining); storing them into the iterator keeps the
-	// touch loop from being optimized away. Each iterator is owned by one
-	// session/goroutine, so the write is race-free.
-	warm byte
 }
 
 // NewIterator returns an unpositioned iterator; call Seek, SeekFirst, or
@@ -93,9 +87,6 @@ func (it *Iterator) loadNode(key []byte) bool {
 			continue
 		}
 		it.useLeaf(&tr)
-		if s.t.opts.ScanPipelining {
-			it.prefetchRight(tr.head)
-		}
 		return true
 	}
 }
@@ -135,54 +126,12 @@ func (it *Iterator) useLeaf(tr *traversal) {
 	}
 }
 
-// copyLeaf wraps collected leaf items as an unpublished slice-layout
-// base payload.
+// copyLeaf builds an unpublished base payload from collected leaf items.
+// Its arena is private, so no later write reaches the bytes it hands out.
 func copyLeaf(c collected) *baseData {
-	return &baseData{keys: c.keys, vals: c.vals}
-}
-
-// prefetchRight pipelines a forward scan: while the caller is about to
-// emit the leaf useLeaf just pinned, resolve the right sibling's mapping
-// entry and touch its base keys at cache-line stride so the next
-// advanceNode finds them warm instead of paying a cold miss per probe.
-// It runs inside loadNode's epoch pin, so the sibling's chain cannot be
-// reclaimed mid-touch; a sibling mid-SMO is simply skipped — this is an
-// optimization, never a correctness dependency.
-func (it *Iterator) prefetchRight(head *delta) {
-	sib := head.rightSib
-	if sib == invalidNode {
-		return
-	}
-	shead := it.s.t.load(sib)
-	if shead == nil {
-		return
-	}
-	base := shead.base
-	if base == nil {
-		return
-	}
-	// Cap the touch at a few KB: a leaf arena is typically smaller, and a
-	// scan that stops inside the current leaf shouldn't have dragged an
-	// unbounded sibling through the cache.
-	const stride, budget = 64, 4096
-	var w byte
-	if base.offs != nil {
-		a := base.arena
-		n := min(len(a), budget)
-		for i := 0; i < n; i += stride {
-			w ^= a[i]
-		}
-	} else {
-		// Slice layout: touching every key defeats the purpose, but the
-		// header array itself is the first dependent load of every probe.
-		n := min(len(base.keys), budget/stride)
-		for i := 0; i < n; i++ {
-			if k := base.keys[i]; len(k) > 0 {
-				w ^= k[0]
-			}
-		}
-	}
-	it.warm = w
+	b := &baseData{vals: c.vals}
+	b.arena, b.offs, b.pfx, b.nil0 = buildFlat(c.keys)
+	return b
 }
 
 // loadNodeLeft makes the logical leaf immediately left of key

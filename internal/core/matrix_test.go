@@ -9,14 +9,12 @@ import (
 // TestOptionsMatrix runs a concurrent smoke workload on every combination
 // of the four switchable paper optimizations (§4.1 pre-allocation, §4.3
 // fast consolidation, §4.4 search shortcuts, §3.1 non-unique keys) plus
-// the flat leaf and inner base-node layouts, under both GC schemes — 64
-// flag combinations × 2 schemes — so no combination can silently rot
-// (every FlatBaseNodes × FlatInnerNodes pairing is covered). Nodes are
-// tiny so the smoke forces splits, merges, and consolidations; the
+// two settings nothing else combines with them — merges off, and every
+// observability probe on — under both GC schemes: 64 flag combinations ×
+// 2 schemes, so no combination can silently rot. Nodes are tiny so the
+// smoke forces splits, consolidations and (unless disabled) merges; the
 // workload mixes the single-op and batch paths, and a read-only phase
-// then checks that lookups consolidate the chains it left. Scan
-// pipelining rides along with either flat flag, so the prefetch path
-// runs under contention and -race here too.
+// then checks that lookups consolidate the chains it left.
 func TestOptionsMatrix(t *testing.T) {
 	gcName := map[GCScheme]string{GCDecentralized: "decentralized", GCCentralized: "centralized"}
 	for mask := 0; mask < 64; mask++ {
@@ -25,20 +23,28 @@ func TestOptionsMatrix(t *testing.T) {
 		opts.FastConsolidate = mask&2 != 0
 		opts.SearchShortcuts = mask&4 != 0
 		opts.NonUnique = mask&8 != 0
-		opts.FlatBaseNodes = mask&16 != 0
-		opts.FlatInnerNodes = mask&32 != 0
-		opts.ScanPipelining = opts.anyFlatNodes()
 		opts.LeafNodeSize = 16
 		opts.InnerNodeSize = 8
 		opts.LeafChainLength = 4
 		opts.InnerChainLength = 2
 		opts.LeafMergeSize = 4
 		opts.InnerMergeSize = 2
+		merges := mask&16 == 0
+		if !merges {
+			opts.LeafMergeSize, opts.InnerMergeSize = 0, 0
+		}
+		probes := mask&32 != 0
+		if probes {
+			opts.LatencyHistograms = true
+			opts.TraceRingSize = 256
+			opts.PhaseSampleEvery = 7
+			opts.FlightRecorderSize = 64
+		}
 		for _, gc := range []GCScheme{GCDecentralized, GCCentralized} {
 			opts.GC = gc
-			name := fmt.Sprintf("prealloc=%t,fastcons=%t,shortcuts=%t,nonuniq=%t,flat=%t,flatinner=%t/%s",
+			name := fmt.Sprintf("prealloc=%t,fastcons=%t,shortcuts=%t,nonuniq=%t,merges=%t,probes=%t/%s",
 				opts.Preallocate, opts.FastConsolidate, opts.SearchShortcuts,
-				opts.NonUnique, opts.FlatBaseNodes, opts.FlatInnerNodes, gcName[gc])
+				opts.NonUnique, merges, probes, gcName[gc])
 			t.Run(name, func(t *testing.T) {
 				optionsMatrixSmoke(t, opts)
 			})

@@ -104,23 +104,21 @@ type delta struct {
 	ver uint64
 }
 
-// baseData is a base node's payload. keys/vals for leaves; keys/kids for
-// inner nodes, where kids[i] covers [keys[i], keys[i+1]). keys[0] of an
-// inner base equals the node's low key. The fields a descent reads on
+// baseData is a base node's payload: keys with vals for leaves, keys with
+// kids for inner nodes, where kids[i] covers [key i, key i+1). Key 0 of
+// an inner base equals the node's low key. The fields a descent reads on
 // every inner level (offs, pfx, nil0, sfx, kids) come first, so they sit
 // next to the header in the co-allocated baseNode.
 //
-// Keys use one of two layouts (see flatnode.go): the slice layout fills
-// keys; the flat layout (Options.FlatBaseNodes) leaves keys nil and fills
-// arena/offs/pfx/nil0 instead — key i is arena[offs[i]:offs[i+1]], pfx is
-// the length of the prefix shared by every key, and nil0 marks a leftmost
-// inner base whose key 0 is the nil -inf separator. A non-nil offs
-// identifies a flat base. Access goes through baseLen/baseKey/baseSearch*.
+// Keys live in one arena (see flatnode.go): key i is
+// arena[offs[i]:offs[i+1]], pfx is the length of a prefix shared by every
+// key, and nil0 marks a leftmost inner base whose key 0 is the nil -inf
+// separator. Access goes through baseLen/baseKey/baseSearch*.
 type baseData struct {
 	offs []uint32
 	pfx  uint32
 	nil0 bool
-	// sfx is the partial-key search plane every flat inner base carries:
+	// sfx is the partial-key search plane every inner base carries:
 	// sfx[i] is the first 8 post-prefix bytes of key i packed big-endian
 	// (zero padded), so a routing probe binary-searches one pointer-free,
 	// line-sequential word array with register compares and touches the
@@ -128,7 +126,6 @@ type baseData struct {
 	sfx   []uint64
 	kids  []nodeID
 	arena []byte
-	keys  [][]byte
 	vals  []uint64
 	// vers carries the per-record version stamps of a leaf base, parallel
 	// to vals; consolidation preserves each surviving record's stamp so a
@@ -332,52 +329,30 @@ func keyLE(k, bound []byte) bool {
 }
 
 // searchKeys returns the position of the first element of keys >= k and
-// whether an exact match exists there.
+// whether an exact match exists there. It serves frozenNode, whose keys
+// are a plain [][]byte.
 func searchKeys(keys [][]byte, k []byte) (int, bool) {
-	lo := windowSearch(keys, nil, nil, 0, k, 0, len(keys), false)
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(keys[mid], k) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
 	return lo, lo < len(keys) && bytes.Equal(keys[lo], k)
 }
 
-// searchKeysRange is searchKeys restricted to the window [lo, hi) — the
-// micro-indexed binary search of §4.4.
-func searchKeysRange(keys [][]byte, k []byte, lo, hi int) (int, bool) {
-	pos := windowSearch(keys, nil, nil, 0, k, lo, hi, false)
-	return pos, pos < len(keys) && bytes.Equal(keys[pos], k)
-}
-
-// innerRoutePos returns the strict-upper-bound routing position within
-// inner base n: the index of the first separator > k, under either
-// layout. The covering child is kids[pos-1] (kids[0] on underflow).
-func innerRoutePos(n *baseData, k []byte) int {
-	if n.offs != nil {
-		return n.routeSearch(k, true)
-	}
-	return windowSearch(n.keys, nil, nil, 0, k, 0, len(n.keys), true)
-}
-
 // routeBaseInner returns the child of an inner base node that covers k:
-// the child of the largest separator <= k (the first separator > k, minus
-// one). The caller guarantees k >= node.lowKey, so position 0 always
-// covers underflow. A nil separator at position 0 (-inf) compares below
-// any valid key under both layouts.
-func routeBaseInner(n *baseData, k []byte) nodeID {
-	lo := innerRoutePos(n, k)
-	if lo == 0 {
-		return n.kids[0]
-	}
-	return n.kids[lo-1]
-}
-
-// routeBaseInnerLeft returns the child covering keys immediately below k
-// (the largest separator strictly < k) — the backward-iteration rule of
-// Appendix C.2.
-func routeBaseInnerLeft(n *baseData, k []byte) nodeID {
-	var lo int
-	if n.offs != nil {
-		lo = n.routeSearch(k, false)
-	} else {
-		lo = windowSearch(n.keys, nil, nil, 0, k, 0, len(n.keys), false)
-	}
+// with strict set, the child of the largest separator <= k (the first
+// separator > k, minus one); without it, the child of the largest
+// separator < k, which covers keys immediately below k — the
+// backward-iteration rule of Appendix C.2. The caller guarantees k >=
+// node.lowKey, so position 0 always covers underflow. A nil separator at
+// position 0 (-inf) compares below any valid key.
+func routeBaseInner(n *baseData, k []byte, strict bool) nodeID {
+	lo := n.routeSearch(k, strict)
 	if lo == 0 {
 		return n.kids[0]
 	}

@@ -68,29 +68,6 @@ type Options struct {
 	// delta visibility with present/deleted value sets, and inserts of an
 	// existing key with a new value succeed.
 	NonUnique bool
-	// FlatBaseNodes stores each leaf base node's keys in one contiguous
-	// immutable []byte arena plus a []uint32 offset array instead of a
-	// [][]byte, with the node's common key prefix skipped during binary
-	// search (see flatnode.go). Collapses per-probe pointer chases and
-	// the GC's per-key mark work (~130 GC-visible pointers per full leaf
-	// drop to ~4). Incompatible with InPlaceLeafUpdates, which mutates
-	// base keys in place; sanitize resolves the conflict in favour of the
-	// Fig. 18 debug mode.
-	FlatBaseNodes bool
-	// FlatInnerNodes applies the same arena layout to inner and root base
-	// nodes: consolidation, split/merge SMO paths, and BulkLoad
-	// materialize separator keys into one arena + offset array plus a
-	// packed suffix-word search plane, and every routing probe runs a
-	// branch-free register-compare search over the plane instead of
-	// chasing a [][]byte pointer per separator (see flatnode.go). It
-	// governs inner and root bases only; leaf bases follow FlatBaseNodes.
-	FlatInnerNodes bool
-	// ScanPipelining makes the iterator resolve the current leaf's right
-	// sibling through the mapping table and touch its base arena as soon
-	// as the current leaf is in hand, so a forward scan finds the
-	// next leaf's keys already cache-resident (the BS-tree/FB+-tree
-	// pipelined-leaf pattern). Point operations are unaffected.
-	ScanPipelining bool
 
 	// LatencyHistograms enables per-session log-bucketed latency
 	// histograms for every public operation class, merged on demand by
@@ -156,9 +133,6 @@ func DefaultOptions() Options {
 		FastConsolidate:  true,
 		SearchShortcuts:  true,
 		NonUnique:        false,
-		FlatBaseNodes:    true,
-		FlatInnerNodes:   true,
-		ScanPipelining:   true,
 		GC:               GCDecentralized,
 		GCInterval:       40 * time.Millisecond,
 		GCThreshold:      1024,
@@ -176,9 +150,6 @@ func BaselineOptions() Options {
 	o.FastConsolidate = false
 	o.SearchShortcuts = false
 	o.NonUnique = false
-	o.FlatBaseNodes = false
-	o.FlatInnerNodes = false
-	o.ScanPipelining = false
 	o.GC = GCCentralized
 	o.LeafChainLength = 8
 	o.InnerChainLength = 8
@@ -226,12 +197,6 @@ func (o *Options) sanitize() {
 	}
 	if o.FlightLatencyThreshold < 0 {
 		o.FlightLatencyThreshold = 0
-	}
-	// In-place leaf updates (Fig. 18 debug mode) mutate leaf base keys
-	// directly, which the immutable flat arena cannot support. Inner
-	// bases are never mutated in place, so FlatInnerNodes stays valid.
-	if o.InPlaceLeafUpdates {
-		o.FlatBaseNodes = false
 	}
 	// A node must be able to shed its merge threshold after a split.
 	if o.LeafMergeSize > o.LeafNodeSize/2 {

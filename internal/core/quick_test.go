@@ -199,7 +199,7 @@ func TestQuickWindowedSearch(t *testing.T) {
 		lo := int(loRaw) % (full + 1)
 		hi := full + int(hiRaw)%8
 		lo, hi = clampWindow(lo, hi, len(keys))
-		pos, exact := searchKeysRange(keys, k, lo, hi)
+		pos, exact := flatBaseFromKeys(keys).baseSearchRange(k, lo, hi)
 		return pos == full && exact == fexact
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

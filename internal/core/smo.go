@@ -40,12 +40,9 @@ func (s *Session) split(id nodeID, head *delta, c collected, parentID nodeID, pa
 		}
 		return
 	}
-	splitKey := c.keys[mid]
-	if t.opts.anyFlatNodes() {
-		// c.keys may alias the retired chain's arena; the split key
-		// outlives it as node bounds and separator keys.
-		splitKey = cloneBound(splitKey)
-	}
+	// c.keys may alias the retired chain's arena; the split key outlives
+	// it as node bounds and separator keys.
+	splitKey := cloneBound(c.keys[mid])
 
 	// Stage I: the new right sibling.
 	rid := t.mt.Allocate()
@@ -145,10 +142,7 @@ func (s *Session) splitRoot(head *delta, c collected) {
 	if !ok {
 		return
 	}
-	splitKey := c.keys[mid]
-	if t.opts.anyFlatNodes() {
-		splitKey = cloneBound(splitKey)
-	}
+	splitKey := cloneBound(c.keys[mid])
 	lid, rid := t.mt.Allocate(), t.mt.Allocate()
 
 	left := s.buildBase(collected{
@@ -166,7 +160,7 @@ func (s *Session) splitRoot(head *delta, c collected) {
 	newRoot := newBaseNode(kInnerBase)
 	newRoot.size = 2
 	newRoot.kids = []nodeID{lid, rid}
-	t.setBaseKeys(newRoot, [][]byte{nil, splitKey})
+	setBaseKeys(newRoot, [][]byte{nil, splitKey})
 	if s.t.opts.Preallocate {
 		newRoot.slab = s.t.getSlab(false)
 	}

@@ -5,8 +5,8 @@ import "unsafe"
 // StructureStats summarizes the tree's physical shape: average delta chain
 // lengths, base node sizes, and pre-allocation utilization — the
 // quantities reported in Table 2 of the paper (IDCL, LDCL, INS, LNS, IPU,
-// LPU) — plus memory-footprint metrics for the base-node key layout
-// (FlatBaseNodes). Collect with Tree.StructureStats on a quiescent tree.
+// LPU) — plus memory-footprint metrics for the base-node key arena.
+// Collect with Tree.StructureStats on a quiescent tree.
 type StructureStats struct {
 	InnerNodes int
 	LeafNodes  int
@@ -19,25 +19,21 @@ type StructureStats struct {
 	InnerPreallocUse float64 // IPU (fraction of slab slots claimed)
 	LeafPreallocUse  float64 // LPU
 
-	// Memory-footprint metrics (flat base-node layout):
+	// Memory-footprint metrics:
 
-	// FlatBases counts base nodes stored in the flat arena layout.
-	FlatBases int
-	// ArenaBytes is the total footprint of flat key storage: arena bytes
-	// plus 4 bytes per offset-array entry.
+	// ArenaBytes is the total footprint of base key storage: arena bytes
+	// plus 4 bytes per offset-array entry plus 8 per suffix word.
 	ArenaBytes int64
-	// InnerFlatBases / InnerArenaBytes are the inner-node share of the
-	// two totals above (FlatInnerNodes); the leaf share is the difference.
-	InnerFlatBases  int
+	// InnerArenaBytes is the inner-node share of ArenaBytes; the leaf
+	// share is the difference.
 	InnerArenaBytes int64
-	// KeyBytes is the total key payload across all base nodes (both
-	// layouts), excluding per-key slice headers and offset arrays.
+	// KeyBytes is the total key payload across all base nodes, excluding
+	// offset arrays and suffix words.
 	KeyBytes int64
 	// GCPtrsPerLeaf / GCPtrsPerInner are the average GC-visible payload
-	// pointers per base node: what Go's collector must trace to mark the
-	// node's keys and values/children. The slice layout costs 2 + one
-	// pointer per key; the flat layout costs a constant 3 (arena, offsets,
-	// vals/kids).
+	// pointers per base node: the non-nil pointer-bearing fields of its
+	// payload (arena, offsets, values or children, versions, suffix
+	// words, slab), which is what Go's collector must trace per node.
 	GCPtrsPerLeaf  float64
 	GCPtrsPerInner float64
 	// LeafBytesPerEntry is average key+value payload bytes per leaf item.
@@ -68,25 +64,20 @@ func (t *Tree) StructureStats() StructureStats {
 	// footprint accumulates the layout metrics for one base node and
 	// returns its GC-visible payload pointer count.
 	footprint := func(base *delta) float64 {
-		n := base.baseLen()
-		if base.offs != nil {
-			st.FlatBases++
-			fb := int64(len(base.arena)) + 4*int64(len(base.offs)) + 8*int64(len(base.sfx))
-			st.ArenaBytes += fb
-			st.KeyBytes += int64(len(base.arena))
-			if !base.isLeaf {
-				st.InnerFlatBases++
-				st.InnerArenaBytes += fb
-			}
-			if base.sfx != nil {
-				return 4 // arena, offs, sfx, kids
-			}
-			return 3 // arena, offs, vals-or-kids
+		fb := int64(len(base.arena)) + 4*int64(len(base.offs)) + 8*int64(len(base.sfx))
+		st.ArenaBytes += fb
+		st.KeyBytes += int64(len(base.arena))
+		if !base.isLeaf {
+			st.InnerArenaBytes += fb
 		}
-		for i := 0; i < n; i++ {
-			st.KeyBytes += int64(len(base.keys[i]))
+		ptrs := 1 // offs: every base has one, empty or not
+		for _, live := range []bool{base.arena != nil, base.sfx != nil, base.kids != nil,
+			base.vals != nil, base.vers != nil, base.slab != nil} {
+			if live {
+				ptrs++
+			}
 		}
-		return float64(2 + n) // keys header, per-key data pointers, vals-or-kids
+		return float64(ptrs)
 	}
 
 	var walk func(id nodeID, depth int)

@@ -59,7 +59,7 @@ func (s *Session) descend(key []byte, tr *traversal) bool {
 		// which re-routes; that re-search is rare (~2/fanout of levels).
 		if head.kind == kInnerBase {
 			b := head.baseData
-			if pos := innerRoutePos(b, key); pos > 0 && pos < b.baseLen() {
+			if pos := b.routeSearch(key, true); pos > 0 && pos < b.baseLen() {
 				parentID, parentHead = id, head
 				id = b.kids[pos-1]
 				continue
@@ -114,7 +114,7 @@ func (s *Session) routeInner(head *delta, key []byte) (nodeID, bool) {
 	// case between SMOs with the default inner chain length of 2. Route
 	// straight through the base probe without entering the chain loop.
 	if head.kind == kInnerBase {
-		return routeBaseInner(head.baseData, key), true
+		return routeBaseInner(head.baseData, key, true), true
 	}
 	d := head
 	for {
@@ -144,7 +144,7 @@ func (s *Session) routeInner(head *delta, key []byte) (nodeID, bool) {
 				continue
 			}
 		case kInnerBase:
-			return routeBaseInner(d.baseData, key), true
+			return routeBaseInner(d.baseData, key, true), true
 		case kRemove, kAbort:
 			return 0, false
 		default:
@@ -181,7 +181,7 @@ func (s *Session) routeInnerLeft(head *delta, key []byte) (nodeID, bool) {
 				continue
 			}
 		case kInnerBase:
-			return routeBaseInnerLeft(d.baseData, key), true
+			return routeBaseInner(d.baseData, key, false), true
 		default:
 			return 0, false
 		}

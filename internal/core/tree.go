@@ -93,7 +93,7 @@ func New(opts Options) *Tree {
 	t.root = t.mt.Allocate()
 	leafID := t.mt.Allocate()
 	leaf := newBaseNode(kLeafBase)
-	t.setBaseKeys(leaf, nil)
+	setBaseKeys(leaf, nil)
 	if opts.Preallocate {
 		leaf.slab = t.getSlab(true)
 	}
@@ -102,7 +102,7 @@ func New(opts Options) *Tree {
 	root := newBaseNode(kInnerBase)
 	root.size = 1
 	root.kids = []nodeID{leafID}
-	t.setBaseKeys(root, [][]byte{nil}) // -inf separator
+	setBaseKeys(root, [][]byte{nil}) // -inf separator
 	if opts.Preallocate {
 		root.slab = t.getSlab(false)
 	}

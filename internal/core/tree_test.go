@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -516,6 +517,102 @@ func TestInPlaceLeafUpdates(t *testing.T) {
 	if got := tr.Count(); got != n/2 {
 		t.Fatalf("count %d", got)
 	}
+}
+
+// TestInPlaceLeafUpdatesArena drives the Fig. 18 in-place mode, which
+// edits a leaf's key arena directly, with keys in random order behind a
+// shared prefix plus keys that sort below, inside and above that prefix,
+// and with deletes, including one that empties every leaf before the
+// outliers go back in. Every result is checked against a map model, then
+// the tree against Validate and a full scan, which reads private
+// iterator copies.
+func TestInPlaceLeafUpdatesArena(t *testing.T) {
+	opts := DefaultOptions()
+	opts.InPlaceLeafUpdates = true
+	opts.UnsafeNoCAS = true
+	opts.LeafNodeSize = 32
+	opts.InnerNodeSize = 8
+	tr := New(opts)
+	defer tr.Close()
+	s := tr.NewSession()
+	defer s.Release()
+
+	var keys []string
+	for i := 0; i < 240; i++ {
+		keys = append(keys, fmt.Sprintf("tenant/0042/obj%03d", i))
+	}
+	outliers := []string{"a", "tenant/0041/x", "tenant/0042/", "tenant/0042/obj", "tenant/0042/obj1", "tenant/0043", "zz"}
+	rng := rand.New(rand.NewSource(42))
+	model := map[string]uint64{}
+	insert := func(k string) {
+		_, present := model[k]
+		v := rng.Uint64()
+		if got := s.Insert([]byte(k), v); got == present {
+			t.Fatalf("Insert(%q) = %t with key present=%t", k, got, present)
+		}
+		if !present {
+			model[k] = v
+		}
+	}
+	remove := func(k string) {
+		_, present := model[k]
+		if got := s.Delete([]byte(k), 0); got != present {
+			t.Fatalf("Delete(%q) = %t with key present=%t", k, got, present)
+		}
+		delete(model, k)
+	}
+	check := func(phase string) {
+		for _, k := range append(keys, outliers...) {
+			got := s.Lookup([]byte(k), nil)
+			if v, ok := model[k]; ok != (len(got) == 1) || ok && got[0] != v {
+				t.Fatalf("%s: Lookup(%q) = %v, model %d (present %t)", phase, k, got, v, ok)
+			}
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("%s: validate: %v", phase, err)
+		}
+		want := make([]string, 0, len(model))
+		for k := range model {
+			want = append(want, k)
+		}
+		sort.Strings(want)
+		var got []string
+		s.Scan([]byte{0}, 1<<30, func(k []byte, v uint64) bool {
+			if model[string(k)] != v {
+				t.Fatalf("%s: scan (%q, %d), model %d", phase, k, v, model[string(k)])
+			}
+			got = append(got, string(k))
+			return true
+		})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: scan keys\ngot:  %q\nwant: %q", phase, got, want)
+		}
+	}
+
+	// Random-order loads split leaves into bases with a long prefix.
+	for _, i := range rng.Perm(len(keys)) {
+		insert(keys[i])
+	}
+	check("load")
+	// Outliers land in those bases and must shrink their prefix.
+	all := append(append([]string(nil), keys...), outliers...)
+	for op := 0; op < 4000; op++ {
+		k := all[rng.Intn(len(all))]
+		if rng.Intn(3) == 0 {
+			remove(k)
+		} else {
+			insert(k)
+		}
+	}
+	check("mixed")
+	for _, k := range all {
+		remove(k)
+	}
+	check("emptied")
+	for _, i := range rng.Perm(len(outliers)) {
+		insert(outliers[i])
+	}
+	check("refilled")
 }
 
 func TestStringKeys(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 //   - sibling links stitch leaves into one ordered chain
 //   - inner separators route exactly onto their children's low keys
 //   - the item count attribute matches the materialized content
-//   - every flat inner base carries its suffix-word plane
+//   - every inner base carries its suffix-word plane
 //   - each chain element owns exactly its kind's payloads: a baseData on
 //     bases only, an smoData on the four SMO kinds only
 func (t *Tree) Validate() error {
@@ -68,10 +68,8 @@ func (t *Tree) validateNode(s *Session, id nodeID, low, high []byte) error {
 		if !sameKey(c.keys[0], low) {
 			return fmt.Errorf("inner node %d: first separator %q != low bound %q", id, c.keys[0], low)
 		}
-		if b := head.base; b != nil && b.offs != nil {
-			if err := checkSuffixWords(b); err != nil {
-				return fmt.Errorf("inner node %d: %v", id, err)
-			}
+		if err := checkSuffixWords(head.base); err != nil {
+			return fmt.Errorf("inner node %d: %v", id, err)
 		}
 		for i := range c.keys {
 			childHigh := high
@@ -109,13 +107,13 @@ func checkPayloads(head *delta) error {
 	return nil
 }
 
-// checkSuffixWords requires flat inner base b to carry one suffix word per
+// checkSuffixWords requires inner base b to carry one suffix word per
 // key, packed as buildSuffixWords packs it: routeSearch has no arm for a
 // base without its plane.
 func checkSuffixWords(b *delta) error {
 	n := b.baseLen()
 	if len(b.sfx) != n {
-		return fmt.Errorf("flat inner base has %d suffix words for %d keys", len(b.sfx), n)
+		return fmt.Errorf("inner base has %d suffix words for %d keys", len(b.sfx), n)
 	}
 	for i := 0; i < n; i++ {
 		var want uint64

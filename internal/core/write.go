@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -335,19 +336,26 @@ func (s *Session) insertInPlace(tr *traversal, key []byte, value uint64) (ok, in
 		s.consolidate(tr, head)
 		return false, false
 	}
-	pos, exact := searchKeys(head.keys, key)
+	pos, exact := head.baseSearch(key)
 	if exact && !s.t.opts.NonUnique {
 		return true, false
 	}
-	head.keys = append(head.keys, nil)
-	copy(head.keys[pos+1:], head.keys[pos:])
-	head.keys[pos] = cloneKey(key)
-	head.vals = append(head.vals, 0)
-	copy(head.vals[pos+1:], head.vals[pos:])
-	head.vals[pos] = value
-	head.vers = append(head.vers, 0)
-	copy(head.vers[pos+1:], head.vers[pos:])
-	head.vers[pos] = s.t.verCtr.Add(1)
+	// The arena is shifted in place. Under this mode every iterator step
+	// reads a private copy (useLeaf) and point reads return values only,
+	// so no reader holds a slice of it. The shared prefix can only shrink.
+	p := len(key)
+	if head.baseLen() > 0 {
+		p = commonPrefix(key, head.baseKey(0))
+	}
+	head.pfx = min(head.pfx, uint32(p))
+	off := head.offs[pos]
+	head.arena = slices.Insert(head.arena, int(off), key...)
+	head.offs = slices.Insert(head.offs, pos, off)
+	for i := pos + 1; i < len(head.offs); i++ {
+		head.offs[i] += uint32(len(key))
+	}
+	head.vals = slices.Insert(head.vals, pos, value)
+	head.vers = slices.Insert(head.vers, pos, s.t.verCtr.Add(1))
 	head.size++
 	if int(head.size) > s.t.opts.LeafNodeSize {
 		s.consolidate(tr, head)
@@ -362,14 +370,21 @@ func (s *Session) deleteInPlace(tr *traversal, key []byte, value uint64) (ok, de
 		s.consolidate(tr, head)
 		return false, false
 	}
-	pos, exact := searchKeys(head.keys, key)
+	pos, exact := head.baseSearch(key)
 	if !exact {
 		return true, false
 	}
-	head.keys = append(head.keys[:pos], head.keys[pos+1:]...)
-	head.vals = append(head.vals[:pos], head.vals[pos+1:]...)
+	// Shifted in place as in insertInPlace; the old pfx stays a prefix of
+	// every remaining key.
+	start, end := head.offs[pos], head.offs[pos+1]
+	head.arena = slices.Delete(head.arena, int(start), int(end))
+	head.offs = slices.Delete(head.offs, pos, pos+1)
+	for i := pos; i < len(head.offs); i++ {
+		head.offs[i] -= end - start
+	}
+	head.vals = slices.Delete(head.vals, pos, pos+1)
 	if len(head.vers) > pos {
-		head.vers = append(head.vers[:pos], head.vers[pos+1:]...)
+		head.vers = slices.Delete(head.vers, pos, pos+1)
 	}
 	head.size--
 	return true, true

@@ -26,25 +26,26 @@ func GateFailures() int { return int(gateFailures.Load()) }
 // throughput number but a zero-violation gate.
 func Checked(w io.Writer, sc Scale) {
 	type entry struct {
-		name string
-		mk   func() index.Index
+		name      string
+		mk        func() index.Index
+		nonUnique bool
 	}
 	openCentral := core.DefaultOptions()
 	openCentral.GC = core.GCCentralized
 	baseDecentral := core.BaselineOptions()
 	baseDecentral.GC = core.GCDecentralized
-	openSlice := core.DefaultOptions()
-	openSlice.FlatBaseNodes = false
+	openNonUnique := core.DefaultOptions()
+	openNonUnique.NonUnique = true
 	entries := []entry{
-		{"OpenBwTree (decentralized GC)", index.NewOpenBwTree},
-		{"OpenBwTree (centralized GC)", func() index.Index { return index.NewBwTreeWith("OpenBwTree-central", openCentral) }},
-		{"OpenBwTree (slice bases)", func() index.Index { return index.NewBwTreeWith("OpenBwTree-slice", openSlice) }},
-		{"BwTree (centralized GC)", index.NewBaselineBwTree},
-		{"BwTree (decentralized GC)", func() index.Index { return index.NewBwTreeWith("BwTree-decentral", baseDecentral) }},
-		{"SkipList", index.NewSkipList},
-		{"Masstree", index.NewMasstree},
-		{"B+Tree", index.NewBTree},
-		{"ART", index.NewART},
+		{"OpenBwTree (decentralized GC)", index.NewOpenBwTree, false},
+		{"OpenBwTree (centralized GC)", func() index.Index { return index.NewBwTreeWith("OpenBwTree-central", openCentral) }, false},
+		{"OpenBwTree (non-unique keys)", func() index.Index { return index.NewBwTreeWith("OpenBwTree-nonunique", openNonUnique) }, true},
+		{"BwTree (centralized GC)", index.NewBaselineBwTree, false},
+		{"BwTree (decentralized GC)", func() index.Index { return index.NewBwTreeWith("BwTree-decentral", baseDecentral) }, false},
+		{"SkipList", index.NewSkipList, false},
+		{"Masstree", index.NewMasstree, false},
+		{"B+Tree", index.NewBTree, false},
+		{"ART", index.NewART, false},
 	}
 
 	mixes := histcheck.Mixes()
@@ -68,7 +69,7 @@ func Checked(w io.Writer, sc Scale) {
 			cells := make([]string, len(mixes))
 			for i, mix := range mixes {
 				idx := e.mk()
-				vs, h := histcheck.RunChecked(idx, false, mix, cfg)
+				vs, h := histcheck.RunChecked(idx, e.nonUnique, mix, cfg)
 				idx.Close()
 				if len(vs) == 0 {
 					cells[i] = fmt.Sprintf("%d ok", len(h.Ops))

@@ -7,12 +7,12 @@ import (
 	"repro/internal/index"
 )
 
-// sliceBwTree is the OpenBw-Tree with the slice base-node layout, so the
-// checked runs cover FlatBaseNodes both ways (DefaultOptions is flat).
-func sliceBwTree() index.Index {
+// nonUniqueBwTree is the OpenBw-Tree with duplicate keys (§3.1), so the
+// checked runs hold the multi-value semantics to the history checker.
+func nonUniqueBwTree() index.Index {
 	opts := core.DefaultOptions()
-	opts.FlatBaseNodes = false
-	return index.NewBwTreeWith("OpenBwTree-slice", opts)
+	opts.NonUnique = true
+	return index.NewBwTreeWith("OpenBwTree-nonunique", opts)
 }
 
 // seq builds sequential (non-overlapping) interval stamps: op i occupies
@@ -232,16 +232,17 @@ func TestBatchSharedIntervalAccepted(t *testing.T) {
 // loop adapter.
 func TestRunCheckedBatchedClean(t *testing.T) {
 	type entry struct {
-		name string
-		mk   func() index.Index
+		name      string
+		mk        func() index.Index
+		nonUnique bool
 	}
 	entries := []entry{
-		{"OpenBwTree", index.NewOpenBwTree},
-		{"OpenBwTree-slice", sliceBwTree},
-		{"BwTree", index.NewBaselineBwTree},
+		{"OpenBwTree", index.NewOpenBwTree, false},
+		{"OpenBwTree-nonunique", nonUniqueBwTree, true},
+		{"BwTree", index.NewBaselineBwTree, false},
 	}
 	if !testing.Short() {
-		entries = append(entries, entry{"SkipList", index.NewSkipList})
+		entries = append(entries, entry{"SkipList", index.NewSkipList, false})
 	}
 	for _, e := range entries {
 		for _, mix := range Mixes() {
@@ -253,7 +254,7 @@ func TestRunCheckedBatchedClean(t *testing.T) {
 				if testing.Short() {
 					cfg.OpsPerThread = 800
 				}
-				vs, h := RunChecked(idx, false, mix, cfg)
+				vs, h := RunChecked(idx, e.nonUnique, mix, cfg)
 				for _, v := range vs {
 					t.Errorf("violation: %v", v)
 				}
@@ -267,24 +268,25 @@ func TestRunCheckedBatchedClean(t *testing.T) {
 
 // TestRunCheckedClean runs every index through every mix with the
 // recorder attached and requires a spotless verdict. In short mode only
-// the two Bw-Tree configurations run (the CI race job's target); the full
+// the three Bw-Tree configurations run (the CI race job's target); the full
 // matrix covers all six indexes.
 func TestRunCheckedClean(t *testing.T) {
 	type entry struct {
-		name string
-		mk   func() index.Index
+		name      string
+		mk        func() index.Index
+		nonUnique bool
 	}
 	entries := []entry{
-		{"OpenBwTree", index.NewOpenBwTree},
-		{"OpenBwTree-slice", sliceBwTree},
-		{"BwTree", index.NewBaselineBwTree},
+		{"OpenBwTree", index.NewOpenBwTree, false},
+		{"OpenBwTree-nonunique", nonUniqueBwTree, true},
+		{"BwTree", index.NewBaselineBwTree, false},
 	}
 	if !testing.Short() {
 		entries = append(entries,
-			entry{"SkipList", index.NewSkipList},
-			entry{"Masstree", index.NewMasstree},
-			entry{"B+Tree", index.NewBTree},
-			entry{"ART", index.NewART},
+			entry{"SkipList", index.NewSkipList, false},
+			entry{"Masstree", index.NewMasstree, false},
+			entry{"B+Tree", index.NewBTree, false},
+			entry{"ART", index.NewART, false},
 		)
 	}
 	for _, e := range entries {
@@ -296,7 +298,7 @@ func TestRunCheckedClean(t *testing.T) {
 				if testing.Short() {
 					cfg.OpsPerThread = 800
 				}
-				vs, h := RunChecked(idx, false, mix, cfg)
+				vs, h := RunChecked(idx, e.nonUnique, mix, cfg)
 				for _, v := range vs {
 					t.Errorf("violation: %v", v)
 				}

@@ -113,9 +113,7 @@ func DebugVars(st *Store) obs.Vars {
 					"leaf_nodes":         ss.LeafNodes,
 					"avg_leaf_chain_len": ss.AvgLeafChainLen,
 					"avg_leaf_node_size": ss.AvgLeafNodeSize,
-					"flat_bases":         ss.FlatBases,
 					"arena_bytes":        ss.ArenaBytes,
-					"inner_flat_bases":   ss.InnerFlatBases,
 					"inner_arena_bytes":  ss.InnerArenaBytes,
 				})
 			}
