@@ -65,8 +65,7 @@ type Durable struct {
 	// stripes serialize apply+log-append for conflicting keys. 256 ways
 	// keeps disjoint-key concurrency while making same-key commit order
 	// deterministic.
-	stripes [256]sync.Mutex
-	seed    maphash.Seed
+	stripes Stripes
 
 	mu     sync.Mutex // guards the closed flag and the convenience session
 	closed bool
@@ -131,7 +130,7 @@ func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 		// replay is only meaningful for unique keys.
 		return nil, errors.New("bwtree: durable trees require unique-key mode")
 	}
-	d := &Durable{dir: dir, o: o, seed: maphash.MakeSeed(), t: core.New(o.Tree)}
+	d := &Durable{dir: dir, o: o, stripes: Stripes{seed: maphash.MakeSeed()}, t: core.New(o.Tree)}
 	next, err := d.rebuild()
 	if err == nil {
 		d.w, err = wal.NewWriter(dir, o.WAL, next)
@@ -379,34 +378,12 @@ func (d *Durable) DurableLSN() uint64 { return d.w.DurableLSN() }
 // Sync blocks until every operation logged so far is fsynced.
 func (d *Durable) Sync() error { return d.w.Sync() }
 
-// stripe returns the commit-ordering lock for key.
-func (d *Durable) stripe(key []byte) *sync.Mutex {
-	return &d.stripes[maphash.Bytes(d.seed, key)&0xff]
-}
-
-// NStripes is the number of commit-ordering stripe locks on a Durable.
-// Exported for the transaction layer, which orders multi-key lock
-// acquisition by stripe index.
-const NStripes = 256
-
-// StripeOf returns key's commit-ordering stripe index in [0, NStripes).
-func (d *Durable) StripeOf(key []byte) int {
-	return int(maphash.Bytes(d.seed, key) & 0xff)
-}
-
-// StripeLock acquires stripe i. The transaction layer holds every write
-// stripe of a commit from log append through tree apply (single-key
-// commits hold theirs from apply through append); Checkpoint's
-// stripe-sweep barrier relies on that for multi-key commits.
-func (d *Durable) StripeLock(i int) { d.stripes[i].Lock() }
-
-// StripeUnlock releases stripe i.
-func (d *Durable) StripeUnlock(i int) { d.stripes[i].Unlock() }
-
-// StripeTryLock attempts stripe i without blocking. Read validation uses
-// it so a reader never waits on a writer (wait-free validation; a failed
-// try is a conservative abort).
-func (d *Durable) StripeTryLock(i int) bool { return d.stripes[i].TryLock() }
+// Stripes returns the store's commit-ordering lock table. The
+// transaction layer holds every write stripe of a commit from log append
+// through tree apply (single-key commits hold theirs from apply through
+// append); Checkpoint's stripe-sweep barrier relies on that for
+// multi-key commits.
+func (d *Durable) Stripes() *Stripes { return &d.stripes }
 
 // AppendTxn logs one transaction record (wal.OpTxn / OpTxnPrep /
 // OpTxnCommit) and returns its LSN. The caller must hold every write
@@ -477,10 +454,10 @@ func commitProbed(d *Durable, p *obs.Probe, op byte, key []byte, value uint64, a
 		opT0 = obs.Now()
 		defer func() { p.OpEnd(walOpClass(op), opT0, obs.Now()-opT0) }()
 	}
-	st := d.stripe(key)
-	st.Lock()
+	si := d.stripes.Of(key)
+	d.stripes.Lock(si)
 	if ok = apply(); !ok {
-		st.Unlock()
+		d.stripes.Unlock(si)
 		return false, nil
 	}
 	var t0 int64
@@ -491,7 +468,7 @@ func commitProbed(d *Durable, p *obs.Probe, op byte, key []byte, value uint64, a
 	if t0 != 0 {
 		p.Span(obs.PhaseWALAppend, t0, lsn)
 	}
-	st.Unlock()
+	d.stripes.Unlock(si)
 	if err != nil {
 		return ok, err
 	}
@@ -630,10 +607,7 @@ func (d *Durable) Checkpoint() (uint64, error) {
 	// or below cpLSN. Without it the walk could miss an acknowledged
 	// transaction whose LSN the manifest claims to cover — and replay
 	// starts strictly after the manifest LSN, so it would be lost.
-	for i := range d.stripes {
-		d.stripes[i].Lock()
-		d.stripes[i].Unlock() // empty critical section is the barrier
-	}
+	d.stripes.Barrier()
 	s := d.t.NewSession()
 	defer s.Release()
 	it := s.NewIterator()

@@ -566,10 +566,11 @@ func TestDurableCheckpointStripeBarrier(t *testing.T) {
 	// its apply: take the write stripe, append, and park.
 	key := dkey(1000)
 	ops := []wal.TxnOp{{Op: wal.OpInsert, Key: key, Value: 42}}
-	st := d.stripe(key)
-	st.Lock()
+	stripes := d.Stripes()
+	si := stripes.Of(key)
+	stripes.Lock(si)
 	if _, err := d.AppendTxn(wal.OpTxn, 1, ops); err != nil {
-		st.Unlock()
+		stripes.Unlock(si)
 		t.Fatal(err)
 	}
 
@@ -593,7 +594,7 @@ func TestDurableCheckpointStripeBarrier(t *testing.T) {
 	default:
 	}
 	applyTxnOps(d, ops)
-	st.Unlock()
+	stripes.Unlock(si)
 
 	if r := <-cpc; r.err != nil {
 		t.Fatal(r.err)

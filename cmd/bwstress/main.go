@@ -116,7 +116,7 @@ func main() {
 	txnMode := flag.Bool("txn", false, "run the bank-transfer transaction soak instead of the mixed workload (see txn.go)")
 	txnAccounts := flag.Uint64("txn-accounts", 64, "txn mode: number of bank accounts")
 	txnInitial := flag.Uint64("txn-initial", 1000, "txn mode: starting balance per account")
-	txnShards := flag.Int("shards", 0, "txn mode: shard count for -wal (0/1 = single durable tree) and -spawn")
+	txnShards := flag.Int("shards", 0, "txn mode: shard count of the in-process store and -spawn (0/1 = one shard, in memory or under -wal)")
 	txnKills := flag.Int("kills", 1, "txn mode: crash/recover (-wal) or SIGKILL/restart (-spawn) cycles during the soak")
 	txnSpawn := flag.String("spawn", "", "txn mode: path to a bwserver binary; spawn it on -wal, drive it over sockets, and kill/restart it mid-soak")
 	workload := flag.String("workload", "", "run a named YCSB mix (a|b|c|e|insert) over Email keys instead of the random soak (see ycsb.go)")

@@ -25,9 +25,9 @@ package main
 //
 // Deployment shapes, matching the non-transactional soak:
 //
-//	bwstress -txn                          in-memory tree
-//	bwstress -txn -wal DIR                 durable tree, -kills crash/recover cycles
-//	bwstress -txn -wal DIR -shards 4       sharded durable store (cross-shard 2PC)
+//	bwstress -txn                          one in-memory shard
+//	bwstress -txn -wal DIR                 one durable shard, -kills crash/recover cycles
+//	bwstress -txn -wal DIR -shards 4       four durable shards (cross-shard 2PC)
 //	bwstress -txn -server ADDR             live server over the wire
 //	bwstress -txn -spawn BIN -wal DIR      child bwserver, SIGKILL + restart cycles
 import (
@@ -129,8 +129,8 @@ func checkEpoch(chk *histcheck.TxnChecker, what string, fatalf func(string, ...a
 	log.Printf("history check passed (%s): %d committed transactions, conflict-serializable", what, n)
 }
 
-// runTxnLocal covers the in-process shapes: plain tree, durable tree,
-// sharded store — the durable ones with -kills crash/recover cycles.
+// runTxnLocal covers the in-process shapes, one shard.Store each: in
+// memory, or durable with -kills crash/recover cycles.
 func runTxnLocal(cfg txnCfg, chk *histcheck.TxnChecker, c *txnCounters) {
 	kills := cfg.kills
 	if cfg.walDir == "" {
@@ -191,50 +191,31 @@ func runTxnLocal(cfg txnCfg, chk *histcheck.TxnChecker, c *txnCounters) {
 	}
 }
 
-// openTxnStore builds the engine for the configured in-process shape and
-// returns it with a mid-workload crash hook and a closer.
+// openTxnStore builds the engine over one shard.Store for the configured
+// in-process shape (-shards 0 or 1 is one shard, in memory or under -wal
+// in DIR/shard-000) and returns it with a mid-workload crash hook and a
+// closer.
 func openTxnStore(cfg txnCfg) (store *txn.Store, crash func(), cleanup func()) {
-	switch {
-	case cfg.walDir == "":
-		t := bwtree.New(bwtree.DefaultOptions())
-		return txn.NewForTree(t), func() {}, func() {}
-	case cfg.shards > 1:
-		r, err := shard.NewRouter("hash", cfg.shards)
-		if err != nil {
-			log.Fatal(err)
-		}
-		st, err := shard.Open(shard.Options{
-			Shards: cfg.shards, Router: r,
-			Tree:   bwtree.DefaultOptions(),
-			WALDir: cfg.walDir, SyncOnCommit: true,
-		})
-		if err != nil {
-			log.Fatalf("open shard store: %v", err)
-		}
+	st, err := shard.Open(shard.Options{
+		Shards: cfg.shards,
+		Tree:   bwtree.DefaultOptions(),
+		WALDir: cfg.walDir, SyncOnCommit: true,
+	})
+	if err != nil {
+		log.Fatalf("open shard store: %v", err)
+	}
+	if st.Durable() {
 		rec := st.RecoveryStats()
-		log.Printf("shard store open: %d shards, %d replayed, maxTxnID %d", cfg.shards, rec.Replayed, rec.MaxTxnID)
-		crash = func() {
-			for _, sh := range st.Shards() {
-				if err := sh.Durable().Crash(); err != nil {
-					log.Fatalf("crash: %v", err)
-				}
-			}
-		}
-		return txn.NewForShard(st), crash, func() { st.Close() }
-	default:
-		d, err := bwtree.OpenDurable(cfg.walDir, bwtree.DurableOptions{SyncOnCommit: true})
-		if err != nil {
-			log.Fatalf("open durable: %v", err)
-		}
-		rec := d.RecoveryStats()
-		log.Printf("durable tree open: %d replayed, maxTxnID %d, torn=%v", rec.Replayed, rec.MaxTxnID, rec.TornTail)
-		crash = func() {
-			if err := d.Crash(); err != nil {
+		log.Printf("shard store open: %d shards, %d replayed, maxTxnID %d, torn=%v", st.NumShards(), rec.Replayed, rec.MaxTxnID, rec.TornTail)
+	}
+	crash = func() {
+		for _, sh := range st.Shards() {
+			if err := sh.Durable().Crash(); err != nil {
 				log.Fatalf("crash: %v", err)
 			}
 		}
-		return txn.NewForDurable(d), crash, func() { d.Close() }
 	}
+	return txn.New(st), crash, func() { st.Close() }
 }
 
 // runTxnServer drives a live server over the wire; no kill schedule (the

@@ -53,7 +53,7 @@ type Server struct {
 // The server owns the store's transaction engine: it must be the only
 // txn.Store over st, since transaction IDs are allocated per engine.
 func NewServer(st *shard.Store) *Server {
-	return &Server{st: st, txs: txn.NewForShard(st), conns: make(map[net.Conn]struct{})}
+	return &Server{st: st, txs: txn.New(st), conns: make(map[net.Conn]struct{})}
 }
 
 // Store returns the store the server fronts.

@@ -54,9 +54,14 @@ func keyPrefix8(k []byte) uint64 {
 // This runs once per batch on the caller's thread; sort cost directly
 // taxes the amortization win, hence the prefix trick instead of a plain
 // comparison sort over byte slices.
+//
+// sortBatch also rejects empty keys. Every batch entry point calls it
+// before entering the epoch, so the panic, like a single op's, leaves the
+// session outside it.
 func (s *Session) sortBatch(keys [][]byte) []batchEnt {
 	ord := s.batchOrd[:0]
 	for i := range keys {
+		checkKey(keys[i])
 		ord = append(ord, batchEnt{pfx: keyPrefix8(keys[i]), idx: int32(i)})
 	}
 	slices.SortFunc(ord, func(a, b batchEnt) int {
@@ -254,7 +259,6 @@ func (s *Session) InsertBatch(keys [][]byte, vals []uint64, ok []bool) []bool {
 
 // insertOne is the Insert loop body against a reusable traversal.
 func (s *Session) insertOne(tr *traversal, key []byte, value uint64) bool {
-	checkKey(key)
 	spins := 0
 	for {
 		if !s.batchSeekLeaf(key, tr) {
@@ -317,7 +321,6 @@ func (s *Session) DeleteBatch(keys [][]byte, vals []uint64, ok []bool) []bool {
 
 // deleteOne is the Delete loop body against a reusable traversal.
 func (s *Session) deleteOne(tr *traversal, key []byte, value uint64) bool {
-	checkKey(key)
 	spins := 0
 	for {
 		if !s.batchSeekLeaf(key, tr) {
@@ -393,7 +396,6 @@ func (s *Session) LookupBatch(keys [][]byte, visit func(i int, vals []uint64)) {
 // lookupOne is the Lookup loop body against a reusable traversal,
 // appending results to out.
 func (s *Session) lookupOne(tr *traversal, key []byte, out []uint64) []uint64 {
-	checkKey(key)
 	spins := 0
 	for {
 		if !s.batchSeekLeaf(key, tr) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 func batchKey(i uint64) []byte {
@@ -240,5 +241,43 @@ func TestBatchEpochRefresh(t *testing.T) {
 	})
 	if misses != 0 {
 		t.Fatalf("%d lookups wrong after refresh-crossing batch", misses)
+	}
+}
+
+// TestBatchEmptyKeyReleasesEpoch: a batch holding an empty key must panic
+// before it enters the epoch, as the single ops do. Otherwise a caller
+// that recovers hands back a session still inside the epoch, and
+// reclamation stalls behind it.
+func TestBatchEmptyKeyReleasesEpoch(t *testing.T) {
+	keys := [][]byte{batchKey(1), nil, batchKey(2)}
+	vals := make([]uint64, len(keys))
+	for _, c := range []struct {
+		name string
+		op   func(s *Session)
+	}{
+		{"insert", func(s *Session) { s.InsertBatch(keys, vals, nil) }},
+		{"delete", func(s *Session) { s.DeleteBatch(keys, vals, nil) }},
+		{"lookup", func(s *Session) { s.LookupBatch(keys, func(int, []uint64) {}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.GCInterval = time.Millisecond
+			tr := New(opts)
+			defer tr.Close()
+			s := tr.NewSession()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("empty key did not panic")
+					}
+				}()
+				c.op(s)
+			}()
+			s.Release()
+			time.Sleep(50 * time.Millisecond)
+			if lag := tr.Stats().GC.EpochLag; lag > 5 {
+				t.Fatalf("epoch lag %d after a recovered panic, want <= 5", lag)
+			}
+		})
 	}
 }

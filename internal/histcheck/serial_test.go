@@ -6,10 +6,22 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/shard"
 	"repro/internal/txn"
 )
+
+// newTxnStore builds the OCC engine over a fresh one-shard in-memory
+// store, closed when the test ends.
+func newTxnStore(t *testing.T) *txn.Store {
+	t.Helper()
+	ss, err := shard.Open(shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ss.Close() })
+	return txn.New(ss)
+}
 
 func skey(i uint64) string {
 	var b [8]byte
@@ -102,8 +114,7 @@ func TestCheckSerialCatchesStampReuse(t *testing.T) {
 // OCC engine with the recorder attached: the checked history must be
 // serializable and the money conserved.
 func TestTxnCheckerGreen(t *testing.T) {
-	tr := core.New(core.DefaultOptions())
-	ts := txn.NewForTree(tr)
+	ts := newTxnStore(t)
 	chk := NewTxnChecker()
 
 	const accounts = 32
@@ -163,14 +174,13 @@ func TestTxnCheckerGreen(t *testing.T) {
 	}
 
 	var sum uint64
-	s := tr.NewSession()
+	s := ts.NewSession()
 	for i := uint64(0); i < accounts; i++ {
-		var vals []uint64
-		vals = s.Lookup([]byte(skey(i)), vals)
-		if len(vals) != 1 {
-			t.Fatalf("account %d: %d values", i, len(vals))
+		v, _, found, _ := s.GetVersion([]byte(skey(i)))
+		if !found {
+			t.Fatalf("account %d missing", i)
 		}
-		sum += vals[0]
+		sum += v
 	}
 	s.Release()
 	if sum != accounts*initial {
@@ -201,7 +211,7 @@ func TestTxnCheckerCheckReset(t *testing.T) {
 	}
 
 	// Incarnation 1: two commits, then drain at the "crash".
-	ts1 := txn.NewForTree(core.New(core.DefaultOptions()))
+	ts1 := newTxnStore(t)
 	commit(ts1, "x", 1)
 	commit(ts1, "y", 2)
 	n, violations := chk.CheckReset()
@@ -212,7 +222,7 @@ func TestTxnCheckerCheckReset(t *testing.T) {
 	// Incarnation 2: a fresh tree restarts the stamp counter; its commits
 	// reuse the same version numbers on the same keys. Segmented checking
 	// must stay green where a merged history would report stamp reuse.
-	ts2 := txn.NewForTree(core.New(core.DefaultOptions()))
+	ts2 := newTxnStore(t)
 	commit(ts2, "x", 3)
 	if len(chk.History()) != 1 {
 		t.Fatalf("history after reset holds %d records, want 1", len(chk.History()))

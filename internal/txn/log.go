@@ -1,18 +1,16 @@
 package txn
 
 import (
-	"hash/maphash"
-	"sync"
-
 	"repro/bwtree"
-	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
-// NewForShard builds the engine over a sharded store. The global stripe
-// space is the concatenation of every shard's 256 stripes (shard i owns
-// indices [i*256, (i+1)*256)), so sorted-order acquisition yields one
-// deadlock-free total order across shards.
+// logApply durably logs the resolved write set as one atomic commit and
+// applies it in memory. The caller holds every write stripe across the
+// call. A non-nil wait postpones the durability wait so the caller can
+// release the stripes first; an error means the commit outcome is
+// unresolved exactly as in bwtree.DurableSession (possible only on a
+// closed or crashed log).
 //
 // Commits whose write set lands on one shard use that shard's log alone
 // (a self-contained OpTxn record). Cross-shard commits run two-phase
@@ -22,113 +20,32 @@ import (
 // decision bearing its transaction ID survives in any shard's log
 // (shard.Open merges the per-shard decision scans), so the commit takes
 // effect on all shards or none — even when the crash lands between the
-// per-participant appends.
-//
-// For in-memory stores (no WALDir) the stripes are engine-private and
-// the same mixing restriction as NewForTree applies.
-func NewForShard(st *shard.Store) *Store {
-	b := &shardBackend{st: st, shards: st.Shards(), durable: st.Durable()}
-	if !b.durable {
-		b.seed = maphash.MakeSeed()
-		b.plain = make([]sync.Mutex, len(b.shards)*bwtree.NStripes)
-	}
-	return NewStore(b)
-}
-
-type shardBackend struct {
-	st      *shard.Store
-	shards  []*shard.Shard
-	durable bool
-
-	// plain-store stripes (unused when every shard has a Durable)
-	seed  maphash.Seed
-	plain []sync.Mutex
-}
-
-func (b *shardBackend) NStripes() int { return len(b.shards) * bwtree.NStripes }
-
-func (b *shardBackend) StripeOf(key []byte) int {
-	sh := b.st.Router().Shard(key)
-	if b.durable {
-		return sh*bwtree.NStripes + b.shards[sh].Durable().StripeOf(key)
-	}
-	return sh*bwtree.NStripes + int(maphash.Bytes(b.seed, key)&0xff)
-}
-
-func (b *shardBackend) Lock(i int) {
-	if b.durable {
-		b.shards[i/bwtree.NStripes].Durable().StripeLock(i % bwtree.NStripes)
-		return
-	}
-	b.plain[i].Lock()
-}
-
-func (b *shardBackend) Unlock(i int) {
-	if b.durable {
-		b.shards[i/bwtree.NStripes].Durable().StripeUnlock(i % bwtree.NStripes)
-		return
-	}
-	b.plain[i].Unlock()
-}
-
-func (b *shardBackend) TryLock(i int) bool {
-	if b.durable {
-		return b.shards[i/bwtree.NStripes].Durable().StripeTryLock(i % bwtree.NStripes)
-	}
-	return b.plain[i].TryLock()
-}
-
-func (b *shardBackend) MaxRecoveredTxnID() uint64 {
-	return b.st.RecoveryStats().MaxTxnID
-}
-
-func (b *shardBackend) NewSession() BackendSession {
-	ss := &shardSession{b: b, sess: make([]*bwtree.Session, len(b.shards))}
-	for i, sh := range b.shards {
-		ss.sess[i] = sh.Tree().NewSession()
-	}
-	return ss
-}
-
-type shardSession struct {
-	b    *shardBackend
-	sess []*bwtree.Session
-}
-
-func (ss *shardSession) Release() {
-	for _, s := range ss.sess {
-		s.Release()
-	}
-}
-
-func (ss *shardSession) ReadVersion(key []byte) (uint64, uint64, bool) {
-	return ss.sess[ss.b.st.Router().Shard(key)].LookupVersion(key)
-}
-
-func (ss *shardSession) LogApply(txnID uint64, ops []wal.TxnOp) (func() error, error) {
+// per-participant appends. An in-memory store logs nothing.
+func (s *Session) logApply(txnID uint64, ops []wal.TxnOp) (func() error, error) {
+	st := s.st
 	// Group the resolved write set by owning shard.
 	groups := make(map[int][]wal.TxnOp, 2)
 	for i := range ops {
-		sh := ss.b.st.Router().Shard(ops[i].Key)
+		sh := st.router.Shard(ops[i].Key)
 		groups[sh] = append(groups[sh], ops[i])
 	}
-	if !ss.b.durable {
+	if !st.durable {
 		for sh, g := range groups {
-			applyOps(ss.sess[sh], g)
+			applyOps(s.sess[sh], g)
 		}
 		return nil, nil
 	}
 
 	if len(groups) == 1 {
 		// Single participant: self-contained commit on that shard's log,
-		// identical to the single-tree fast path.
+		// atomic by frame CRC and torn-tail truncation.
 		for sh, g := range groups {
-			d := ss.b.shards[sh].Durable()
+			d := st.shards[sh].Durable()
 			lsn, err := d.AppendTxn(wal.OpTxn, txnID, g)
 			if err != nil {
 				return nil, err
 			}
-			applyOps(ss.sess[sh], g)
+			applyOps(s.sess[sh], g)
 			if d.SyncOnCommit() {
 				return func() error { return d.WaitLSN(lsn) }, nil
 			}
@@ -153,7 +70,7 @@ func (ss *shardSession) LogApply(txnID uint64, ops []wal.TxnOp) (func() error, e
 	// recovery presumes them aborted; nothing was applied in memory.
 	prepLSN := make([]uint64, len(parts))
 	for i, sh := range parts {
-		lsn, err := ss.b.shards[sh].Durable().AppendTxn(wal.OpTxnPrep, txnID, groups[sh])
+		lsn, err := st.shards[sh].Durable().AppendTxn(wal.OpTxnPrep, txnID, groups[sh])
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +81,7 @@ func (ss *shardSession) LogApply(txnID uint64, ops []wal.TxnOp) (func() error, e
 	// buffered (group commit runs concurrently), and a durable decision
 	// with a lost prep would half-apply the transaction on recovery.
 	for i, sh := range parts {
-		if err := ss.b.shards[sh].Durable().WaitLSN(prepLSN[i]); err != nil {
+		if err := st.shards[sh].Durable().WaitLSN(prepLSN[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -178,7 +95,7 @@ func (ss *shardSession) LogApply(txnID uint64, ops []wal.TxnOp) (func() error, e
 	var decErr error
 	decided := false
 	for i, sh := range parts {
-		lsn, err := ss.b.shards[sh].Durable().AppendTxn(wal.OpTxnCommit, txnID, nil)
+		lsn, err := st.shards[sh].Durable().AppendTxn(wal.OpTxnCommit, txnID, nil)
 		if err != nil {
 			if !decided {
 				return nil, err
@@ -192,18 +109,18 @@ func (ss *shardSession) LogApply(txnID uint64, ops []wal.TxnOp) (func() error, e
 		decLSN[i] = lsn
 	}
 	for _, sh := range parts {
-		applyOps(ss.sess[sh], groups[sh])
+		applyOps(s.sess[sh], groups[sh])
 	}
 	if decErr != nil {
 		return nil, decErr
 	}
-	if ss.b.st.Shards()[parts[0]].Durable().SyncOnCommit() {
+	if st.shards[parts[0]].Durable().SyncOnCommit() {
 		return func() error {
 			for i, sh := range parts {
 				if decLSN[i] == 0 {
 					continue
 				}
-				if err := ss.b.shards[sh].Durable().WaitLSN(decLSN[i]); err != nil {
+				if err := st.shards[sh].Durable().WaitLSN(decLSN[i]); err != nil {
 					return err
 				}
 			}
@@ -211,4 +128,20 @@ func (ss *shardSession) LogApply(txnID uint64, ops []wal.TxnOp) (func() error, e
 		}, nil
 	}
 	return nil, nil
+}
+
+// applyOps installs a resolved write set through a tree session. Each op
+// was resolved against tree state under the still-held write stripes, so
+// the guarded single-key semantics cannot fail here.
+func applyOps(s *bwtree.Session, ops []wal.TxnOp) {
+	for i := range ops {
+		switch ops[i].Op {
+		case wal.OpInsert:
+			s.Insert(ops[i].Key, ops[i].Value)
+		case wal.OpUpdate:
+			s.Update(ops[i].Key, ops[i].Value)
+		case wal.OpDelete:
+			s.Delete(ops[i].Key, ops[i].Value)
+		}
+	}
 }

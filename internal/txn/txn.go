@@ -1,7 +1,7 @@
-// Package txn layers optimistic multi-key transactions over the
-// repository's stores — a single durable tree, a plain in-memory tree,
-// or the sharded serving tier — with Silo-style OCC validation
-// (Tu et al., SOSP 2013) and WAL-atomic commit.
+// Package txn layers optimistic multi-key transactions over the sharded
+// store (shard.Store; a one-shard store is a single plain or durable
+// tree) with Silo-style OCC validation (Tu et al., SOSP 2013) and
+// WAL-atomic commit.
 //
 // # Protocol
 //
@@ -9,9 +9,10 @@
 // record carries a stamp from a tree-global counter; see
 // core.Session.LookupVersion) and buffers its writes. Commit then runs:
 //
-//  1. Lock the write set's stripes in sorted global order (the same
-//     256-way stripes the durability layer orders single-key commits
-//     with, so transactional and plain writers exclude each other).
+//  1. Lock the write set's stripes in sorted global order: one
+//     bwtree.Stripes table per shard, the same table a durable shard
+//     orders its single-key commits with, so transactional and plain
+//     writers exclude each other.
 //  2. Validate the read set: try-lock each read stripe not already held
 //     (a failed try is a conservative abort — never block on a reader's
 //     behalf, never deadlock), then recheck that each key still carries
@@ -41,48 +42,12 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/bwtree"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
-
-// Backend is the store-side contract the OCC engine drives. Implemented
-// for durable trees, plain trees, and sharded stores in this package;
-// the engine itself never knows which it is running over.
-type Backend interface {
-	// NStripes is the global stripe-lock count.
-	NStripes() int
-	// StripeOf maps a key to its global stripe in [0, NStripes).
-	StripeOf(key []byte) int
-	// Lock, Unlock, and TryLock operate on one global stripe.
-	Lock(i int)
-	Unlock(i int)
-	TryLock(i int) bool
-	// MaxRecoveredTxnID is the highest transaction ID surviving in the
-	// store's logs at open (0 for fresh or non-durable stores). The
-	// engine seeds its ID counter above it so a new prepare can never
-	// collide with a stale decision record.
-	MaxRecoveredTxnID() uint64
-	// NewSession returns a per-worker read/log/apply handle.
-	NewSession() BackendSession
-}
-
-// BackendSession is one worker's handle to a Backend. At most one
-// goroutine may use it at a time.
-type BackendSession interface {
-	// ReadVersion reads key's value and version stamp (ver 0, found
-	// false for absent keys).
-	ReadVersion(key []byte) (value uint64, ver uint64, found bool)
-	// LogApply durably logs the resolved write set as one atomic commit
-	// and applies it in memory. The caller holds every write stripe
-	// across the call. A non-nil wait postpones the durability wait so
-	// the caller can release the stripes first; LogApply returning an
-	// error means the commit outcome is unresolved exactly as in
-	// bwtree.DurableSession (possible only on a closed or crashed log).
-	LogApply(txnID uint64, ops []wal.TxnOp) (wait func() error, err error)
-	// Release returns the session's resources.
-	Release()
-}
 
 // ErrDuplicateWriteKey is returned by CommitTxn when the write set names
 // one key twice; buffer writes through Tx to coalesce them instead.
@@ -95,11 +60,19 @@ var ErrDuplicateWriteKey = errors.New("txn: duplicate key in write set")
 // tag disables read-stripe locking.
 var validateBarrier func()
 
-// Store is the OCC engine over one Backend. Safe for any number of
+// Store is the OCC engine over one shard.Store. Safe for any number of
 // concurrent Sessions.
 type Store struct {
-	b      Backend
-	nextID atomic.Uint64
+	router shard.Router
+	shards []*shard.Shard
+	// stripes holds one commit-ordering table per shard: a durable
+	// shard's own (so transactional and single-key writers exclude each
+	// other), an in-memory shard's engine-private. Global stripe i is
+	// stripe i%NStripes of shard i/NStripes, so sorted-order acquisition
+	// is one deadlock-free total order across shards.
+	stripes []*bwtree.Stripes
+	durable bool
+	nextID  atomic.Uint64
 
 	commits   atomic.Uint64
 	conflicts atomic.Uint64
@@ -107,12 +80,42 @@ type Store struct {
 	validate  obs.Histogram
 }
 
-// NewStore builds an engine over b, seeding the transaction-ID counter
-// above every ID the store's recovery saw.
-func NewStore(b Backend) *Store {
-	s := &Store{b: b}
-	s.nextID.Store(b.MaxRecoveredTxnID())
+// New builds the engine over st, seeding the transaction-ID counter
+// above every ID the store's recovery saw, so a new prepare can never
+// collide with a stale decision record.
+//
+// On an in-memory store the stripes are engine-private: transactions
+// serialize correctly against each other, but non-transactional writers
+// bypass the stripes, so mixing them with transactional writers is
+// unsupported there. On a durable store the two paths mix freely.
+func New(st *shard.Store) *Store {
+	s := &Store{
+		router:  st.Router(),
+		shards:  st.Shards(),
+		stripes: make([]*bwtree.Stripes, st.NumShards()),
+		durable: st.Durable(),
+	}
+	for i, sh := range s.shards {
+		if d := sh.Durable(); d != nil {
+			s.stripes[i] = d.Stripes()
+		} else {
+			s.stripes[i] = bwtree.NewStripes()
+		}
+	}
+	s.nextID.Store(st.RecoveryStats().MaxTxnID)
 	return s
+}
+
+// stripeOf maps key to its global stripe.
+func (st *Store) stripeOf(key []byte) int {
+	sh := st.router.Shard(key)
+	return sh*bwtree.NStripes + st.stripes[sh].Of(key)
+}
+
+func (st *Store) lock(i int)   { st.stripes[i/bwtree.NStripes].Lock(i % bwtree.NStripes) }
+func (st *Store) unlock(i int) { st.stripes[i/bwtree.NStripes].Unlock(i % bwtree.NStripes) }
+func (st *Store) tryLock(i int) bool {
+	return st.stripes[i/bwtree.NStripes].TryLock(i % bwtree.NStripes)
 }
 
 // Stats is a point-in-time aggregate of the engine's counters.
@@ -144,19 +147,23 @@ func (st *Store) NewTxnSession() index.TxnSession { return st.NewSession() }
 
 // NewSession returns a per-worker transactional handle.
 func (st *Store) NewSession() *Session {
-	return &Session{
-		st:  st,
-		bs:  st.b.NewSession(),
-		dup: make(map[string]struct{}),
+	s := &Session{
+		st:   st,
+		sess: make([]*bwtree.Session, len(st.shards)),
+		dup:  make(map[string]struct{}),
 	}
+	for i, sh := range st.shards {
+		s.sess[i] = sh.Tree().NewSession()
+	}
+	return s
 }
 
 // Session is one worker's handle to a Store. It implements
 // index.TxnSession; use Begin/RunTxn for the buffered-transaction
 // surface on top of it.
 type Session struct {
-	st *Store
-	bs BackendSession
+	st   *Store
+	sess []*bwtree.Session // one tree session per shard
 
 	// commit scratch, reused across transactions
 	dup      map[string]struct{}
@@ -167,12 +174,22 @@ type Session struct {
 }
 
 // Release returns the session's resources.
-func (s *Session) Release() { s.bs.Release() }
+func (s *Session) Release() {
+	for _, ts := range s.sess {
+		ts.Release()
+	}
+}
+
+// readVersion reads key's value and version stamp (ver 0, found false
+// for absent keys).
+func (s *Session) readVersion(key []byte) (value uint64, ver uint64, found bool) {
+	return s.sess[s.st.router.Shard(key)].LookupVersion(key)
+}
 
 // GetVersion reads key and its version stamp — the observation to
 // record in a read set. Implements index.TxnSession.
 func (s *Session) GetVersion(key []byte) (value uint64, ver uint64, found bool, err error) {
-	value, ver, found = s.bs.ReadVersion(key)
+	value, ver, found = s.readVersion(key)
 	return value, ver, found, nil
 }
 
@@ -182,7 +199,7 @@ func (s *Session) GetVersion(key []byte) (value uint64, ver uint64, found bool, 
 // infrastructure failure (closed store, crashed log) and the outcome of
 // an already-logged commit is unresolved.
 func (s *Session) CommitTxn(reads []index.TxnRead, writes []index.TxnWrite) (index.TxnResult, error) {
-	b := s.st.b
+	st := s.st
 	if len(writes) > 1 {
 		clear(s.dup)
 		for i := range writes {
@@ -205,23 +222,23 @@ func (s *Session) CommitTxn(reads []index.TxnRead, writes []index.TxnWrite) (ind
 	// order is the global lock order — the deadlock-freedom invariant.
 	s.wStripes = s.wStripes[:0]
 	for i := range writes {
-		s.wStripes = append(s.wStripes, b.StripeOf(writes[i].Key))
+		s.wStripes = append(s.wStripes, st.stripeOf(writes[i].Key))
 	}
 	slices.Sort(s.wStripes)
 	s.wStripes = slices.Compact(s.wStripes)
 	for _, i := range s.wStripes {
-		b.Lock(i)
+		st.lock(i)
 	}
 	unlockWrites := func() {
 		for _, i := range s.wStripes {
-			b.Unlock(i)
+			st.unlock(i)
 		}
 	}
 
 	// Phase 2: read validation at the commit point.
 	if !s.validateReads(reads) {
 		unlockWrites()
-		s.st.conflicts.Add(1)
+		st.conflicts.Add(1)
 		return index.TxnResult{Status: index.TxnConflict}, nil
 	}
 	if h := validateBarrier; h != nil {
@@ -234,7 +251,7 @@ func (s *Session) CommitTxn(reads []index.TxnRead, writes []index.TxnWrite) (ind
 	s.ops = s.ops[:0]
 	s.noop = append(s.noop[:0], make([]bool, len(writes))...)
 	for i := range writes {
-		cur, _, found := s.bs.ReadVersion(writes[i].Key)
+		cur, _, found := s.readVersion(writes[i].Key)
 		switch writes[i].Op {
 		case index.TxnPut:
 			if found && cur == writes[i].Value {
@@ -259,19 +276,19 @@ func (s *Session) CommitTxn(reads []index.TxnRead, writes []index.TxnWrite) (ind
 			}
 		}
 	}
-	id := s.st.nextID.Add(1)
-	s.st.validate.RecordNS(obs.Now() - t0)
+	id := st.nextID.Add(1)
+	st.validate.RecordNS(obs.Now() - t0)
 
 	if len(s.ops) == 0 {
 		// Read-only (or every delete targeted an absent key): validation
 		// alone is the commit; nothing to log or apply.
 		unlockWrites()
-		s.st.commits.Add(1)
-		s.st.readOnly.Add(1)
+		st.commits.Add(1)
+		st.readOnly.Add(1)
 		return index.TxnResult{Status: index.TxnCommitted, TxnID: id, WriteVers: make([]uint64, len(writes))}, nil
 	}
 
-	wait, err := s.bs.LogApply(id, s.ops)
+	wait, err := s.logApply(id, s.ops)
 	if err != nil {
 		unlockWrites()
 		return index.TxnResult{}, err
@@ -284,11 +301,11 @@ func (s *Session) CommitTxn(reads []index.TxnRead, writes []index.TxnWrite) (ind
 		if writes[i].Op == index.TxnDel || s.noop[i] {
 			continue
 		}
-		_, v, _ := s.bs.ReadVersion(writes[i].Key)
+		_, v, _ := s.readVersion(writes[i].Key)
 		vers[i] = v
 	}
 	unlockWrites()
-	s.st.commits.Add(1)
+	st.commits.Add(1)
 	res := index.TxnResult{Status: index.TxnCommitted, TxnID: id, WriteVers: vers}
 	if wait != nil {
 		if werr := wait(); werr != nil {
@@ -302,20 +319,20 @@ func (s *Session) CommitTxn(reads []index.TxnRead, writes []index.TxnWrite) (ind
 // stripes. Returns false on any mismatch or failed try-lock (both are
 // conservative aborts). The caller holds s.wStripes throughout.
 func (s *Session) validateReads(reads []index.TxnRead) bool {
-	b := s.st.b
+	st := s.st
 	s.rStripes = s.rStripes[:0]
 	if !bugSkipReadLocks {
 		for i := range reads {
-			st := b.StripeOf(reads[i].Key)
-			if _, held := slices.BinarySearch(s.wStripes, st); held {
+			si := st.stripeOf(reads[i].Key)
+			if _, held := slices.BinarySearch(s.wStripes, si); held {
 				continue // already ours, exclusively
 			}
-			s.rStripes = append(s.rStripes, st)
+			s.rStripes = append(s.rStripes, si)
 		}
 		slices.Sort(s.rStripes)
 		s.rStripes = slices.Compact(s.rStripes)
-		for n, st := range s.rStripes {
-			if !b.TryLock(st) {
+		for n, si := range s.rStripes {
+			if !st.tryLock(si) {
 				// A concurrent commit owns a stripe we read under — its
 				// writes may invalidate ours mid-validation. Abort rather
 				// than wait: waiting could deadlock (it may want our write
@@ -325,7 +342,7 @@ func (s *Session) validateReads(reads []index.TxnRead) bool {
 				// both pass validation, because each one's read stripe is
 				// the other's held write stripe.
 				for _, u := range s.rStripes[:n] {
-					b.Unlock(u)
+					st.unlock(u)
 				}
 				s.rStripes = s.rStripes[:0]
 				return false
@@ -334,13 +351,13 @@ func (s *Session) validateReads(reads []index.TxnRead) bool {
 	}
 	ok := true
 	for i := range reads {
-		if _, v, _ := s.bs.ReadVersion(reads[i].Key); v != reads[i].Ver {
+		if _, v, _ := s.readVersion(reads[i].Key); v != reads[i].Ver {
 			ok = false
 			break
 		}
 	}
 	for _, u := range s.rStripes {
-		b.Unlock(u)
+		st.unlock(u)
 	}
 	return ok
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/bwtree"
 	"repro/internal/index"
 	"repro/internal/shard"
 )
@@ -16,14 +15,21 @@ func tkey(i uint64) []byte {
 	return index.EncodeUint64(b[:0], i)
 }
 
-func TestTxnBasic(t *testing.T) {
-	dir := t.TempDir()
-	d, err := bwtree.OpenDurable(dir, bwtree.DurableOptions{SyncOnCommit: true})
+// openStore opens a shard.Store with the given shard count, durable
+// under walDir when it is non-empty.
+func openStore(t *testing.T, shards int, walDir string) *shard.Store {
+	t.Helper()
+	ss, err := shard.Open(shard.Options{Shards: shards, WALDir: walDir, SyncOnCommit: walDir != ""})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	st := NewForDurable(d)
+	return ss
+}
+
+func TestTxnBasic(t *testing.T) {
+	ss := openStore(t, 1, t.TempDir())
+	defer ss.Close()
+	st := New(ss)
 	s := st.NewSession()
 	defer s.Release()
 
@@ -67,9 +73,9 @@ func TestTxnBasic(t *testing.T) {
 }
 
 func TestTxnConflictOnStaleRead(t *testing.T) {
-	d := bwtree.New(bwtree.DefaultOptions())
-	defer d.Close()
-	st := NewForTree(d)
+	ss := openStore(t, 1, "")
+	defer ss.Close()
+	st := New(ss)
 	s1, s2 := st.NewSession(), st.NewSession()
 	defer s1.Release()
 	defer s2.Release()
@@ -124,9 +130,9 @@ func TestTxnWriteSkewBlocked(t *testing.T) {
 	// Sequential write-skew shape: t1 reads A and B, writes A; t2 reads A
 	// and B, writes B. Interleaved so both read before either writes —
 	// with correct validation exactly one commits.
-	d := bwtree.New(bwtree.DefaultOptions())
-	defer d.Close()
-	st := NewForTree(d)
+	ss := openStore(t, 1, "")
+	defer ss.Close()
+	st := New(ss)
 	s1, s2 := st.NewSession(), st.NewSession()
 	defer s1.Release()
 	defer s2.Release()
@@ -166,9 +172,9 @@ func TestTxnWriteSkewBlocked(t *testing.T) {
 }
 
 func TestTxnDuplicateWriteKey(t *testing.T) {
-	d := bwtree.New(bwtree.DefaultOptions())
-	defer d.Close()
-	st := NewForTree(d)
+	ss := openStore(t, 1, "")
+	defer ss.Close()
+	st := New(ss)
 	s := st.NewSession()
 	defer s.Release()
 	_, err := s.CommitTxn(nil, []index.TxnWrite{
@@ -177,6 +183,66 @@ func TestTxnDuplicateWriteKey(t *testing.T) {
 	})
 	if err != ErrDuplicateWriteKey {
 		t.Fatalf("got %v, want ErrDuplicateWriteKey", err)
+	}
+}
+
+// TestTxnSharesDurableStripes pins that a durable shard lends its own
+// stripe table to the engine: a single-key writer holding x's stripe
+// between apply and append must both fail the validation of a
+// transaction that read x and block a transaction that writes x.
+func TestTxnSharesDurableStripes(t *testing.T) {
+	ss := openStore(t, 1, t.TempDir())
+	defer ss.Close()
+	st := New(ss)
+	s := st.NewSession()
+	defer s.Release()
+
+	stripes := ss.Shards()[0].Durable().Stripes()
+	x, y := tkey(1), tkey(2)
+	for i := uint64(3); stripes.Of(y) == stripes.Of(x); i++ {
+		y = tkey(i)
+	}
+	xi := stripes.Of(x)
+	stripes.Lock(xi)
+	locked := true
+	defer func() {
+		if locked {
+			stripes.Unlock(xi)
+		}
+	}()
+
+	tx := Begin(s)
+	if _, _, err := tx.Get(x); err != nil {
+		t.Fatal(err)
+	}
+	tx.Put(y, 1)
+	if res, err := tx.Commit(); err != nil || res.Status != index.TxnConflict {
+		t.Fatalf("read of a held stripe validated: %+v %v", res, err)
+	}
+
+	type outcome struct {
+		res index.TxnResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		s2 := st.NewSession()
+		defer s2.Release()
+		res, err := s2.CommitTxn(nil, []index.TxnWrite{{Op: index.TxnPut, Key: x, Value: 7}})
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		t.Fatalf("write to a held stripe finished: %+v %v", o.res, o.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	stripes.Unlock(xi)
+	locked = false
+	if o := <-done; o.err != nil || o.res.Status != index.TxnCommitted {
+		t.Fatalf("write after release: %+v %v", o.res, o.err)
+	}
+	if v, _, found, _ := s.GetVersion(x); !found || v != 7 {
+		t.Fatalf("x = %d %v, want 7", v, found)
 	}
 }
 
@@ -258,9 +324,9 @@ func bankSum(t *testing.T, st *Store, accounts int) uint64 {
 }
 
 func TestTxnBankPlainTree(t *testing.T) {
-	d := bwtree.New(bwtree.DefaultOptions())
-	defer d.Close()
-	st := NewForTree(d)
+	ss := openStore(t, 1, "")
+	defer ss.Close()
+	st := New(ss)
 	want := runBank(t, st, 32, 8, 300)
 	if got := bankSum(t, st, 32); got != want {
 		t.Fatalf("sum %d, want %d", got, want)
@@ -272,43 +338,8 @@ func TestTxnBankPlainTree(t *testing.T) {
 
 func TestTxnBankDurable(t *testing.T) {
 	dir := t.TempDir()
-	d, err := bwtree.OpenDurable(dir, bwtree.DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewForDurable(d)
-	want := runBank(t, st, 32, 8, 200)
-	if got := bankSum(t, st, 32); got != want {
-		t.Fatalf("pre-close sum %d, want %d", got, want)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Recovery must land on the same conserved total.
-	d2, err := bwtree.OpenDurable(dir, bwtree.DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	st2 := NewForDurable(d2)
-	if got := bankSum(t, st2, 32); got != want {
-		t.Fatalf("post-recovery sum %d, want %d", got, want)
-	}
-}
-
-func openBankShard(t *testing.T, walDir string) *shard.Store {
-	t.Helper()
-	ss, err := shard.Open(shard.Options{Shards: 4, WALDir: walDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ss
-}
-
-func TestTxnBankShardDurable(t *testing.T) {
-	walDir := t.TempDir()
-	ss := openBankShard(t, walDir)
-	st := NewForShard(ss)
+	ss := openStore(t, 1, dir)
+	st := New(ss)
 	want := runBank(t, st, 32, 8, 200)
 	if got := bankSum(t, st, 32); got != want {
 		t.Fatalf("pre-close sum %d, want %d", got, want)
@@ -316,9 +347,29 @@ func TestTxnBankShardDurable(t *testing.T) {
 	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ss2 := openBankShard(t, walDir)
+	// Recovery must land on the same conserved total.
+	ss2 := openStore(t, 1, dir)
 	defer ss2.Close()
-	st2 := NewForShard(ss2)
+	st2 := New(ss2)
+	if got := bankSum(t, st2, 32); got != want {
+		t.Fatalf("post-recovery sum %d, want %d", got, want)
+	}
+}
+
+func TestTxnBankShardDurable(t *testing.T) {
+	walDir := t.TempDir()
+	ss := openStore(t, 4, walDir)
+	st := New(ss)
+	want := runBank(t, st, 32, 8, 200)
+	if got := bankSum(t, st, 32); got != want {
+		t.Fatalf("pre-close sum %d, want %d", got, want)
+	}
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ss2 := openStore(t, 4, walDir)
+	defer ss2.Close()
+	st2 := New(ss2)
 	if got := bankSum(t, st2, 32); got != want {
 		t.Fatalf("post-recovery sum %d, want %d", got, want)
 	}
@@ -334,8 +385,8 @@ func TestTxnBankShardDurable(t *testing.T) {
 // when the crash lands inside the cross-shard two-phase window.
 func TestTxnBankShardCrash(t *testing.T) {
 	walDir := t.TempDir()
-	ss := openBankShard(t, walDir)
-	st := NewForShard(ss)
+	ss := openStore(t, 4, walDir)
+	st := New(ss)
 
 	const accounts = 32
 	const initial = 1000
@@ -408,18 +459,18 @@ func TestTxnBankShardCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ss2 := openBankShard(t, walDir)
+	ss2 := openStore(t, 4, walDir)
 	defer ss2.Close()
-	st2 := NewForShard(ss2)
+	st2 := New(ss2)
 	if got := bankSum(t, st2, accounts); got != accounts*initial {
 		t.Fatalf("crash recovery broke conservation: sum %d, want %d", got, accounts*initial)
 	}
 }
 
 func TestTxnReadOnlyAndStats(t *testing.T) {
-	d := bwtree.New(bwtree.DefaultOptions())
-	defer d.Close()
-	st := NewForTree(d)
+	ss := openStore(t, 1, "")
+	defer ss.Close()
+	st := New(ss)
 	s := st.NewSession()
 	defer s.Release()
 	tx := Begin(s)

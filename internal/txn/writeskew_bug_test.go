@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/histcheck"
 	"repro/internal/index"
 )
@@ -27,15 +26,16 @@ func TestWriteSkewEscapesAndCheckerCatches(t *testing.T) {
 	if !bugSkipReadLocks {
 		t.Fatal("built without the txnbug tag?")
 	}
-	tr := core.New(core.DefaultOptions())
-	st := NewForTree(tr)
+	ss := openStore(t, 1, "")
+	defer ss.Close()
+	st := New(ss)
 	chk := histcheck.NewTxnChecker()
 
 	// Two accounts on different stripes (same stripe would serialize the
 	// two commits and close the window by WW ordering alone).
 	x := []byte("acct-x")
 	y := []byte("acct-y")
-	for i := 0; st.b.StripeOf(x) == st.b.StripeOf(y); i++ {
+	for i := 0; st.stripeOf(x) == st.stripeOf(y); i++ {
 		y = append(y[:6], byte('0'+i%10), byte('0'+i/10))
 	}
 
