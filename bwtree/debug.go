@@ -87,6 +87,8 @@ func DebugVars(t *Tree) obs.Vars {
 			"leaf_bytes_per_entry": st.LeafBytesPerEntry,
 			"leaf_slab_bytes":      st.LeafSlabBytes,
 			"inner_slab_bytes":     st.InnerSlabBytes,
+			"pooled_slabs":         st.PooledSlabs,
+			"pooled_slab_bytes":    st.PooledSlabBytes,
 		}
 	}
 	if t.Options().LatencyHistograms {

@@ -97,8 +97,10 @@ func checkShape(body []byte) error {
 	if err := json.Unmarshal(body, &shape); err != nil {
 		return err
 	}
-	if _, ok := shape["leaf_nodes"]; !ok {
-		return fmt.Errorf("missing leaf_nodes")
+	for _, k := range []string{"leaf_nodes", "pooled_slabs", "pooled_slab_bytes"} {
+		if _, ok := shape[k]; !ok {
+			return fmt.Errorf("missing %s", k)
+		}
 	}
 	return nil
 }

@@ -359,6 +359,8 @@ func printShape(t *bwtree.Tree) {
 		{"leaf_bytes_per_entry", st.LeafBytesPerEntry},
 		{"leaf_slab_bytes", st.LeafSlabBytes},
 		{"inner_slab_bytes", st.InnerSlabBytes},
+		{"pooled_slabs", st.PooledSlabs},
+		{"pooled_slab_bytes", st.PooledSlabBytes},
 	})
 }
 

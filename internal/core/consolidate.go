@@ -142,7 +142,10 @@ func retireNoop() {}
 // retireChain routes a replaced chain through the epoch GC, accounts the
 // retiring slab's utilization (Table 2's IPU/LPU), and — once the epoch
 // drains — returns the slab to the tree's recycling pool when pool is
-// set, or leaves it to the Go GC otherwise.
+// set, or leaves it to the Go GC otherwise. A pooled slab's claimed
+// slots are cleared first, so the retired records, the base they lead
+// to and everything that base holds become garbage with the epoch, not
+// when a later claim overwrites them.
 func (s *Session) retireChain(head *delta, pool bool) {
 	sl := head.base.slab
 	if sl == nil {
@@ -163,6 +166,7 @@ func (s *Session) retireChain(head *delta, pool bool) {
 	}
 	t, leaf := s.t, head.isLeaf
 	s.h.Retire(func() {
+		clear(sl.slots[:sl.used()])
 		if leaf {
 			t.leafSlabs.put(sl)
 		} else {

@@ -207,15 +207,14 @@ func newSlab(n int) *slab {
 // claim reserves one slot, or returns nil when the slab is full. A slot
 // claimed by a thread whose subsequent CaS fails is simply wasted, exactly
 // as in the paper (it lowers the utilization reported in Table 2). The
-// slot is cleared here because slabs are recycled through the epoch GC.
+// slot is already zero: a slab is all-zero when made, and retireChain
+// clears the claimed slots before the pool takes it back.
 func (s *slab) claim() *delta {
 	i := s.marker.Add(1) - 1
 	if int(i) >= len(s.slots) {
 		return nil
 	}
-	d := &s.slots[i]
-	*d = delta{}
-	return d
+	return &s.slots[i]
 }
 
 // slabPool recycles retired slabs: a Treiber stack fed by epoch-GC
@@ -223,9 +222,12 @@ func (s *slab) claim() *delta {
 // allocator returning node chunks once their epoch drains — and it is
 // what makes pre-allocation pay off under Go's GC, where allocating a
 // fresh pointer-dense slab per consolidation would dwarf the delta
-// allocations it saves.
+// allocations it saves. A pooled slab holds no record: it is cleared
+// before put, so an idle slab pins no retired chain.
 type slabPool struct {
 	head atomic.Pointer[pooledSlab]
+	// n counts the slabs on the stack (StructureStats.PooledSlabs).
+	n atomic.Int64
 }
 
 type pooledSlab struct {
@@ -235,6 +237,7 @@ type pooledSlab struct {
 
 func (p *slabPool) put(s *slab) {
 	n := &pooledSlab{s: s}
+	p.n.Add(1) // before the push, so a racing get never drives n below 0
 	for {
 		h := p.head.Load()
 		n.next = h
@@ -254,6 +257,7 @@ func (p *slabPool) get(n int) *slab {
 			return newSlab(n)
 		}
 		if p.head.CompareAndSwap(h, h.next) {
+			p.n.Add(-1)
 			if len(h.s.slots) < n {
 				return newSlab(n)
 			}

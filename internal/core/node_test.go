@@ -137,3 +137,84 @@ func TestLeafSlabBytes(t *testing.T) {
 		t.Fatalf("without Preallocate: slab bytes leaf %d inner %d, want 0", st.LeafSlabBytes, st.InnerSlabBytes)
 	}
 }
+
+// TestReclaimedSlabsHoldNoRecords requires a recycled slab to pin
+// nothing: after an insert load and four update rounds on one session,
+// no slab attached to a live base holds a record at or past its marker,
+// no pooled slab holds a record at all, and StructureStats counts the
+// pool. A slab whose slots kept their records would keep each retired
+// chain, its base node and that base's own older slab reachable until a
+// later claim overwrote the slot.
+func TestReclaimedSlabsHoldNoRecords(t *testing.T) {
+	const n = 50000
+	tr := New(DefaultOptions())
+	s := tr.NewSession()
+	for i := uint64(0); i < n; i++ {
+		s.Insert(key64(i*7919%n), i)
+	}
+	for round := uint64(1); round <= 4; round++ {
+		for i := uint64(0); i < n; i++ {
+			s.Update(key64(i*7919%n), i+round*n)
+		}
+	}
+	s.Release()
+	tr.Close() // drains every epoch, so every retired slab is pooled by now
+
+	s = tr.NewSession()
+	defer s.Release()
+	attached, dirty := 0, 0
+	var roomy *slab // a live leaf slab with unclaimed slots
+	var walk func(id nodeID)
+	walk = func(id nodeID) {
+		head := tr.load(id)
+		if sl := head.base.slab; sl != nil {
+			attached++
+			if checkSlabTail(sl) != nil {
+				dirty++
+			}
+			if head.isLeaf && sl.used() < len(sl.slots) {
+				roomy = sl
+			}
+		}
+		if !head.isLeaf {
+			for _, kid := range s.collect(head).kids {
+				walk(kid)
+			}
+		}
+	}
+	walk(tr.root)
+	if attached == 0 || dirty != 0 {
+		t.Errorf("%d of %d attached slabs hold a record past the marker; want 0 of > 0", dirty, attached)
+	}
+
+	pooled, holding := int64(0), 0
+	for _, p := range []*slabPool{&tr.leafSlabs, &tr.innerSlabs} {
+		for e := p.head.Load(); e != nil; e = e.next {
+			pooled++
+			for i := range e.s.slots {
+				if e.s.slots[i].holdsRecord() {
+					holding++
+					break
+				}
+			}
+		}
+	}
+	if pooled == 0 || holding != 0 {
+		t.Errorf("%d of %d pooled slabs hold a record; want 0 of > 0", holding, pooled)
+	}
+	st := tr.StructureStats()
+	if st.PooledSlabs != pooled || st.PooledSlabBytes <= 0 {
+		t.Errorf("StructureStats reports %d pooled slabs (%d B), the pools hold %d", st.PooledSlabs, st.PooledSlabBytes, pooled)
+	}
+	t.Logf("%d attached slabs, %d pooled (%d B)", attached, pooled, st.PooledSlabBytes)
+
+	// Validate enforces the attached half: plant a record past a live
+	// leaf's marker.
+	if roomy == nil {
+		t.Fatal("no live leaf slab has an unclaimed slot")
+	}
+	roomy.slots[len(roomy.slots)-1].key = key64(1)
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "past the marker") {
+		t.Fatalf("Validate = %v, want a record past the marker", err)
+	}
+}

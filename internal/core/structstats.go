@@ -44,6 +44,11 @@ type StructureStats struct {
 	// record size, claimed or not.
 	LeafSlabBytes  int64
 	InnerSlabBytes int64
+	// PooledSlabs / PooledSlabBytes are the idle slabs, leaf plus inner,
+	// waiting in the tree's recycling pools for a future base: memory
+	// the tree holds that no node reaches.
+	PooledSlabs     int64
+	PooledSlabBytes int64
 }
 
 // StructureStats walks the tree and aggregates shape statistics. The walk
@@ -121,6 +126,11 @@ func (t *Tree) StructureStats() StructureStats {
 		}
 	}
 	walk(t.root, 0)
+
+	leafPooled, innerPooled := t.leafSlabs.n.Load(), t.innerSlabs.n.Load()
+	st.PooledSlabs = leafPooled + innerPooled
+	st.PooledSlabBytes = (leafPooled*int64(t.opts.LeafChainLength) +
+		innerPooled*int64(t.opts.InnerChainLength)) * slotBytes
 
 	if st.InnerNodes > 0 {
 		st.AvgInnerChainLen = innerChain / float64(st.InnerNodes)

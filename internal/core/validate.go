@@ -18,6 +18,7 @@ import (
 //   - every inner base carries its suffix-word plane
 //   - each chain element owns exactly its kind's payloads: a baseData on
 //     bases only, an smoData on the four SMO kinds only
+//   - a base's slab holds no record at or past its marker
 func (t *Tree) Validate() error {
 	s := t.NewSession()
 	defer s.Release()
@@ -36,6 +37,9 @@ func (t *Tree) validateNode(s *Session, id nodeID, low, high []byte) error {
 		return fmt.Errorf("node %d: low key %q, parent separator %q", id, head.lowKey, low)
 	}
 	if err := checkPayloads(head); err != nil {
+		return fmt.Errorf("node %d: %v", id, err)
+	}
+	if err := checkSlabTail(head.base.slab); err != nil {
 		return fmt.Errorf("node %d: %v", id, err)
 	}
 	c := s.collect(head)
@@ -105,6 +109,28 @@ func checkPayloads(head *delta) error {
 		}
 	}
 	return nil
+}
+
+// checkSlabTail requires every slot of sl at or past its marker to be
+// zero. A slab is all-zero when made and cleared when it is pooled, so a
+// record there is one a recycled slab kept: it pins a retired chain.
+func checkSlabTail(sl *slab) error {
+	if sl == nil {
+		return nil
+	}
+	for i := sl.used(); i < len(sl.slots); i++ {
+		if sl.slots[i].holdsRecord() {
+			return fmt.Errorf("slab slot %d of %d holds a record past the marker %d", i, len(sl.slots), sl.used())
+		}
+	}
+	return nil
+}
+
+// holdsRecord reports whether slot d carries any pointer a record sets.
+// delta is not comparable, so the check goes field by field.
+func (d *delta) holdsRecord() bool {
+	return d.next != nil || d.base != nil || d.key != nil || d.lowKey != nil ||
+		d.highKey != nil || d.baseData != nil || d.smoData != nil
 }
 
 // checkSuffixWords requires inner base b to carry one suffix word per

@@ -98,11 +98,14 @@ func DebugVars(st *Store) obs.Vars {
 			// Full per-shard walks: on-demand only (served at /debug/shape).
 			shapes := make([]map[string]any, 0, len(st.shards))
 			var inner, leaves uint64
+			var pooled, pooledBytes int64
 			height := 0
 			for _, sh := range st.shards {
 				ss := sh.t.StructureStats()
 				inner += uint64(ss.InnerNodes)
 				leaves += uint64(ss.LeafNodes)
+				pooled += ss.PooledSlabs
+				pooledBytes += ss.PooledSlabBytes
 				if ss.Height > height {
 					height = ss.Height
 				}
@@ -115,13 +118,17 @@ func DebugVars(st *Store) obs.Vars {
 					"avg_leaf_node_size": ss.AvgLeafNodeSize,
 					"arena_bytes":        ss.ArenaBytes,
 					"inner_arena_bytes":  ss.InnerArenaBytes,
+					"pooled_slabs":       ss.PooledSlabs,
+					"pooled_slab_bytes":  ss.PooledSlabBytes,
 				})
 			}
 			return map[string]any{
-				"shards":      shapes,
-				"height":      height,
-				"inner_nodes": inner,
-				"leaf_nodes":  leaves,
+				"shards":            shapes,
+				"height":            height,
+				"inner_nodes":       inner,
+				"leaf_nodes":        leaves,
+				"pooled_slabs":      pooled,
+				"pooled_slab_bytes": pooledBytes,
 			}
 		},
 	}

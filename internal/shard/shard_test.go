@@ -536,6 +536,13 @@ func TestStoreStatsAggregation(t *testing.T) {
 	if shape["leaf_nodes"].(uint64) == 0 {
 		t.Fatal("aggregated shape reports zero leaves")
 	}
+	var pooled int64
+	for _, sh := range shape["shards"].([]map[string]any) {
+		pooled += sh["pooled_slabs"].(int64)
+	}
+	if shape["pooled_slabs"].(int64) != pooled {
+		t.Fatalf("aggregated pooled_slabs %v, per-shard sum %d", shape["pooled_slabs"], pooled)
+	}
 }
 
 var _ = bytes.Compare // keep bytes imported if assertions above change
