@@ -14,17 +14,19 @@ import (
 // root-to-leaf descent — across a whole batch. Keys are processed in
 // sorted order so consecutive operations tend to land on the same leaf
 // (or at least under the same parent), letting each operation start from
-// the previous one's traversal instead of the root. Results are reported
-// under the caller's original indices, so the reordering is invisible.
+// the previous one's traversal instead of the root. Each operation runs
+// the same body as its single-op twin (insertOne, deleteOne, lookupOne);
+// only the traversal it starts from differs. Results are reported under
+// the caller's original indices, so the reordering is invisible.
 //
 // Safety: a batch runs inside a single epoch critical section (re-entered
 // every batchEpochRefresh operations so huge batches cannot stall
 // reclamation), which guarantees that every node snapshot cached from an
-// earlier operation in the batch is still un-recycled memory. Staleness is
-// handled exactly as in the single-op path: every reuse re-loads the
-// node's current chain head, checks the key against the head's
-// [lowKey, highKey) range, and publishes through the same CaS; any
-// mismatch falls back to a full descend from the root.
+// earlier operation in the batch is still un-recycled memory. seekLeaf
+// re-loads the cached node's current chain head and checks the key
+// against its [lowKey, highKey) range, and the write publishes through
+// the same CaS as a single op; any mismatch or failed step restarts from
+// the root.
 
 // batchEpochRefresh bounds the operations executed inside one epoch
 // critical section. Exiting and re-entering invalidates the cached
@@ -80,72 +82,6 @@ func (s *Session) sortBatch(keys [][]byte) []batchEnt {
 	return ord
 }
 
-// headCovers reports whether head is an operable leaf head whose current
-// range covers key — the same guards descend applies before stopping at a
-// leaf.
-func headCovers(head *delta, key []byte) bool {
-	switch head.kind {
-	case kRemove, kAbort:
-		return false
-	}
-	if !head.isLeaf {
-		return false
-	}
-	if head.lowKey != nil && !keyGE(key, head.lowKey) {
-		return false
-	}
-	return head.highKey == nil || keyLT(key, head.highKey)
-}
-
-// parentCovers is headCovers for the cached inner-node snapshot.
-func parentCovers(p *delta, key []byte) bool {
-	switch p.kind {
-	case kRemove, kAbort:
-		return false
-	}
-	if p.lowKey != nil && !keyGE(key, p.lowKey) {
-		return false
-	}
-	return p.highKey == nil || keyLT(key, p.highKey)
-}
-
-// batchSeekLeaf positions tr on the leaf covering key, cheapest route
-// first: (1) the previous operation's leaf, if its reloaded head still
-// covers key; (2) a one-level route from the previous operation's parent
-// snapshot; (3) a full descend from the root. The fast paths are only
-// correctness-checked against the CURRENT chain head of the candidate
-// leaf, so stale cached state degrades to a descend, never to a wrong
-// node.
-func (s *Session) batchSeekLeaf(key []byte, tr *traversal) bool {
-	if tr.id != invalidNode {
-		if head := s.t.load(tr.id); head != nil && headCovers(head, key) {
-			tr.head = head
-			s.leafHits++
-			if deepProbes {
-				s.probe.NoteChain(uint32(head.depth))
-			}
-			return true
-		}
-		if p := tr.parentHead; p != nil && tr.parentID != invalidNode && parentCovers(p, key) {
-			if child, ok := s.routeInner(p, key); ok {
-				if chead := s.t.load(child); chead != nil && headCovers(chead, key) {
-					tr.id, tr.head = child, chead
-					s.parentHits++
-					if deepProbes {
-						s.probe.NoteChain(uint32(chead.depth))
-					}
-					return true
-				}
-			}
-		}
-	}
-	if !s.descendProbed(key, tr) {
-		tr.id, tr.parentID, tr.parentHead = invalidNode, invalidNode, nil
-		return false
-	}
-	return true
-}
-
 // batchRefresh re-enters the epoch every batchEpochRefresh operations and
 // invalidates the cached traversal, bounding how long one batch can pin
 // garbage.
@@ -154,54 +90,6 @@ func (s *Session) batchRefresh(n int, tr *traversal) {
 		s.h.Exit()
 		s.h.Enter()
 		tr.id, tr.parentID, tr.parentHead = invalidNode, invalidNode, nil
-	}
-}
-
-// opLat records one per-operation latency when histograms are enabled.
-// Inside a batch this replaces opDone: op counting and counter flushes are
-// amortized into batchDone. The probe OpEnd balances the OpBegin issued
-// by the per-op opStart — it nests inside the batch-level begin, so it
-// only decrements the nest counter (the batch-level OpEnd in batchDone
-// finalizes the flight entry / sampled trace).
-func (s *Session) opLat(c obs.OpClass, start int64) {
-	if s.lat == nil && !(deepProbes && s.probe.RecordsOps()) {
-		return
-	}
-	end := obs.Now()
-	if s.lat != nil {
-		s.lat.Record(c, end-start)
-	}
-	if deepProbes && s.probe.RecordsOps() {
-		s.probe.OpEnd(c, start, end-start)
-	}
-}
-
-// batchDone closes out one batch call: one ops-counter add for the whole
-// batch, one flush of the owner-private counters, and a whole-batch
-// latency observation in the batch class.
-func (s *Session) batchDone(n int, start int64) {
-	s.stats.ops.Add(uint64(n))
-	if c := s.chases; c != 0 {
-		s.chases = 0
-		s.stats.pointerChases.Add(c)
-	}
-	if c := s.leafHits; c != 0 {
-		s.leafHits = 0
-		s.stats.batchLeafHits.Add(c)
-	}
-	if c := s.parentHits; c != 0 {
-		s.parentHits = 0
-		s.stats.batchParentHits.Add(c)
-	}
-	if s.lat == nil && !(deepProbes && s.probe.RecordsOps()) {
-		return
-	}
-	end := obs.Now()
-	if s.lat != nil {
-		s.lat.Record(obs.OpBatch, end-start)
-	}
-	if deepProbes && s.probe.RecordsOps() {
-		s.probe.OpEnd(obs.OpBatch, start, end-start)
 	}
 }
 
@@ -229,61 +117,7 @@ func (s *Session) InsertBatch(keys [][]byte, vals []uint64, ok []bool) []bool {
 	if len(keys) != len(vals) {
 		panic("core: InsertBatch keys/vals length mismatch")
 	}
-	ok = resizeBools(ok, len(keys))
-	if len(keys) == 0 {
-		return ok
-	}
-	if s.t.opts.InPlaceLeafUpdates {
-		// Fig. 18 debug mode is single-threaded and bypasses the delta
-		// machinery; run the ops singly.
-		for i, k := range keys {
-			ok[i] = s.Insert(k, vals[i])
-		}
-		return ok
-	}
-	batchStart := s.opStart()
-	ord := s.sortBatch(keys)
-	s.h.Enter()
-	tr := traversal{id: invalidNode, parentID: invalidNode}
-	for n, e := range ord {
-		i := int(e.idx)
-		s.batchRefresh(n, &tr)
-		start := s.opStart()
-		ok[i] = s.insertOne(&tr, keys[i], vals[i])
-		s.opLat(obs.OpInsert, start)
-	}
-	s.h.Exit()
-	s.batchDone(len(keys), batchStart)
-	return ok
-}
-
-// insertOne is the Insert loop body against a reusable traversal.
-func (s *Session) insertOne(tr *traversal, key []byte, value uint64) bool {
-	spins := 0
-	for {
-		if !s.batchSeekLeaf(key, tr) {
-			s.abortBackoff(&spins)
-			continue
-		}
-		if s.t.opts.NonUnique {
-			r := s.leafSeekPairProbed(tr.head, key, value)
-			if r.found {
-				return false
-			}
-			if s.appendLeaf(tr, kLeafInsert, key, value, 0, +1, r.baseOff) {
-				return true
-			}
-		} else {
-			r := s.leafSeekProbed(tr.head, key)
-			if r.found {
-				return false
-			}
-			if s.appendLeaf(tr, kLeafInsert, key, value, 0, +1, r.baseOff) {
-				return true
-			}
-		}
-		s.abortBackoff(&spins)
-	}
+	return s.writeBatch(keys, vals, ok, obs.OpInsert)
 }
 
 // DeleteBatch removes every key (unique mode) or exact (keys[i], vals[i])
@@ -293,14 +127,15 @@ func (s *Session) DeleteBatch(keys [][]byte, vals []uint64, ok []bool) []bool {
 	if len(keys) != len(vals) {
 		panic("core: DeleteBatch keys/vals length mismatch")
 	}
+	return s.writeBatch(keys, vals, ok, obs.OpDelete)
+}
+
+// writeBatch runs insertOne (deleteOne for c == OpDelete) over every pair
+// in sorted key order, carrying the traversal from each operation to the
+// next.
+func (s *Session) writeBatch(keys [][]byte, vals []uint64, ok []bool, c obs.OpClass) []bool {
 	ok = resizeBools(ok, len(keys))
 	if len(keys) == 0 {
-		return ok
-	}
-	if s.t.opts.InPlaceLeafUpdates {
-		for i, k := range keys {
-			ok[i] = s.Delete(k, vals[i])
-		}
 		return ok
 	}
 	batchStart := s.opStart()
@@ -311,41 +146,16 @@ func (s *Session) DeleteBatch(keys [][]byte, vals []uint64, ok []bool) []bool {
 		i := int(e.idx)
 		s.batchRefresh(n, &tr)
 		start := s.opStart()
-		ok[i] = s.deleteOne(&tr, keys[i], vals[i])
-		s.opLat(obs.OpDelete, start)
+		if c == obs.OpDelete {
+			ok[i] = s.deleteOne(&tr, keys[i], vals[i])
+		} else {
+			ok[i] = s.insertOne(&tr, keys[i], vals[i])
+		}
+		s.opLat(c, start)
 	}
 	s.h.Exit()
-	s.batchDone(len(keys), batchStart)
+	s.opsDone(len(keys), obs.OpBatch, batchStart)
 	return ok
-}
-
-// deleteOne is the Delete loop body against a reusable traversal.
-func (s *Session) deleteOne(tr *traversal, key []byte, value uint64) bool {
-	spins := 0
-	for {
-		if !s.batchSeekLeaf(key, tr) {
-			s.abortBackoff(&spins)
-			continue
-		}
-		if s.t.opts.NonUnique {
-			r := s.leafSeekPairProbed(tr.head, key, value)
-			if !r.found {
-				return false
-			}
-			if s.appendLeaf(tr, kLeafDelete, key, value, 0, -1, r.baseOff) {
-				return true
-			}
-		} else {
-			r := s.leafSeekProbed(tr.head, key)
-			if !r.found {
-				return false
-			}
-			if s.appendLeaf(tr, kLeafDelete, key, r.value, 0, -1, r.baseOff) {
-				return true
-			}
-		}
-		s.abortBackoff(&spins)
-	}
 }
 
 // LookupBatch looks up every key and invokes visit once per key, in
@@ -390,18 +200,5 @@ func (s *Session) LookupBatch(keys [][]byte, visit func(i int, vals []uint64)) {
 		s.opLat(obs.OpRead, start)
 	}
 	s.h.Exit()
-	s.batchDone(len(keys), batchStart)
-}
-
-// lookupOne is the Lookup loop body against a reusable traversal,
-// appending results to out.
-func (s *Session) lookupOne(tr *traversal, key []byte, out []uint64) []uint64 {
-	spins := 0
-	for {
-		if !s.batchSeekLeaf(key, tr) {
-			s.abortBackoff(&spins)
-			continue
-		}
-		return s.lookupLeaf(tr, key, out)
-	}
+	s.opsDone(len(keys), obs.OpBatch, batchStart)
 }

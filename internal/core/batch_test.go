@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -90,6 +91,35 @@ func TestBatchBasic(t *testing.T) {
 				t.Fatal("sorted batches produced zero leaf-cache hits")
 			}
 		})
+	}
+}
+
+// TestBatchRestartDescendsFromRoot pins the restart rule (§2.2): a
+// batched insert that loses its leaf CaS re-descends from the root rather
+// than retrying on the leaf it cached from the previous key. Two keys
+// share one leaf, so the second key's first attempt is the batch's only
+// leaf-cache hit; a retry through the cache would count a second.
+func TestBatchRestartDescendsFromRoot(t *testing.T) {
+	tr := New(DefaultOptions())
+	defer tr.Close()
+	s := tr.NewSession()
+	defer s.Release()
+
+	keys := [][]byte{batchKey(1), batchKey(2)}
+	failed := false
+	withCASFailures(t, func(id nodeID, o, n *delta) bool {
+		if !failed && n.kind == kLeafInsert && bytes.Equal(n.key, keys[1]) {
+			failed = true
+			return true
+		}
+		return false
+	})
+	ok := s.InsertBatch(keys, []uint64{1, 2}, nil)
+	if !ok[0] || !ok[1] || !failed {
+		t.Fatalf("InsertBatch = %v, injected failure %t", ok, failed)
+	}
+	if hits := tr.Stats().BatchLeafHits; hits != 1 {
+		t.Fatalf("BatchLeafHits = %d, want 1: the restart reused the cached leaf", hits)
 	}
 }
 

@@ -124,7 +124,9 @@ func (s *Session) consolidateIDInner(id nodeID, head *delta, parentID nodeID, pa
 			// Inner-node consolidations (and slab-exhaustion paths) carry
 			// no parent snapshot; discover one so inner nodes can merge
 			// too. Failure simply defers the merge.
-			parentID, parentHead = s.findParentByChild(nb.lowKey, id)
+			if pid, phead, _, found := s.findParent(nb.lowKey, id, invalidNode); found {
+				parentID, parentHead = pid, phead
+			}
 		}
 		if parentID != invalidNode && parentHead != nil {
 			s.tryMerge(parentID, parentHead, id, nb)

@@ -206,7 +206,9 @@ func (s *Session) postSeparator(splitKey []byte, rightID nodeID, nextKey []byte,
 
 // findParent descends from the root looking for the inner node that
 // currently routes splitKey to leftID (the unposted-parent) or rightID
-// (separator already posted; done=true).
+// (separator already posted; done=true). A consolidation that wants a
+// merge but holds no parent snapshot passes its node's low key and ID as
+// splitKey and leftID, with rightID invalid.
 func (s *Session) findParent(splitKey []byte, leftID, rightID nodeID) (nodeID, *delta, bool, bool) {
 	t := s.t
 	id := t.root
@@ -552,36 +554,4 @@ func sameKey(a, b []byte) bool {
 		return a == nil && b == nil
 	}
 	return bytes.Equal(a, b)
-}
-
-// findParentByChild descends from the root to locate the inner node that
-// currently routes lowKey to child, returning its snapshot for a merge
-// attempt. Used when a consolidation discovers an undersized node but has
-// no parent snapshot (inner-node chains are consolidated from separator
-// posts, which carry none).
-func (s *Session) findParentByChild(lowKey []byte, child nodeID) (nodeID, *delta) {
-	t := s.t
-	id := t.root
-	for hops := 0; hops < maxTraversalHops; hops++ {
-		head := t.load(id)
-		if head == nil || head.kind == kAbort || head.kind == kRemove || head.isLeaf {
-			return invalidNode, nil
-		}
-		if head.highKey != nil && keyGE(lowKey, head.highKey) {
-			if head.rightSib == invalidNode {
-				return invalidNode, nil
-			}
-			id = head.rightSib
-			continue
-		}
-		next, ok := s.routeInner(head, lowKey)
-		if !ok {
-			return invalidNode, nil
-		}
-		if next == child {
-			return id, head
-		}
-		id = next
-	}
-	return invalidNode, nil
 }

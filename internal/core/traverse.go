@@ -102,6 +102,73 @@ func (s *Session) descend(key []byte, tr *traversal) bool {
 	}
 }
 
+// headCovers reports whether head is an operable leaf head whose current
+// range covers key — the same guards descend applies before stopping at a
+// leaf.
+func headCovers(head *delta, key []byte) bool {
+	switch head.kind {
+	case kRemove, kAbort:
+		return false
+	}
+	if !head.isLeaf {
+		return false
+	}
+	if head.lowKey != nil && !keyGE(key, head.lowKey) {
+		return false
+	}
+	return head.highKey == nil || keyLT(key, head.highKey)
+}
+
+// parentCovers is headCovers for the cached inner-node snapshot.
+func parentCovers(p *delta, key []byte) bool {
+	switch p.kind {
+	case kRemove, kAbort:
+		return false
+	}
+	if p.lowKey != nil && !keyGE(key, p.lowKey) {
+		return false
+	}
+	return p.highKey == nil || keyLT(key, p.highKey)
+}
+
+// seekLeaf positions tr on the leaf covering key, cheapest route first:
+// (1) the previous batch operation's leaf, if its reloaded head still
+// covers key; (2) a one-level route from the previous operation's parent
+// snapshot; (3) a full descend from the root, the only route for a single
+// operation and for a restart, both of which come with tr.id invalid.
+// The fast paths are only correctness-checked against the CURRENT chain
+// head of the candidate leaf, so stale cached state degrades to a
+// descend, never to a wrong node.
+func (s *Session) seekLeaf(key []byte, tr *traversal) bool {
+	if tr.id != invalidNode {
+		if head := s.t.load(tr.id); head != nil && headCovers(head, key) {
+			tr.head = head
+			s.leafHits++
+			if deepProbes {
+				s.probe.NoteChain(uint32(head.depth))
+			}
+			return true
+		}
+		if p := tr.parentHead; p != nil && tr.parentID != invalidNode && parentCovers(p, key) {
+			if child, ok := s.routeInner(p, key); ok {
+				if chead := s.t.load(child); chead != nil && headCovers(chead, key) {
+					tr.id, tr.head = child, chead
+					s.parentHits++
+					if deepProbes {
+						s.probe.NoteChain(uint32(chead.depth))
+					}
+					return true
+				}
+			}
+		}
+	}
+	if !s.descendProbed(key, tr) {
+		tr.id, tr.parentID, tr.parentHead = invalidNode, invalidNode, nil
+		return false
+	}
+	return true
+}
+
 // maxTraversalHops bounds a single descent; generous enough for any sane
 // tree (depth x sibling chases) while catching cycles in debug scenarios.
 const maxTraversalHops = 4096

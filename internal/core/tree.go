@@ -182,7 +182,7 @@ type Session struct {
 	probe *obs.Probe
 
 	// leafHits/parentHits batch the traversal-cache hit counters the same
-	// way chases batches pointer dereferences; flushed by batchDone.
+	// way chases batches pointer dereferences; flushed by opsDone.
 	leafHits   uint64
 	parentHits uint64
 
@@ -287,15 +287,37 @@ func (s *Session) opStart() int64 {
 }
 
 // opDone closes out one public operation: it counts the op, flushes the
-// batched pointer-chase counter, records the latency when enabled, and
-// finalizes the deep-path probe (flight-recorder entry, sampled phase
-// trace, anomaly checks).
-func (s *Session) opDone(c obs.OpClass, start int64) {
-	s.stats.ops.Add(1)
-	if n := s.chases; n != 0 {
+// owner-private counters, records the latency when enabled, and finalizes
+// the deep-path probe (flight-recorder entry, sampled phase trace,
+// anomaly checks).
+func (s *Session) opDone(c obs.OpClass, start int64) { s.opsDone(1, c, start) }
+
+// opsDone is opDone for n operations, a batch of them closing as one
+// latency observation in class c.
+func (s *Session) opsDone(n int, c obs.OpClass, start int64) {
+	s.stats.ops.Add(uint64(n))
+	if v := s.chases; v != 0 {
 		s.chases = 0
-		s.stats.pointerChases.Add(n)
+		s.stats.pointerChases.Add(v)
 	}
+	if v := s.leafHits; v != 0 {
+		s.leafHits = 0
+		s.stats.batchLeafHits.Add(v)
+	}
+	if v := s.parentHits; v != 0 {
+		s.parentHits = 0
+		s.stats.batchParentHits.Add(v)
+	}
+	s.opLat(c, start)
+}
+
+// opLat records one per-operation latency when histograms are enabled.
+// Inside a batch this replaces opDone: op counting and counter flushes are
+// amortized into the batch's one opsDone. The probe OpEnd balances the
+// OpBegin issued by the per-op opStart — it nests inside the batch-level
+// begin, so it only decrements the nest counter (the batch-level OpEnd
+// finalizes the flight entry / sampled trace).
+func (s *Session) opLat(c obs.OpClass, start int64) {
 	if s.lat == nil && !(deepProbes && s.probe.RecordsOps()) {
 		return
 	}

@@ -525,8 +525,20 @@ func TestInPlaceLeafUpdates(t *testing.T) {
 // and with deletes, including one that empties every leaf before the
 // outliers go back in. Every result is checked against a map model, then
 // the tree against Validate and a full scan, which reads private
-// iterator copies.
+// iterator copies. The "batch" case sends each run of inserts or deletes
+// through InsertBatch or DeleteBatch, which carry a cached leaf from one
+// key to the next.
 func TestInPlaceLeafUpdatesArena(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		name := "single"
+		if batched {
+			name = "batch"
+		}
+		t.Run(name, func(t *testing.T) { testInPlaceLeafUpdatesArena(t, batched) })
+	}
+}
+
+func testInPlaceLeafUpdatesArena(t *testing.T, batched bool) {
 	opts := DefaultOptions()
 	opts.InPlaceLeafUpdates = true
 	opts.UnsafeNoCAS = true
@@ -544,22 +556,45 @@ func TestInPlaceLeafUpdatesArena(t *testing.T) {
 	outliers := []string{"a", "tenant/0041/x", "tenant/0042/", "tenant/0042/obj", "tenant/0042/obj1", "tenant/0043", "zz"}
 	rng := rand.New(rand.NewSource(42))
 	model := map[string]uint64{}
-	insert := func(k string) {
-		_, present := model[k]
-		v := rng.Uint64()
-		if got := s.Insert([]byte(k), v); got == present {
-			t.Fatalf("Insert(%q) = %t with key present=%t", k, got, present)
+	// write inserts (or, with del, deletes) ks in order, singly or as one
+	// batch, and checks each result against the model applied in order.
+	write := func(del bool, ks []string) {
+		bk := make([][]byte, len(ks))
+		vals := make([]uint64, len(ks))
+		for i, k := range ks {
+			bk[i], vals[i] = []byte(k), rng.Uint64()
 		}
-		if !present {
-			model[k] = v
+		var got []bool
+		switch {
+		case batched && del:
+			got = s.DeleteBatch(bk, vals, nil)
+		case batched:
+			got = s.InsertBatch(bk, vals, nil)
+		default:
+			for i := range bk {
+				if del {
+					got = append(got, s.Delete(bk[i], 0))
+				} else {
+					got = append(got, s.Insert(bk[i], vals[i]))
+				}
+			}
 		}
-	}
-	remove := func(k string) {
-		_, present := model[k]
-		if got := s.Delete([]byte(k), 0); got != present {
-			t.Fatalf("Delete(%q) = %t with key present=%t", k, got, present)
+		for i, k := range ks {
+			_, present := model[k]
+			if del {
+				if got[i] != present {
+					t.Fatalf("Delete(%q) = %t with key present=%t", k, got[i], present)
+				}
+				delete(model, k)
+				continue
+			}
+			if got[i] == present {
+				t.Fatalf("Insert(%q) = %t with key present=%t", k, got[i], present)
+			}
+			if !present {
+				model[k] = vals[i]
+			}
 		}
-		delete(model, k)
 	}
 	check := func(phase string) {
 		for _, k := range append(keys, outliers...) {
@@ -570,6 +605,9 @@ func TestInPlaceLeafUpdatesArena(t *testing.T) {
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%s: validate: %v", phase, err)
+		}
+		if got := tr.Count(); got != len(model) {
+			t.Fatalf("%s: Count = %d, model %d", phase, got, len(model))
 		}
 		want := make([]string, 0, len(model))
 		for k := range model {
@@ -590,28 +628,35 @@ func TestInPlaceLeafUpdatesArena(t *testing.T) {
 	}
 
 	// Random-order loads split leaves into bases with a long prefix.
+	var load []string
 	for _, i := range rng.Perm(len(keys)) {
-		insert(keys[i])
+		load = append(load, keys[i])
 	}
+	write(false, load)
 	check("load")
-	// Outliers land in those bases and must shrink their prefix.
+	// Outliers land in those bases and must shrink their prefix. Each run
+	// of consecutive inserts or deletes is written as one call.
 	all := append(append([]string(nil), keys...), outliers...)
+	var run []string
+	runDel := false
 	for op := 0; op < 4000; op++ {
 		k := all[rng.Intn(len(all))]
-		if rng.Intn(3) == 0 {
-			remove(k)
-		} else {
-			insert(k)
+		del := rng.Intn(3) == 0
+		if del != runDel && len(run) > 0 {
+			write(runDel, run)
+			run = run[:0]
 		}
+		run, runDel = append(run, k), del
 	}
+	write(runDel, run)
 	check("mixed")
-	for _, k := range all {
-		remove(k)
-	}
+	write(true, all)
 	check("emptied")
+	var refill []string
 	for _, i := range rng.Perm(len(outliers)) {
-		insert(outliers[i])
+		refill = append(refill, outliers[i])
 	}
+	write(false, refill)
 	check("refilled")
 }
 

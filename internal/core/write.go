@@ -131,40 +131,8 @@ func (s *Session) Insert(key []byte, value uint64) bool {
 	s.h.Enter()
 	defer s.h.Exit()
 	defer s.opDone(obs.OpInsert, s.opStart())
-	spins := 0
-	for {
-		var tr traversal
-		if !s.descendProbed(key, &tr) {
-			s.abortBackoff(&spins)
-			continue
-		}
-		if s.t.opts.InPlaceLeafUpdates {
-			ok, inserted := s.insertInPlace(&tr, key, value)
-			if ok {
-				return inserted
-			}
-			s.stats.aborts.Add(1)
-			continue
-		}
-		if s.t.opts.NonUnique {
-			r := s.leafSeekPairProbed(tr.head, key, value)
-			if r.found {
-				return false
-			}
-			if s.appendLeaf(&tr, kLeafInsert, key, value, 0, +1, r.baseOff) {
-				return true
-			}
-		} else {
-			r := s.leafSeekProbed(tr.head, key)
-			if r.found {
-				return false
-			}
-			if s.appendLeaf(&tr, kLeafInsert, key, value, 0, +1, r.baseOff) {
-				return true
-			}
-		}
-		s.abortBackoff(&spins)
-	}
+	tr := traversal{id: invalidNode, parentID: invalidNode}
+	return s.insertOne(&tr, key, value)
 }
 
 // Delete removes key (unique mode) or the exact (key, value) pair
@@ -174,40 +142,77 @@ func (s *Session) Delete(key []byte, value uint64) bool {
 	s.h.Enter()
 	defer s.h.Exit()
 	defer s.opDone(obs.OpDelete, s.opStart())
+	tr := traversal{id: invalidNode, parentID: invalidNode}
+	return s.deleteOne(&tr, key, value)
+}
+
+// insertOne is the one Insert body, shared by Insert and InsertBatch: it
+// starts from whatever tr caches (nothing, for a single op) and, after a
+// failed leaf step, restarts from the root (§2.2).
+func (s *Session) insertOne(tr *traversal, key []byte, value uint64) bool {
 	spins := 0
 	for {
-		var tr traversal
-		if !s.descendProbed(key, &tr) {
-			s.abortBackoff(&spins)
-			continue
-		}
-		if s.t.opts.InPlaceLeafUpdates {
-			ok, deleted := s.deleteInPlace(&tr, key, value)
-			if ok {
-				return deleted
+		if s.seekLeaf(key, tr) {
+			if done, inserted := s.insertLeaf(tr, key, value); done {
+				return inserted
 			}
-			s.stats.aborts.Add(1)
-			continue
-		}
-		if s.t.opts.NonUnique {
-			r := s.leafSeekPairProbed(tr.head, key, value)
-			if !r.found {
-				return false
-			}
-			if s.appendLeaf(&tr, kLeafDelete, key, value, 0, -1, r.baseOff) {
-				return true
-			}
-		} else {
-			r := s.leafSeekProbed(tr.head, key)
-			if !r.found {
-				return false
-			}
-			if s.appendLeaf(&tr, kLeafDelete, key, r.value, 0, -1, r.baseOff) {
-				return true
-			}
+			tr.id = invalidNode
 		}
 		s.abortBackoff(&spins)
 	}
+}
+
+// deleteOne is insertOne for Delete and DeleteBatch.
+func (s *Session) deleteOne(tr *traversal, key []byte, value uint64) bool {
+	spins := 0
+	for {
+		if s.seekLeaf(key, tr) {
+			if done, deleted := s.deleteLeaf(tr, key, value); done {
+				return deleted
+			}
+			tr.id = invalidNode
+		}
+		s.abortBackoff(&spins)
+	}
+}
+
+// seekWrite replays the leaf chain for the record an Insert or Delete of
+// (key, value) decides on: the exact pair under non-unique semantics, the
+// key otherwise.
+func (s *Session) seekWrite(head *delta, key []byte, value uint64) seekResult {
+	if s.t.opts.NonUnique {
+		return s.leafSeekPairProbed(head, key, value)
+	}
+	return s.leafSeekProbed(head, key)
+}
+
+// insertLeaf runs one Insert step on the leaf tr points at. done is false
+// when the step lost its CaS or had to consolidate first, and the
+// operation must restart.
+func (s *Session) insertLeaf(tr *traversal, key []byte, value uint64) (done, inserted bool) {
+	if s.t.opts.InPlaceLeafUpdates {
+		return s.insertInPlace(tr, key, value)
+	}
+	r := s.seekWrite(tr.head, key, value)
+	if r.found {
+		return true, false
+	}
+	ok := s.appendLeaf(tr, kLeafInsert, key, value, 0, +1, r.baseOff)
+	return ok, ok
+}
+
+// deleteLeaf is insertLeaf for Delete. The delta carries the value found,
+// which under non-unique semantics is value itself.
+func (s *Session) deleteLeaf(tr *traversal, key []byte, value uint64) (done, deleted bool) {
+	if s.t.opts.InPlaceLeafUpdates {
+		return s.deleteInPlace(tr, key, value)
+	}
+	r := s.seekWrite(tr.head, key, value)
+	if !r.found {
+		return true, false
+	}
+	ok := s.appendLeaf(tr, kLeafDelete, key, r.value, 0, -1, r.baseOff)
+	return ok, ok
 }
 
 // Update replaces the value stored under key (unique mode) and reports
@@ -304,20 +309,17 @@ func (s *Session) Lookup(key []byte, out []uint64) []uint64 {
 	s.h.Enter()
 	defer s.h.Exit()
 	defer s.opDone(obs.OpRead, s.opStart())
-	spins := 0
-	for {
-		var tr traversal
-		if !s.descendProbed(key, &tr) {
-			s.abortBackoff(&spins)
-			continue
-		}
-		return s.lookupLeaf(&tr, key, out)
-	}
+	tr := traversal{id: invalidNode, parentID: invalidNode}
+	return s.lookupOne(&tr, key, out)
 }
 
-// lookupLeaf answers a Lookup on the leaf tr points at, appending the
-// values to out.
-func (s *Session) lookupLeaf(tr *traversal, key []byte, out []uint64) []uint64 {
+// lookupOne is the one Lookup body, shared by Lookup and LookupBatch,
+// appending results to out.
+func (s *Session) lookupOne(tr *traversal, key []byte, out []uint64) []uint64 {
+	spins := 0
+	for !s.seekLeaf(key, tr) {
+		s.abortBackoff(&spins)
+	}
 	if s.t.opts.NonUnique {
 		out, _ = s.collectValuesProbed(tr.head, key, out)
 	} else if r := s.leafSeekProbed(tr.head, key); r.found {
