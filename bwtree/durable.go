@@ -16,6 +16,15 @@ import (
 	"repro/internal/wal"
 )
 
+// Router partitions a durable store's key space over several trees that
+// share one log (shard.Router satisfies it).
+type Router interface {
+	// Shard returns the partition owning key, in [0, NumShards).
+	Shard(key []byte) int
+	// NumShards is the partition count.
+	NumShards() int
+}
+
 // DurableOptions configures OpenDurable.
 type DurableOptions struct {
 	// Tree configures the in-memory index. Zero-value fields are filled
@@ -31,14 +40,12 @@ type DurableOptions struct {
 	// lose the most recent acknowledgements (bounded by Sync/Checkpoint
 	// calls). The in-memory result is identical either way.
 	SyncOnCommit bool
-	// TxnCommitted resolves two-phase transaction prepares found during
-	// recovery: a surviving OpTxnPrep record applies iff this reports its
-	// transaction ID committed. Leave nil for standalone stores — they
-	// then resolve decisions from their own log (a prep is committed iff
-	// an OpTxnCommit for its ID survives here). A sharded store passes a
-	// store-level resolver so a decision surviving in any participant's
-	// log commits the prepares in all of them.
-	TxnCommitted func(txnID uint64) bool
+	// Router, when non-nil, splits the store into Router.NumShards()
+	// partitions, each with its own tree and stripe table, all logging to
+	// the one log in dir: a write set spanning partitions is still one
+	// record. Reopen a directory with a Router that routes as the last
+	// one did. Nil means one tree.
+	Router Router
 }
 
 // Durable wraps a Tree with logging of effects, epoch-consistent
@@ -49,6 +56,13 @@ type DurableOptions struct {
 // merges the newest checkpoint snapshot with the log tail, folded
 // last-writer-wins per key, into one BulkLoad.
 //
+// A store opened with a Router has one Durable per partition (see
+// Partitions) over the one log. Tree, Stripes, NewSession and the
+// convenience operations belong to the partition, and a key must be
+// written through the partition its Router names; Checkpoint, Sync,
+// Crash, Close, WALStats, RecoveryStats, AppendTxn and WaitLSN act on
+// the whole store, through any of its handles.
+//
 // Concurrency: obtain one DurableSession per goroutine, exactly as with
 // Tree. Commit ordering between conflicting operations is established by
 // a striped lock held across the tree-apply + log-append pair, so the
@@ -56,20 +70,28 @@ type DurableOptions struct {
 // the property replay depends on. Checkpoint runs concurrently with
 // writers.
 type Durable struct {
-	t   *Tree
-	w   *wal.Writer
-	dir string
-	o   DurableOptions
-	rec RecoveryStats
+	*durableLog // the store-wide state every partition shares
+	t           *Tree
 
 	// stripes serialize apply+log-append for conflicting keys. 256 ways
 	// keeps disjoint-key concurrency while making same-key commit order
 	// deterministic.
 	stripes Stripes
 
-	mu     sync.Mutex // guards the closed flag and the convenience session
+	convs *Session // lazy session backing the convenience methods; guarded by mu
+}
+
+// durableLog is what a durable store's partitions share: the one log, the
+// recovery report and the lifecycle locks.
+type durableLog struct {
+	w     *wal.Writer
+	dir   string
+	o     DurableOptions
+	rec   RecoveryStats
+	parts []*Durable
+
+	mu     sync.Mutex // guards closed and every partition's convenience session
 	closed bool
-	convs  *Session // lazy session backing the convenience methods
 
 	// lastCP is the wall-clock UnixNano of the last durability baseline:
 	// set at open (recovery establishes one) and on every successful
@@ -83,7 +105,7 @@ type Durable struct {
 	cpMu sync.Mutex
 	// life fences Close against in-flight checkpoints: Checkpoint holds
 	// the read side across its tree walk and log sync, Close takes the
-	// write side before releasing the writer and the tree.
+	// write side before releasing the writer and the trees.
 	life sync.RWMutex
 }
 
@@ -101,18 +123,16 @@ type RecoveryStats struct {
 	LastLSN uint64
 	// TornTail reports that a torn final record was found and truncated.
 	TornTail bool
-	// MaxTxnID is the highest transaction ID observed in the replayed log
-	// suffix (0 when none). The transaction layer seeds its ID counter
-	// above it so a new prepare can never collide with a stale surviving
-	// decision record.
+	// MaxTxnID is the highest transaction ID on an OpTxn record in the
+	// replayed log suffix (0 when none). The transaction layer seeds its
+	// ID counter above it, so IDs stay unique across incarnations.
 	MaxTxnID uint64
 	// Replay and SnapshotLoad partition the rebuild's wall clock, whatever
 	// the directory holds. Replay is the work proportional to the log
-	// tail: decision pre-scan, tail decode, per-key fold, sort.
-	// SnapshotLoad is the work proportional to the live data: snapshot
-	// verification, the merge and the one BulkLoad — so it is non-zero
-	// for a log-only directory too, and a whole-rebuild rate divides by
-	// the sum.
+	// tail: tail decode, per-key fold, sort. SnapshotLoad is the work
+	// proportional to the live data: snapshot verification, the merge and
+	// the BulkLoad of every partition — so it is non-zero for a log-only
+	// directory too, and a whole-rebuild rate divides by the sum.
 	SnapshotLoad time.Duration
 	Replay       time.Duration
 }
@@ -120,137 +140,160 @@ type RecoveryStats struct {
 // ErrDurableClosed is returned by operations on a closed Durable.
 var ErrDurableClosed = errors.New("bwtree: durable tree closed")
 
-// OpenDurable opens (creating or recovering) a durable tree rooted at
-// dir. If dir holds a previous incarnation's state, the tree is rebuilt
-// from the newest checkpoint snapshot and the log tail (truncating a torn
-// final record), and logging resumes at the next LSN.
+// OpenDurable opens (creating or recovering) a durable store rooted at
+// dir and returns its first partition's handle. If dir holds a previous
+// incarnation's state, every partition is rebuilt from the newest
+// checkpoint snapshot and the log tail (truncating a torn final record),
+// and logging resumes at the next LSN.
 func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 	if o.Tree.NonUnique {
 		// The log records the one value a key holds; last-writer-wins
 		// replay is only meaningful for unique keys.
 		return nil, errors.New("bwtree: durable trees require unique-key mode")
 	}
-	d := &Durable{dir: dir, o: o, stripes: Stripes{seed: maphash.MakeSeed()}, t: core.New(o.Tree)}
-	next, err := d.rebuild()
+	n := 1
+	if o.Router != nil {
+		if n = o.Router.NumShards(); n < 1 {
+			return nil, fmt.Errorf("bwtree: router covers %d partitions", n)
+		}
+	}
+	l := &durableLog{dir: dir, o: o, parts: make([]*Durable, n)}
+	for i := range l.parts {
+		l.parts[i] = &Durable{durableLog: l, t: core.New(o.Tree), stripes: Stripes{seed: maphash.MakeSeed()}}
+	}
+	next, err := l.rebuild()
 	if err == nil {
-		d.w, err = wal.NewWriter(dir, o.WAL, next)
+		l.w, err = wal.NewWriter(dir, o.WAL, next)
 	}
 	if err != nil {
-		d.t.Close() // never hand back, or leak, a half-built tree
+		for _, p := range l.parts {
+			p.t.Close() // never hand back, or leak, a half-built tree
+		}
 		return nil, err
 	}
-	d.lastCP.Store(time.Now().UnixNano())
-	if d.rec.Replayed > 0 || d.rec.TornTail {
+	l.lastCP.Store(time.Now().UnixNano())
+	if l.rec.Replayed > 0 || l.rec.TornTail {
 		// Surface the recovery in the flight recorder (no-op unless the
-		// tree was opened with FlightRecorderSize set).
-		d.t.AnomalyNote(fmt.Sprintf(
-			"recovery: replayed %d records after LSN %d (torn tail: %v)",
-			d.rec.Replayed, d.rec.SnapshotLSN, d.rec.TornTail))
+		// trees were opened with FlightRecorderSize set).
+		note := fmt.Sprintf("recovery: replayed %d records after LSN %d (torn tail: %v)",
+			l.rec.Replayed, l.rec.SnapshotLSN, l.rec.TornTail)
+		for _, p := range l.parts {
+			p.t.AnomalyNote(note)
+		}
 	}
-	return d, nil
+	return l.parts[0], nil
+}
+
+// Partitions returns every partition's handle, indexed by the Router's
+// shard number; a store opened without a Router has one.
+func (d *Durable) Partitions() []*Durable { return d.parts }
+
+// owner returns the partition key belongs to.
+func (l *durableLog) owner(key []byte) int {
+	if l.o.Router == nil {
+		return 0
+	}
+	return l.o.Router.Shard(key)
 }
 
 // rebuild is the recovery engine, the same code for every directory
 // shape: fold the log tail after the manifest LSN into the state each
-// touched key's last record leaves it in, merge those sorted keys with
-// the snapshot stream (a tail key overrides its snapshot entry), and
-// bulk-load the result into the (empty) tree. A log-only directory is the
-// empty-snapshot case, a clean checkpoint the empty-tail case. It runs on
-// the caller's goroutine alone and returns the LSN logging resumes at.
-func (d *Durable) rebuild() (nextLSN uint64, err error) {
-	m, haveCP, err := wal.LoadManifest(d.dir)
+// touched key's last record leaves it in, merge each partition's sorted
+// share of those keys with the snapshot pairs it owns (a tail key
+// overrides its snapshot entry), and bulk-load the result into the
+// partition's (empty) tree. A log-only directory is the empty-snapshot
+// case, a clean checkpoint the empty-tail case. It returns the LSN
+// logging resumes at.
+func (l *durableLog) rebuild() (nextLSN uint64, err error) {
+	m, haveCP, err := wal.LoadManifest(l.dir)
 	if err != nil {
 		return 0, err
 	}
-	d.rec.SnapshotLSN = m.LSN
+	l.rec.SnapshotLSN = m.LSN
 
 	t0 := time.Now()
-	committed := d.o.TxnCommitted
-	preTorn := false
-	if committed == nil {
-		// Standalone decision pre-scan: a surviving two-phase prepare
-		// applies iff its decision record also survives in this log.
-		// Decisions and the ID high-water mark come from the same pass, so
-		// a stale decision that could poison a future prepare necessarily
-		// pushes the next incarnation's IDs above itself. (The pass also
-		// truncates a torn tail; remember it — the fold then finds the log
-		// already clean.)
-		set, maxID, torn, perr := ScanTxnDecisions(d.dir)
-		if perr != nil {
-			return 0, perr
-		}
-		d.rec.MaxTxnID = maxID
-		preTorn = torn
-		committed = func(id uint64) bool { return set[id] }
-	}
-	tail, st, err := foldTail(d.dir, m.LSN, committed)
+	tail, st, err := l.foldTail(m.LSN)
 	if err != nil {
 		return 0, err
 	}
-	d.rec.Replayed = st.Records
-	d.rec.LastLSN = st.MaxLSN
-	d.rec.TornTail = st.Torn || preTorn
-	d.rec.Replay = time.Since(t0)
+	l.rec.Replayed = st.Records
+	l.rec.LastLSN = st.MaxLSN
+	l.rec.TornTail = st.Torn
+	l.rec.Replay = time.Since(t0)
 
 	t0 = time.Now()
-	snap := func() ([]byte, uint64, error) { return nil, 0, io.EOF }
+	var snap *wal.Snapshot
 	if haveCP {
-		if snap, err = wal.ReadSnapshot(d.dir, m); err != nil {
+		if snap, err = wal.ReadSnapshot(l.dir, m); err != nil {
 			return 0, err
 		}
-		d.rec.SnapshotKeys = m.Count
+		l.rec.SnapshotKeys = m.Count
 	}
-	if err := mergeLoad(d.t, snap, tail); err != nil {
+	if err := l.load(snap, tail); err != nil {
 		return 0, err
 	}
-	d.rec.SnapshotLoad = time.Since(t0)
+	l.rec.SnapshotLoad = time.Since(t0)
 	return max(st.MaxLSN, m.LSN) + 1, nil
+}
+
+// load merge-loads every partition from the snapshot and its run of the
+// tail (foldTail sorts by partition first). One tree loads on the
+// caller's goroutine; several load in parallel.
+func (l *durableLog) load(snap *wal.Snapshot, tail []tailKey) error {
+	errs := make([]error, len(l.parts))
+	var wg sync.WaitGroup
+	for p, d := range l.parts {
+		n := 0
+		for n < len(tail) && int(tail[n].part) == p {
+			n++
+		}
+		mine := tail[:n]
+		tail = tail[n:]
+		run := func() { errs[p] = mergeLoad(d.t, l.cursor(snap, p), mine) }
+		if len(l.parts) == 1 {
+			run()
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cursor streams the snapshot pairs partition p owns. A checkpoint writes
+// the partitions one after another, each in key order, so they arrive
+// ascending. No snapshot is an empty stream.
+func (l *durableLog) cursor(snap *wal.Snapshot, p int) func() ([]byte, uint64, error) {
+	if snap == nil {
+		return func() ([]byte, uint64, error) { return nil, 0, io.EOF }
+	}
+	next := snap.Cursor()
+	if len(l.parts) == 1 {
+		return next
+	}
+	return func() ([]byte, uint64, error) {
+		for {
+			k, v, err := next()
+			if err != nil || l.owner(k) == p {
+				return k, v, err
+			}
+		}
+	}
 }
 
 // CheckpointAge returns the time since the last durability baseline (the
 // last successful Checkpoint, or recovery at open).
 func (d *Durable) CheckpointAge() time.Duration {
 	return time.Duration(time.Now().UnixNano() - d.lastCP.Load())
-}
-
-// ScanTxnDecisions reads dir's log tail (after its manifest LSN, when a
-// checkpoint exists) and reports every transaction ID carrying a
-// surviving OpTxnCommit decision record, plus the highest transaction ID
-// seen on any transaction record. A sharded store runs this over every
-// shard directory before opening them, merges the results, and passes
-// the union as DurableOptions.TxnCommitted — a decision surviving in any
-// participant's log then commits the prepares in all of them.
-//
-// The scan truncates a torn final record exactly as replay would (the
-// two must agree on where the log ends); torn reports whether it did, so
-// callers can surface the truncation even though the subsequent open
-// finds the log already clean.
-//
-// Prune safety: a decision is appended to the same log as each prepare
-// it commits, after it — so a surviving prepare's decision sits above
-// the same manifest LSN, and the per-shard scans collectively see every
-// decision that any surviving prepare needs.
-func ScanTxnDecisions(dir string) (committed map[uint64]bool, maxTxnID uint64, torn bool, err error) {
-	m, _, err := wal.LoadManifest(dir)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	set := make(map[uint64]bool)
-	st, err := wal.Replay(dir, m.LSN, func(r wal.Record) error {
-		if wal.IsTxnOp(r.Op) {
-			if r.Value > maxTxnID {
-				maxTxnID = r.Value
-			}
-			if r.Op == wal.OpTxnCommit {
-				set[r.Value] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return set, maxTxnID, st.Torn, nil
 }
 
 // tailKey is one key the log tail touches, in the state its last record
@@ -260,13 +303,17 @@ func ScanTxnDecisions(dir string) (committed map[uint64]bool, maxTxnID uint64, t
 // own records, so the fold needs no cross-key order.
 type tailKey struct {
 	key     string
+	part    int32 // the owning partition
 	present bool
 	value   uint64
 }
 
 // foldTail decodes the log after afterLSN once and returns the touched
-// keys in ascending order, each in its final state.
-func foldTail(dir string, afterLSN uint64, committed func(uint64) bool) ([]tailKey, wal.ReplayStats, error) {
+// keys in ascending (partition, key) order, each in its final state. It
+// records the highest transaction ID it meets in l.rec.MaxTxnID. A record
+// kind it does not know — the 'P' and 'C' of a retired two-phase commit
+// among them — fails the open rather than being skipped.
+func (l *durableLog) foldTail(afterLSN uint64) ([]tailKey, wal.ReplayStats, error) {
 	// A log-only directory replays every segment, so presize from the log's
 	// on-disk footprint (records are at least ~20 bytes framed) —
 	// incremental growth to hundreds of thousands of entries otherwise
@@ -274,51 +321,49 @@ func foldTail(dir string, afterLSN uint64, committed func(uint64) bool) ([]tailK
 	// snapshot already covers, not the tail, so no hint applies.
 	var hint int64
 	if afterLSN == 0 {
-		hint = min(wal.DirSize(dir)/20, 1<<26)
+		hint = min(wal.DirSize(l.dir)/20, 1<<26)
 	}
 	idx := make(map[string]int32, hint)
 	tail := make([]tailKey, 0, hint)
 	fold := func(op byte, key []byte, value uint64) error {
 		if op != wal.OpInsert && op != wal.OpUpdate && op != wal.OpDelete {
-			return errors.New("bwtree: unknown op in log record")
+			return fmt.Errorf("bwtree: unknown op %q in log record", op)
 		}
 		i, ok := idx[string(key)]
 		if !ok {
 			i = int32(len(tail))
-			tail = append(tail, tailKey{key: string(key)})
+			tail = append(tail, tailKey{key: string(key), part: int32(l.owner(key))})
 			idx[tail[i].key] = i
 		}
 		tail[i].present, tail[i].value = op != wal.OpDelete, value
 		return nil
 	}
-	st, err := wal.Replay(dir, afterLSN, func(r wal.Record) error {
-		switch r.Op {
-		case wal.OpTxn, wal.OpTxnPrep:
-			// A self-contained commit always applies; a two-phase prepare
-			// applies iff its decision survived (presumed abort). Either
-			// way the record is one frame, so its sub-ops fold all-or-none.
-			if r.Op == wal.OpTxnPrep && !committed(r.Value) {
-				return nil
-			}
-			ops, derr := wal.DecodeTxnOps(r.Key)
-			if derr != nil {
-				return derr
-			}
-			for i := range ops {
-				if ferr := fold(ops[i].Op, ops[i].Key, ops[i].Value); ferr != nil {
-					return ferr
-				}
-			}
-			return nil
-		case wal.OpTxnCommit:
-			return nil // decision only; carries no writes
+	st, err := wal.Replay(l.dir, afterLSN, func(r wal.Record) error {
+		if r.Op != wal.OpTxn {
+			return fold(r.Op, r.Key, r.Value)
 		}
-		return fold(r.Op, r.Key, r.Value)
+		// A commit is one frame, so its write set folds all-or-none.
+		l.rec.MaxTxnID = max(l.rec.MaxTxnID, r.Value)
+		ops, err := wal.DecodeTxnOps(r.Key)
+		if err != nil {
+			return err
+		}
+		for i := range ops {
+			if err := fold(ops[i].Op, ops[i].Key, ops[i].Value); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, st, err
 	}
-	slices.SortFunc(tail, func(a, b tailKey) int { return strings.Compare(a.key, b.key) })
+	slices.SortFunc(tail, func(a, b tailKey) int {
+		if a.part != b.part {
+			return int(a.part - b.part)
+		}
+		return strings.Compare(a.key, b.key)
+	})
 	return tail, st, nil
 }
 
@@ -360,12 +405,12 @@ func mergeLoad(t *Tree, snap func() ([]byte, uint64, error), tail []tailKey) err
 	return err
 }
 
-// Tree returns the wrapped in-memory tree for reads, stats, and
+// Tree returns the partition's in-memory tree for reads, stats, and
 // validation. Mutating it directly bypasses the log; use sessions from
 // NewSession for writes.
 func (d *Durable) Tree() *Tree { return d.t }
 
-// RecoveryStats reports what OpenDurable did.
+// RecoveryStats reports what OpenDurable did, for the whole store.
 func (d *Durable) RecoveryStats() RecoveryStats { return d.rec }
 
 // WALStats returns the log writer's counters and histograms (fsync
@@ -378,18 +423,18 @@ func (d *Durable) DurableLSN() uint64 { return d.w.DurableLSN() }
 // Sync blocks until every operation logged so far is fsynced.
 func (d *Durable) Sync() error { return d.w.Sync() }
 
-// Stripes returns the store's commit-ordering lock table. The
-// transaction layer holds every write stripe of a commit from log append
-// through tree apply (single-key commits hold theirs from apply through
-// append); Checkpoint's stripe-sweep barrier relies on that for
-// multi-key commits.
+// Stripes returns the partition's commit-ordering lock table. The
+// transaction layer holds every write stripe of a commit, in every
+// partition it writes, from log append through tree apply (single-key
+// commits hold theirs from apply through append); Checkpoint's
+// stripe-sweep barrier relies on that for multi-key commits.
 func (d *Durable) Stripes() *Stripes { return &d.stripes }
 
-// AppendTxn logs one transaction record (wal.OpTxn / OpTxnPrep /
-// OpTxnCommit) and returns its LSN. The caller must hold every write
+// AppendTxn logs a whole write set, whichever partitions it spans, as one
+// wal.OpTxn record and returns its LSN. The caller must hold every write
 // stripe of the transaction across this call and the in-memory apply.
-func (d *Durable) AppendTxn(op byte, txnID uint64, ops []wal.TxnOp) (uint64, error) {
-	return d.w.AppendTxn(op, txnID, ops)
+func (d *Durable) AppendTxn(txnID uint64, ops []wal.TxnOp) (uint64, error) {
+	return d.w.AppendTxn(txnID, ops)
 }
 
 // WaitLSN blocks until lsn is fsynced.
@@ -573,18 +618,19 @@ func (d *Durable) convCommit(op byte, key []byte, value uint64, apply func(*Sess
 	return ok, err
 }
 
-// Checkpoint writes an epoch-consistent snapshot of the tree plus a
-// manifest, and prunes log segments the snapshot covers. It runs
-// concurrently with writers: the snapshot is fuzzy (each leaf is a
-// consistent cut, the whole file is not), which is safe because every
-// effect the walk raced with is logged after the returned LSN, and replay
-// from there sets each such key to the value its last record names
-// (last-writer-wins), whatever the walk saw. The log is forced durable
-// through the walk's end before the manifest is published.
+// Checkpoint writes an epoch-consistent snapshot of every partition's
+// tree, one after another into one snapshot file, plus a manifest, and
+// prunes log segments the snapshot covers. It runs concurrently with
+// writers: the snapshot is fuzzy (each leaf is a consistent cut, the
+// whole file is not), which is safe because every effect the walk raced
+// with is logged after the returned LSN, and replay from there sets each
+// such key to the value its last record names (last-writer-wins),
+// whatever the walk saw. The log is forced durable through the walk's end
+// before the manifest is published.
 //
 // Returns the manifest LSN (the new replay start). Concurrent
 // Checkpoint calls serialize, and Close waits for an in-flight
-// checkpoint before tearing the writer and tree down.
+// checkpoint before tearing the writer and trees down.
 func (d *Durable) Checkpoint() (uint64, error) {
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
@@ -600,26 +646,22 @@ func (d *Durable) Checkpoint() (uint64, error) {
 	cpLSN := d.w.AppendedLSN()
 	// A single-key commit applies before it appends, so its effect is in
 	// the tree before it has an LSN. A transaction appends first and holds
-	// its write stripes through the tree apply, so a transaction with
-	// LSN <= cpLSN that is not yet visible in the tree still owns its
-	// stripes. Sweeping every stripe is therefore a barrier: once each
-	// lock has been taken and released, the tree reflects every record at
-	// or below cpLSN. Without it the walk could miss an acknowledged
-	// transaction whose LSN the manifest claims to cover — and replay
-	// starts strictly after the manifest LSN, so it would be lost.
-	d.stripes.Barrier()
-	s := d.t.NewSession()
-	defer s.Release()
-	it := s.NewIterator()
-	it.SeekFirst()
-	m, err := wal.WriteCheckpoint(d.dir, cpLSN, func() ([]byte, uint64, bool) {
-		if !it.Valid() {
-			return nil, 0, false
-		}
-		k, v := it.Key(), it.Value()
-		it.Next()
-		return k, v, true
-	}, func() error {
+	// its write stripes, in every partition it writes, through the tree
+	// apply, so a transaction with LSN <= cpLSN that is not yet visible in
+	// the trees still owns its stripes. Sweeping every stripe of every
+	// partition is therefore a barrier: once each lock has been taken and
+	// released, the trees reflect every record at or below cpLSN. Without
+	// it the walk could miss an acknowledged transaction whose LSN the
+	// manifest claims to cover — and replay starts strictly after the
+	// manifest LSN, so it would be lost.
+	trees := make([]*Tree, len(d.parts))
+	for i, p := range d.parts {
+		p.stripes.Barrier()
+		trees[i] = p.t
+	}
+	next, done := walk(trees)
+	defer done()
+	m, err := wal.WriteCheckpoint(d.dir, cpLSN, next, func() error {
 		// Force the log durable through the walk's end so every
 		// operation possibly reflected in the snapshot is also logged on
 		// disk before the manifest points at it.
@@ -630,6 +672,36 @@ func (d *Durable) Checkpoint() (uint64, error) {
 	}
 	d.lastCP.Store(time.Now().UnixNano())
 	return m.LSN, nil
+}
+
+// walk streams every pair of trees, tree by tree, each in ascending key
+// order — the order a snapshot stores them in. done releases the session
+// of the tree the walk stopped in.
+func walk(trees []*Tree) (next func() ([]byte, uint64, bool), done func()) {
+	var s *Session
+	var it *Iterator
+	done = func() {
+		if s != nil {
+			s.Release()
+			s = nil
+		}
+	}
+	next = func() ([]byte, uint64, bool) {
+		for it == nil || !it.Valid() {
+			done()
+			if len(trees) == 0 {
+				return nil, 0, false
+			}
+			s = trees[0].NewSession()
+			trees = trees[1:]
+			it = s.NewIterator()
+			it.SeekFirst()
+		}
+		k, v := it.Key(), it.Value()
+		it.Next()
+		return k, v, true
+	}
+	return next, done
 }
 
 // Snapshot checkpoints a plain in-memory tree into dir so OpenDurable
@@ -648,26 +720,18 @@ func Snapshot(t *Tree, dir string) (uint64, error) {
 	} else if ok || wal.DirSize(dir) > 0 {
 		return 0, errors.New("bwtree: Snapshot target directory already holds a durable store")
 	}
-	s := t.NewSession()
-	defer s.Release()
-	it := s.NewIterator()
-	it.SeekFirst()
-	m, err := wal.WriteCheckpoint(dir, 0, func() ([]byte, uint64, bool) {
-		if !it.Valid() {
-			return nil, 0, false
-		}
-		k, v := it.Key(), it.Value()
-		it.Next()
-		return k, v, true
-	}, nil)
+	next, done := walk([]*Tree{t})
+	defer done()
+	m, err := wal.WriteCheckpoint(dir, 0, next, nil)
 	if err != nil {
 		return 0, err
 	}
 	return m.Count, nil
 }
 
-// Close flushes and fsyncs the log, then shuts the tree down. It does
-// not checkpoint; call Checkpoint first to make the next open fast.
+// Close flushes and fsyncs the log, then shuts every partition's tree
+// down. It does not checkpoint; call Checkpoint first to make the next
+// open fast.
 func (d *Durable) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -675,28 +739,32 @@ func (d *Durable) Close() error {
 		return nil
 	}
 	d.closed = true
-	if d.convs != nil {
-		d.convs.Release()
-		d.convs = nil
+	for _, p := range d.parts {
+		if p.convs != nil {
+			p.convs.Release()
+			p.convs = nil
+		}
 	}
 	d.mu.Unlock()
 	// Wait for any in-flight Checkpoint (it holds the lifecycle
-	// read-lock across its walk) before releasing the writer and tree;
+	// read-lock across its walk) before releasing the writer and trees;
 	// checkpoints arriving after this see closed and return early.
 	d.life.Lock()
 	defer d.life.Unlock()
 	err := d.w.Close()
-	d.t.Close()
+	for _, p := range d.parts {
+		p.t.Close()
+	}
 	return err
 }
 
-// Crash simulates a power failure for durability testing: all buffered,
-// un-fsynced log data is discarded (the active segment is truncated to
-// its last fsync) and every mutation from then on fails with
-// wal.ErrCrashed. The in-memory tree stays alive — concurrent sessions
-// may be mid-operation — but is no longer authoritative; call Close to
-// release it, then reopen the directory with OpenDurable to get the
-// surviving state.
+// Crash simulates a power failure of the whole store for durability
+// testing: all buffered, un-fsynced log data is discarded (the active
+// segment is truncated to its last fsync) and every mutation from then on
+// fails with wal.ErrCrashed. The in-memory trees stay alive — concurrent
+// sessions may be mid-operation — but are no longer authoritative; call
+// Close to release them, then reopen the directory with OpenDurable to
+// get the surviving state.
 func (d *Durable) Crash() error {
 	d.life.RLock()
 	defer d.life.RUnlock()

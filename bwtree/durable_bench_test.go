@@ -7,10 +7,10 @@ import (
 	"repro/internal/wal"
 )
 
-// BenchmarkFoldRecover times the recovery engine (decision pre-scan, tail
-// decode + fold, merge, BulkLoad) on both directory shapes it serves: a
-// full log with no checkpoint — the path behind the replay gate — and a
-// checkpoint snapshot plus a tail of updates.
+// BenchmarkFoldRecover times the recovery engine (tail decode + fold,
+// merge, BulkLoad) on both directory shapes it serves: a full log with no
+// checkpoint — the path behind the replay gate — and a checkpoint
+// snapshot plus a tail of updates.
 func BenchmarkFoldRecover(b *testing.B) {
 	const n, tail = 500000, 50000
 	for _, withCP := range []bool{false, true} {
@@ -49,11 +49,12 @@ func BenchmarkFoldRecover(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := &Durable{dir: dir, t: New(DefaultOptions())}
+				r := &durableLog{dir: dir}
+				r.parts = []*Durable{{durableLog: r, t: New(DefaultOptions())}}
 				if _, err := r.rebuild(); err != nil || r.rec.Replayed != records {
 					b.Fatalf("rec=%+v err=%v", r.rec, err)
 				}
-				r.t.Close()
+				r.parts[0].t.Close()
 			}
 			b.ReportMetric(float64(records), "records/op")
 		})

@@ -541,6 +541,12 @@ func TestDurableRejectsNonUnique(t *testing.T) {
 	}
 }
 
+// lastDigitRouter sends a key to partition (last byte) mod n.
+type lastDigitRouter int
+
+func (r lastDigitRouter) Shard(key []byte) int { return int(key[len(key)-1]) % int(r) }
+func (r lastDigitRouter) NumShards() int       { return int(r) }
+
 // TestDurableCheckpointStripeBarrier reconstructs the lost-write race
 // the stripe sweep in Checkpoint exists to close. Single-key commits
 // apply before they append, so only the transaction path has the window:
@@ -549,27 +555,40 @@ func TestDurableRejectsNonUnique(t *testing.T) {
 // its write stripes. The checkpoint must wait for them before walking —
 // otherwise the snapshot misses the write set, and replay (which starts
 // strictly after the manifest LSN) skips it too, silently dropping an
-// acknowledged commit.
+// acknowledged commit. It runs on one tree and on the last partition of
+// a two-partition store, whose stripes the sweep must cover too.
 func TestDurableCheckpointStripeBarrier(t *testing.T) {
+	for _, o := range []DurableOptions{{}, {Router: lastDigitRouter(2)}} {
+		stripeBarrier(t, o)
+	}
+}
+
+func stripeBarrier(t *testing.T, o DurableOptions) {
 	dir := t.TempDir()
-	d, err := OpenDurable(dir, DurableOptions{})
+	d, err := OpenDurable(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	parts := d.Partitions()
 	for i := uint64(0); i < 100; i++ {
-		if _, err := d.Insert(dkey(i), i+1); err != nil {
+		k := dkey(i)
+		if _, err := parts[d.owner(k)].Insert(k, i+1); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Emulate a transaction commit descheduled between its append and
 	// its apply: take the write stripe, append, and park.
-	key := dkey(1000)
+	key := dkey(1001)
+	p := parts[d.owner(key)]
+	if len(parts) > 1 && p == d {
+		t.Fatal("the parked key must live past the first partition")
+	}
 	ops := []wal.TxnOp{{Op: wal.OpInsert, Key: key, Value: 42}}
-	stripes := d.Stripes()
+	stripes := p.Stripes()
 	si := stripes.Of(key)
 	stripes.Lock(si)
-	if _, err := d.AppendTxn(wal.OpTxn, 1, ops); err != nil {
+	if _, err := d.AppendTxn(1, ops); err != nil {
 		stripes.Unlock(si)
 		t.Fatal(err)
 	}
@@ -590,10 +609,10 @@ func TestDurableCheckpointStripeBarrier(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	select {
 	case r := <-cpc:
-		t.Fatalf("Checkpoint finished while a committer held its stripe: lsn=%d err=%v", r.lsn, r.err)
+		t.Fatalf("%d partitions: Checkpoint finished while a committer held its stripe: lsn=%d err=%v", len(parts), r.lsn, r.err)
 	default:
 	}
-	applyTxnOps(d, ops)
+	applyTxnOps(p, ops)
 	stripes.Unlock(si)
 
 	if r := <-cpc; r.err != nil {
@@ -603,17 +622,17 @@ func TestDurableCheckpointStripeBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := OpenDurable(dir, DurableOptions{})
+	d2, err := OpenDurable(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	out, err := d2.Lookup(key, nil)
+	out, err := d2.Partitions()[d2.owner(key)].Lookup(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0] != 42 {
-		t.Fatalf("acknowledged write lost across checkpoint+reopen: got %v, want [42]", out)
+		t.Fatalf("%d partitions: acknowledged write lost across checkpoint+reopen: got %v, want [42]", len(parts), out)
 	}
 }
 
@@ -732,8 +751,8 @@ func (m diffModel) apply(o wal.TxnOp) bool {
 }
 
 // TestDurableDifferentialRecovery drives recovery with seeded scripts of
-// single ops, one-frame transactions and two-phase prepares (committed
-// and undecided) over a small keyspace, in four directory shapes: log
+// single ops and one-frame transactions over a small keyspace, in four
+// directory shapes: log
 // only, snapshot exactly at the manifest LSN, snapshot ahead of the
 // manifest LSN (each key cut at its own point between the manifest LSN
 // and the end of the log — the fuzzy checkpoint the concurrent tests only
@@ -831,36 +850,23 @@ func diffRecoverSeed(dir string, seed int) error {
 		}
 		return ops
 	}
-	txn := func(op byte, id uint64, ops []wal.TxnOp, applies bool) error {
-		if _, err := d.AppendTxn(op, id, ops); err != nil {
+	txn := func(id uint64, ops []wal.TxnOp) error {
+		if _, err := d.AppendTxn(id, ops); err != nil {
 			return err
 		}
-		if applies {
-			applyTxnOps(d, ops)
-			for _, o := range ops {
-				model.apply(o)
-			}
+		applyTxnOps(d, ops)
+		for _, o := range ops {
+			model.apply(o)
 		}
 		logged()
 		return nil
 	}
-	var due []uint64 // committed prepares whose decision is not logged yet
-	for step := 1; step <= n || len(due) > 0; step++ {
-		id := uint64(step)
-		switch c := rng.Intn(10); {
-		case len(due) > 0 && (step > n || c < 3):
-			err = txn(wal.OpTxnCommit, due[0], nil, false)
-			due = due[1:]
-		case c < 6:
+	for step := 1; step <= n; step++ {
+		if rng.Intn(10) < 6 {
 			k := rng.Intn(nkeys)
 			err = single([]byte{wal.OpInsert, wal.OpUpdate, wal.OpDelete}[rng.Intn(3)], k, uint64(step)<<8|uint64(k))
-		case c < 8:
-			err = txn(wal.OpTxn, id, genOps(step, 1+rng.Intn(3)), true)
-		case c < 9:
-			err = txn(wal.OpTxnPrep, id, genOps(step, 1+rng.Intn(3)), true)
-			due = append(due, id)
-		default:
-			err = txn(wal.OpTxnPrep, id, genOps(step, 1+rng.Intn(3)), false)
+		} else {
+			err = txn(uint64(step), genOps(step, 1+rng.Intn(3)))
 		}
 		if err != nil {
 			return err

@@ -2,6 +2,7 @@ package bwtree
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/wal"
@@ -36,10 +37,9 @@ func lookup1(t *testing.T, d *Durable, key []byte) (uint64, bool) {
 	return out[0], true
 }
 
-// TestDurableTxnReplay covers the three record kinds on both directory
-// shapes (log only, and snapshot plus tail): a self-contained
-// OpTxn applies, a prepare without a surviving decision presumes abort,
-// and a prepare plus decision applies.
+// TestDurableTxnReplay replays a commit record on both directory shapes
+// (log only, and snapshot plus tail): its insert, update and delete all
+// apply, and its ID is the recovered MaxTxnID.
 func TestDurableTxnReplay(t *testing.T) {
 	for _, withCP := range []bool{false, true} {
 		dir := t.TempDir()
@@ -65,26 +65,10 @@ func TestDurableTxnReplay(t *testing.T) {
 			{Op: wal.OpUpdate, Key: dkey(1), Value: 111},
 			{Op: wal.OpDelete, Key: dkey(2)},
 		}
-		if _, err := d.AppendTxn(wal.OpTxn, 7, commit); err != nil {
+		if _, err := d.AppendTxn(7, commit); err != nil {
 			t.Fatal(err)
 		}
 		applyTxnOps(d, commit)
-
-		orphan := []wal.TxnOp{{Op: wal.OpInsert, Key: dkey(200), Value: 200}}
-		if _, err := d.AppendTxn(wal.OpTxnPrep, 8, orphan); err != nil {
-			t.Fatal(err)
-		}
-		// No decision for 8, and no in-memory apply either: the two-phase
-		// protocol only applies after the decision is appended.
-
-		decided := []wal.TxnOp{{Op: wal.OpInsert, Key: dkey(300), Value: 300}}
-		if _, err := d.AppendTxn(wal.OpTxnPrep, 9, decided); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.AppendTxn(wal.OpTxnCommit, 9, nil); err != nil {
-			t.Fatal(err)
-		}
-		applyTxnOps(d, decided)
 
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
@@ -102,17 +86,40 @@ func TestDurableTxnReplay(t *testing.T) {
 		if _, ok := lookup1(t, d2, dkey(2)); ok {
 			t.Fatalf("withCP=%v: txn delete lost", withCP)
 		}
-		if _, ok := lookup1(t, d2, dkey(200)); ok {
-			t.Fatalf("withCP=%v: undecided prepare applied", withCP)
-		}
-		if v, ok := lookup1(t, d2, dkey(300)); !ok || v != 300 {
-			t.Fatalf("withCP=%v: decided prepare not applied: %d %v", withCP, v, ok)
-		}
-		if got := d2.RecoveryStats().MaxTxnID; got != 9 {
-			t.Fatalf("withCP=%v: MaxTxnID = %d, want 9", withCP, got)
+		if got := d2.RecoveryStats().MaxTxnID; got != 7 {
+			t.Fatalf("withCP=%v: MaxTxnID = %d, want 7", withCP, got)
 		}
 		if err := d2.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestDurableRefusesTwoPhaseRecords lays a log whose tail holds a
+// prepare ('P') or decision ('C') record of the retired two-phase commit
+// and requires OpenDurable to fail rather than open without its writes.
+func TestDurableRefusesTwoPhaseRecords(t *testing.T) {
+	for _, op := range []byte{'P', 'C'} {
+		dir := t.TempDir()
+		w, err := wal.NewWriter(dir, wal.Options{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob := wal.EncodeTxnOps(nil, []wal.TxnOp{{Op: wal.OpInsert, Key: dkey(1), Value: 1}})
+		if _, err := w.Append(wal.OpInsert, dkey(0), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(op, blob, 8); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := OpenDurable(dir, DurableOptions{}); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			if d != nil {
+				d.Close()
+			}
+			t.Fatalf("op %q: OpenDurable = %v, want an unknown-op error", op, err)
 		}
 	}
 }
@@ -134,7 +141,7 @@ func TestDurableTxnTornTail(t *testing.T) {
 		{Op: wal.OpInsert, Key: dkey(51), Value: 51},
 		{Op: wal.OpUpdate, Key: dkey(1), Value: 999},
 	}
-	if _, err := d.AppendTxn(wal.OpTxn, 5, last); err != nil {
+	if _, err := d.AppendTxn(5, last); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Sync(); err != nil {
@@ -193,7 +200,7 @@ func TestDurableTxnCrashLosesWholeRecord(t *testing.T) {
 		{Op: wal.OpUpdate, Key: dkey(1), Value: 2},
 		{Op: wal.OpInsert, Key: dkey(2), Value: 2},
 	}
-	if _, err := d.AppendTxn(wal.OpTxn, 3, ops); err != nil {
+	if _, err := d.AppendTxn(3, ops); err != nil {
 		restore()
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@
 //
 //	go run ./cmd/bwserver -addr :7070 -shards 8 -debug-addr :7071
 //
-// With -wal DIR the store is durable: each shard owns a log directory
-// DIR/shard-NNN (group commit, synchronous acknowledgement), recovery
-// replays all shard logs in parallel on startup, and SIGINT/SIGTERM shut
-// down gracefully — stop accepting, drain connections, checkpoint every
-// shard, close the logs.
+// With -wal DIR the store is durable: every shard writes one log in DIR
+// (group commit, synchronous acknowledgement), recovery replays it once
+// and loads the shards in parallel on startup, and SIGINT/SIGTERM shut
+// down gracefully — stop accepting, drain connections, checkpoint, close
+// the log.
 //
 // Drive it with the stress rig:
 //
@@ -46,7 +46,7 @@ func main() {
 	addr := flag.String("addr", ":7070", "listen address")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of tree shards")
 	router := flag.String("router", "hash", "keyspace router: hash or range")
-	walDir := flag.String("wal", "", "WAL root directory (empty = volatile); each shard logs under <dir>/shard-NNN")
+	walDir := flag.String("wal", "", "WAL directory (empty = volatile); every shard writes its one log")
 	sync := flag.Bool("sync", true, "durable only: fsync before acknowledging commits")
 	debugAddr := flag.String("debug-addr", "", "serve /debug and /metrics on this address")
 	lat := flag.Bool("lat", false, "record latency histograms (adds two clock reads per op)")
@@ -79,7 +79,7 @@ func main() {
 	}
 	if *walDir != "" {
 		rec := st.RecoveryStats()
-		log.Printf("recovered %d shard logs in %v: %d snapshot keys, %d records replayed, torn_tail=%v",
+		log.Printf("recovered %d shards in %v: %d snapshot keys, %d records replayed, torn_tail=%v",
 			*shards, time.Since(opened).Round(time.Millisecond), rec.SnapshotKeys, rec.Replayed, rec.TornTail)
 	}
 

@@ -27,7 +27,7 @@ package main
 //
 //	bwstress -txn                          one in-memory shard
 //	bwstress -txn -wal DIR                 one durable shard, -kills crash/recover cycles
-//	bwstress -txn -wal DIR -shards 4       four durable shards (cross-shard 2PC)
+//	bwstress -txn -wal DIR -shards 4       four durable shards over one log
 //	bwstress -txn -server ADDR             live server over the wire
 //	bwstress -txn -spawn BIN -wal DIR      child bwserver, SIGKILL + restart cycles
 import (
@@ -193,8 +193,7 @@ func runTxnLocal(cfg txnCfg, chk *histcheck.TxnChecker, c *txnCounters) {
 
 // openTxnStore builds the engine over one shard.Store for the configured
 // in-process shape (-shards 0 or 1 is one shard, in memory or under -wal
-// in DIR/shard-000) and returns it with a mid-workload crash hook and a
-// closer.
+// DIR) and returns it with a mid-workload crash hook and a closer.
 func openTxnStore(cfg txnCfg) (store *txn.Store, crash func(), cleanup func()) {
 	st, err := shard.Open(shard.Options{
 		Shards: cfg.shards,
@@ -209,10 +208,8 @@ func openTxnStore(cfg txnCfg) (store *txn.Store, crash func(), cleanup func()) {
 		log.Printf("shard store open: %d shards, %d replayed, maxTxnID %d, torn=%v", st.NumShards(), rec.Replayed, rec.MaxTxnID, rec.TornTail)
 	}
 	crash = func() {
-		for _, sh := range st.Shards() {
-			if err := sh.Durable().Crash(); err != nil {
-				log.Fatalf("crash: %v", err)
-			}
+		if err := st.Crash(); err != nil {
+			log.Fatalf("crash: %v", err)
 		}
 	}
 	return txn.New(st), crash, func() { st.Close() }

@@ -8,10 +8,10 @@ import (
 )
 
 // DebugVars builds the aggregated observability source for a sharded
-// store: counters and gauges summed (or maxed, where a sum lies — epoch
-// lag, checkpoint age) across shards, per-shard op counters for skew
-// diagnosis, merged latency histograms, merged chain-depth and WAL
-// distributions, concatenated flight-recorder and phase-trace feeds, and
+// store: tree counters and gauges summed (or maxed, where a sum lies —
+// epoch lag) across shards, per-shard op counters for skew diagnosis, the
+// one log's counters, gauges and distributions, merged latency and
+// chain-depth histograms, concatenated flight-recorder and phase-trace feeds, and
 // an on-demand /debug/shape walking every shard. The result plugs into
 // obs.Serve/obs.Mux exactly like a single tree's DebugVars.
 func DebugVars(st *Store) obs.Vars {
@@ -36,19 +36,12 @@ func DebugVars(st *Store) obs.Vars {
 			for _, sh := range st.shards {
 				m[fmt.Sprintf("shard%02d_ops", sh.ID)] = sh.t.Stats().Ops
 			}
-			if st.Durable() {
-				var appends, syncs, bytes, segs uint64
-				for _, sh := range st.shards {
-					ws := sh.d.WALStats()
-					appends += ws.Appends
-					syncs += ws.Syncs
-					bytes += ws.Bytes
-					segs += ws.Segments
-				}
-				m["wal_appends"] = appends
-				m["wal_syncs"] = syncs
-				m["wal_bytes"] = bytes
-				m["wal_segments"] = segs
+			if st.d != nil {
+				ws := st.d.WALStats()
+				m["wal_appends"] = ws.Appends
+				m["wal_syncs"] = ws.Syncs
+				m["wal_bytes"] = ws.Bytes
+				m["wal_segments"] = ws.Segments
 			}
 			return m
 		},
@@ -75,22 +68,12 @@ func DebugVars(st *Store) obs.Vars {
 			if capacity > 0 {
 				m["mapping_occupancy"] = live / capacity
 			}
-			if st.Durable() {
-				var qb, qr, pend float64
-				var cpAge float64
-				for _, sh := range st.shards {
-					ws := sh.d.WALStats()
-					qb += float64(ws.QueueBytes)
-					qr += float64(ws.QueueRecords)
-					pend += float64(ws.AppendedLSN - ws.DurableLSN)
-					if age := sh.d.CheckpointAge().Seconds(); age > cpAge {
-						cpAge = age
-					}
-				}
-				m["wal_queue_bytes"] = qb
-				m["wal_queue_records"] = qr
-				m["wal_pending_lsns"] = pend
-				m["checkpoint_age_seconds"] = cpAge
+			if st.d != nil {
+				ws := st.d.WALStats()
+				m["wal_queue_bytes"] = float64(ws.QueueBytes)
+				m["wal_queue_records"] = float64(ws.QueueRecords)
+				m["wal_pending_lsns"] = float64(ws.AppendedLSN - ws.DurableLSN)
+				m["checkpoint_age_seconds"] = st.d.CheckpointAge().Seconds()
 			}
 			return m
 		},
@@ -172,23 +155,18 @@ func DebugVars(st *Store) obs.Vars {
 				Help: "Leaf delta-chain depth observed per operation, all shards.",
 				Snap: depth,
 			}}
-			if st.Durable() {
-				var fsync, batch obs.HistSnapshot
-				for _, sh := range st.shards {
-					ws := sh.d.WALStats()
-					fsync.Merge(&ws.Fsync)
-					batch.Merge(&ws.Batch)
-				}
+			if st.d != nil {
+				ws := st.d.WALStats()
 				feeds = append(feeds,
 					obs.HistFeed{
 						Name: "bwtree_wal_fsync_seconds",
-						Help: "WAL fsync wall time per group commit, all shard logs.",
-						Snap: fsync, Seconds: true,
+						Help: "WAL fsync wall time per group commit.",
+						Snap: ws.Fsync, Seconds: true,
 					},
 					obs.HistFeed{
 						Name: "bwtree_wal_batch_records",
-						Help: "Records committed per WAL fsync, all shard logs.",
-						Snap: batch,
+						Help: "Records committed per WAL fsync.",
+						Snap: ws.Batch,
 					})
 			}
 			return feeds

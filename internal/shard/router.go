@@ -1,11 +1,12 @@
 // Package shard partitions one logical key space across N independent
 // Bw-Tree shards — the Doppel-style "sticky worker" deployment the
-// serving tier is built on: each shard owns its tree, its epoch handles,
-// and (when durable) its own log directory, so the latch-free hot path
-// inside a shard never synchronizes with another shard. Cross-shard work
-// exists only at the edges: a Router decides which shard owns a key, and
-// range scans scatter to every shard and gather through a merged k-way
-// iterator (see Session.Scan).
+// serving tier is built on: each shard owns its tree, its epoch handles
+// and its commit-ordering stripes, so the latch-free hot path inside a
+// shard never synchronizes with another shard. Cross-shard work exists
+// only at the edges: a Router decides which shard owns a key, range scans
+// scatter to every shard and gather through a merged k-way iterator (see
+// Session.Scan), and a durable store's shards share one log, so a commit
+// spanning shards is one record.
 package shard
 
 import (

@@ -4,8 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sync"
+	"strings"
 
 	"repro/bwtree"
 )
@@ -20,17 +19,18 @@ type Options struct {
 	Router Router
 	// Tree configures every shard's tree identically.
 	Tree bwtree.Options
-	// WALDir, when non-empty, makes every shard durable with its own log
-	// in WALDir/shard-NNN — per-shard group commit streams that never
-	// contend with each other. Recovery happens shard-parallel at Open.
+	// WALDir, when non-empty, makes the store durable with one log in
+	// WALDir that every shard writes (see bwtree.DurableOptions.Router):
+	// a commit spanning shards is one record. Recovery loads the shards
+	// in parallel at Open.
 	WALDir string
-	// SyncOnCommit is the per-shard acknowledged-write guarantee (see
+	// SyncOnCommit is the acknowledged-write guarantee (see
 	// bwtree.DurableOptions).
 	SyncOnCommit bool
 }
 
-// Shard is one partition: an independent tree, optionally wrapped by its
-// own durability layer.
+// Shard is one partition: an independent tree, optionally a partition of
+// the store's durable log.
 type Shard struct {
 	ID int
 	t  *bwtree.Tree
@@ -40,7 +40,8 @@ type Shard struct {
 // Tree exposes the shard's tree for stats and validation.
 func (sh *Shard) Tree() *bwtree.Tree { return sh.t }
 
-// Durable exposes the shard's durability layer (nil when in-memory).
+// Durable exposes the shard's partition of the durable store (nil when
+// in-memory). Its log-wide methods act on the whole store.
 func (sh *Shard) Durable() *bwtree.Durable { return sh.d }
 
 // Store is a set of per-core Bw-Tree shards behind one Router. All
@@ -50,17 +51,10 @@ type Store struct {
 	opts   Options
 	router Router
 	shards []*Shard
-
-	// maxTxnID and txnScanTorn come from the store-level transaction
-	// decision scan at Open (durable stores only): the highest transaction
-	// ID on any shard log, and whether any scan truncated a torn tail.
-	maxTxnID    uint64
-	txnScanTorn bool
+	d      *bwtree.Durable // the durable store's handle; nil in memory
 }
 
-// Open builds (or, with WALDir, recovers) a sharded store. Recovery runs
-// one goroutine per shard: the per-shard logs replay in parallel, so
-// recovery time scales down with the shard count.
+// Open builds (or, with WALDir, recovers) a sharded store.
 func Open(o Options) (*Store, error) {
 	if o.Shards <= 0 {
 		o.Shards = 1
@@ -75,79 +69,33 @@ func Open(o Options) (*Store, error) {
 		return nil, errors.New("shard: non-unique trees are not supported by the serving tier")
 	}
 	st := &Store{opts: o, router: o.Router, shards: make([]*Shard, o.Shards)}
-
-	// Cross-shard transaction decisions must resolve store-wide: a commit
-	// spanning shards A and B may have its decision record durable in A's
-	// log only (the crash hit between the per-participant decision
-	// appends), yet B's prepare must still apply. So before opening any
-	// shard, scan every shard log's tail for decisions, merge, and hand
-	// the union to each shard's recovery. The scans run shard-parallel
-	// like recovery itself.
-	var txnCommitted func(uint64) bool
-	if o.WALDir != "" {
-		merged := make(map[uint64]bool)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		errs := make([]error, o.Shards)
-		for i := 0; i < o.Shards; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				dir := filepath.Join(o.WALDir, fmt.Sprintf("shard-%03d", i))
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					errs[i] = err
-					return
-				}
-				set, maxID, torn, err := bwtree.ScanTxnDecisions(dir)
-				if err != nil {
-					errs[i] = fmt.Errorf("shard %d txn scan: %w", i, err)
-					return
-				}
-				mu.Lock()
-				for id := range set {
-					merged[id] = true
-				}
-				if maxID > st.maxTxnID {
-					st.maxTxnID = maxID
-				}
-				st.txnScanTorn = st.txnScanTorn || torn
-				mu.Unlock()
-			}(i)
+	if o.WALDir == "" {
+		for i := range st.shards {
+			st.shards[i] = &Shard{ID: i, t: bwtree.New(o.Tree)}
 		}
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
-			return nil, err
-		}
-		txnCommitted = func(id uint64) bool { return merged[id] }
+		return st, nil
 	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, o.Shards)
-	for i := 0; i < o.Shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sh := &Shard{ID: i}
-			if o.WALDir == "" {
-				sh.t = bwtree.New(o.Tree)
-			} else {
-				dir := filepath.Join(o.WALDir, fmt.Sprintf("shard-%03d", i))
-				d, err := bwtree.OpenDurable(dir, bwtree.DurableOptions{
-					Tree: o.Tree, SyncOnCommit: o.SyncOnCommit, TxnCommitted: txnCommitted,
-				})
-				if err != nil {
-					errs[i] = fmt.Errorf("shard %d: %w", i, err)
-					return
-				}
-				sh.d, sh.t = d, d.Tree()
-			}
-			st.shards[i] = sh
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		st.Close()
+	// The per-shard log directories (shard-NNN) of the layout that gave
+	// every shard its own log would otherwise open as an empty store.
+	ents, err := os.ReadDir(o.WALDir)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
+	}
+	for _, e := range ents {
+		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
+			return nil, fmt.Errorf("shard: %s holds per-shard logs (%s) of an older layout; refusing to open it",
+				o.WALDir, e.Name())
+		}
+	}
+	d, err := bwtree.OpenDurable(o.WALDir, bwtree.DurableOptions{
+		Tree: o.Tree, SyncOnCommit: o.SyncOnCommit, Router: o.Router,
+	})
+	if err != nil {
+		return nil, err
+	}
+	st.d = d
+	for i, p := range d.Partitions() {
+		st.shards[i] = &Shard{ID: i, t: p.Tree(), d: p}
 	}
 	return st, nil
 }
@@ -158,92 +106,54 @@ func (st *Store) Router() Router { return st.router }
 // NumShards returns the partition count.
 func (st *Store) NumShards() int { return len(st.shards) }
 
-// Shards returns the live shards (nil entries only after a failed Open).
+// Shards returns the shards.
 func (st *Store) Shards() []*Shard { return st.shards }
 
-// Durable reports whether the store runs under per-shard WALs.
-func (st *Store) Durable() bool { return st.opts.WALDir != "" }
+// Durable reports whether the store runs under a WAL.
+func (st *Store) Durable() bool { return st.d != nil }
 
-// RecoveryStats sums the per-shard recovery work done at Open.
+// RecoveryStats reports the recovery work done at Open (zero in memory).
 func (st *Store) RecoveryStats() bwtree.RecoveryStats {
-	var agg bwtree.RecoveryStats
-	for _, sh := range st.shards {
-		if sh == nil || sh.d == nil {
-			continue
-		}
-		r := sh.d.RecoveryStats()
-		agg.SnapshotKeys += r.SnapshotKeys
-		agg.Replayed += r.Replayed
-		agg.TornTail = agg.TornTail || r.TornTail
-		if r.MaxTxnID > agg.MaxTxnID {
-			agg.MaxTxnID = r.MaxTxnID
-		}
-		// Shards recover in parallel; wall-clock recovery is the slowest
-		// shard, so report the max, not the sum.
-		if r.SnapshotLoad > agg.SnapshotLoad {
-			agg.SnapshotLoad = r.SnapshotLoad
-		}
-		if r.Replay > agg.Replay {
-			agg.Replay = r.Replay
-		}
+	if st.d == nil {
+		return bwtree.RecoveryStats{}
 	}
-	// The store-level decision scan runs before the per-shard opens and is
-	// the authoritative source for both fields: shards recover with a
-	// store-provided resolver, so their own MaxTxnID stays zero, and the
-	// scan (not the subsequent replay) is what finds torn tails.
-	if st.maxTxnID > agg.MaxTxnID {
-		agg.MaxTxnID = st.maxTxnID
-	}
-	agg.TornTail = agg.TornTail || st.txnScanTorn
-	return agg
+	return st.d.RecoveryStats()
 }
 
-// Checkpoint takes an epoch-consistent checkpoint of every durable
-// shard, in parallel. A no-op for in-memory stores.
+// Checkpoint takes an epoch-consistent checkpoint of every shard into
+// the one snapshot. A no-op for in-memory stores.
 func (st *Store) Checkpoint() error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(st.shards))
-	for i, sh := range st.shards {
-		if sh == nil || sh.d == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			if _, err := sh.d.Checkpoint(); err != nil {
-				errs[i] = fmt.Errorf("shard %d checkpoint: %w", i, err)
-			}
-		}(i, sh)
+	if st.d == nil {
+		return nil
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	_, err := st.d.Checkpoint()
+	return err
 }
 
-// Close releases every shard (closing durable writers first).
-func (st *Store) Close() error {
-	var errs []error
-	for _, sh := range st.shards {
-		if sh == nil {
-			continue
-		}
-		if sh.d != nil {
-			if err := sh.d.Close(); err != nil {
-				errs = append(errs, err)
-			}
-		} else if sh.t != nil {
-			sh.t.Close()
-		}
+// Crash simulates a power failure of the durable store's log (see
+// bwtree.Durable.Crash). A no-op for in-memory stores.
+func (st *Store) Crash() error {
+	if st.d == nil {
+		return nil
 	}
-	return errors.Join(errs...)
+	return st.d.Crash()
+}
+
+// Close releases every shard (flushing the durable log first).
+func (st *Store) Close() error {
+	if st.d != nil {
+		return st.d.Close()
+	}
+	for _, sh := range st.shards {
+		sh.t.Close()
+	}
+	return nil
 }
 
 // Stats sums every shard's tree counters into one aggregate.
 func (st *Store) Stats() bwtree.Stats {
 	var agg bwtree.Stats
 	for _, sh := range st.shards {
-		if sh == nil {
-			continue
-		}
 		s := sh.t.Stats()
 		agg.Ops += s.Ops
 		agg.Aborts += s.Aborts

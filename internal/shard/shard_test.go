@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -410,7 +412,7 @@ func TestScatterGatherOracle(t *testing.T) {
 	}
 }
 
-// TestDurableShardRecovery exercises per-shard WALs: write through a
+// TestDurableShardRecovery exercises the shared log: write through a
 // sharded durable store, checkpoint, write more, close, reopen, and
 // verify every acknowledged key recovered into the right shard.
 func TestDurableShardRecovery(t *testing.T) {
@@ -489,12 +491,27 @@ func TestDurableShardRecovery(t *testing.T) {
 	}
 }
 
+// TestLegacyShardDirsRefused: a WALDir holding the per-shard log
+// directories of the layout that gave every shard its own log must fail
+// to open, not open as an empty store.
+func TestLegacyShardDirsRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "shard-000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := Open(Options{Shards: 2, WALDir: dir}); err == nil {
+		st.Close()
+		t.Fatal("Open accepted a directory of per-shard logs")
+	}
+}
+
 // TestStoreStatsAggregation sanity-checks counter aggregation and the
-// per-shard surfaces in DebugVars.
+// per-shard surfaces in DebugVars, and that the WAL counters are the one
+// log's.
 func TestStoreStatsAggregation(t *testing.T) {
 	opts := smallTreeOpts()
 	opts.LatencyHistograms = true
-	st, err := Open(Options{Shards: 3, Tree: opts})
+	st, err := Open(Options{Shards: 3, Tree: opts, WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,6 +542,9 @@ func TestStoreStatsAggregation(t *testing.T) {
 	}
 	if g := v.Gauges(); g["shards"] != 3 {
 		t.Fatalf("shards gauge = %v", g["shards"])
+	}
+	if got, want := counters["wal_appends"], st.Shards()[0].Durable().WALStats().Appends; got != want || want < 3000 {
+		t.Fatalf("wal_appends = %d, the log's Appends = %d, want them equal and >= 3000", got, want)
 	}
 	if v.Latency == nil {
 		t.Fatal("latency feed missing with LatencyHistograms on")

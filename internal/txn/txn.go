@@ -26,8 +26,8 @@
 // stripes only with try-lock, so no cycle of waits can form. Atomicity
 // across a crash comes from the log record being a single CRC-framed
 // entry — recovery replays all of it or truncates all of it (see
-// wal.OpTxn; cross-shard commits use the two-phase OpTxnPrep/OpTxnCommit
-// shape with presumed abort).
+// wal.OpTxn). A durable store's shards share one log, so a commit
+// spanning shards is still one record.
 //
 // Serializability: validation happens while every write stripe is held,
 // so the commit point is atomic; a read validated at the commit point
@@ -71,7 +71,7 @@ type Store struct {
 	// stripe i%NStripes of shard i/NStripes, so sorted-order acquisition
 	// is one deadlock-free total order across shards.
 	stripes []*bwtree.Stripes
-	durable bool
+	log     *bwtree.Durable // the store's log; nil in memory
 	nextID  atomic.Uint64
 
 	commits   atomic.Uint64
@@ -81,8 +81,8 @@ type Store struct {
 }
 
 // New builds the engine over st, seeding the transaction-ID counter
-// above every ID the store's recovery saw, so a new prepare can never
-// collide with a stale decision record.
+// above every ID the store's recovery saw, so IDs stay unique across
+// incarnations.
 //
 // On an in-memory store the stripes are engine-private: transactions
 // serialize correctly against each other, but non-transactional writers
@@ -93,11 +93,11 @@ func New(st *shard.Store) *Store {
 		router:  st.Router(),
 		shards:  st.Shards(),
 		stripes: make([]*bwtree.Stripes, st.NumShards()),
-		durable: st.Durable(),
 	}
 	for i, sh := range s.shards {
 		if d := sh.Durable(); d != nil {
 			s.stripes[i] = d.Stripes()
+			s.log = d
 		} else {
 			s.stripes[i] = bwtree.NewStripes()
 		}

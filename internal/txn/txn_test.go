@@ -379,10 +379,10 @@ func TestTxnBankShardDurable(t *testing.T) {
 	}
 }
 
-// TestTxnBankShardCrash kills the logs mid-workload (simulated power
+// TestTxnBankShardCrash kills the log mid-workload (simulated power
 // failure: all unsynced buffers dropped) and checks the recovered store
-// conserved the total — commits apply all-or-nothing on every shard even
-// when the crash lands inside the cross-shard two-phase window.
+// conserved the total — a commit spanning shards is one record, so it
+// applies on every shard or on none.
 func TestTxnBankShardCrash(t *testing.T) {
 	walDir := t.TempDir()
 	ss := openStore(t, 4, walDir)
@@ -399,10 +399,8 @@ func TestTxnBankShardCrash(t *testing.T) {
 		t.Fatalf("seed: %+v %v", res, err)
 	}
 	seed.Release()
-	for _, sh := range ss.Shards() {
-		if err := sh.Durable().Sync(); err != nil {
-			t.Fatal(err)
-		}
+	if err := ss.Shards()[0].Durable().Sync(); err != nil {
+		t.Fatal(err)
 	}
 
 	var wg sync.WaitGroup
@@ -448,10 +446,8 @@ func TestTxnBankShardCrash(t *testing.T) {
 		}(w)
 	}
 	time.Sleep(150 * time.Millisecond)
-	for _, sh := range ss.Shards() {
-		if err := sh.Durable().Crash(); err != nil {
-			t.Fatal(err)
-		}
+	if err := ss.Crash(); err != nil {
+		t.Fatal(err)
 	}
 	close(stop)
 	wg.Wait()

@@ -200,14 +200,16 @@ func LoadManifest(dir string) (m Manifest, ok bool, err error) {
 	return m, true, nil
 }
 
-// ReadSnapshot verifies the manifest's snapshot — header, version, body
-// CRC and the footer's agreement with the manifest, all before the first
-// pair is handed out — and returns a cursor over its pairs in stored
-// (ascending-key) order. next reports io.EOF after the last pair, once
-// the record count has been checked against the footer; any other error
-// condemns the whole snapshot. Keys alias the file image, which lives as
-// long as the cursor does.
-func ReadSnapshot(dir string, m Manifest) (next func() (key []byte, value uint64, err error), err error) {
+// Snapshot is a verified checkpoint snapshot, held in memory.
+type Snapshot struct {
+	body  []byte
+	count uint64
+}
+
+// ReadSnapshot reads and verifies the manifest's snapshot — header,
+// version, body CRC and the footer's agreement with the manifest, all
+// before the first pair is handed out.
+func ReadSnapshot(dir string, m Manifest) (*Snapshot, error) {
 	data, err := os.ReadFile(filepath.Join(dir, m.Snapshot))
 	if err != nil {
 		return nil, err
@@ -227,11 +229,21 @@ func ReadSnapshot(dir string, m Manifest) (next func() (key []byte, value uint64
 	if count != m.Count || crc != m.CRC {
 		return nil, errors.New("wal: snapshot does not match manifest")
 	}
+	return &Snapshot{body: body, count: count}, nil
+}
+
+// Cursor returns a fresh cursor over the snapshot's pairs in stored
+// order; cursors are independent, so several may run at once. next
+// reports io.EOF after the last pair, once the record count has been
+// checked against the footer; any other error condemns the whole
+// snapshot. Keys alias the snapshot's image.
+func (s *Snapshot) Cursor() (next func() (key []byte, value uint64, err error)) {
+	body := s.body
 	var seen uint64
 	return func() ([]byte, uint64, error) {
 		if len(body) == 0 {
-			if seen != count {
-				return nil, 0, fmt.Errorf("wal: snapshot record count %d != footer %d", seen, count)
+			if seen != s.count {
+				return nil, 0, fmt.Errorf("wal: snapshot record count %d != footer %d", seen, s.count)
 			}
 			return nil, 0, io.EOF
 		}
@@ -244,5 +256,5 @@ func ReadSnapshot(dir string, m Manifest) (next func() (key []byte, value uint64
 		body = body[uint64(n)+8+klen:]
 		seen++
 		return k, v, nil
-	}, nil
+	}
 }

@@ -258,7 +258,7 @@ func TestSnapshotTruncationDetected(t *testing.T) {
 		if err := os.WriteFile(path, orig[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if next, err := ReadSnapshot(dir, m); err == nil || next != nil {
+		if snap, err := ReadSnapshot(dir, m); err == nil || snap != nil {
 			t.Fatalf("snapshot truncated to %d bytes passed verification (err=%v)", cut, err)
 		}
 	}

@@ -30,9 +30,9 @@ func FuzzWALDecode(f *testing.F) {
 	bad[headerSize+5] ^= 0x40
 	f.Add(bad)
 
-	// Transaction-record seeds: a segment holding all three record kinds
-	// (self-contained commit, prepare, decision), a cut through the middle
-	// of the txn record's blob, and a blob with a corrupt op count.
+	// Transaction-record seeds: a segment holding a commit record between
+	// single-key records, a cut through the middle of the txn record's
+	// blob, and a blob with a corrupt op count.
 	txnSeg := buildSeedTxnSegment()
 	f.Add(txnSeg)
 	f.Add(txnSeg[:len(txnSeg)-len(txnSeg)/3])
@@ -70,7 +70,7 @@ func FuzzWALDecode(f *testing.F) {
 			// An accepted transaction record's blob must decode or be
 			// rejected as a unit — a CRC-valid frame with a blob the
 			// decoder tears in half would break commit atomicity.
-			if IsTxnOp(op) {
+			if op == OpTxn {
 				if ops, err := DecodeTxnOps(key); err == nil {
 					if re := EncodeTxnOps(nil, ops); !bytes.Equal(re, key) {
 						t.Fatalf("txn record blob at %d does not round-trip", off)
@@ -93,9 +93,8 @@ func buildSeedSegment() []byte {
 	return out
 }
 
-// buildSeedTxnSegment renders a valid segment holding every transaction
-// record kind for the fuzz seeds: one self-contained commit, one
-// prepare, and one decision record.
+// buildSeedTxnSegment renders a valid segment for the fuzz seeds: one
+// commit record followed by a single-key record.
 func buildSeedTxnSegment() []byte {
 	h := encodeSegmentHeader(1)
 	out := append([]byte{}, h[:]...)
@@ -105,9 +104,7 @@ func buildSeedTxnSegment() []byte {
 		{Op: OpDelete, Key: []byte("acct-c"), Value: 1},
 	})
 	out = appendRecord(out, OpTxn, blob, 7)
-	prep := EncodeTxnOps(nil, []TxnOp{{Op: OpUpdate, Key: []byte("acct-d"), Value: 9}})
-	out = appendRecord(out, OpTxnPrep, prep, 8)
-	out = appendRecord(out, OpTxnCommit, EncodeTxnOps(nil, nil), 8)
+	out = appendRecord(out, OpUpdate, []byte("acct-d"), 9)
 	return out
 }
 
@@ -131,15 +128,12 @@ func TestTxnTornTailNeverHalfApplies(t *testing.T) {
 		}
 		sawTxn := false
 		Replay(dir, 0, func(r Record) error {
-			if !IsTxnOp(r.Op) {
+			if r.Op != OpTxn {
 				return nil
 			}
 			ops, err := DecodeTxnOps(r.Key)
 			if err != nil {
 				t.Fatalf("cut %d: replay surfaced a txn record with torn blob: %v", cut, err)
-			}
-			if r.Op != OpTxn {
-				return nil
 			}
 			sawTxn = true
 			if len(ops) != len(want) {

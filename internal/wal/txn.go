@@ -6,32 +6,16 @@ import (
 	"fmt"
 )
 
-// Transaction record kinds (stable on-disk format; never renumber).
-//
-// A multi-key transaction commits through one of two shapes:
-//
-//   - OpTxn: a self-contained commit — the whole write set rides in one
-//     record's blob. The record either survives recovery intact or is
-//     truncated as a torn tail with the rest of the batch, so the write
-//     set applies atomically or not at all. Used whenever every write
-//     lands in one log (single tree, or all keys on one shard).
-//
-//   - OpTxnPrep + OpTxnCommit: the two-phase shape for commits spanning
-//     several logs. Each participant logs its local sub-writes in an
-//     OpTxnPrep; once every prep is durable, an OpTxnCommit (the
-//     decision) is appended to every participant. Recovery applies a
-//     prep if and only if a commit record bearing its transaction ID
-//     survives in any participating log — presumed abort otherwise.
-//
-// All three reuse the ordinary record frame: the value field carries the
-// transaction ID and the key field carries the sub-operation blob (empty
-// for OpTxnCommit), so framing, CRC protection, and torn-tail truncation
-// are exactly those of single-op records.
-const (
-	OpTxn       byte = 'T'
-	OpTxnPrep   byte = 'P'
-	OpTxnCommit byte = 'C'
-)
+// OpTxn is the transaction record kind (stable on-disk format; never
+// renumber): a commit's whole write set rides in one record's blob, in a
+// single-tree store and across the partitions of a sharded one alike. The
+// record either survives recovery intact or is truncated as a torn tail
+// with the rest of the batch, so the write set applies atomically or not
+// at all. It reuses the ordinary record frame: the value field carries
+// the transaction ID and the key field carries the sub-operation blob, so
+// framing, CRC protection, and torn-tail truncation are exactly those of
+// single-op records.
+const OpTxn byte = 'T'
 
 // TxnOp is one resolved sub-operation of a transactional write set. Op is
 // one of OpInsert/OpUpdate/OpDelete, an effect exactly like a standalone
@@ -110,51 +94,14 @@ func DecodeTxnOps(b []byte) ([]TxnOp, error) {
 	return ops, nil
 }
 
-// AppendTxn assigns one LSN to a whole transactional record — op must be
-// OpTxn, OpTxnPrep, or OpTxnCommit — and buffers it for the flusher.
-// txnID rides in the record's value field; ops (nil for OpTxnCommit) are
-// encoded into the blob. Atomicity follows from framing: the record is
-// one CRC-protected frame, so recovery sees all of it or truncates all
-// of it.
-func (w *Writer) AppendTxn(op byte, txnID uint64, ops []TxnOp) (uint64, error) {
-	switch op {
-	case OpTxn, OpTxnPrep, OpTxnCommit:
-	default:
-		return 0, fmt.Errorf("wal: AppendTxn with non-transaction op %q", op)
-	}
-	// Decision records (OpTxnCommit) carry the canonical empty blob
-	// (nops=0), so DecodeTxnOps works uniformly on any transaction record.
+// AppendTxn logs a whole write set as one OpTxn record, with txnID in
+// its value field, and returns its LSN (see Append). Atomicity follows
+// from framing: the record is one CRC-protected frame, so recovery sees
+// all of it or truncates all of it.
+func (w *Writer) AppendTxn(txnID uint64, ops []TxnOp) (uint64, error) {
 	blob := EncodeTxnOps(nil, ops)
 	if 1+8+len(blob) > maxRecordSize {
 		return 0, ErrTxnTooLarge
 	}
-	w.mu.Lock()
-	if w.closed || w.crashed {
-		err := ErrClosed
-		if w.crashed {
-			err = ErrCrashed
-		}
-		w.mu.Unlock()
-		return 0, err
-	}
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return 0, err
-	}
-	lsn := w.nextLSN
-	w.nextLSN++
-	w.appended = lsn
-	w.buf = appendRecord(w.buf, op, blob, txnID)
-	w.bufRecs++
-	w.work.Signal()
-	w.mu.Unlock()
-	w.appends.Add(1)
-	return lsn, nil
-}
-
-// IsTxnOp reports whether a record op byte is one of the transaction
-// kinds (as opposed to a single-key redo record).
-func IsTxnOp(op byte) bool {
-	return op == OpTxn || op == OpTxnPrep || op == OpTxnCommit
+	return w.Append(OpTxn, blob, txnID)
 }

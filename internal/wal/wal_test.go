@@ -396,7 +396,7 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	}
 	// The CRC covers the whole body, so the damage is caught at open,
 	// before the cursor hands out a single pair.
-	if next, err := ReadSnapshot(dir, m); err == nil || next != nil {
+	if snap, err := ReadSnapshot(dir, m); err == nil || snap != nil {
 		t.Fatalf("corrupt snapshot passed verification (err=%v)", err)
 	}
 }
@@ -404,10 +404,11 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 // drainSnapshot opens m's snapshot and pulls its cursor to the end,
 // passing each pair to fn (nil just verifies).
 func drainSnapshot(dir string, m Manifest, fn func(key []byte, value uint64)) error {
-	next, err := ReadSnapshot(dir, m)
+	snap, err := ReadSnapshot(dir, m)
 	if err != nil {
 		return err
 	}
+	next := snap.Cursor()
 	for {
 		k, v, err := next()
 		if err == io.EOF {
