@@ -5,12 +5,15 @@
 //
 // # Model
 //
-// The tree never updates nodes in place. Mutations append delta records to
-// a per-node chain and publish them with one compare-and-swap on a central
-// mapping table; readers replay the chain. Chains are periodically
-// consolidated into fresh immutable base nodes, and nodes split and merge
-// through multi-stage lock-free protocols that concurrent threads help
-// complete. Memory reclamation is epoch-based.
+// Mutations append delta records to a per-node chain and publish them with
+// one compare-and-swap on a central mapping table; readers replay the
+// chain. Chains are periodically consolidated into fresh base nodes, and
+// nodes split and merge through multi-stage lock-free protocols that
+// concurrent threads help complete. Memory reclamation is epoch-based.
+// One mutation skips the chain: with Options.UpdateInPlace (on in
+// DefaultOptions), an update of a key held by a base node that has no
+// delta above it stores the new value into the base under the base's
+// sequence word.
 //
 // # Usage
 //

@@ -37,17 +37,18 @@ func DebugVars(t *Tree) obs.Vars {
 		Counters: func() map[string]uint64 {
 			st := t.Stats()
 			return map[string]uint64{
-				"ops":            st.Ops,
-				"aborts":         st.Aborts,
-				"consolidations": st.Consolidations,
-				"splits":         st.Splits,
-				"merges":         st.Merges,
-				"slab_full":      st.SlabFull,
-				"pointer_chases": st.PointerChases,
-				"cas_failures":   st.CASFailures,
-				"gc_retired":     st.GC.Retired,
-				"gc_reclaimed":   st.GC.Reclaimed,
-				"gc_advances":    st.GC.Advances,
+				"ops":              st.Ops,
+				"aborts":           st.Aborts,
+				"consolidations":   st.Consolidations,
+				"splits":           st.Splits,
+				"merges":           st.Merges,
+				"slab_full":        st.SlabFull,
+				"pointer_chases":   st.PointerChases,
+				"cas_failures":     st.CASFailures,
+				"in_place_updates": st.InPlaceUpdates,
+				"gc_retired":       st.GC.Retired,
+				"gc_reclaimed":     st.GC.Reclaimed,
+				"gc_advances":      st.GC.Advances,
 			}
 		},
 		Gauges: func() map[string]float64 {

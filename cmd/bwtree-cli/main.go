@@ -331,6 +331,7 @@ func printStats(t *bwtree.Tree) {
 		{"slab_full", st.SlabFull},
 		{"pointer_chases", st.PointerChases},
 		{"cas_failures", st.CASFailures},
+		{"in_place_updates", st.InPlaceUpdates},
 		{"leaf_prealloc_util", st.LeafPreallocUtilization()},
 		{"inner_prealloc_util", st.InnerPreallocUtilization()},
 		{"gc_retired", st.GC.Retired},

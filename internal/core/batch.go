@@ -166,7 +166,9 @@ func (s *Session) writeBatch(keys [][]byte, vals []uint64, ok []bool, c obs.OpCl
 //
 // Adjacent duplicate keys (common under skewed workloads once the batch
 // is sorted) are answered from the previous result when the leaf's chain
-// head is unchanged, without replaying the chain.
+// head is unchanged and so is the sequence word of the base that
+// answered, without replaying the chain: an in-place update changes a
+// base's value but not the head.
 func (s *Session) LookupBatch(keys [][]byte, visit func(i int, vals []uint64)) {
 	if len(keys) == 0 {
 		return
@@ -177,6 +179,7 @@ func (s *Session) LookupBatch(keys [][]byte, visit func(i int, vals []uint64)) {
 	tr := traversal{id: invalidNode, parentID: invalidNode}
 	var prevKey []byte
 	var prevHead *delta
+	var prev seekResult
 	var res []uint64
 	for n, e := range ord {
 		i := int(e.idx)
@@ -185,15 +188,16 @@ func (s *Session) LookupBatch(keys [][]byte, visit func(i int, vals []uint64)) {
 		key := keys[i]
 		start := s.opStart()
 		if !refreshed && prevHead != nil && bytes.Equal(key, prevKey) &&
-			s.t.load(tr.id) == prevHead {
-			// Same key, same chain head: the replay would retrace identical
-			// records; reuse the previous result.
+			s.t.load(tr.id) == prevHead && (prev.base == nil || prev.base.seq.Load() == prev.seq) {
+			// Same key, same chain head, no in-place update since: the
+			// replay would retrace identical records; reuse the previous
+			// result.
 			s.leafHits++
 			visit(i, res)
 			s.opLat(obs.OpRead, start)
 			continue
 		}
-		res = s.lookupOne(&tr, key, s.scratch[:0])
+		res, prev = s.lookupOne(&tr, key, s.scratch[:0])
 		s.scratch = res[:0]
 		prevKey, prevHead = key, tr.head
 		visit(i, res)

@@ -162,7 +162,9 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 		// Adopt the top node's payload wholesale.
 		newRoot = newBaseNode(kInnerBase)
 		newRoot.size = top.size
-		*newRoot.baseData = *top.baseData
+		tb := top.baseData
+		newRoot.offs, newRoot.pfx, newRoot.nil0 = tb.offs, tb.pfx, tb.nil0
+		newRoot.sfx, newRoot.kids, newRoot.arena = tb.sfx, tb.kids, tb.arena
 		t.mt.Recycle(level[0].id)
 	}
 	if t.opts.Preallocate {

@@ -239,8 +239,9 @@ type effRec struct {
 // effective insert and delete records — the S_present/S_deleted
 // computation of §3.1 applied to whole-chain replay. An update expands
 // into an insert of the new value plus a delete of the old. subchains
-// receives the content chains of any merge deltas encountered; bases
-// receives the chain's base node.
+// receives the content chains of any merge deltas encountered; base
+// receives the chain's base node, sealed, so its values may be read with
+// plain loads.
 func (s *Session) gatherLeafRecords(head *delta, ins, del []effRec) (insOut, delOut []effRec, base *delta, subchains []*delta, hasMerge bool) {
 	nonUnique := s.t.opts.NonUnique
 	// decided reports whether a newer record already fixed the fate of
@@ -304,6 +305,9 @@ func (s *Session) gatherLeafRecords(head *delta, ins, del []effRec) (insOut, del
 			hasMerge = true
 			subchains = append(subchains, d.mergeContent)
 		case kLeafBase:
+			// Every copy of a base's values starts here, so sealing here
+			// keeps in-place updates out of every copy (inplace.go).
+			d.seal()
 			return ins, del, d, subchains, hasMerge
 		default:
 			return ins, del, nil, subchains, hasMerge
@@ -343,7 +347,7 @@ func (s *Session) collectLeafBaseline(head *delta) collected {
 			if survives(k, v, ins, del, nonUnique) {
 				c.keys = append(c.keys, k)
 				c.vals = append(c.vals, v)
-				c.vers = append(c.vers, b.baseVer(i))
+				c.vers = append(c.vers, b.vers[i])
 			}
 		}
 	}
@@ -494,7 +498,7 @@ func (s *Session) collectLeafFast(head *delta) (collected, bool) {
 		if !dead {
 			c.keys = append(c.keys, bk)
 			c.vals = append(c.vals, base.vals[j])
-			c.vers = append(c.vers, base.baseVer(j))
+			c.vers = append(c.vers, base.vers[j])
 		}
 	}
 	for ; ii < len(ins); ii++ {

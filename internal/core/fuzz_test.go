@@ -16,7 +16,8 @@ import (
 // keys force splits, merges, and consolidations.
 //
 // Stream format: byte 0 is a config header (bit 0 non-unique, bit 1
-// centralized GC, bit 2 merges off, bit 3 every observability probe on);
+// centralized GC, bit 2 merges off, bit 3 every observability probe on,
+// bit 4 in-place updates off);
 // the rest is a sequence of operations, each one opcode
 // byte followed by its operands (see fuzzStep). Truncated operands end
 // the stream. The opcode's low three bits pick the operation; bit 3 turns
@@ -35,6 +36,7 @@ func FuzzTreeVsModel(f *testing.F) {
 	f.Add(fuzzSeed(0x08)) // probes on
 	f.Add(fuzzSeed(0x0C)) // merges off, probes on
 	f.Add(fuzzSeed(0x0D)) // merges off, probes on, non-unique
+	f.Add(fuzzSeed(0x10)) // in-place updates off
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runFuzzStream(t, data)
 	})
@@ -181,6 +183,7 @@ func runFuzzStream(t *testing.T, data []byte) {
 		opts.PhaseSampleEvery = 7
 		opts.FlightRecorderSize = 64
 	}
+	opts.UpdateInPlace = hdr&16 == 0
 
 	tree := New(opts)
 	defer tree.Close()

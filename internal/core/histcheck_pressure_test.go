@@ -66,4 +66,7 @@ func TestCheckedHighPressure(t *testing.T) {
 	if st.Splits == 0 || st.Merges == 0 {
 		t.Errorf("workload did not exercise both SMO paths: splits=%d merges=%d", st.Splits, st.Merges)
 	}
+	if st.InPlaceUpdates == 0 {
+		t.Error("no update was stored in place; the checker did not cover that path")
+	}
 }

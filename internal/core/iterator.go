@@ -3,17 +3,19 @@ package core
 import (
 	"bytes"
 	"runtime"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
 // Iterator provides ordered forward and backward traversal (§3.2). It
 // never operates on a mutable node: each positioning step pins one
-// logical leaf as an immutable base node, so concurrent inserts, deletes,
-// and SMOs cannot invalidate the cursor. A consolidated leaf is read in
-// place; a leaf with a delta chain is consolidated and the iterator reads
-// the base it published (see useLeaf). Moving past either end re-traverses
-// the tree using the leaf's low or high key (Appendix C).
+// logical leaf as a base node, whose keys are immutable, so concurrent
+// inserts, deletes, and SMOs cannot invalidate the cursor. A consolidated
+// leaf is read in place; a leaf with a delta chain is consolidated and
+// the iterator reads the base it published (see useLeaf). Moving past
+// either end re-traverses the tree using the leaf's low or high key
+// (Appendix C).
 //
 // An Iterator is owned by its Session and must not outlive it or be used
 // concurrently with it from another goroutine.
@@ -61,11 +63,12 @@ func (it *Iterator) Key() []byte {
 	return it.leaf.baseKey(it.pos)
 }
 
-// Value returns the current item's value. Value panics unless Valid()
-// holds.
+// Value returns the current item's value: the value the slot holds at
+// the call, since a base read in place can take in-place updates. Value
+// panics unless Valid() holds.
 func (it *Iterator) Value() uint64 {
 	it.mustBePositioned("Value")
-	return it.leaf.vals[it.pos]
+	return atomic.LoadUint64(&it.leaf.vals[it.pos])
 }
 
 // search returns the position of the current leaf's first item >= key.
@@ -93,8 +96,9 @@ func (it *Iterator) loadNode(key []byte) bool {
 
 // useLeaf makes leaf tr.head, reached under the caller's epoch pin, the
 // current leaf; both traversal directions go through it. A consolidated
-// leaf is read in place: bases are immutable, and writers prepend deltas
-// above one without disturbing it. A leaf with a delta chain is
+// leaf is read in place: its keys are immutable, writers prepend deltas
+// above it without disturbing it, and an in-place update changes one
+// value, which Value loads atomically. A leaf with a delta chain is
 // consolidated once, as a writer would (splits and merges included), and
 // the iterator reads the base that publishes. If that CaS loses to a
 // writer, the replayed copy serves instead, so a step neither retries nor

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -15,12 +16,18 @@ type seekResult struct {
 	// base, its position; for a key decided by a delta record, that
 	// record's offset. Negative when unknown.
 	baseOff int32
-	// ver is the version stamp of the record that decided the seek: the
-	// delta's stamp, or the base record's preserved stamp. Absent keys
-	// report 0 ("no state"), including keys decided by a delete delta —
-	// absence has no version, so a reader validating an absent key only
-	// needs the key to still be absent.
+	// ver is the version stamp of the delta that decided the seek. Absent
+	// keys report 0 ("no state"), including keys decided by a delete
+	// delta — absence has no version, so a reader validating an absent
+	// key only needs the key to still be absent. A key found in a base
+	// reports 0 too: its stamp can change with its value, so a reader
+	// that needs it loads the pair from base (LookupVersion).
 	ver uint64
+	// base is the leaf base whose slot baseOff decided a found key, nil
+	// when a delta decided; seq is base's sequence word, loaded before
+	// the value, so an unchanged word proves the value still current.
+	base *delta
+	seq  uint64
 }
 
 // leafSeek replays a leaf Delta Chain for key under unique-key semantics:
@@ -99,7 +106,8 @@ func (s *Session) leafSeek(head *delta, key []byte) seekResult {
 			pos, exact := d.baseSearchRange(key, l, h)
 			s.phEnd(obs.PhaseBaseSearch, t0, uint64(h-l))
 			if exact {
-				return seekResult{found: true, value: d.vals[pos], baseOff: int32(pos), ver: d.baseVer(pos)}
+				seq := d.seq.Load()
+				return seekResult{found: true, value: atomic.LoadUint64(&d.vals[pos]), baseOff: int32(pos), base: d, seq: seq}
 			}
 			return seekResult{found: false, baseOff: int32(pos)}
 		default:

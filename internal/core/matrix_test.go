@@ -9,15 +9,16 @@ import (
 // TestOptionsMatrix runs a concurrent smoke workload on every combination
 // of the four switchable paper optimizations (§4.1 pre-allocation, §4.3
 // fast consolidation, §4.4 search shortcuts, §3.1 non-unique keys) plus
-// two settings nothing else combines with them — merges off, and every
-// observability probe on — under both GC schemes: 64 flag combinations ×
-// 2 schemes, so no combination can silently rot. Nodes are tiny so the
-// smoke forces splits, consolidations and (unless disabled) merges; the
-// workload mixes the single-op and batch paths, and a read-only phase
-// then checks that lookups consolidate the chains it left.
+// three settings nothing else combines with them — merges off, every
+// observability probe on, and in-place updates off — under both GC
+// schemes: 128 flag combinations × 2 schemes, so no combination can
+// silently rot. Nodes are tiny so the smoke forces splits,
+// consolidations and (unless disabled) merges; the workload mixes the
+// single-op and batch paths, and a read-only phase then checks that
+// lookups consolidate the chains it left.
 func TestOptionsMatrix(t *testing.T) {
 	gcName := map[GCScheme]string{GCDecentralized: "decentralized", GCCentralized: "centralized"}
-	for mask := 0; mask < 64; mask++ {
+	for mask := 0; mask < 128; mask++ {
 		opts := DefaultOptions()
 		opts.Preallocate = mask&1 != 0
 		opts.FastConsolidate = mask&2 != 0
@@ -40,11 +41,18 @@ func TestOptionsMatrix(t *testing.T) {
 			opts.PhaseSampleEvery = 7
 			opts.FlightRecorderSize = 64
 		}
+		opts.UpdateInPlace = mask&64 == 0
 		for _, gc := range []GCScheme{GCDecentralized, GCCentralized} {
 			opts.GC = gc
-			name := fmt.Sprintf("prealloc=%t,fastcons=%t,shortcuts=%t,nonuniq=%t,merges=%t,probes=%t/%s",
+			// In-place updates are the default; only their absence is
+			// named, so the other combinations keep their names.
+			inPlace := ""
+			if !opts.UpdateInPlace {
+				inPlace = ",inplace=false"
+			}
+			name := fmt.Sprintf("prealloc=%t,fastcons=%t,shortcuts=%t,nonuniq=%t,merges=%t,probes=%t%s/%s",
 				opts.Preallocate, opts.FastConsolidate, opts.SearchShortcuts,
-				opts.NonUnique, merges, probes, gcName[gc])
+				opts.NonUnique, merges, probes, inPlace, gcName[gc])
 			t.Run(name, func(t *testing.T) {
 				optionsMatrixSmoke(t, opts)
 			})
@@ -166,6 +174,12 @@ func optionsMatrixSmoke(t *testing.T, opts Options) {
 	}
 	if tr.Stats().Splits == 0 {
 		t.Error("smoke workload recorded no splits; nodes not tiny enough")
+	}
+	// Only a unique-key tree with UpdateInPlace stores updates in place,
+	// and the shared range's updates then reach bare bases.
+	inPlace := tr.Stats().InPlaceUpdates
+	if want := opts.UpdateInPlace && !opts.NonUnique; want != (inPlace > 0) {
+		t.Errorf("%d in-place updates with UpdateInPlace=%t, NonUnique=%t", inPlace, opts.UpdateInPlace, opts.NonUnique)
 	}
 }
 

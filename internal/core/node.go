@@ -126,7 +126,14 @@ type baseData struct {
 	sfx   []uint64
 	kids  []nodeID
 	arena []byte
-	vals  []uint64
+	// vals are a leaf base's values. With Options.UpdateInPlace a slot
+	// can change after publication, so a reader that does not hold the
+	// base sealed loads it atomically (see inplace.go).
+	vals []uint64
+	// seq is a leaf base's sequence word: odd while an in-place update
+	// writes a slot, advanced by 2 per update, and carrying seqSealed
+	// once a copy of the base has been taken (inplace.go).
+	seq atomic.Uint64
 	// vers carries the per-record version stamps of a leaf base, parallel
 	// to vals; consolidation preserves each surviving record's stamp so a
 	// record's version only changes when its value may have.
@@ -274,16 +281,6 @@ func (s *slab) used() int {
 		u = len(s.slots)
 	}
 	return u
-}
-
-// baseVer returns the version stamp of base record i, tolerating bases
-// built before version threading existed (nil vers reads as 0, the
-// "no observation" stamp).
-func (n *baseData) baseVer(i int) uint64 {
-	if i < len(n.vers) {
-		return n.vers[i]
-	}
-	return 0
 }
 
 // inheritFrom copies the logical node's attributes from the current chain

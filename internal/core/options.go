@@ -4,10 +4,16 @@
 // central mapping table.
 //
 // The implementation follows "Building a Bw-Tree Takes More Than Just Buzz
-// Words" (SIGMOD 2018): base nodes are immutable; each logical node is a
-// chain of delta records ending in a base node; splits and merges are
-// multi-stage structural modification operations (SMOs) that other threads
-// help complete; safe memory reclamation uses epoch-based GC.
+// Words" (SIGMOD 2018): each logical node is a chain of delta records
+// ending in a base node; splits and merges are multi-stage structural
+// modification operations (SMOs) that other threads help complete; safe
+// memory reclamation uses epoch-based GC. A base node's keys never change
+// once it is published. Its values are immutable too, with one exception:
+// with Options.UpdateInPlace, an Update of a key held by a leaf base that
+// is the bare head of its chain stores the new value into the base's slot
+// under the base's sequence word instead of prepending a ∆update, and any
+// copy of a base first seals it against such stores (DESIGN.md, "In-place
+// updates").
 //
 // Every optimization from §4 of the paper is implemented and individually
 // switchable through Options, which is how the benchmark harness
@@ -68,6 +74,14 @@ type Options struct {
 	// delta visibility with present/deleted value sets, and inserts of an
 	// existing key with a new value succeed.
 	NonUnique bool
+	// UpdateInPlace lets a unique-key Update of a key held by a bare leaf
+	// base (a chain with no delta above it) store the new value and a
+	// fresh version stamp into the base's slot under the base's sequence
+	// word, instead of prepending a ∆update. A base that is being copied
+	// is sealed first, and an update that finds it sealed falls back to
+	// the ∆update. Off in BaselineOptions: the original Bw-Tree posts
+	// every update as a delta.
+	UpdateInPlace bool
 
 	// LatencyHistograms enables per-session log-bucketed latency
 	// histograms for every public operation class, merged on demand by
@@ -133,6 +147,7 @@ func DefaultOptions() Options {
 		FastConsolidate:  true,
 		SearchShortcuts:  true,
 		NonUnique:        false,
+		UpdateInPlace:    true,
 		GC:               GCDecentralized,
 		GCInterval:       40 * time.Millisecond,
 		GCThreshold:      1024,
@@ -142,14 +157,16 @@ func DefaultOptions() Options {
 // BaselineOptions returns the "good-faith original Bw-Tree" configuration:
 // the same tree with every §4 optimization disabled — heap-allocated delta
 // records, replay-then-sort consolidation, full-node binary search, unique
-// keys only, and the centralized GC scheme with a background thread. The
-// paper's recommended chain length for the original design is 8 (§2.3).
+// keys only, every update a ∆update, and the centralized GC scheme with a
+// background thread. The paper's recommended chain length for the
+// original design is 8 (§2.3).
 func BaselineOptions() Options {
 	o := DefaultOptions()
 	o.Preallocate = false
 	o.FastConsolidate = false
 	o.SearchShortcuts = false
 	o.NonUnique = false
+	o.UpdateInPlace = false
 	o.GC = GCCentralized
 	o.LeafChainLength = 8
 	o.InnerChainLength = 8

@@ -115,7 +115,9 @@ func TestLookupConsolidatesUnwrittenLeaf(t *testing.T) {
 // reads, the read-mostly mix in which a shorter read window would
 // consolidate between writes. No read may consolidate: Consolidations
 // rises only when a write takes the chain to LeafChainLength. Once the
-// writes stop, LeafNodeSize reads consolidate the leaf.
+// writes stop, LeafNodeSize reads consolidate the leaf. Every write
+// inserts or deletes key 6, so each one prepends a delta; an Update of a
+// bare base would store in place and leave no chain to read.
 func TestWriteResetsReadCount(t *testing.T) {
 	tr := New(DefaultOptions())
 	defer tr.Close()
@@ -123,12 +125,27 @@ func TestWriteResetsReadCount(t *testing.T) {
 	defer s.Release()
 	leafID, model := loadChainedLeaf(t, tr, s)
 	n, chain := tr.opts.LeafNodeSize, tr.opts.LeafChainLength
+	write := func(r int) {
+		t.Helper()
+		const k = 6
+		if model[k] == nil {
+			if !s.Insert(key64(k), uint64(1000+r)) {
+				t.Fatalf("round %d: insert of key %d refused", r, k)
+			}
+			model[k] = []uint64{uint64(1000 + r)}
+		} else {
+			if !s.Delete(key64(k), model[k][0]) {
+				t.Fatalf("round %d: delete of key %d refused", r, k)
+			}
+			delete(model, k)
+		}
+	}
 
 	writerRuns := 0
 	for r := 0; r < 1000; r++ {
 		before := tr.Stats().Consolidations
 		for i := 0; i < n-1; i++ {
-			k := uint64(i%5 + 1)
+			k := uint64(i%6 + 1)
 			if got := pointReads[i%3].read(s, key64(k)); !slices.Equal(got, model[k]) {
 				t.Fatalf("round %d, read %d: key %d = %v, model %v", r, i, k, got, model[k])
 			}
@@ -141,11 +158,7 @@ func TestWriteResetsReadCount(t *testing.T) {
 			want++
 			writerRuns++
 		}
-		k, v := uint64(r%5+1), uint64(1000+r)
-		if !s.Update(key64(k), v) {
-			t.Fatalf("round %d: update of key %d refused", r, k)
-		}
-		model[k] = []uint64{v}
+		write(r)
 		if got := tr.Stats().Consolidations; got != want {
 			t.Fatalf("round %d: the write left %d consolidations, want %d", r, got, want)
 		}
@@ -157,7 +170,7 @@ func TestWriteResetsReadCount(t *testing.T) {
 	// The count the last write restarted reaches the trigger exactly
 	// LeafNodeSize reads later.
 	if tr.load(leafID).kind == kLeafBase {
-		s.Update(key64(1), 1) // the last write consolidated; chain the leaf again
+		write(1000) // the last write consolidated; chain the leaf again
 	}
 	before := tr.Stats().Consolidations
 	for i := 0; i < n; i++ {

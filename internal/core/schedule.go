@@ -86,6 +86,12 @@ const (
 	// SPBackoff fires inside every operation's restart loop after a
 	// failed descent or lost CaS.
 	SPBackoff
+	// SPSeqClaim fires before an in-place update claims the sequence
+	// word of node Node's bare leaf base to store Key's new value.
+	SPSeqClaim
+	// SPSeal fires before a copy of a leaf base seals it against
+	// in-place updates. Node is zero: the copy does not know it.
+	SPSeal
 
 	numSyncPoints
 )
@@ -108,6 +114,8 @@ var syncPointNames = [numSyncPoints]string{
 	SPDescendRemove:   "DescendRemove",
 	SPMergeLeftSpin:   "MergeLeftSpin",
 	SPBackoff:         "Backoff",
+	SPSeqClaim:        "SeqClaim",
+	SPSeal:            "Seal",
 }
 
 func (p SyncPoint) String() string {

@@ -185,6 +185,9 @@ type Session struct {
 	// way chases batches pointer dereferences; flushed by opsDone.
 	leafHits   uint64
 	parentHits uint64
+	// inPlace counts updates stored into a bare leaf base (inplace.go),
+	// batched and flushed the same way.
+	inPlace uint64
 
 	// Scratch space reused across operations to keep the hot path
 	// allocation-free.
@@ -219,6 +222,7 @@ type sessionStats struct {
 	// of descending from the root.
 	batchLeafHits   atomic.Uint64
 	batchParentHits atomic.Uint64
+	inPlaceUpdates  atomic.Uint64
 }
 
 func (a *sessionStats) add(b *sessionStats) {
@@ -236,6 +240,7 @@ func (a *sessionStats) add(b *sessionStats) {
 	a.innerSlabCap.Add(b.innerSlabCap.Load())
 	a.batchLeafHits.Add(b.batchLeafHits.Load())
 	a.batchParentHits.Add(b.batchParentHits.Load())
+	a.inPlaceUpdates.Add(b.inPlaceUpdates.Load())
 }
 
 // NewSession registers a worker goroutine with the tree.
@@ -308,6 +313,10 @@ func (s *Session) opsDone(n int, c obs.OpClass, start int64) {
 		s.parentHits = 0
 		s.stats.batchParentHits.Add(v)
 	}
+	if v := s.inPlace; v != 0 {
+		s.inPlace = 0
+		s.stats.inPlaceUpdates.Add(v)
+	}
 	s.opLat(c, start)
 }
 
@@ -378,7 +387,11 @@ type Stats struct {
 	// the root-to-leaf descent via the cached traversal.
 	BatchLeafHits   uint64
 	BatchParentHits uint64
-	GC              epoch.Stats
+	// InPlaceUpdates counts updates stored into a bare leaf base under
+	// its sequence word instead of posted as a ∆update
+	// (Options.UpdateInPlace).
+	InPlaceUpdates uint64
+	GC             epoch.Stats
 }
 
 // AbortRate returns aborts per completed operation.
@@ -433,6 +446,7 @@ func (t *Tree) Stats() Stats {
 		InnerSlabCap:    agg.innerSlabCap.Load(),
 		BatchLeafHits:   agg.batchLeafHits.Load(),
 		BatchParentHits: agg.batchParentHits.Load(),
+		InPlaceUpdates:  agg.inPlaceUpdates.Load(),
 		GC:              t.gc.Stats(),
 	}
 }

@@ -18,6 +18,8 @@ import (
 //   - every inner base carries its suffix-word plane
 //   - each chain element owns exactly its kind's payloads: a baseData on
 //     bases only, an smoData on the four SMO kinds only
+//   - a leaf base holds one value and one version stamp per key, the
+//     slots an in-place update writes
 //   - a base's slab holds no record at or past its marker
 func (t *Tree) Validate() error {
 	s := t.NewSession()
@@ -101,6 +103,11 @@ func checkPayloads(head *delta) error {
 		}
 		if d.kind.ownsSMO() != (d.smoData != nil) {
 			return fmt.Errorf("%v at depth %d: SMO fields present=%v", d.kind, d.depth, d.smoData != nil)
+		}
+		if d.kind == kLeafBase {
+			if n := d.baseLen(); len(d.vals) != n || len(d.vers) != n {
+				return fmt.Errorf("leaf base at depth %d: %d keys, %d values, %d version stamps", d.depth, n, len(d.vals), len(d.vers))
+			}
 		}
 		if d.kind == kMerge {
 			if err := checkPayloads(d.mergeContent); err != nil {

@@ -28,6 +28,9 @@ func (s *Session) LookupVersion(key []byte) (value uint64, ver uint64, found boo
 			continue
 		}
 		r := s.leafSeekProbed(tr.head, key)
+		if r.base != nil {
+			r.value, r.ver = r.base.loadPair(int(r.baseOff))
+		}
 		s.readDone(&tr)
 		return r.value, r.ver, r.found
 	}

@@ -218,7 +218,8 @@ func (s *Session) deleteLeaf(tr *traversal, key []byte, value uint64) (done, del
 // Update replaces the value stored under key (unique mode) and reports
 // whether the key was present. In non-unique mode it replaces the pair
 // (key, oldValue) for the first visible value; use UpdateValue for an
-// explicit pair.
+// explicit pair. With Options.UpdateInPlace, a unique-mode update of a
+// key held by a bare leaf base stores into the base (updateInPlace).
 func (s *Session) Update(key []byte, value uint64) bool {
 	checkKey(key)
 	s.h.Enter()
@@ -233,6 +234,7 @@ func (s *Session) Update(key []byte, value uint64) bool {
 		}
 		var old uint64
 		var off int32
+		var base *delta // the base that holds key when no delta decided it
 		if s.t.opts.NonUnique {
 			r := s.leafSeekFirstVisible(tr.head, key)
 			if !r.found {
@@ -256,9 +258,13 @@ func (s *Session) Update(key []byte, value uint64) bool {
 			if !r.found {
 				return false
 			}
-			old, off = r.value, r.baseOff
+			old, off, base = r.value, r.baseOff, r.base
 		}
 		if old == value {
+			return true
+		}
+		if base == tr.head && s.t.opts.UpdateInPlace &&
+			s.updateInPlace(tr.id, base, int(off), key, value) {
 			return true
 		}
 		if s.appendLeaf(&tr, kLeafUpdate, key, value, old, 0, off) {
@@ -310,23 +316,27 @@ func (s *Session) Lookup(key []byte, out []uint64) []uint64 {
 	defer s.h.Exit()
 	defer s.opDone(obs.OpRead, s.opStart())
 	tr := traversal{id: invalidNode, parentID: invalidNode}
-	return s.lookupOne(&tr, key, out)
+	out, _ = s.lookupOne(&tr, key, out)
+	return out
 }
 
 // lookupOne is the one Lookup body, shared by Lookup and LookupBatch,
-// appending results to out.
-func (s *Session) lookupOne(tr *traversal, key []byte, out []uint64) []uint64 {
+// appending results to out. In unique mode it also returns the seek that
+// answered, whose base and seq tell LookupBatch whether an in-place
+// update may have changed the answer since.
+func (s *Session) lookupOne(tr *traversal, key []byte, out []uint64) ([]uint64, seekResult) {
 	spins := 0
 	for !s.seekLeaf(key, tr) {
 		s.abortBackoff(&spins)
 	}
+	var r seekResult
 	if s.t.opts.NonUnique {
 		out, _ = s.collectValuesProbed(tr.head, key, out)
-	} else if r := s.leafSeekProbed(tr.head, key); r.found {
+	} else if r = s.leafSeekProbed(tr.head, key); r.found {
 		out = append(out, r.value)
 	}
 	s.readDone(tr)
-	return out
+	return out, r
 }
 
 // insertInPlace mutates the leaf base node directly — the Fig. 18
@@ -385,9 +395,7 @@ func (s *Session) deleteInPlace(tr *traversal, key []byte, value uint64) (ok, de
 		head.offs[i] -= end - start
 	}
 	head.vals = slices.Delete(head.vals, pos, pos+1)
-	if len(head.vers) > pos {
-		head.vers = slices.Delete(head.vers, pos, pos+1)
-	}
+	head.vers = slices.Delete(head.vers, pos, pos+1)
 	head.size--
 	return true, true
 }

@@ -23,7 +23,9 @@ func GateFailures() int { return int(gateFailures.Load()) }
 // scan completeness; see internal/histcheck). The Bw-Tree additionally
 // runs under both GC schemes, since epoch reclamation is where premature
 // frees would surface as stale reads. The experiment's product is not a
-// throughput number but a zero-violation gate.
+// throughput number but a zero-violation gate. A Bw-Tree built to update
+// in place must also have stored some updates that way, so the verdict
+// covers that path under concurrency.
 func Checked(w io.Writer, sc Scale) {
 	type entry struct {
 		name      string
@@ -70,13 +72,25 @@ func Checked(w io.Writer, sc Scale) {
 			for i, mix := range mixes {
 				idx := e.mk()
 				vs, h := histcheck.RunChecked(idx, e.nonUnique, mix, cfg)
+				noInPlace := false
+				if bw, ok := idx.(index.BwBacked); ok && mix.Update > 0 {
+					o := bw.Tree().Options()
+					noInPlace = o.UpdateInPlace && !o.NonUnique && bw.Tree().Stats().InPlaceUpdates == 0
+				}
 				idx.Close()
-				if len(vs) == 0 {
+				switch {
+				case len(vs) > 0:
+					cells[i] = fmt.Sprintf("%d FAIL(%d)", len(h.Ops), len(vs))
+				case noInPlace:
+					cells[i] = fmt.Sprintf("%d FAIL(in-place)", len(h.Ops))
+				default:
 					cells[i] = fmt.Sprintf("%d ok", len(h.Ops))
-					continue
+				}
+				if noInPlace {
+					failures++
+					fmt.Fprintf(w, "  %s / %s: no update was stored in place\n", e.name, mix.Name)
 				}
 				failures += len(vs)
-				cells[i] = fmt.Sprintf("%d FAIL(%d)", len(h.Ops), len(vs))
 				for j, v := range vs {
 					if j == 5 {
 						fmt.Fprintf(w, "  ... %d more\n", len(vs)-5)

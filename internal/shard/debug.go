@@ -19,17 +19,18 @@ func DebugVars(st *Store) obs.Vars {
 		Counters: func() map[string]uint64 {
 			s := st.Stats()
 			m := map[string]uint64{
-				"ops":            s.Ops,
-				"aborts":         s.Aborts,
-				"consolidations": s.Consolidations,
-				"splits":         s.Splits,
-				"merges":         s.Merges,
-				"slab_full":      s.SlabFull,
-				"pointer_chases": s.PointerChases,
-				"cas_failures":   s.CASFailures,
-				"gc_retired":     s.GC.Retired,
-				"gc_reclaimed":   s.GC.Reclaimed,
-				"gc_advances":    s.GC.Advances,
+				"ops":              s.Ops,
+				"aborts":           s.Aborts,
+				"consolidations":   s.Consolidations,
+				"splits":           s.Splits,
+				"merges":           s.Merges,
+				"slab_full":        s.SlabFull,
+				"pointer_chases":   s.PointerChases,
+				"cas_failures":     s.CASFailures,
+				"in_place_updates": s.InPlaceUpdates,
+				"gc_retired":       s.GC.Retired,
+				"gc_reclaimed":     s.GC.Reclaimed,
+				"gc_advances":      s.GC.Advances,
 			}
 			// Per-shard op counters surface routing skew: a hot shard shows
 			// up as one counter running away from the others.

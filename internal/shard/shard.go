@@ -169,6 +169,7 @@ func (st *Store) Stats() bwtree.Stats {
 		agg.InnerSlabCap += s.InnerSlabCap
 		agg.BatchLeafHits += s.BatchLeafHits
 		agg.BatchParentHits += s.BatchParentHits
+		agg.InPlaceUpdates += s.InPlaceUpdates
 		agg.GC.Retired += s.GC.Retired
 		agg.GC.Reclaimed += s.GC.Reclaimed
 		agg.GC.Advances += s.GC.Advances
