@@ -1,6 +1,11 @@
 package bwtree
 
-import "repro/internal/obs"
+import (
+	"fmt"
+
+	"repro/internal/mapping"
+	"repro/internal/obs"
+)
 
 // LatencySnapshot is a mergeable point-in-time copy of a tree's
 // per-operation-class latency histograms (requires
@@ -32,11 +37,79 @@ var WriteChromeTrace = obs.WriteChromeTrace
 // gauges from Stats, plus latency and trace feeds when the tree was
 // built with them enabled. Useful for mounting the debug surface into an
 // existing HTTP server via obs.Mux.
-func DebugVars(t *Tree) obs.Vars {
+func DebugVars(t *Tree) obs.Vars { return treesVars([]*Tree{t}, false) }
+
+// PartitionedDebugVars is DebugVars over trees that partition one key
+// space, indexed by their Router's shard numbers: counters summed (and
+// epoch lag maxed, where a sum lies), histograms merged, event, flight
+// and phase feeds concatenated, plus per-partition op counters
+// (shardNN_ops, which surface routing skew), a partition-count gauge
+// (shards) and a per-partition list in the shape (shards).
+func PartitionedDebugVars(trees []*Tree) obs.Vars { return treesVars(trees, true) }
+
+// SumStats aggregates the counters of trees that partition one key space:
+// every counter summed, epoch lag maxed.
+func SumStats(trees []*Tree) Stats {
+	var agg Stats
+	for _, t := range trees {
+		s := t.Stats()
+		agg.Ops += s.Ops
+		agg.Aborts += s.Aborts
+		agg.Consolidations += s.Consolidations
+		agg.Splits += s.Splits
+		agg.Merges += s.Merges
+		agg.SlabFull += s.SlabFull
+		agg.PointerChases += s.PointerChases
+		agg.CASFailures += s.CASFailures
+		agg.LeafSlabUsed += s.LeafSlabUsed
+		agg.LeafSlabCap += s.LeafSlabCap
+		agg.InnerSlabUsed += s.InnerSlabUsed
+		agg.InnerSlabCap += s.InnerSlabCap
+		agg.BatchLeafHits += s.BatchLeafHits
+		agg.BatchParentHits += s.BatchParentHits
+		agg.InPlaceUpdates += s.InPlaceUpdates
+		agg.GC.Retired += s.GC.Retired
+		agg.GC.Reclaimed += s.GC.Reclaimed
+		agg.GC.Advances += s.GC.Advances
+		agg.GC.EpochLag = max(agg.GC.EpochLag, s.GC.EpochLag)
+	}
+	return agg
+}
+
+// shapeMap renders one shape for /debug/shape. Node counts are uint64, as
+// the sharded store's summed shape always reported them.
+func shapeMap(st StructureStats) map[string]any {
+	return map[string]any{
+		"height":               st.Height,
+		"inner_nodes":          uint64(st.InnerNodes),
+		"leaf_nodes":           uint64(st.LeafNodes),
+		"avg_inner_chain_len":  st.AvgInnerChainLen,
+		"avg_leaf_chain_len":   st.AvgLeafChainLen,
+		"avg_inner_node_size":  st.AvgInnerNodeSize,
+		"avg_leaf_node_size":   st.AvgLeafNodeSize,
+		"inner_prealloc_util":  st.InnerPreallocUse,
+		"leaf_prealloc_util":   st.LeafPreallocUse,
+		"arena_bytes":          st.ArenaBytes,
+		"inner_arena_bytes":    st.InnerArenaBytes,
+		"key_bytes":            st.KeyBytes,
+		"gc_ptrs_per_leaf":     st.GCPtrsPerLeaf,
+		"gc_ptrs_per_inner":    st.GCPtrsPerInner,
+		"leaf_bytes_per_entry": st.LeafBytesPerEntry,
+		"leaf_slab_bytes":      st.LeafSlabBytes,
+		"inner_slab_bytes":     st.InnerSlabBytes,
+		"pooled_slabs":         st.PooledSlabs,
+		"pooled_slab_bytes":    st.PooledSlabBytes,
+	}
+}
+
+// treesVars is the one debug surface over a store's trees, all built with
+// the same Options; DebugVars is its one-tree case. perPart adds the
+// per-partition keys.
+func treesVars(trees []*Tree, perPart bool) obs.Vars {
 	v := obs.Vars{
 		Counters: func() map[string]uint64 {
-			st := t.Stats()
-			return map[string]uint64{
+			st := SumStats(trees)
+			m := map[string]uint64{
 				"ops":              st.Ops,
 				"aborts":           st.Aborts,
 				"consolidations":   st.Consolidations,
@@ -50,11 +123,24 @@ func DebugVars(t *Tree) obs.Vars {
 				"gc_reclaimed":     st.GC.Reclaimed,
 				"gc_advances":      st.GC.Advances,
 			}
+			if perPart {
+				for i, t := range trees {
+					m[fmt.Sprintf("shard%02d_ops", i)] = t.Stats().Ops
+				}
+			}
+			return m
 		},
 		Gauges: func() map[string]float64 {
-			st := t.Stats()
-			mt := t.MappingStats()
-			return map[string]float64{
+			st := SumStats(trees)
+			var mt mapping.TableStats
+			for _, t := range trees {
+				s := t.MappingStats()
+				mt.Allocated += s.Allocated
+				mt.Free += s.Free
+				mt.Live += s.Live
+				mt.Capacity += s.Capacity
+			}
+			m := map[string]float64{
 				"abort_rate":          st.AbortRate(),
 				"leaf_prealloc_util":  st.LeafPreallocUtilization(),
 				"inner_prealloc_util": st.InnerPreallocUtilization(),
@@ -64,66 +150,104 @@ func DebugVars(t *Tree) obs.Vars {
 				"mapping_live":        float64(mt.Live),
 				"mapping_occupancy":   float64(mt.Live) / float64(mt.Capacity),
 			}
+			if perPart {
+				m["shards"] = float64(len(trees))
+			}
+			return m
+		},
+		// Served on demand at /debug/shape only: the walk visits every
+		// node, which is far too expensive for every /debug/stats read.
+		Shape: func() map[string]any {
+			if !perPart {
+				return shapeMap(trees[0].StructureStats())
+			}
+			// The summary sums the counts (uint64) and bytes (int64) and
+			// keeps the tallest height (int); averages (float64) do not
+			// sum, so only the per-partition shapes carry them.
+			m := map[string]any{}
+			parts := make([]map[string]any, len(trees))
+			for i, t := range trees {
+				parts[i] = shapeMap(t.StructureStats())
+				for k, v := range parts[i] {
+					switch v := v.(type) {
+					case uint64:
+						sum, _ := m[k].(uint64)
+						m[k] = sum + v
+					case int64:
+						sum, _ := m[k].(int64)
+						m[k] = sum + v
+					case int:
+						h, _ := m[k].(int)
+						m[k] = max(h, v)
+					}
+				}
+				parts[i]["shard"] = i
+			}
+			m["shards"] = parts
+			return m
 		},
 	}
-	// Served on demand at /debug/shape only: the walk visits every node,
-	// which is far too expensive for every /debug/stats read.
-	v.Shape = func() map[string]any {
-		st := t.StructureStats()
-		return map[string]any{
-			"height":               st.Height,
-			"inner_nodes":          st.InnerNodes,
-			"leaf_nodes":           st.LeafNodes,
-			"avg_inner_chain_len":  st.AvgInnerChainLen,
-			"avg_leaf_chain_len":   st.AvgLeafChainLen,
-			"avg_inner_node_size":  st.AvgInnerNodeSize,
-			"avg_leaf_node_size":   st.AvgLeafNodeSize,
-			"inner_prealloc_util":  st.InnerPreallocUse,
-			"leaf_prealloc_util":   st.LeafPreallocUse,
-			"arena_bytes":          st.ArenaBytes,
-			"inner_arena_bytes":    st.InnerArenaBytes,
-			"key_bytes":            st.KeyBytes,
-			"gc_ptrs_per_leaf":     st.GCPtrsPerLeaf,
-			"gc_ptrs_per_inner":    st.GCPtrsPerInner,
-			"leaf_bytes_per_entry": st.LeafBytesPerEntry,
-			"leaf_slab_bytes":      st.LeafSlabBytes,
-			"inner_slab_bytes":     st.InnerSlabBytes,
-			"pooled_slabs":         st.PooledSlabs,
-			"pooled_slab_bytes":    st.PooledSlabBytes,
+	opts := trees[0].Options()
+	if opts.LatencyHistograms {
+		v.Latency = func() *obs.LatencySnapshot {
+			agg := &obs.LatencySnapshot{}
+			for _, t := range trees {
+				agg.Merge(t.Latencies())
+			}
+			return agg
 		}
 	}
-	if t.Options().LatencyHistograms {
-		v.Latency = t.Latencies
+	if opts.TraceRingSize > 0 {
+		v.Trace = func() []obs.Event { return concat(trees, (*Tree).TraceEvents) }
+		v.TraceDropped = func() uint64 {
+			var n uint64
+			for _, t := range trees {
+				n += t.TraceDropped()
+			}
+			return n
+		}
 	}
-	if t.Options().TraceRingSize > 0 {
-		v.Trace = t.TraceEvents
-		v.TraceDropped = t.TraceDropped
-	}
-	deepOn := t.Options().PhaseSampleEvery > 0 || t.Options().FlightRecorderSize > 0
-	if deepOn {
+	if opts.PhaseSampleEvery > 0 || opts.FlightRecorderSize > 0 {
 		v.MetricHists = func() []obs.HistFeed {
+			var depth obs.HistSnapshot
+			for _, t := range trees {
+				snap := t.ChainDepths()
+				depth.Merge(&snap)
+			}
 			return []obs.HistFeed{{
 				Name: "bwtree_chain_depth",
 				Help: "Leaf delta-chain depth observed per operation.",
-				Snap: t.ChainDepths(),
+				Snap: depth,
 			}}
 		}
 	}
-	if t.Options().FlightRecorderSize > 0 {
-		v.Flight = t.FlightRecent
+	if opts.FlightRecorderSize > 0 {
+		v.Flight = func(n int) []obs.OpSummary {
+			return concat(trees, func(t *Tree) []obs.OpSummary { return t.FlightRecent(n) })
+		}
 	}
-	if t.Options().PhaseSampleEvery > 0 {
-		v.PhaseTraces = t.PhaseTraces
+	if opts.PhaseSampleEvery > 0 {
+		v.PhaseTraces = func() []obs.OpTrace { return concat(trees, (*Tree).PhaseTraces) }
 	}
 	return v
 }
 
-// DurableDebugVars is DebugVars over the wrapped tree plus the
-// durability layer's health surface: WAL counters, flush-queue depth,
-// group-commit batch and fsync-latency distributions, pending (appended
-// but not yet durable) LSNs, and checkpoint age.
+// concat gathers one feed from every tree.
+func concat[E any](trees []*Tree, feed func(*Tree) []E) []E {
+	var out []E
+	for _, t := range trees {
+		out = append(out, feed(t)...)
+	}
+	return out
+}
+
+// DurableDebugVars is the debug surface over every partition of d (see
+// DebugVars and PartitionedDebugVars) plus the durability layer's health
+// surface: WAL counters, flush-queue depth, group-commit batch and
+// fsync-latency distributions, pending (appended but not yet durable)
+// LSNs, and checkpoint age.
 func DurableDebugVars(d *Durable) obs.Vars {
-	v := DebugVars(d.Tree())
+	v := treesVars(d.trees, d.o.Router != nil)
 	treeCounters, treeGauges, treeHists := v.Counters, v.Gauges, v.MetricHists
 	v.Counters = func() map[string]uint64 {
 		m := treeCounters()

@@ -251,3 +251,108 @@ func TestDurableDebugSurfacesUnderMutation(t *testing.T) {
 		t.Errorf("CheckpointAge = %v after fresh checkpoint", age)
 	}
 }
+
+// TestPartitionedDurableDebugVars serves a two-partition durable store's
+// debug surface while sessions commit to both partitions, then, once
+// quiescent, requires its tree counters to cover every partition: ops is
+// the sum of every partition tree's Ops (a surface over one partition's
+// tree reads short), and each partition's shardNN_ops and shape entry are
+// that tree's own. Every counter, gauge and shape key of the one-tree
+// surface is kept, next to the log's.
+func TestPartitionedDurableDebugVars(t *testing.T) {
+	topts := DefaultOptions()
+	topts.LatencyHistograms = true
+	topts.PhaseSampleEvery = 8
+	topts.FlightRecorderSize = 128
+	d, err := OpenDurable(t.TempDir(), DurableOptions{Tree: topts, Router: lastDigitRouter(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv, err := ServeDurableDebug(d, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr()
+
+	var stop atomic.Bool
+	wg := mutateLoad(&stop, 4, func() interface{ Release() } { return d.NewSession() },
+		func(s any, i uint64) {
+			ses := s.(*DurableSession)
+			key := make([]byte, 8)
+			binary.BigEndian.PutUint64(key, i%50_000)
+			switch i % 4 {
+			case 0:
+				ses.Insert(key, i)
+			case 1:
+				ses.Update(key, i)
+			case 2:
+				ses.Lookup(key, nil)
+			default:
+				ses.Delete(key, i)
+			}
+		})
+	var hwg sync.WaitGroup
+	for url, check := range map[string]func([]byte) error{
+		base + "/metrics":         checkPrometheus,
+		base + "/debug/shape":     checkShape,
+		base + "/debug/flightrec": checkFlightrec,
+	} {
+		hwg.Add(1)
+		go func() {
+			defer hwg.Done()
+			hammer(t, url, &stop, check)
+		}()
+	}
+	time.Sleep(200 * time.Millisecond)
+	stop.Store(true)
+	hwg.Wait()
+	wg.Wait()
+
+	v := DurableDebugVars(d)
+	counters, gauges, shape := v.Counters(), v.Gauges(), v.Shape()
+	parts := shape["shards"].([]map[string]any)
+	var ops, leaves uint64
+	for i, tr := range d.Trees() {
+		st := tr.Stats()
+		if st.Ops == 0 {
+			t.Fatalf("partition %d saw no operations", i)
+		}
+		if got := counters[fmt.Sprintf("shard%02d_ops", i)]; got != st.Ops {
+			t.Errorf("shard%02d_ops = %d, partition tree's Ops = %d", i, got, st.Ops)
+		}
+		ops += st.Ops
+		leaves += parts[i]["leaf_nodes"].(uint64)
+	}
+	if counters["ops"] != ops {
+		t.Errorf("ops = %d, sum of the partition trees' Ops = %d", counters["ops"], ops)
+	}
+	if shape["leaf_nodes"].(uint64) != leaves {
+		t.Errorf("shape leaf_nodes = %v, per-partition sum %d", shape["leaf_nodes"], leaves)
+	}
+	if gauges["shards"] != 2 || counters["wal_appends"] == 0 {
+		t.Errorf("shards gauge %v, wal_appends %d", gauges["shards"], counters["wal_appends"])
+	}
+	one := DebugVars(d.Trees()[0])
+	for k := range one.Counters() {
+		if _, ok := counters[k]; !ok {
+			t.Errorf("counter %s missing", k)
+		}
+	}
+	for k := range one.Gauges() {
+		if _, ok := gauges[k]; !ok {
+			t.Errorf("gauge %s missing", k)
+		}
+	}
+	for k := range one.Shape() {
+		if _, ok := parts[0][k]; !ok {
+			t.Errorf("partition shape key %s missing", k)
+		}
+	}
+	for _, k := range []string{"height", "inner_nodes", "leaf_nodes", "pooled_slabs", "pooled_slab_bytes", "arena_bytes"} {
+		if _, ok := shape[k]; !ok {
+			t.Errorf("summary shape key %s missing", k)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package bwtree
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"slices"
 	"strings"
@@ -16,13 +15,17 @@ import (
 	"repro/internal/wal"
 )
 
-// Router partitions a durable store's key space over several trees that
-// share one log (shard.Router satisfies it).
+// Router partitions a store's key space over several trees. An
+// implementation must be a pure function of the key (stateless and safe
+// for unlimited concurrency): the same key routes to the same partition
+// for the lifetime of a store, and across reopens of a durable one.
 type Router interface {
 	// Shard returns the partition owning key, in [0, NumShards).
 	Shard(key []byte) int
 	// NumShards is the partition count.
 	NumShards() int
+	// Name identifies the routing scheme ("hash", "range") in reports.
+	Name() string
 }
 
 // DurableOptions configures OpenDurable.
@@ -48,20 +51,19 @@ type DurableOptions struct {
 	Router Router
 }
 
-// Durable wraps a Tree with logging of effects, epoch-consistent
-// checkpoints, and crash recovery (see internal/wal for the on-disk
-// format). A single-key mutation is applied first and logged only if it
-// took effect, so a failed insert, update or delete writes nothing; a
-// transaction's resolved write set is logged, then applied. Recovery
-// merges the newest checkpoint snapshot with the log tail, folded
-// last-writer-wins per key, into one BulkLoad.
+// Durable is a durable store: one or, with a Router, several trees over
+// one log, with logging of effects, epoch-consistent checkpoints, and
+// crash recovery (see internal/wal for the on-disk format). A single-key
+// mutation is applied first and logged only if it took effect, so a
+// failed insert, update or delete writes nothing; a transaction's
+// resolved write set is logged, then applied. Recovery merges the newest
+// checkpoint snapshot with the log tail, folded last-writer-wins per key,
+// into one BulkLoad per tree.
 //
-// A store opened with a Router has one Durable per partition (see
-// Partitions) over the one log. Tree, Stripes, NewSession and the
-// convenience operations belong to the partition, and a key must be
-// written through the partition its Router names; Checkpoint, Sync,
-// Crash, Close, WALStats, RecoveryStats, AppendTxn and WaitLSN act on
-// the whole store, through any of its handles.
+// Durable is the store's one owner: every method acts on the whole
+// store. Sessions and the convenience operations route each key to the
+// partition its Router names; Trees and Stripes expose the partitions'
+// trees and lock tables by partition number.
 //
 // Concurrency: obtain one DurableSession per goroutine, exactly as with
 // Tree. Commit ordering between conflicting operations is established by
@@ -70,28 +72,21 @@ type DurableOptions struct {
 // the property replay depends on. Checkpoint runs concurrently with
 // writers.
 type Durable struct {
-	*durableLog // the store-wide state every partition shares
-	t           *Tree
+	w   *wal.Writer
+	dir string
+	o   DurableOptions
+	rec RecoveryStats
 
-	// stripes serialize apply+log-append for conflicting keys. 256 ways
-	// keeps disjoint-key concurrency while making same-key commit order
+	// trees and stripes are indexed by partition. A partition's stripes
+	// serialize apply+log-append for conflicting keys: 256 ways keeps
+	// disjoint-key concurrency while making same-key commit order
 	// deterministic.
-	stripes Stripes
+	trees   []*Tree
+	stripes []*Stripes
 
-	convs *Session // lazy session backing the convenience methods; guarded by mu
-}
-
-// durableLog is what a durable store's partitions share: the one log, the
-// recovery report and the lifecycle locks.
-type durableLog struct {
-	w     *wal.Writer
-	dir   string
-	o     DurableOptions
-	rec   RecoveryStats
-	parts []*Durable
-
-	mu     sync.Mutex // guards closed and every partition's convenience session
+	mu     sync.Mutex // guards closed and conv
 	closed bool
+	conv   *DurableSession // lazy session backing the convenience methods
 
 	// lastCP is the wall-clock UnixNano of the last durability baseline:
 	// set at open (recovery establishes one) and on every successful
@@ -141,10 +136,9 @@ type RecoveryStats struct {
 var ErrDurableClosed = errors.New("bwtree: durable tree closed")
 
 // OpenDurable opens (creating or recovering) a durable store rooted at
-// dir and returns its first partition's handle. If dir holds a previous
-// incarnation's state, every partition is rebuilt from the newest
-// checkpoint snapshot and the log tail (truncating a torn final record),
-// and logging resumes at the next LSN.
+// dir. If dir holds a previous incarnation's state, every partition is
+// rebuilt from the newest checkpoint snapshot and the log tail
+// (truncating a torn final record), and logging resumes at the next LSN.
 func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 	if o.Tree.NonUnique {
 		// The log records the one value a key holds; last-writer-wins
@@ -157,43 +151,39 @@ func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 			return nil, fmt.Errorf("bwtree: router covers %d partitions", n)
 		}
 	}
-	l := &durableLog{dir: dir, o: o, parts: make([]*Durable, n)}
-	for i := range l.parts {
-		l.parts[i] = &Durable{durableLog: l, t: core.New(o.Tree), stripes: Stripes{seed: maphash.MakeSeed()}}
+	d := &Durable{dir: dir, o: o, trees: make([]*Tree, n), stripes: make([]*Stripes, n)}
+	for i := range d.trees {
+		d.trees[i], d.stripes[i] = core.New(o.Tree), NewStripes()
 	}
-	next, err := l.rebuild()
+	next, err := d.rebuild()
 	if err == nil {
-		l.w, err = wal.NewWriter(dir, o.WAL, next)
+		d.w, err = wal.NewWriter(dir, o.WAL, next)
 	}
 	if err != nil {
-		for _, p := range l.parts {
-			p.t.Close() // never hand back, or leak, a half-built tree
+		for _, t := range d.trees {
+			t.Close() // never hand back, or leak, a half-built tree
 		}
 		return nil, err
 	}
-	l.lastCP.Store(time.Now().UnixNano())
-	if l.rec.Replayed > 0 || l.rec.TornTail {
+	d.lastCP.Store(time.Now().UnixNano())
+	if d.rec.Replayed > 0 || d.rec.TornTail {
 		// Surface the recovery in the flight recorder (no-op unless the
 		// trees were opened with FlightRecorderSize set).
 		note := fmt.Sprintf("recovery: replayed %d records after LSN %d (torn tail: %v)",
-			l.rec.Replayed, l.rec.SnapshotLSN, l.rec.TornTail)
-		for _, p := range l.parts {
-			p.t.AnomalyNote(note)
+			d.rec.Replayed, d.rec.SnapshotLSN, d.rec.TornTail)
+		for _, t := range d.trees {
+			t.AnomalyNote(note)
 		}
 	}
-	return l.parts[0], nil
+	return d, nil
 }
 
-// Partitions returns every partition's handle, indexed by the Router's
-// shard number; a store opened without a Router has one.
-func (d *Durable) Partitions() []*Durable { return d.parts }
-
 // owner returns the partition key belongs to.
-func (l *durableLog) owner(key []byte) int {
-	if l.o.Router == nil {
+func (d *Durable) owner(key []byte) int {
+	if d.o.Router == nil {
 		return 0
 	}
-	return l.o.Router.Shard(key)
+	return d.o.Router.Shard(key)
 }
 
 // rebuild is the recovery engine, the same code for every directory
@@ -204,53 +194,53 @@ func (l *durableLog) owner(key []byte) int {
 // partition's (empty) tree. A log-only directory is the empty-snapshot
 // case, a clean checkpoint the empty-tail case. It returns the LSN
 // logging resumes at.
-func (l *durableLog) rebuild() (nextLSN uint64, err error) {
-	m, haveCP, err := wal.LoadManifest(l.dir)
+func (d *Durable) rebuild() (nextLSN uint64, err error) {
+	m, haveCP, err := wal.LoadManifest(d.dir)
 	if err != nil {
 		return 0, err
 	}
-	l.rec.SnapshotLSN = m.LSN
+	d.rec.SnapshotLSN = m.LSN
 
 	t0 := time.Now()
-	tail, st, err := l.foldTail(m.LSN)
+	tail, st, err := d.foldTail(m.LSN)
 	if err != nil {
 		return 0, err
 	}
-	l.rec.Replayed = st.Records
-	l.rec.LastLSN = st.MaxLSN
-	l.rec.TornTail = st.Torn
-	l.rec.Replay = time.Since(t0)
+	d.rec.Replayed = st.Records
+	d.rec.LastLSN = st.MaxLSN
+	d.rec.TornTail = st.Torn
+	d.rec.Replay = time.Since(t0)
 
 	t0 = time.Now()
 	var snap *wal.Snapshot
 	if haveCP {
-		if snap, err = wal.ReadSnapshot(l.dir, m); err != nil {
+		if snap, err = wal.ReadSnapshot(d.dir, m); err != nil {
 			return 0, err
 		}
-		l.rec.SnapshotKeys = m.Count
+		d.rec.SnapshotKeys = m.Count
 	}
-	if err := l.load(snap, tail); err != nil {
+	if err := d.load(snap, tail); err != nil {
 		return 0, err
 	}
-	l.rec.SnapshotLoad = time.Since(t0)
+	d.rec.SnapshotLoad = time.Since(t0)
 	return max(st.MaxLSN, m.LSN) + 1, nil
 }
 
 // load merge-loads every partition from the snapshot and its run of the
 // tail (foldTail sorts by partition first). One tree loads on the
 // caller's goroutine; several load in parallel.
-func (l *durableLog) load(snap *wal.Snapshot, tail []tailKey) error {
-	errs := make([]error, len(l.parts))
+func (d *Durable) load(snap *wal.Snapshot, tail []tailKey) error {
+	errs := make([]error, len(d.trees))
 	var wg sync.WaitGroup
-	for p, d := range l.parts {
+	for p, t := range d.trees {
 		n := 0
 		for n < len(tail) && int(tail[n].part) == p {
 			n++
 		}
 		mine := tail[:n]
 		tail = tail[n:]
-		run := func() { errs[p] = mergeLoad(d.t, l.cursor(snap, p), mine) }
-		if len(l.parts) == 1 {
+		run := func() { errs[p] = mergeLoad(t, d.cursor(snap, p), mine) }
+		if len(d.trees) == 1 {
 			run()
 			break
 		}
@@ -272,18 +262,18 @@ func (l *durableLog) load(snap *wal.Snapshot, tail []tailKey) error {
 // cursor streams the snapshot pairs partition p owns. A checkpoint writes
 // the partitions one after another, each in key order, so they arrive
 // ascending. No snapshot is an empty stream.
-func (l *durableLog) cursor(snap *wal.Snapshot, p int) func() ([]byte, uint64, error) {
+func (d *Durable) cursor(snap *wal.Snapshot, p int) func() ([]byte, uint64, error) {
 	if snap == nil {
 		return func() ([]byte, uint64, error) { return nil, 0, io.EOF }
 	}
 	next := snap.Cursor()
-	if len(l.parts) == 1 {
+	if len(d.trees) == 1 {
 		return next
 	}
 	return func() ([]byte, uint64, error) {
 		for {
 			k, v, err := next()
-			if err != nil || l.owner(k) == p {
+			if err != nil || d.owner(k) == p {
 				return k, v, err
 			}
 		}
@@ -310,10 +300,10 @@ type tailKey struct {
 
 // foldTail decodes the log after afterLSN once and returns the touched
 // keys in ascending (partition, key) order, each in its final state. It
-// records the highest transaction ID it meets in l.rec.MaxTxnID. A record
+// records the highest transaction ID it meets in d.rec.MaxTxnID. A record
 // kind it does not know — the 'P' and 'C' of a retired two-phase commit
 // among them — fails the open rather than being skipped.
-func (l *durableLog) foldTail(afterLSN uint64) ([]tailKey, wal.ReplayStats, error) {
+func (d *Durable) foldTail(afterLSN uint64) ([]tailKey, wal.ReplayStats, error) {
 	// A log-only directory replays every segment, so presize from the log's
 	// on-disk footprint (records are at least ~20 bytes framed) —
 	// incremental growth to hundreds of thousands of entries otherwise
@@ -321,7 +311,7 @@ func (l *durableLog) foldTail(afterLSN uint64) ([]tailKey, wal.ReplayStats, erro
 	// snapshot already covers, not the tail, so no hint applies.
 	var hint int64
 	if afterLSN == 0 {
-		hint = min(wal.DirSize(l.dir)/20, 1<<26)
+		hint = min(wal.DirSize(d.dir)/20, 1<<26)
 	}
 	idx := make(map[string]int32, hint)
 	tail := make([]tailKey, 0, hint)
@@ -332,18 +322,18 @@ func (l *durableLog) foldTail(afterLSN uint64) ([]tailKey, wal.ReplayStats, erro
 		i, ok := idx[string(key)]
 		if !ok {
 			i = int32(len(tail))
-			tail = append(tail, tailKey{key: string(key), part: int32(l.owner(key))})
+			tail = append(tail, tailKey{key: string(key), part: int32(d.owner(key))})
 			idx[tail[i].key] = i
 		}
 		tail[i].present, tail[i].value = op != wal.OpDelete, value
 		return nil
 	}
-	st, err := wal.Replay(l.dir, afterLSN, func(r wal.Record) error {
+	st, err := wal.Replay(d.dir, afterLSN, func(r wal.Record) error {
 		if r.Op != wal.OpTxn {
 			return fold(r.Op, r.Key, r.Value)
 		}
 		// A commit is one frame, so its write set folds all-or-none.
-		l.rec.MaxTxnID = max(l.rec.MaxTxnID, r.Value)
+		d.rec.MaxTxnID = max(d.rec.MaxTxnID, r.Value)
 		ops, err := wal.DecodeTxnOps(r.Key)
 		if err != nil {
 			return err
@@ -405,30 +395,37 @@ func mergeLoad(t *Tree, snap func() ([]byte, uint64, error), tail []tailKey) err
 	return err
 }
 
-// Tree returns the partition's in-memory tree for reads, stats, and
-// validation. Mutating it directly bypasses the log; use sessions from
-// NewSession for writes.
-func (d *Durable) Tree() *Tree { return d.t }
+// Tree returns the in-memory tree of a store opened without a Router, for
+// reads, stats, and validation. Mutating it directly bypasses the log;
+// use sessions from NewSession for writes. A partitioned store has no one
+// tree, so Tree panics there: use Trees.
+func (d *Durable) Tree() *Tree {
+	if len(d.trees) > 1 {
+		panic("bwtree: Tree on a partitioned durable store; use Trees")
+	}
+	return d.trees[0]
+}
 
-// RecoveryStats reports what OpenDurable did, for the whole store.
+// Trees returns every partition's tree, indexed by the Router's shard
+// number; a store opened without a Router has one.
+func (d *Durable) Trees() []*Tree { return d.trees }
+
+// Stripes returns partition p's commit-ordering lock table. The
+// transaction layer holds every write stripe of a commit, in every
+// partition it writes, from log append through tree apply (single-key
+// commits hold theirs from apply through append); Checkpoint's
+// stripe-sweep barrier relies on that for multi-key commits.
+func (d *Durable) Stripes(p int) *Stripes { return d.stripes[p] }
+
+// RecoveryStats reports what OpenDurable did.
 func (d *Durable) RecoveryStats() RecoveryStats { return d.rec }
 
 // WALStats returns the log writer's counters and histograms (fsync
 // latency, group-commit batch sizes).
 func (d *Durable) WALStats() wal.Stats { return d.w.Stats() }
 
-// DurableLSN returns the highest fsynced LSN.
-func (d *Durable) DurableLSN() uint64 { return d.w.DurableLSN() }
-
 // Sync blocks until every operation logged so far is fsynced.
 func (d *Durable) Sync() error { return d.w.Sync() }
-
-// Stripes returns the partition's commit-ordering lock table. The
-// transaction layer holds every write stripe of a commit, in every
-// partition it writes, from log append through tree apply (single-key
-// commits hold theirs from apply through append); Checkpoint's
-// stripe-sweep barrier relies on that for multi-key commits.
-func (d *Durable) Stripes() *Stripes { return &d.stripes }
 
 // AppendTxn logs a whole write set, whichever partitions it spans, as one
 // wal.OpTxn record and returns its LSN. The caller must hold every write
@@ -444,29 +441,34 @@ func (d *Durable) WaitLSN(lsn uint64) error { return d.w.WaitDurable(lsn) }
 // acknowledged-write guarantee.
 func (d *Durable) SyncOnCommit() bool { return d.o.SyncOnCommit }
 
-// DurableSession is a single goroutine's handle to a Durable tree: the
-// wrapped Session plus the logging protocol. Mutations return an error
-// only for durability failures (closed writer, simulated crash, disk
-// error); the bool carries the same semantics as the Tree operation. When
-// a mutation returns an error, its effect may or may not have been
+// DurableSession is a single goroutine's handle to a Durable store: one
+// tree Session per partition plus the logging protocol. Mutations return
+// an error only for durability failures (closed writer, simulated crash,
+// disk error); the bool carries the same semantics as the Tree operation.
+// When a mutation returns an error, its effect may or may not have been
 // applied in memory and may or may not be durable — the caller must treat
 // it as unresolved. As with Tree sessions, release every session before
 // Close.
 type DurableSession struct {
-	d *Durable
-	s *Session
+	d  *Durable
+	ss []*Session // indexed by partition
 }
 
-// NewSession registers a worker goroutine.
+// NewSession registers a worker goroutine on every partition.
 func (d *Durable) NewSession() *DurableSession {
-	return &DurableSession{d: d, s: d.t.NewSession()}
+	ds := &DurableSession{d: d, ss: make([]*Session, len(d.trees))}
+	for i, t := range d.trees {
+		ds.ss[i] = t.NewSession()
+	}
+	return ds
 }
 
 // Release returns the session's resources.
-func (ds *DurableSession) Release() { ds.s.Release() }
-
-// Session exposes the wrapped tree session for read-only use (iterators).
-func (ds *DurableSession) Session() *Session { return ds.s }
+func (ds *DurableSession) Release() {
+	for _, s := range ds.ss {
+		s.Release()
+	}
+}
 
 // walOpClass maps a log op byte to its latency/trace class.
 func walOpClass(op byte) obs.OpClass {
@@ -480,50 +482,68 @@ func walOpClass(op byte) obs.OpClass {
 	}
 }
 
-// commitProbed is the one single-key commit protocol: under the key's
-// stripe lock, apply the mutation to the tree and, only if it took
-// effect, append its record (assigning its LSN); then, outside the lock,
-// wait for group commit if configured. A failed operation writes nothing
-// and waits for nothing. Holding the stripe across apply and append keeps
-// each key's LSN order equal to its apply order.
-//
-// Deep-path tracing (p non-nil) wraps the whole protocol in one probe
-// operation: the inner tree apply nests inside it (see obs.Probe.OpBegin),
-// so a sampled commit's trace carries the WAL-append and fsync-wait spans
-// next to the in-memory phases, and its flight-recorder latency is the
-// full acknowledged-commit latency, not just the tree apply.
-func commitProbed(d *Durable, p *obs.Probe, op byte, key []byte, value uint64, apply func() bool) (ok bool, err error) {
-	var opT0 int64
-	if p != nil {
-		p.OpBegin()
-		opT0 = obs.Now()
-		defer func() { p.OpEnd(walOpClass(op), opT0, obs.Now()-opT0) }()
+// applyOp runs one single-key mutation on a tree session.
+func applyOp(s *Session, op byte, key []byte, value uint64) bool {
+	switch op {
+	case wal.OpUpdate:
+		return s.Update(key, value)
+	case wal.OpDelete:
+		return s.Delete(key, value)
+	default:
+		return s.Insert(key, value)
 	}
-	si := d.stripes.Of(key)
-	d.stripes.Lock(si)
-	if ok = apply(); !ok {
-		d.stripes.Unlock(si)
+}
+
+// commit is the one single-key commit protocol: under the key's stripe
+// lock in its partition, apply the mutation to the partition's tree and,
+// only if it took effect, append its record (assigning its LSN); then,
+// outside the lock, wait for group commit if configured. A failed
+// operation writes nothing and waits for nothing. Holding the stripe
+// across apply and append keeps each key's LSN order equal to its apply
+// order.
+//
+// Deep-path tracing (a non-nil probe) wraps the whole protocol in one
+// probe operation: the inner tree apply nests inside it (see
+// obs.Probe.OpBegin), so a sampled commit's trace carries the WAL-append
+// and fsync-wait spans next to the in-memory phases, and its
+// flight-recorder latency is the full acknowledged-commit latency, not
+// just the tree apply.
+func (ds *DurableSession) commit(op byte, key []byte, value uint64) (ok bool, err error) {
+	d, p := ds.d, ds.d.owner(key)
+	s := ds.ss[p]
+	pr := s.Probe()
+	var opT0 int64
+	if pr != nil {
+		pr.OpBegin()
+		opT0 = obs.Now()
+		defer func() { pr.OpEnd(walOpClass(op), opT0, obs.Now()-opT0) }()
+	}
+	stripes := d.stripes[p]
+	si := stripes.Of(key)
+	stripes.Lock(si)
+	if ok = applyOp(s, op, key, value); !ok {
+		stripes.Unlock(si)
 		return false, nil
 	}
 	var t0 int64
-	if p.Active() {
+	if pr.Active() {
 		t0 = obs.Now()
 	}
 	lsn, err := d.w.Append(op, key, value)
 	if t0 != 0 {
-		p.Span(obs.PhaseWALAppend, t0, lsn)
+		pr.Span(obs.PhaseWALAppend, t0, lsn)
 	}
-	d.stripes.Unlock(si)
+	stripes.Unlock(si)
 	if err != nil {
 		return ok, err
 	}
 	if d.o.SyncOnCommit {
-		if t0 = 0; p.Active() {
+		if t0 = 0; pr.Active() {
 			t0 = obs.Now()
 		}
 		err = d.w.WaitDurable(lsn)
 		if t0 != 0 {
-			p.Span(obs.PhaseFsyncWait, t0, lsn)
+			pr.Span(obs.PhaseFsyncWait, t0, lsn)
 		}
 		if err != nil {
 			return ok, err
@@ -534,88 +554,76 @@ func commitProbed(d *Durable, p *obs.Probe, op byte, key []byte, value uint64, a
 
 // Insert adds (key, value); see Session.Insert for the bool semantics.
 func (ds *DurableSession) Insert(key []byte, value uint64) (bool, error) {
-	return commitProbed(ds.d, ds.s.Probe(), wal.OpInsert, key, value, func() bool { return ds.s.Insert(key, value) })
+	return ds.commit(wal.OpInsert, key, value)
 }
 
 // Update replaces key's value; see Session.Update.
 func (ds *DurableSession) Update(key []byte, value uint64) (bool, error) {
-	return commitProbed(ds.d, ds.s.Probe(), wal.OpUpdate, key, value, func() bool { return ds.s.Update(key, value) })
+	return ds.commit(wal.OpUpdate, key, value)
 }
 
 // Delete removes (key, value); see Session.Delete.
 func (ds *DurableSession) Delete(key []byte, value uint64) (bool, error) {
-	return commitProbed(ds.d, ds.s.Probe(), wal.OpDelete, key, value, func() bool { return ds.s.Delete(key, value) })
+	return ds.commit(wal.OpDelete, key, value)
 }
 
-// Lookup reads through to the tree (reads are never logged).
+// Lookup reads through to the owning partition's tree (reads are never
+// logged).
 func (ds *DurableSession) Lookup(key []byte, out []uint64) []uint64 {
-	return ds.s.Lookup(key, out)
+	return ds.ss[ds.d.owner(key)].Lookup(key, out)
 }
 
-// Scan reads through to the tree.
+// Scan reads through to the tree. On a store of several partitions the
+// keys from start onward are spread over every partition, and merging
+// them in key order is the sharded store's job (shard.Session.Scan);
+// answering from one partition would silently drop the rest, so Scan
+// panics there instead.
 func (ds *DurableSession) Scan(start []byte, n int, visit func(key []byte, value uint64) bool) int {
-	return ds.s.Scan(start, n, visit)
+	if len(ds.ss) > 1 {
+		panic("bwtree: DurableSession.Scan on a partitioned store; scan through shard.Session")
+	}
+	return ds.ss[0].Scan(start, n, visit)
 }
 
-// conv returns the mutex-guarded session backing Durable's convenience
-// methods; d.mu must be held.
-func (d *Durable) conv() (*Session, error) {
-	if d.closed {
-		return nil, ErrDurableClosed
-	}
-	if d.convs == nil {
-		d.convs = d.t.NewSession()
-	}
-	return d.convs, nil
-}
-
-// Insert is a convenience single-caller form of DurableSession.Insert;
-// concurrent workloads should use per-goroutine sessions instead.
+// Insert is a convenience single-caller form of DurableSession.Insert.
+// The convenience operations share one session under a mutex, so
+// concurrent callers serialize, group-commit wait included; concurrent
+// workloads should use per-goroutine sessions instead.
 func (d *Durable) Insert(key []byte, value uint64) (bool, error) {
-	return d.convCommit(wal.OpInsert, key, value, func(s *Session) bool { return s.Insert(key, value) })
+	return d.convenience(func(s *DurableSession) (bool, error) { return s.Insert(key, value) })
 }
 
 // Update is the convenience form of DurableSession.Update.
 func (d *Durable) Update(key []byte, value uint64) (bool, error) {
-	return d.convCommit(wal.OpUpdate, key, value, func(s *Session) bool { return s.Update(key, value) })
+	return d.convenience(func(s *DurableSession) (bool, error) { return s.Update(key, value) })
 }
 
 // Delete is the convenience form of DurableSession.Delete.
 func (d *Durable) Delete(key []byte, value uint64) (bool, error) {
-	return d.convCommit(wal.OpDelete, key, value, func(s *Session) bool { return s.Delete(key, value) })
+	return d.convenience(func(s *DurableSession) (bool, error) { return s.Delete(key, value) })
 }
 
-// Lookup is the convenience read.
-func (d *Durable) Lookup(key []byte, out []uint64) ([]uint64, error) {
-	d.mu.Lock()
-	s, err := d.conv()
-	if err != nil {
-		d.mu.Unlock()
-		return nil, err
-	}
-	res := s.Lookup(key, out)
-	d.mu.Unlock()
-	return res, nil
-}
-
-// convCommit runs commitProbed with the shared convenience session, held
-// under d.mu for the tree apply only, so convenience callers never
-// serialize on the group-commit wait. Probe state (single owner by
-// contract) cannot follow a shared session, so this path stays unprobed;
-// hot workloads use DurableSession, which is.
-func (d *Durable) convCommit(op byte, key []byte, value uint64, apply func(*Session) bool) (bool, error) {
-	var closed error
-	ok, err := commitProbed(d, nil, op, key, value, func() bool {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		s, err := d.conv()
-		closed = err
-		return err == nil && apply(s)
+// Lookup is the convenience form of DurableSession.Lookup.
+func (d *Durable) Lookup(key []byte, out []uint64) (res []uint64, err error) {
+	_, err = d.convenience(func(s *DurableSession) (bool, error) {
+		res = s.Lookup(key, out)
+		return true, nil
 	})
-	if closed != nil {
-		return false, closed
+	return res, err
+}
+
+// convenience runs op on the session backing the convenience operations,
+// opening it on first use.
+func (d *Durable) convenience(op func(*DurableSession) (bool, error)) (bool, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return false, ErrDurableClosed
 	}
-	return ok, err
+	if d.conv == nil {
+		d.conv = d.NewSession()
+	}
+	return op(d.conv)
 }
 
 // Checkpoint writes an epoch-consistent snapshot of every partition's
@@ -654,12 +662,10 @@ func (d *Durable) Checkpoint() (uint64, error) {
 	// it the walk could miss an acknowledged transaction whose LSN the
 	// manifest claims to cover — and replay starts strictly after the
 	// manifest LSN, so it would be lost.
-	trees := make([]*Tree, len(d.parts))
-	for i, p := range d.parts {
-		p.stripes.Barrier()
-		trees[i] = p.t
+	for _, st := range d.stripes {
+		st.Barrier()
 	}
-	next, done := walk(trees)
+	next, done := walk(d.trees)
 	defer done()
 	m, err := wal.WriteCheckpoint(d.dir, cpLSN, next, func() error {
 		// Force the log durable through the walk's end so every
@@ -739,11 +745,9 @@ func (d *Durable) Close() error {
 		return nil
 	}
 	d.closed = true
-	for _, p := range d.parts {
-		if p.convs != nil {
-			p.convs.Release()
-			p.convs = nil
-		}
+	if d.conv != nil {
+		d.conv.Release()
+		d.conv = nil
 	}
 	d.mu.Unlock()
 	// Wait for any in-flight Checkpoint (it holds the lifecycle
@@ -752,8 +756,8 @@ func (d *Durable) Close() error {
 	d.life.Lock()
 	defer d.life.Unlock()
 	err := d.w.Close()
-	for _, p := range d.parts {
-		p.t.Close()
+	for _, t := range d.trees {
+		t.Close()
 	}
 	return err
 }

@@ -49,12 +49,11 @@ func BenchmarkFoldRecover(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := &durableLog{dir: dir}
-				r.parts = []*Durable{{durableLog: r, t: New(DefaultOptions())}}
+				r := &Durable{dir: dir, trees: []*Tree{New(DefaultOptions())}}
 				if _, err := r.rebuild(); err != nil || r.rec.Replayed != records {
 					b.Fatalf("rec=%+v err=%v", r.rec, err)
 				}
-				r.parts[0].t.Close()
+				r.trees[0].Close()
 			}
 			b.ReportMetric(float64(records), "records/op")
 		})

@@ -22,18 +22,6 @@ var goldenShapes = []struct {
 	{"two-partitions", DurableOptions{Router: lastDigitRouter(2)}},
 }
 
-// goldenPartition returns the handle that writes key.
-func goldenPartition(d *Durable, key []byte) *Durable { return d.Partitions()[d.owner(key)] }
-
-// goldenTrees returns every partition's tree in partition order.
-func goldenTrees(d *Durable) []*Tree {
-	var ts []*Tree
-	for _, p := range d.Partitions() {
-		ts = append(ts, p.Tree())
-	}
-	return ts
-}
-
 // goldenHistory runs the scripted single-goroutine history against a
 // store in dir and returns the model of what it holds afterwards:
 // single-key inserts, updates and deletes (a failed one of each among
@@ -48,16 +36,15 @@ func goldenHistory(t *testing.T, dir string, o DurableOptions) diffModel {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%02d", i)) }
 	single := func(op byte, i int, v uint64) {
 		k := key(i)
-		p := goldenPartition(d, k)
 		var ok bool
 		var err error
 		switch op {
 		case wal.OpInsert:
-			ok, err = p.Insert(k, v)
+			ok, err = d.Insert(k, v)
 		case wal.OpUpdate:
-			ok, err = p.Update(k, v)
+			ok, err = d.Update(k, v)
 		case wal.OpDelete:
-			ok, err = p.Delete(k, v)
+			ok, err = d.Delete(k, v)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +58,7 @@ func goldenHistory(t *testing.T, dir string, o DurableOptions) diffModel {
 			t.Fatal(err)
 		}
 		for _, op := range ops {
-			applyTxnOps(goldenPartition(d, op.Key), []wal.TxnOp{op})
+			applyTxnOps(d.Trees()[d.owner(op.Key)], []wal.TxnOp{op})
 			model.apply(op)
 		}
 	}
@@ -165,7 +152,7 @@ func TestDurableOnDiskGolden(t *testing.T) {
 				t.Fatalf("recovery stats %+v", rs)
 			}
 			recovered := diffModel{}
-			for p, tr := range goldenTrees(d) {
+			for p, tr := range d.Trees() {
 				s := tr.NewSession()
 				s.Scan([]byte{0}, len(model)+1, func(k []byte, v uint64) bool {
 					if o := shape.o.Router; o != nil && o.Shard(k) != p {

@@ -546,6 +546,47 @@ type lastDigitRouter int
 
 func (r lastDigitRouter) Shard(key []byte) int { return int(key[len(key)-1]) % int(r) }
 func (r lastDigitRouter) NumShards() int       { return int(r) }
+func (r lastDigitRouter) Name() string         { return "last-digit" }
+
+// TestPartitionedDurableRoutes: on a two-partition store a session's
+// point operations reach the partition that owns the key, while Scan and
+// Tree, which have no one tree to answer from, panic rather than answer
+// from one partition and silently drop the other's keys.
+func TestPartitionedDurableRoutes(t *testing.T) {
+	d, err := OpenDurable(t.TempDir(), DurableOptions{Router: lastDigitRouter(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := d.NewSession()
+	defer s.Release()
+	for i := uint64(0); i < 10; i++ {
+		if ok, err := s.Insert(dkey(i), i); !ok || err != nil {
+			t.Fatalf("insert %d: %v %v", i, ok, err)
+		}
+	}
+	for i := uint64(0); i < 10; i++ {
+		if out := s.Lookup(dkey(i), nil); len(out) != 1 || out[0] != i {
+			t.Fatalf("lookup %d = %v", i, out)
+		}
+	}
+	for p, tr := range d.Trees() {
+		if n := tr.Count(); n != 5 {
+			t.Errorf("partition %d holds %d keys, want 5", p, n)
+		}
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s on a partitioned store returned instead of panicking", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("DurableSession.Scan", func() { s.Scan(dkey(0), 10, func([]byte, uint64) bool { return true }) })
+	mustPanic("Tree", func() { d.Tree() })
+}
 
 // TestDurableCheckpointStripeBarrier reconstructs the lost-write race
 // the stripe sweep in Checkpoint exists to close. Single-key commits
@@ -569,10 +610,8 @@ func stripeBarrier(t *testing.T, o DurableOptions) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := d.Partitions()
 	for i := uint64(0); i < 100; i++ {
-		k := dkey(i)
-		if _, err := parts[d.owner(k)].Insert(k, i+1); err != nil {
+		if _, err := d.Insert(dkey(i), i+1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -580,12 +619,12 @@ func stripeBarrier(t *testing.T, o DurableOptions) {
 	// Emulate a transaction commit descheduled between its append and
 	// its apply: take the write stripe, append, and park.
 	key := dkey(1001)
-	p := parts[d.owner(key)]
-	if len(parts) > 1 && p == d {
+	p, parts := d.owner(key), len(d.Trees())
+	if parts > 1 && p == 0 {
 		t.Fatal("the parked key must live past the first partition")
 	}
 	ops := []wal.TxnOp{{Op: wal.OpInsert, Key: key, Value: 42}}
-	stripes := p.Stripes()
+	stripes := d.Stripes(p)
 	si := stripes.Of(key)
 	stripes.Lock(si)
 	if _, err := d.AppendTxn(1, ops); err != nil {
@@ -609,10 +648,10 @@ func stripeBarrier(t *testing.T, o DurableOptions) {
 	time.Sleep(50 * time.Millisecond)
 	select {
 	case r := <-cpc:
-		t.Fatalf("%d partitions: Checkpoint finished while a committer held its stripe: lsn=%d err=%v", len(parts), r.lsn, r.err)
+		t.Fatalf("%d partitions: Checkpoint finished while a committer held its stripe: lsn=%d err=%v", parts, r.lsn, r.err)
 	default:
 	}
-	applyTxnOps(p, ops)
+	applyTxnOps(d.Trees()[p], ops)
 	stripes.Unlock(si)
 
 	if r := <-cpc; r.err != nil {
@@ -627,12 +666,12 @@ func stripeBarrier(t *testing.T, o DurableOptions) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	out, err := d2.Partitions()[d2.owner(key)].Lookup(key, nil)
+	out, err := d2.Lookup(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0] != 42 {
-		t.Fatalf("%d partitions: acknowledged write lost across checkpoint+reopen: got %v, want [42]", len(parts), out)
+		t.Fatalf("%d partitions: acknowledged write lost across checkpoint+reopen: got %v, want [42]", parts, out)
 	}
 }
 
@@ -854,7 +893,7 @@ func diffRecoverSeed(dir string, seed int) error {
 		if _, err := d.AppendTxn(id, ops); err != nil {
 			return err
 		}
-		applyTxnOps(d, ops)
+		applyTxnOps(d.Tree(), ops)
 		for _, o := range ops {
 			model.apply(o)
 		}

@@ -8,10 +8,11 @@ import (
 	"repro/internal/wal"
 )
 
-// applyTxnOps mirrors the transaction layer's in-memory install for
-// low-level protocol tests (the real engine lives in internal/txn).
-func applyTxnOps(d *Durable, ops []wal.TxnOp) {
-	s := d.Tree().NewSession()
+// applyTxnOps mirrors the transaction layer's in-memory install on one
+// tree for low-level protocol tests (the real engine lives in
+// internal/txn).
+func applyTxnOps(t *Tree, ops []wal.TxnOp) {
+	s := t.NewSession()
 	defer s.Release()
 	for _, op := range ops {
 		switch op.Op {
@@ -68,7 +69,7 @@ func TestDurableTxnReplay(t *testing.T) {
 		if _, err := d.AppendTxn(7, commit); err != nil {
 			t.Fatal(err)
 		}
-		applyTxnOps(d, commit)
+		applyTxnOps(d.Tree(), commit)
 
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
@@ -204,7 +205,7 @@ func TestDurableTxnCrashLosesWholeRecord(t *testing.T) {
 		restore()
 		t.Fatal(err)
 	}
-	applyTxnOps(d, ops) // applied in memory, never synced
+	applyTxnOps(d.Tree(), ops) // applied in memory, never synced
 	err = d.Crash()
 	restore() // the crashed writer's flusher has exited
 	if err != nil {

@@ -203,7 +203,7 @@ func openTxnStore(cfg txnCfg) (store *txn.Store, crash func(), cleanup func()) {
 	if err != nil {
 		log.Fatalf("open shard store: %v", err)
 	}
-	if st.Durable() {
+	if st.Durable() != nil {
 		rec := st.RecoveryStats()
 		log.Printf("shard store open: %d shards, %d replayed, maxTxnID %d, torn=%v", st.NumShards(), rec.Replayed, rec.MaxTxnID, rec.TornTail)
 	}

@@ -5,27 +5,21 @@
 // shard never synchronizes with another shard. Cross-shard work exists
 // only at the edges: a Router decides which shard owns a key, range scans
 // scatter to every shard and gather through a merged k-way iterator (see
-// Session.Scan), and a durable store's shards share one log, so a commit
-// spanning shards is one record.
+// Session.Scan), and a durable store is one bwtree.Durable whose
+// partitions are the shards, so a commit spanning shards is one record
+// on its one log.
 package shard
 
 import (
 	"bytes"
 	"fmt"
 	"sort"
+
+	"repro/bwtree"
 )
 
-// Router maps keys to shard numbers. Implementations must be pure
-// functions of the key (stateless and safe for unlimited concurrency):
-// the same key must route to the same shard for the lifetime of a Store.
-type Router interface {
-	// Shard returns the owning shard in [0, NumShards).
-	Shard(key []byte) int
-	// NumShards is the partition count the router was built for.
-	NumShards() int
-	// Name identifies the routing scheme ("hash", "range") in reports.
-	Name() string
-}
+// Router maps keys to shard numbers; see bwtree.Router.
+type Router = bwtree.Router
 
 // HashRouter routes by FNV-1a hash of the whole key. Point operations
 // spread uniformly regardless of key skew in the prefix, at the cost of

@@ -6,81 +6,72 @@ import (
 	"repro/bwtree"
 )
 
-// subSession is one shard's per-goroutine operation surface: the plain
-// tree session adapted with nil errors, or the shard's durable session
-// whose errors signal writer shutdown/crash.
-type subSession interface {
-	Insert(key []byte, value uint64) (bool, error)
-	Update(key []byte, value uint64) (bool, error)
-	Delete(key []byte, value uint64) (bool, error)
-	Lookup(key []byte, out []uint64) []uint64
-	Scan(start []byte, n int, visit func(key []byte, value uint64) bool) int
-	Release()
-}
-
-// plainSub adapts an in-memory tree session to subSession.
-type plainSub struct{ s *bwtree.Session }
-
-func (p plainSub) Insert(k []byte, v uint64) (bool, error) { return p.s.Insert(k, v), nil }
-func (p plainSub) Update(k []byte, v uint64) (bool, error) { return p.s.Update(k, v), nil }
-func (p plainSub) Delete(k []byte, v uint64) (bool, error) { return p.s.Delete(k, v), nil }
-func (p plainSub) Lookup(k []byte, out []uint64) []uint64  { return p.s.Lookup(k, out) }
-func (p plainSub) Scan(start []byte, n int, visit func([]byte, uint64) bool) int {
-	return p.s.Scan(start, n, visit)
-}
-func (p plainSub) Release() { p.s.Release() }
-
 // Session is one goroutine's handle to every shard: point operations
-// route to the owning shard's sub-session, scans scatter-gather. Like a
-// tree session it must be used by at most one goroutine.
+// route to the owning shard, scans scatter-gather. Reads and scans go
+// through one tree session per shard; writes go through the same tree
+// sessions in memory and through one DurableSession, which logs them,
+// when the store is durable. Like a tree session it must be used by at
+// most one goroutine.
 type Session struct {
 	st     *Store
-	subs   []subSession
-	curs   []cursor  // scan state, reused across Scan calls
-	active []*cursor // merge working set, reused across Scan calls
+	subs   []*bwtree.Session      // indexed by shard
+	ds     *bwtree.DurableSession // nil in memory
+	curs   []cursor               // scan state, reused across Scan calls
+	active []*cursor              // merge working set, reused across Scan calls
 }
 
-// NewSession opens a sub-session on every shard. Sessions are the unit of
+// NewSession opens a session on every shard. Sessions are the unit of
 // stickiness: a connection (or worker) holds one and reuses its per-shard
 // epoch handles and scratch buffers for its whole lifetime.
 func (st *Store) NewSession() *Session {
-	s := &Session{st: st, subs: make([]subSession, len(st.shards))}
-	for i, sh := range st.shards {
-		if sh.d != nil {
-			s.subs[i] = sh.d.NewSession()
-		} else {
-			s.subs[i] = plainSub{sh.t.NewSession()}
-		}
+	s := &Session{st: st, subs: make([]*bwtree.Session, len(st.trees))}
+	for i, t := range st.trees {
+		s.subs[i] = t.NewSession()
+	}
+	if st.d != nil {
+		s.ds = st.d.NewSession()
 	}
 	return s
 }
 
-// Release returns every shard sub-session.
+// Release returns every shard session.
 func (s *Session) Release() {
 	for _, sub := range s.subs {
 		sub.Release()
 	}
+	if s.ds != nil {
+		s.ds.Release()
+	}
 }
 
-// route returns the sub-session owning key.
-func (s *Session) route(key []byte) subSession {
+// route returns the tree session owning key.
+func (s *Session) route(key []byte) *bwtree.Session {
 	return s.subs[s.st.router.Shard(key)]
 }
 
 // Insert adds (key, value) on the owning shard. The error is non-nil
 // only for durable stores whose writer is gone (closed or crashed).
 func (s *Session) Insert(key []byte, value uint64) (bool, error) {
-	return s.route(key).Insert(key, value)
+	if s.ds != nil {
+		return s.ds.Insert(key, value)
+	}
+	return s.route(key).Insert(key, value), nil
 }
 
 // Update replaces key's value on the owning shard.
 func (s *Session) Update(key []byte, value uint64) (bool, error) {
-	return s.route(key).Update(key, value)
+	if s.ds != nil {
+		return s.ds.Update(key, value)
+	}
+	return s.route(key).Update(key, value), nil
 }
 
 // Delete removes key from the owning shard.
 func (s *Session) Delete(key []byte, value uint64) (bool, error) {
-	return s.route(key).Delete(key, value)
+	if s.ds != nil {
+		return s.ds.Delete(key, value)
+	}
+	return s.route(key).Delete(key, value), nil
 }
 
 // Lookup reads key from the owning shard.
@@ -102,12 +93,11 @@ const scanChunk = 256
 const scanSlack = 8
 
 // cursor is one shard's pull-stream of ordered pairs, fetched in chunks
-// through the ordinary Scan entry point (so it works over plain and
-// durable sessions alike). Keys are copied into a per-cursor arena:
+// through the tree session's ordinary Scan entry point. Keys are copied into a per-cursor arena:
 // callback keys are only valid during the visit, but merge order means
 // a buffered key outlives its chunk's callbacks.
 type cursor struct {
-	sub subSession
+	sub *bwtree.Session
 	// add is c.push bound once, so a fill allocates no closure.
 	add    func(key []byte, value uint64) bool
 	arena  []byte

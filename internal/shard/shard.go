@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/bwtree"
+	"repro/internal/obs"
 )
 
 // Options configures a sharded Store.
@@ -19,39 +20,36 @@ type Options struct {
 	Router Router
 	// Tree configures every shard's tree identically.
 	Tree bwtree.Options
-	// WALDir, when non-empty, makes the store durable with one log in
-	// WALDir that every shard writes (see bwtree.DurableOptions.Router):
-	// a commit spanning shards is one record. Recovery loads the shards
-	// in parallel at Open.
+	// WALDir, when non-empty, makes the store one bwtree.Durable in
+	// WALDir whose partitions are the shards (see
+	// bwtree.DurableOptions.Router): a commit spanning shards is one
+	// record on its one log. Recovery loads the shards in parallel at
+	// Open.
 	WALDir string
 	// SyncOnCommit is the acknowledged-write guarantee (see
 	// bwtree.DurableOptions).
 	SyncOnCommit bool
 }
 
-// Shard is one partition: an independent tree, optionally a partition of
-// the store's durable log.
+// Shard is one partition's view: its number and its tree.
 type Shard struct {
 	ID int
 	t  *bwtree.Tree
-	d  *bwtree.Durable // nil without a WAL
 }
 
 // Tree exposes the shard's tree for stats and validation.
 func (sh *Shard) Tree() *bwtree.Tree { return sh.t }
 
-// Durable exposes the shard's partition of the durable store (nil when
-// in-memory). Its log-wide methods act on the whole store.
-func (sh *Shard) Durable() *bwtree.Durable { return sh.d }
-
 // Store is a set of per-core Bw-Tree shards behind one Router. All
 // cross-shard coordination lives here; inside a shard the tree's
-// latch-free protocols run exactly as in the single-tree deployment.
+// latch-free protocols run exactly as in the single-tree deployment. A
+// durable store's partitions belong to its bwtree.Durable, which the
+// Store reads them from.
 type Store struct {
 	opts   Options
 	router Router
-	shards []*Shard
-	d      *bwtree.Durable // the durable store's handle; nil in memory
+	trees  []*bwtree.Tree  // indexed by shard; d.Trees() when durable
+	d      *bwtree.Durable // nil in memory
 }
 
 // Open builds (or, with WALDir, recovers) a sharded store.
@@ -68,10 +66,10 @@ func Open(o Options) (*Store, error) {
 	if o.Tree.NonUnique {
 		return nil, errors.New("shard: non-unique trees are not supported by the serving tier")
 	}
-	st := &Store{opts: o, router: o.Router, shards: make([]*Shard, o.Shards)}
+	st := &Store{opts: o, router: o.Router}
 	if o.WALDir == "" {
-		for i := range st.shards {
-			st.shards[i] = &Shard{ID: i, t: bwtree.New(o.Tree)}
+		for range o.Shards {
+			st.trees = append(st.trees, bwtree.New(o.Tree))
 		}
 		return st, nil
 	}
@@ -87,16 +85,12 @@ func Open(o Options) (*Store, error) {
 				o.WALDir, e.Name())
 		}
 	}
-	d, err := bwtree.OpenDurable(o.WALDir, bwtree.DurableOptions{
+	if st.d, err = bwtree.OpenDurable(o.WALDir, bwtree.DurableOptions{
 		Tree: o.Tree, SyncOnCommit: o.SyncOnCommit, Router: o.Router,
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	st.d = d
-	for i, p := range d.Partitions() {
-		st.shards[i] = &Shard{ID: i, t: p.Tree(), d: p}
-	}
+	st.trees = st.d.Trees()
 	return st, nil
 }
 
@@ -104,13 +98,20 @@ func Open(o Options) (*Store, error) {
 func (st *Store) Router() Router { return st.router }
 
 // NumShards returns the partition count.
-func (st *Store) NumShards() int { return len(st.shards) }
+func (st *Store) NumShards() int { return len(st.trees) }
 
-// Shards returns the shards.
-func (st *Store) Shards() []*Shard { return st.shards }
+// Shards returns a view of every shard, indexed by shard number.
+func (st *Store) Shards() []*Shard {
+	shards := make([]*Shard, len(st.trees))
+	for i, t := range st.trees {
+		shards[i] = &Shard{ID: i, t: t}
+	}
+	return shards
+}
 
-// Durable reports whether the store runs under a WAL.
-func (st *Store) Durable() bool { return st.d != nil }
+// Durable returns the durable store the shards are partitions of; nil in
+// memory.
+func (st *Store) Durable() *bwtree.Durable { return st.d }
 
 // RecoveryStats reports the recovery work done at Open (zero in memory).
 func (st *Store) RecoveryStats() bwtree.RecoveryStats {
@@ -144,56 +145,42 @@ func (st *Store) Close() error {
 	if st.d != nil {
 		return st.d.Close()
 	}
-	for _, sh := range st.shards {
-		sh.t.Close()
+	for _, t := range st.trees {
+		t.Close()
 	}
 	return nil
 }
 
-// Stats sums every shard's tree counters into one aggregate.
-func (st *Store) Stats() bwtree.Stats {
-	var agg bwtree.Stats
-	for _, sh := range st.shards {
-		s := sh.t.Stats()
-		agg.Ops += s.Ops
-		agg.Aborts += s.Aborts
-		agg.Consolidations += s.Consolidations
-		agg.Splits += s.Splits
-		agg.Merges += s.Merges
-		agg.SlabFull += s.SlabFull
-		agg.PointerChases += s.PointerChases
-		agg.CASFailures += s.CASFailures
-		agg.LeafSlabUsed += s.LeafSlabUsed
-		agg.LeafSlabCap += s.LeafSlabCap
-		agg.InnerSlabUsed += s.InnerSlabUsed
-		agg.InnerSlabCap += s.InnerSlabCap
-		agg.BatchLeafHits += s.BatchLeafHits
-		agg.BatchParentHits += s.BatchParentHits
-		agg.InPlaceUpdates += s.InPlaceUpdates
-		agg.GC.Retired += s.GC.Retired
-		agg.GC.Reclaimed += s.GC.Reclaimed
-		agg.GC.Advances += s.GC.Advances
-		if s.GC.EpochLag > agg.GC.EpochLag {
-			agg.GC.EpochLag = s.GC.EpochLag
-		}
+// Stats sums every shard's tree counters into one aggregate (see
+// bwtree.SumStats).
+func (st *Store) Stats() bwtree.Stats { return bwtree.SumStats(st.trees) }
+
+// DebugVars builds the aggregated observability source for a sharded
+// store: the partitioned debug surface over its shards' trees (see
+// bwtree.PartitionedDebugVars), with the one log's health surface when
+// durable (bwtree.DurableDebugVars). The result plugs into
+// obs.Serve/obs.Mux exactly like a single tree's DebugVars.
+func DebugVars(st *Store) obs.Vars {
+	if st.d != nil {
+		return bwtree.DurableDebugVars(st.d)
 	}
-	return agg
+	return bwtree.PartitionedDebugVars(st.trees)
 }
 
 // Count sums the exact pair count of every shard (quiescent only).
 func (st *Store) Count() int {
 	n := 0
-	for _, sh := range st.shards {
-		n += sh.t.Count()
+	for _, t := range st.trees {
+		n += t.Count()
 	}
 	return n
 }
 
 // Validate runs structural validation on every shard.
 func (st *Store) Validate() error {
-	for _, sh := range st.shards {
-		if err := sh.t.Validate(); err != nil {
-			return fmt.Errorf("shard %d: %w", sh.ID, err)
+	for i, t := range st.trees {
+		if err := t.Validate(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return nil

@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/bwtree"
+	"repro/internal/obs"
 )
 
 func key64(v uint64) []byte {
@@ -145,18 +147,6 @@ func TestScanChunkBoundaries(t *testing.T) {
 	}
 }
 
-// countingSub counts the pairs a shard hands to the merged scan.
-type countingSub struct {
-	subSession
-	pulled *int
-}
-
-func (c countingSub) Scan(start []byte, n int, visit func([]byte, uint64) bool) int {
-	got := c.subSession.Scan(start, n, visit)
-	*c.pulled += got
-	return got
-}
-
 // TestScanFetchesRoughlyWhatItReturns pins the first-fill bound: a
 // 50-pair scan over two hash shards fetches its even share plus slack
 // from each, not 50 pairs from both.
@@ -173,10 +163,6 @@ func TestScanFetchesRoughlyWhatItReturns(t *testing.T) {
 			t.Fatalf("insert %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	pulled := 0
-	for i, sub := range s.subs {
-		s.subs[i] = countingSub{sub, &pulled}
-	}
 	const n = 50
 	want := uint64(100)
 	got := s.Scan(key64(want), n, func(k []byte, v uint64) bool {
@@ -188,6 +174,13 @@ func TestScanFetchesRoughlyWhatItReturns(t *testing.T) {
 	})
 	if got != n {
 		t.Fatalf("scan returned %d pairs, want %d", got, n)
+	}
+	// A cursor refills only once its buffer is emitted, so what the
+	// shards handed over is what the scan emitted plus what the cursors
+	// still buffer.
+	pulled := got
+	for i := range s.subs {
+		pulled += s.curs[i].len() - s.curs[i].pos
 	}
 	if pulled >= 2*n {
 		t.Fatalf("a %d-pair scan over 2 shards pulled %d pairs, want < %d", n, pulled, 2*n)
@@ -543,7 +536,7 @@ func TestStoreStatsAggregation(t *testing.T) {
 	if g := v.Gauges(); g["shards"] != 3 {
 		t.Fatalf("shards gauge = %v", g["shards"])
 	}
-	if got, want := counters["wal_appends"], st.Shards()[0].Durable().WALStats().Appends; got != want || want < 3000 {
+	if got, want := counters["wal_appends"], st.Durable().WALStats().Appends; got != want || want < 3000 {
 		t.Fatalf("wal_appends = %d, the log's Appends = %d, want them equal and >= 3000", got, want)
 	}
 	if v.Latency == nil {
@@ -565,4 +558,70 @@ func TestStoreStatsAggregation(t *testing.T) {
 	}
 }
 
-var _ = bytes.Compare // keep bytes imported if assertions above change
+// TestDebugVarsHelpAgrees renders /metrics for a one-tree durable store
+// (bwtree.DurableDebugVars), a durable sharded store and an in-memory one
+// (DebugVars), and requires every metric name two of them share to carry
+// the same HELP text: one series must not be described two ways.
+func TestDebugVarsHelpAgrees(t *testing.T) {
+	opts := smallTreeOpts()
+	opts.PhaseSampleEvery = 8
+	opts.FlightRecorderSize = 128
+	d, err := bwtree.OpenDurable(t.TempDir(), bwtree.DurableOptions{Tree: opts, SyncOnCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ds := d.NewSession()
+	for i := uint64(0); i < 200; i++ {
+		ds.Insert(key64(i), i)
+	}
+	ds.Release()
+	surfaces := map[string]obs.Vars{"bwtree.DurableDebugVars": bwtree.DurableDebugVars(d)}
+	for name, dir := range map[string]string{"durable DebugVars": t.TempDir(), "in-memory DebugVars": ""} {
+		st, err := Open(Options{Shards: 2, Tree: opts, WALDir: dir, SyncOnCommit: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		s := st.NewSession()
+		for i := uint64(0); i < 200; i++ {
+			s.Insert(key64(i), i)
+		}
+		s.Release()
+		surfaces[name] = DebugVars(st)
+	}
+
+	helps := map[string]map[string]string{}
+	for name, v := range surfaces {
+		var b bytes.Buffer
+		obs.WritePrometheus(&b, v)
+		helps[name] = map[string]string{}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+				metric, text, _ := strings.Cut(rest, " ")
+				helps[name][metric] = text
+			}
+		}
+	}
+	shared := 0
+	for a, ha := range helps {
+		for b, hb := range helps {
+			for metric, text := range ha {
+				if other, ok := hb[metric]; ok && a < b {
+					shared++
+					if other != text {
+						t.Errorf("%s: %s says %q, %s says %q", metric, a, text, b, other)
+					}
+				}
+			}
+		}
+	}
+	for _, metric := range []string{"bwtree_chain_depth", "bwtree_wal_batch_records", "bwtree_wal_fsync_seconds"} {
+		if _, ok := helps["durable DebugVars"][metric]; !ok {
+			t.Errorf("durable DebugVars has no HELP for %s", metric)
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no metric name is shared between the surfaces")
+	}
+}

@@ -10,7 +10,7 @@
 // core.Session.LookupVersion) and buffers its writes. Commit then runs:
 //
 //  1. Lock the write set's stripes in sorted global order: one
-//     bwtree.Stripes table per shard, the same table a durable shard
+//     bwtree.Stripes table per shard, the same table a durable store
 //     orders its single-key commits with, so transactional and plain
 //     writers exclude each other.
 //  2. Validate the read set: try-lock each read stripe not already held
@@ -64,12 +64,12 @@ var validateBarrier func()
 // concurrent Sessions.
 type Store struct {
 	router shard.Router
-	shards []*shard.Shard
-	// stripes holds one commit-ordering table per shard: a durable
-	// shard's own (so transactional and single-key writers exclude each
-	// other), an in-memory shard's engine-private. Global stripe i is
-	// stripe i%NStripes of shard i/NStripes, so sorted-order acquisition
-	// is one deadlock-free total order across shards.
+	trees  []*bwtree.Tree
+	// stripes holds one commit-ordering table per shard: the durable
+	// store's own (so transactional and single-key writers exclude each
+	// other), or engine-private in memory. Global stripe i is stripe
+	// i%NStripes of shard i/NStripes, so sorted-order acquisition is one
+	// deadlock-free total order across shards.
 	stripes []*bwtree.Stripes
 	log     *bwtree.Durable // the store's log; nil in memory
 	nextID  atomic.Uint64
@@ -91,13 +91,13 @@ type Store struct {
 func New(st *shard.Store) *Store {
 	s := &Store{
 		router:  st.Router(),
-		shards:  st.Shards(),
 		stripes: make([]*bwtree.Stripes, st.NumShards()),
+		log:     st.Durable(),
 	}
-	for i, sh := range s.shards {
-		if d := sh.Durable(); d != nil {
-			s.stripes[i] = d.Stripes()
-			s.log = d
+	for i, sh := range st.Shards() {
+		s.trees = append(s.trees, sh.Tree())
+		if s.log != nil {
+			s.stripes[i] = s.log.Stripes(i)
 		} else {
 			s.stripes[i] = bwtree.NewStripes()
 		}
@@ -149,11 +149,11 @@ func (st *Store) NewTxnSession() index.TxnSession { return st.NewSession() }
 func (st *Store) NewSession() *Session {
 	s := &Session{
 		st:   st,
-		sess: make([]*bwtree.Session, len(st.shards)),
+		sess: make([]*bwtree.Session, len(st.trees)),
 		dup:  make(map[string]struct{}),
 	}
-	for i, sh := range st.shards {
-		s.sess[i] = sh.Tree().NewSession()
+	for i, t := range st.trees {
+		s.sess[i] = t.NewSession()
 	}
 	return s
 }

@@ -197,7 +197,7 @@ func TestTxnSharesDurableStripes(t *testing.T) {
 	s := st.NewSession()
 	defer s.Release()
 
-	stripes := ss.Shards()[0].Durable().Stripes()
+	stripes := ss.Durable().Stripes(0)
 	x, y := tkey(1), tkey(2)
 	for i := uint64(3); stripes.Of(y) == stripes.Of(x); i++ {
 		y = tkey(i)
@@ -399,7 +399,7 @@ func TestTxnBankShardCrash(t *testing.T) {
 		t.Fatalf("seed: %+v %v", res, err)
 	}
 	seed.Release()
-	if err := ss.Shards()[0].Durable().Sync(); err != nil {
+	if err := ss.Durable().Sync(); err != nil {
 		t.Fatal(err)
 	}
 
