@@ -470,6 +470,11 @@ func (ds *DurableSession) Release() {
 	}
 }
 
+// Partition returns the tree session the durable session holds on
+// partition p, for reads and scans on the same goroutine; writing through
+// it bypasses the log.
+func (ds *DurableSession) Partition(p int) *Session { return ds.ss[p] }
+
 // walOpClass maps a log op byte to its latency/trace class.
 func walOpClass(op byte) obs.OpClass {
 	switch op {

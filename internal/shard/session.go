@@ -8,10 +8,10 @@ import (
 
 // Session is one goroutine's handle to every shard: point operations
 // route to the owning shard, scans scatter-gather. Reads and scans go
-// through one tree session per shard; writes go through the same tree
-// sessions in memory and through one DurableSession, which logs them,
-// when the store is durable. Like a tree session it must be used by at
-// most one goroutine.
+// through one tree session per shard. In memory, writes go through the
+// same sessions; when the store is durable they go through one
+// DurableSession, which logs them, and the tree sessions are its own.
+// Like a tree session it must be used by at most one goroutine.
 type Session struct {
 	st     *Store
 	subs   []*bwtree.Session      // indexed by shard
@@ -25,22 +25,27 @@ type Session struct {
 // epoch handles and scratch buffers for its whole lifetime.
 func (st *Store) NewSession() *Session {
 	s := &Session{st: st, subs: make([]*bwtree.Session, len(st.trees))}
-	for i, t := range st.trees {
-		s.subs[i] = t.NewSession()
-	}
 	if st.d != nil {
 		s.ds = st.d.NewSession()
+	}
+	for i, t := range st.trees {
+		if s.ds != nil {
+			s.subs[i] = s.ds.Partition(i)
+		} else {
+			s.subs[i] = t.NewSession()
+		}
 	}
 	return s
 }
 
 // Release returns every shard session.
 func (s *Session) Release() {
-	for _, sub := range s.subs {
-		sub.Release()
-	}
 	if s.ds != nil {
 		s.ds.Release()
+		return
+	}
+	for _, sub := range s.subs {
+		sub.Release()
 	}
 }
 
@@ -93,9 +98,10 @@ const scanChunk = 256
 const scanSlack = 8
 
 // cursor is one shard's pull-stream of ordered pairs, fetched in chunks
-// through the tree session's ordinary Scan entry point. Keys are copied into a per-cursor arena:
-// callback keys are only valid during the visit, but merge order means
-// a buffered key outlives its chunk's callbacks.
+// through the tree session's ordinary Scan entry point. Keys are copied
+// into a per-cursor arena: callback keys are only valid during the
+// visit, but merge order means a buffered key outlives its chunk's
+// callbacks.
 type cursor struct {
 	sub *bwtree.Session
 	// add is c.push bound once, so a fill allocates no closure.
