@@ -212,7 +212,7 @@ func (sv *Server) serve(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var lenBuf [4]byte
 	var frame []byte
-	var scratch []uint64
+	var scratch connScratch
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return // clean close or mid-frame disconnect; nothing to answer
@@ -249,6 +249,15 @@ func (sv *Server) serve(conn net.Conn) {
 	}
 }
 
+// connScratch is one connection's decode scratch, reused across its
+// frames: the values a lookup returns, and an OpTxn's read and write
+// sets.
+type connScratch struct {
+	vals   []uint64
+	reads  []index.TxnRead
+	writes []index.TxnWrite
+}
+
 // errFrame builds a StatusErr response.
 func errFrame(reqID uint32, msg string) []byte {
 	return appendFrame(nil, reqID, StatusErr, func(b []byte) []byte {
@@ -260,7 +269,7 @@ func errFrame(reqID uint32, msg string) []byte {
 // handle executes one decoded request and renders its response frame.
 // fatal reports that the connection must close after the response is
 // written (the store is going away).
-func (sv *Server) handle(sess *shard.Session, getTxs func() *txn.Session, reqID uint32, op byte, payload []byte, scratch *[]uint64) (resp []byte, fatal bool) {
+func (sv *Server) handle(sess *shard.Session, getTxs func() *txn.Session, reqID uint32, op byte, payload []byte, scratch *connScratch) (resp []byte, fatal bool) {
 	r := &reader{buf: payload}
 	fail := func(err error) []byte {
 		sv.protoErrors.Add(1)
@@ -278,8 +287,8 @@ func (sv *Server) handle(sess *shard.Session, getTxs func() *txn.Session, reqID 
 		if r.rest() != 0 {
 			return fail(fmt.Errorf("%d trailing bytes after Get", r.rest())), false
 		}
-		*scratch = sess.Lookup(key, (*scratch)[:0])
-		vals := *scratch
+		scratch.vals = sess.Lookup(key, scratch.vals[:0])
+		vals := scratch.vals
 		return appendFrame(nil, reqID, StatusOK, func(b []byte) []byte {
 			b = binary.LittleEndian.AppendUint16(b, uint16(len(vals)))
 			for _, v := range vals {
@@ -324,7 +333,7 @@ func (sv *Server) handle(sess *shard.Session, getTxs func() *txn.Session, reqID 
 		return sv.scan(sess, reqID, start, n), false
 
 	case OpBatch:
-		return sv.batch(sess, reqID, r, scratch)
+		return sv.batch(sess, reqID, r, &scratch.vals)
 
 	case OpGetV:
 		key, err := r.key()
@@ -349,7 +358,7 @@ func (sv *Server) handle(sess *shard.Session, getTxs func() *txn.Session, reqID 
 		}), false
 
 	case OpTxn:
-		return sv.txnCommit(getTxs(), reqID, r)
+		return sv.txnCommit(getTxs(), reqID, r, scratch)
 
 	case OpStats:
 		if r.rest() != 0 {
@@ -502,16 +511,21 @@ func (sv *Server) batch(sess *shard.Session, reqID uint32, r *reader, scratch *[
 	return resp, false
 }
 
-// txnCommit decodes one OpTxn frame and runs it through the store's
-// transaction engine. Read and write keys alias the request frame —
-// CommitTxn does not retain them past the call.
-func (sv *Server) txnCommit(txs *txn.Session, reqID uint32, r *reader) ([]byte, bool) {
+// txnCommit decodes one OpTxn frame into the connection's scratch sets
+// and runs it through the store's transaction engine. Read and write keys
+// alias the request frame — CommitTxn retains neither them nor the sets
+// past the call.
+func (sv *Server) txnCommit(txs *txn.Session, reqID uint32, r *reader, scratch *connScratch) ([]byte, bool) {
 	nreads := int(r.u16("txn read count"))
 	if r.err != nil {
 		sv.protoErrors.Add(1)
 		return errFrame(reqID, r.err.Error()), false
 	}
-	reads := make([]index.TxnRead, 0, nreads)
+	if nreads > MaxTxnOps {
+		sv.protoErrors.Add(1)
+		return errFrame(reqID, fmt.Sprintf("txn of %d reads exceeds limit %d", nreads, MaxTxnOps)), false
+	}
+	reads := scratch.reads[:0]
 	for i := 0; i < nreads; i++ {
 		key, err := r.key()
 		if err != nil {
@@ -534,7 +548,7 @@ func (sv *Server) txnCommit(txs *txn.Session, reqID uint32, r *reader) ([]byte, 
 		sv.protoErrors.Add(1)
 		return errFrame(reqID, fmt.Sprintf("txn of %d ops exceeds limit %d", nreads+nwrites, MaxTxnOps)), false
 	}
-	writes := make([]index.TxnWrite, 0, nwrites)
+	writes := scratch.writes[:0]
 	for i := 0; i < nwrites; i++ {
 		op := r.u8("txn write op")
 		key, err := r.key()
@@ -557,6 +571,7 @@ func (sv *Server) txnCommit(txs *txn.Session, reqID uint32, r *reader) ([]byte, 
 		sv.protoErrors.Add(1)
 		return errFrame(reqID, fmt.Sprintf("%d trailing bytes after Txn", r.rest())), false
 	}
+	scratch.reads, scratch.writes = reads, writes
 	res, err := txs.CommitTxn(reads, writes)
 	if err != nil {
 		if err == txn.ErrDuplicateWriteKey {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -204,4 +205,20 @@ func TestTxnBankOverSocket(t *testing.T) {
 		t.Fatalf("bank sum = %d, want %d (money not conserved)", sum, accounts*initial)
 	}
 	t.Logf("bank over socket: %d commits, %d conflicts, sum conserved", commits, conflicts)
+}
+
+// TestTxnReadCountOverLimit sends an OpTxn frame announcing more reads
+// than MaxTxnOps and carrying none: the server must refuse the count
+// itself, before decoding a read, and keep the connection.
+func TestTxnReadCountOverLimit(t *testing.T) {
+	_, addr := startServer(t, 2)
+	rc := dialRaw(t, addr)
+	payload := binary.LittleEndian.AppendUint16(nil, MaxTxnOps+1)
+	rc.send(append(frame(1, OpTxn, payload), frame(2, OpPing, nil)...))
+	if msg := rc.expectErr(1); !strings.Contains(msg, "exceeds limit") {
+		t.Fatalf("error %q, want the read count refused", msg)
+	}
+	if id, status, _, err := rc.recv(); err != nil || id != 2 || status != StatusOK {
+		t.Fatalf("ping after error = (id=%d, status=0x%02x, err=%v), want OK", id, status, err)
+	}
 }

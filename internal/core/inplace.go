@@ -98,6 +98,7 @@ func (s *Session) updateInPlace(id nodeID, b *delta, pos int, key []byte, value 
 	atomic.StoreUint64(&b.vals[pos], value)
 	atomic.StoreUint64(&b.vers[pos], ver)
 	b.seq.Store(w + 2)
+	s.stamp = ver
 	s.inPlace++
 	return true
 }

@@ -188,6 +188,9 @@ type Session struct {
 	// inPlace counts updates stored into a bare leaf base (inplace.go),
 	// batched and flushed the same way.
 	inPlace uint64
+	// stamp is the version stamp the session's current or last write op
+	// published, 0 while it has published none (LastStamp).
+	stamp uint64
 
 	// Scratch space reused across operations to keep the hot path
 	// allocation-free.

@@ -36,6 +36,15 @@ func (s *Session) LookupVersion(key []byte) (value uint64, ver uint64, found boo
 	}
 }
 
+// LastStamp reports the version stamp that the session's most recent
+// write (Insert, Delete, Update, UpdateValue, or the last operation of a
+// batch) published, or 0 when it installed nothing: a failed insert or
+// delete, an update of an absent key or one that left the value as it
+// was. A write's own stamp is what a LookupVersion of its key returns
+// until the next write to that key, so a caller that excludes other
+// writers of the key reads the stamp here instead of looking it up.
+func (s *Session) LastStamp() uint64 { return s.stamp }
+
 // VersionCounter reports the tree-global version counter's current value:
 // every stamp issued so far is <= it. Diagnostics only.
 func (t *Tree) VersionCounter() uint64 { return t.verCtr.Load() }

@@ -48,6 +48,63 @@ func TestLookupVersionBasics(t *testing.T) {
 	}
 }
 
+// TestLastStamp checks that a write reports the stamp LookupVersion then
+// reads for its key, through delta prepends, in-place stores into bare
+// bases and the single-threaded in-place leaf mode, and that a write
+// that installs nothing reports 0.
+func TestLastStamp(t *testing.T) {
+	inPlaceLeaves := DefaultOptions()
+	inPlaceLeaves.InPlaceLeafUpdates = true
+	for name, opts := range map[string]Options{"default": DefaultOptions(), "baseline": BaselineOptions(), "in-place-leaves": inPlaceLeaves} {
+		t.Run(name, func(t *testing.T) {
+			opts.LeafNodeSize = 16
+			opts.InnerNodeSize = 16
+			opts.LeafChainLength = 4
+			tr := New(opts)
+			defer tr.Close()
+			s := tr.NewSession()
+			defer s.Release()
+			published := func(op string, k uint64) {
+				t.Helper()
+				_, ver, found := s.LookupVersion(vkey(k))
+				if got := s.LastStamp(); !found || got == 0 || got != ver {
+					t.Fatalf("%s %d: LastStamp %d, key's stamp %d (found %v)", op, k, got, ver, found)
+				}
+			}
+			nothing := func(op string, k uint64) {
+				t.Helper()
+				if got := s.LastStamp(); got != 0 {
+					t.Fatalf("%s %d installed nothing but LastStamp is %d", op, k, got)
+				}
+			}
+			const n = 200
+			for k := uint64(0); k < n; k++ {
+				s.Insert(vkey(k), k)
+				published("insert", k)
+			}
+			for round := uint64(1); round <= 3; round++ {
+				for k := uint64(0); k < n; k++ {
+					s.Update(vkey(k), k+round*n)
+					published("update", k)
+				}
+			}
+			if opts.UpdateInPlace && tr.Stats().InPlaceUpdates == 0 {
+				t.Fatal("no update was stored in place")
+			}
+			for k := uint64(0); k < n; k++ {
+				s.Insert(vkey(k), 0)
+				nothing("failed insert", k)
+				s.Update(vkey(k), k+3*n)
+				nothing("same-value update", k)
+				s.Update(vkey(k+n), 1)
+				nothing("update of an absent key", k+n)
+				s.Delete(vkey(k+n), 0)
+				nothing("delete of an absent key", k+n)
+			}
+		})
+	}
+}
+
 // TestLookupVersionSurvivesConsolidation drives enough writes through
 // small nodes that records migrate delta -> consolidated base -> split
 // children, and checks every key still reports the stamp observed right

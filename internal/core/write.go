@@ -119,6 +119,7 @@ func (s *Session) appendLeaf(tr *traversal, k kind, key []byte, value, oldValue 
 		return false
 	}
 	s.phEnd(obs.PhaseCAS, t0, 0)
+	s.stamp = d.ver
 	s.maybeConsolidateTr(tr, d)
 	return true
 }
@@ -150,6 +151,7 @@ func (s *Session) Delete(key []byte, value uint64) bool {
 // starts from whatever tr caches (nothing, for a single op) and, after a
 // failed leaf step, restarts from the root (§2.2).
 func (s *Session) insertOne(tr *traversal, key []byte, value uint64) bool {
+	s.stamp = 0
 	spins := 0
 	for {
 		if s.seekLeaf(key, tr) {
@@ -164,6 +166,7 @@ func (s *Session) insertOne(tr *traversal, key []byte, value uint64) bool {
 
 // deleteOne is insertOne for Delete and DeleteBatch.
 func (s *Session) deleteOne(tr *traversal, key []byte, value uint64) bool {
+	s.stamp = 0
 	spins := 0
 	for {
 		if s.seekLeaf(key, tr) {
@@ -225,6 +228,7 @@ func (s *Session) Update(key []byte, value uint64) bool {
 	s.h.Enter()
 	defer s.h.Exit()
 	defer s.opDone(obs.OpUpdate, s.opStart())
+	s.stamp = 0
 	spins := 0
 	for {
 		var tr traversal
@@ -281,6 +285,7 @@ func (s *Session) UpdateValue(key []byte, oldValue, newValue uint64) bool {
 	s.h.Enter()
 	defer s.h.Exit()
 	defer s.opDone(obs.OpUpdate, s.opStart())
+	s.stamp = 0
 	spins := 0
 	for {
 		var tr traversal
@@ -367,7 +372,8 @@ func (s *Session) insertInPlace(tr *traversal, key []byte, value uint64) (ok, in
 		head.offs[i] += uint32(len(key))
 	}
 	head.vals = slices.Insert(head.vals, pos, value)
-	head.vers = slices.Insert(head.vers, pos, s.t.verCtr.Add(1))
+	s.stamp = s.t.verCtr.Add(1)
+	head.vers = slices.Insert(head.vers, pos, s.stamp)
 	head.size++
 	if int(head.size) > s.t.opts.LeafNodeSize {
 		s.consolidate(tr, head)

@@ -5,35 +5,43 @@ import (
 	"repro/internal/wal"
 )
 
-// logApply durably logs the resolved write set as one OpTxn record on the
-// store's one log, whichever shards it spans, and applies each op in
-// memory on its owning shard. The caller holds every write stripe across
-// the call. A non-nil wait postpones the durability wait so the caller
-// can release the stripes first; an error means the commit outcome is
-// unresolved exactly as in bwtree.DurableSession (possible only on a
-// closed or crashed log). An in-memory store logs nothing.
-func (s *Session) logApply(txnID uint64, ops []wal.TxnOp) (func() error, error) {
+// logApply durably logs the resolved write set s.ops as one OpTxn record
+// on the store's one log, whichever shards it spans, and applies each op
+// in memory on its owning shard, storing the version stamp an insert or
+// update published in vers at its write-set index (a delete leaves 0).
+// The caller holds every write stripe across the call, and waits for
+// the returned LSN (waitDurable) only after releasing them. An error
+// means the commit outcome is unresolved exactly as in
+// bwtree.DurableSession (possible only on a closed or crashed log). An
+// in-memory store logs nothing.
+func (s *Session) logApply(txnID uint64, vers []uint64) (lsn uint64, err error) {
 	st := s.st
-	var lsn uint64
 	if st.log != nil {
-		var err error
-		if lsn, err = st.log.AppendTxn(txnID, ops); err != nil {
-			return nil, err
+		if lsn, err = st.log.AppendTxn(txnID, s.ops); err != nil {
+			return 0, err
 		}
 	}
-	for i := range ops {
-		applyOp(s.sess[st.router.Shard(ops[i].Key)], ops[i])
+	for j := range s.ops {
+		vers[s.opWrite[j]] = applyOp(s.sess[st.router.Shard(s.ops[j].Key)], s.ops[j])
 	}
-	if st.log == nil || !st.log.SyncOnCommit() {
-		return nil, nil
-	}
-	return func() error { return st.log.WaitLSN(lsn) }, nil
+	return lsn, nil
 }
 
-// applyOp installs one resolved op through a tree session. It was
-// resolved against tree state under the still-held write stripes, so the
-// guarded single-key semantics cannot fail here.
-func applyOp(s *bwtree.Session, op wal.TxnOp) {
+// waitDurable waits until the record at lsn is durable when the store
+// acknowledges commits only then.
+func (st *Store) waitDurable(lsn uint64) error {
+	if st.log == nil || !st.log.SyncOnCommit() {
+		return nil
+	}
+	return st.log.WaitLSN(lsn)
+}
+
+// applyOp installs one resolved op through a tree session and returns
+// the stamp it published, 0 for a delete. The op was resolved against
+// tree state under the still-held write stripes, so the guarded
+// single-key semantics cannot fail here, and the stamp stays the key's
+// until the stripes are released.
+func applyOp(s *bwtree.Session, op wal.TxnOp) uint64 {
 	switch op.Op {
 	case wal.OpInsert:
 		s.Insert(op.Key, op.Value)
@@ -41,5 +49,7 @@ func applyOp(s *bwtree.Session, op wal.TxnOp) {
 		s.Update(op.Key, op.Value)
 	case wal.OpDelete:
 		s.Delete(op.Key, op.Value)
+		return 0
 	}
+	return s.LastStamp()
 }

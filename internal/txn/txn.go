@@ -7,7 +7,8 @@
 //
 // A transaction reads through versioned lookups (every published leaf
 // record carries a stamp from a tree-global counter; see
-// core.Session.LookupVersion) and buffers its writes. Commit then runs:
+// core.Session.LookupVersion) and buffers its writes. Commit then runs,
+// touching each key's tree once per phase:
 //
 //  1. Lock the write set's stripes in sorted global order: one
 //     bwtree.Stripes table per shard, the same table a durable store
@@ -16,11 +17,15 @@
 //  2. Validate the read set: try-lock each read stripe not already held
 //     (a failed try is a conservative abort — never block on a reader's
 //     behalf, never deadlock), then recheck that each key still carries
-//     the version the transaction observed. Absent keys validate at
-//     version 0.
+//     the version the transaction observed, keeping the value and
+//     presence the recheck read. Absent keys validate at version 0.
 //  3. Resolve the write set into guarded sub-operations
-//     (insert/update/delete) under the held locks, append one WAL
-//     record spanning all of them, apply in memory, and release.
+//     (insert/update/delete) under the held locks: a key that was also
+//     read resolves against what step 2 read (its write stripe has been
+//     held since step 1), and only a blind write looks its key up. Append
+//     one WAL record spanning all of them, apply in memory, taking each
+//     write's version stamp from the apply itself
+//     (core.Session.LastStamp), and release.
 //
 // Deadlock freedom: write stripes are acquired in sorted order and read
 // stripes only with try-lock, so no cycle of waits can form. Atomicity
@@ -37,6 +42,7 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -147,11 +153,7 @@ func (st *Store) NewTxnSession() index.TxnSession { return st.NewSession() }
 
 // NewSession returns a per-worker transactional handle.
 func (st *Store) NewSession() *Session {
-	s := &Session{
-		st:   st,
-		sess: make([]*bwtree.Session, len(st.trees)),
-		dup:  make(map[string]struct{}),
-	}
+	s := &Session{st: st, sess: make([]*bwtree.Session, len(st.trees))}
 	for i, t := range st.trees {
 		s.sess[i] = t.NewSession()
 	}
@@ -166,11 +168,19 @@ type Session struct {
 	sess []*bwtree.Session // one tree session per shard
 
 	// commit scratch, reused across transactions
-	dup      map[string]struct{}
+	wOrder   []int32    // write indices sorted by key
+	rOrder   []int32    // read indices sorted by key
+	rObs     []observed // per read: what validation read
 	wStripes []int
 	rStripes []int
 	ops      []wal.TxnOp
-	noop     []bool
+	opWrite  []int32 // ops[j] resolves writes[opWrite[j]]
+}
+
+// observed is one key's (value, presence) as a read of it returned.
+type observed struct {
+	value uint64
+	found bool
 }
 
 // Release returns the session's resources.
@@ -193,6 +203,17 @@ func (s *Session) GetVersion(key []byte) (value uint64, ver uint64, found bool, 
 	return value, ver, found, nil
 }
 
+// sortByKey fills order with 0..n-1 sorted by key(i), reusing its
+// storage.
+func sortByKey(order []int32, n int, key func(i int32) []byte) []int32 {
+	order = order[:0]
+	for i := range n {
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(key(a), key(b)) })
+	return order
+}
+
 // CommitTxn validates reads and, if they hold, atomically applies
 // writes. See index.TxnSession for the contract. Conflicts return
 // Status == index.TxnConflict with a nil error; a non-nil error means
@@ -201,13 +222,11 @@ func (s *Session) GetVersion(key []byte) (value uint64, ver uint64, found bool, 
 func (s *Session) CommitTxn(reads []index.TxnRead, writes []index.TxnWrite) (index.TxnResult, error) {
 	st := s.st
 	if len(writes) > 1 {
-		clear(s.dup)
-		for i := range writes {
-			k := string(writes[i].Key)
-			if _, ok := s.dup[k]; ok {
+		s.wOrder = sortByKey(s.wOrder, len(writes), func(i int32) []byte { return writes[i].Key })
+		for n := 1; n < len(s.wOrder); n++ {
+			if bytes.Equal(writes[s.wOrder[n-1]].Key, writes[s.wOrder[n]].Key) {
 				return index.TxnResult{}, ErrDuplicateWriteKey
 			}
-			s.dup[k] = struct{}{}
 		}
 	}
 	for i := range writes {
@@ -247,77 +266,83 @@ func (s *Session) CommitTxn(reads []index.TxnRead, writes []index.TxnWrite) (ind
 
 	// Phase 3: resolve writes into guarded sub-operations under the held
 	// stripes — the presence check is stable until we unlock, so the
-	// resolved ops replay deterministically during recovery.
+	// resolved ops replay deterministically during recovery. A key that
+	// was also read resolves against what validation read: its write
+	// stripe has been held since phase 1, and every writer of the key
+	// takes that stripe, so the observation is still current.
+	if len(reads) > 0 && len(writes) > 0 {
+		s.rOrder = sortByKey(s.rOrder, len(reads), func(i int32) []byte { return reads[i].Key })
+	}
 	s.ops = s.ops[:0]
-	s.noop = append(s.noop[:0], make([]bool, len(writes))...)
+	s.opWrite = s.opWrite[:0]
 	for i := range writes {
-		cur, _, found := s.readVersion(writes[i].Key)
-		switch writes[i].Op {
-		case index.TxnPut:
-			if found && cur == writes[i].Value {
-				// Value unchanged: the tree would install no new record
-				// (and therefore no new stamp), so the write is logically
-				// a no-op. Dropping it here keeps the invariant that
-				// every entry in the logged write set advanced its key's
-				// version — the serializability checker depends on it.
-				s.noop[i] = true
-				continue
-			}
-			op := wal.OpInsert
-			if found {
-				op = wal.OpUpdate
-			}
-			s.ops = append(s.ops, wal.TxnOp{Op: op, Key: writes[i].Key, Value: writes[i].Value})
-		case index.TxnDel:
-			if found {
-				s.ops = append(s.ops, wal.TxnOp{Op: wal.OpDelete, Key: writes[i].Key})
-			} else {
-				s.noop[i] = true
-			}
+		w := &writes[i]
+		var cur observed
+		if j, ok := s.readOf(reads, w.Key); ok {
+			cur = s.rObs[j]
+		} else {
+			cur.value, _, cur.found = s.readVersion(w.Key)
 		}
+		var op byte
+		switch {
+		case w.Op == index.TxnDel && cur.found:
+			op = wal.OpDelete
+		case w.Op == index.TxnDel:
+			continue // the key is already absent
+		case cur.found && cur.value == w.Value:
+			// Value unchanged: the tree would install no new record
+			// (and therefore no new stamp), so the write is logically a
+			// no-op. Dropping it here keeps the invariant that every
+			// entry in the logged write set advanced its key's version —
+			// the serializability checker depends on it.
+			continue
+		case cur.found:
+			op = wal.OpUpdate
+		default:
+			op = wal.OpInsert
+		}
+		s.ops = append(s.ops, wal.TxnOp{Op: op, Key: w.Key, Value: w.Value})
+		s.opWrite = append(s.opWrite, int32(i))
 	}
 	id := st.nextID.Add(1)
 	st.validate.RecordNS(obs.Now() - t0)
 
+	vers := make([]uint64, len(writes))
 	if len(s.ops) == 0 {
-		// Read-only (or every delete targeted an absent key): validation
-		// alone is the commit; nothing to log or apply.
+		// Read-only (or every write was a no-op): validation alone is
+		// the commit; nothing to log or apply.
 		unlockWrites()
 		st.commits.Add(1)
 		st.readOnly.Add(1)
-		return index.TxnResult{Status: index.TxnCommitted, TxnID: id, WriteVers: make([]uint64, len(writes))}, nil
+		return index.TxnResult{Status: index.TxnCommitted, TxnID: id, WriteVers: vers}, nil
 	}
 
-	wait, err := s.logApply(id, s.ops)
+	lsn, err := s.logApply(id, vers)
+	unlockWrites()
 	if err != nil {
-		unlockWrites()
 		return index.TxnResult{}, err
 	}
-
-	// Collect post-apply version stamps under the stripes (stable there)
-	// — the serializability checker keys its write history off these.
-	vers := make([]uint64, len(writes))
-	for i := range writes {
-		if writes[i].Op == index.TxnDel || s.noop[i] {
-			continue
-		}
-		_, v, _ := s.readVersion(writes[i].Key)
-		vers[i] = v
-	}
-	unlockWrites()
 	st.commits.Add(1)
-	res := index.TxnResult{Status: index.TxnCommitted, TxnID: id, WriteVers: vers}
-	if wait != nil {
-		if werr := wait(); werr != nil {
-			return res, werr
-		}
+	return index.TxnResult{Status: index.TxnCommitted, TxnID: id, WriteVers: vers}, st.waitDurable(lsn)
+}
+
+// readOf finds key in the read set through s.rOrder, returning the
+// index of a read of key.
+func (s *Session) readOf(reads []index.TxnRead, key []byte) (int32, bool) {
+	if len(reads) == 0 {
+		return 0, false
 	}
-	return res, nil
+	p, ok := slices.BinarySearchFunc(s.rOrder, key, func(i int32, k []byte) int { return bytes.Compare(reads[i].Key, k) })
+	if !ok {
+		return 0, false
+	}
+	return s.rOrder[p], true
 }
 
 // validateReads rechecks every read-set observation under try-locked
-// stripes. Returns false on any mismatch or failed try-lock (both are
-// conservative aborts). The caller holds s.wStripes throughout.
+// stripes and keeps what each recheck read in s.rObs. Returns false on
+// any mismatch or failed try-lock (both are conservative aborts). The
+// caller holds s.wStripes throughout.
 func (s *Session) validateReads(reads []index.TxnRead) bool {
 	st := s.st
 	s.rStripes = s.rStripes[:0]
@@ -350,11 +375,14 @@ func (s *Session) validateReads(reads []index.TxnRead) bool {
 		}
 	}
 	ok := true
+	s.rObs = slices.Grow(s.rObs[:0], len(reads))[:len(reads)]
 	for i := range reads {
-		if _, v, _ := s.readVersion(reads[i].Key); v != reads[i].Ver {
+		v, ver, found := s.readVersion(reads[i].Key)
+		if ver != reads[i].Ver {
 			ok = false
 			break
 		}
+		s.rObs[i] = observed{value: v, found: found}
 	}
 	for _, u := range s.rStripes {
 		st.unlock(u)

@@ -184,6 +184,18 @@ func TestTxnDuplicateWriteKey(t *testing.T) {
 	if err != ErrDuplicateWriteKey {
 		t.Fatalf("got %v, want ErrDuplicateWriteKey", err)
 	}
+	// The pair at the two ends of a 2048-key write set.
+	writes := make([]index.TxnWrite, 2048)
+	for i := range writes {
+		writes[i] = index.TxnWrite{Op: index.TxnPut, Key: tkey(uint64(i)), Value: 1}
+	}
+	writes[2047].Key = tkey(0)
+	if _, err := s.CommitTxn(nil, writes); err != ErrDuplicateWriteKey {
+		t.Fatalf("far-apart pair: got %v, want ErrDuplicateWriteKey", err)
+	}
+	if _, _, found, _ := s.GetVersion(tkey(0)); found {
+		t.Fatal("a rejected write set was applied")
+	}
 }
 
 // TestTxnSharesDurableStripes pins that a durable shard lends its own
