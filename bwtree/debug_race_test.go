@@ -1,6 +1,7 @@
 package bwtree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -173,83 +174,82 @@ func checkChromeTraceBody(body []byte) error {
 	return json.Unmarshal(body, &doc)
 }
 
-// TestDurableDebugSurfacesUnderMutation is the durable variant: WAL
-// gauges and checkpoint age serve concurrently with committing sessions
-// and a checkpoint mid-run.
+// TestDurableDebugSurfacesUnderMutation is the durable variant, run as
+// the crash soak with deep tracing on: /metrics (with the WAL, epoch and
+// chain-depth series), /debug/shape and /debug/flightrec serve while the
+// workers commit, checkpoints race them and the log crashes, and the
+// phase traces sampled before the crash export as Chrome trace events
+// with op slices.
 func TestDurableDebugSurfacesUnderMutation(t *testing.T) {
-	topts := DefaultOptions()
-	topts.LatencyHistograms = true
-	topts.PhaseSampleEvery = 8
-	topts.PhaseTraceBuffer = 1024
-	topts.FlightRecorderSize = 128
-	d, err := OpenDurable(t.TempDir(), DurableOptions{Tree: topts, SyncOnCommit: false})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	defer d.Close()
-
-	srv, err := ServeDurableDebug(d, "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ServeDurableDebug: %v", err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr()
-
-	var stop atomic.Bool
-	wg := mutateLoad(&stop, 4, func() interface{ Release() } { return d.NewSession() },
-		func(s any, i uint64) {
-			ses := s.(*DurableSession)
-			key := make([]byte, 8)
-			binary.BigEndian.PutUint64(key, i%50_000)
-			switch i % 4 {
-			case 0:
-				ses.Insert(key, i)
-			case 1:
-				ses.Update(key, i)
-			case 2:
-				ses.Lookup(key, nil)
-			default:
-				ses.Delete(key, i)
-			}
-		})
-
+	seed, dur, workers := soakSettings(t, time.Second, 4)
+	opts := soakOptions()
+	opts.LatencyHistograms = true
+	opts.TraceRingSize = 1024
+	opts.PhaseSampleEvery = 16
+	opts.PhaseTraceBuffer = 4096
+	opts.FlightRecorderSize = 512
 	checkDurableMetrics := func(body []byte) error {
 		if err := checkPrometheus(body); err != nil {
 			return err
 		}
-		for _, want := range []string{"bwtree_wal_queue_records", "bwtree_checkpoint_age_seconds", "bwtree_epoch_lag"} {
+		for _, want := range []string{"bwtree_wal_queue_records", "bwtree_checkpoint_age_seconds", "bwtree_epoch_lag", "bwtree_chain_depth"} {
 			if !strings.Contains(string(body), want) {
 				return fmt.Errorf("missing %s", want)
 			}
 		}
 		return nil
 	}
+	var traces []OpTrace
+	crashRun{opts: opts, keys: 20000, sync: true, checkpoint: min(time.Second, dur/8), crashes: 1,
+		observe: func(d *Durable) func() {
+			srv, err := ServeDurableDebug(d, "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("ServeDurableDebug: %v", err)
+			}
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for path, check := range map[string]func([]byte) error{
+				"/metrics":         checkDurableMetrics,
+				"/debug/shape":     checkShape,
+				"/debug/flightrec": checkFlightrec,
+			} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					hammer(t, "http://"+srv.Addr()+path, &stop, check)
+				}()
+			}
+			return func() {
+				stop.Store(true)
+				wg.Wait()
+				srv.Close()
+				traces = d.Tree().PhaseTraces()
+				if age := d.CheckpointAge(); age > time.Minute {
+					t.Errorf("CheckpointAge = %v after a soak with checkpoints", age)
+				}
+			}
+		}}.run(t, seed, dur, workers)
 
-	var hwg sync.WaitGroup
-	for url, check := range map[string]func([]byte) error{
-		base + "/metrics":         checkDurableMetrics,
-		base + "/debug/shape":     checkShape,
-		base + "/debug/flightrec": checkFlightrec,
-	} {
-		hwg.Add(1)
-		go func(url string, check func([]byte) error) {
-			defer hwg.Done()
-			hammer(t, url, &stop, check)
-		}(url, check)
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, traces); err != nil {
+		t.Fatal(err)
 	}
-
-	time.Sleep(200 * time.Millisecond)
-	if _, err := d.Checkpoint(); err != nil {
-		t.Errorf("Checkpoint: %v", err)
+	var doc struct {
+		TraceEvents []struct{ Ph, Name string } `json:"traceEvents"`
 	}
-	time.Sleep(200 * time.Millisecond)
-	stop.Store(true)
-	hwg.Wait()
-	wg.Wait()
-
-	if age := d.CheckpointAge(); age > time.Minute {
-		t.Errorf("CheckpointAge = %v after fresh checkpoint", age)
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
 	}
+	names := map[string]int{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" {
+			names[e.Name]++
+		}
+	}
+	if len(names) == 0 {
+		t.Fatalf("%d sampled ops exported no op slices", len(traces))
+	}
+	t.Logf("%d sampled ops; slices: %v", len(traces), names)
 }
 
 // TestPartitionedDurableDebugVars serves a two-partition durable store's

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/histcheck"
 	"repro/internal/wal"
 )
 
@@ -174,180 +175,160 @@ func TestDurableFailedOpLogsNothing(t *testing.T) {
 	t.Logf("%d appends for %d ops", d.WALStats().Appends, len(cases))
 }
 
-// workerLog records, per worker, the mirror of acknowledged state plus at
-// most one unresolved operation (the one in flight when the crash hit).
-type workerLog struct {
-	mirror  map[uint64]uint64 // key index -> value; absent = deleted/never inserted
-	pending *pendingOp
+// soakSettings reads the -soak.seed, -soak.dur and -soak.workers flags.
+var soakSettings = histcheck.SoakFlags()
+
+// soakOptions is the SMO-churn geometry the tree soaks run: small leaves,
+// short chains and merges on, over DefaultOptions.
+func soakOptions() Options {
+	o := DefaultOptions()
+	o.LeafNodeSize, o.InnerNodeSize = 32, 16
+	o.LeafChainLength, o.InnerChainLength = 8, 2
+	o.LeafMergeSize, o.InnerMergeSize = 8, 4
+	return o
 }
 
-type pendingOp struct {
-	op  byte
-	key uint64
-	val uint64
+// crashRun is one acknowledged-write soak on one directory: workers run
+// the ownership oracle's mix through durable sessions while checkpoints
+// race them, then the log crashes, and half the crashes also tear its
+// tail. Each recovery must validate and, with SyncOnCommit, hold every
+// acknowledged write and, for a write the crash cut off, its state
+// before or after that write: the crash half of durable
+// linearizability. The next incarnation goes on from what recovered.
+type crashRun struct {
+	opts       Options
+	keys       int           // keys per worker
+	sync       bool          // SyncOnCommit; without it only validation is checked, so crashes is 1
+	crashAfter time.Duration // 0: a seeded moment in the middle half of the soak's duration
+	checkpoint time.Duration // period of the racing checkpoints; 0: none
+	crashes    int
+	// observe, when set, watches an incarnation's store while its workers
+	// run; the function it returns is called once they have stopped.
+	observe func(d *Durable) func()
 }
 
-// TestDurableCrashRecoverMatrix is the acknowledged-write property test:
-// concurrent writers with SyncOnCommit, a crash at a random moment, then
-// recovery must show every acknowledged write and no impossible state.
-// The matrix covers sync mode x checkpointing x crash timing.
+func (r crashRun) run(t *testing.T, seed int64, dur time.Duration, workers int) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(seed))
+	soak := histcheck.NewSoak(workers, r.keys)
+	for inc := 0; ; inc++ {
+		d, err := OpenDurable(dir, DurableOptions{Tree: r.opts, SyncOnCommit: r.sync})
+		if err != nil {
+			t.Fatalf("incarnation %d: recovery: %v", inc, err)
+		}
+		err = d.Tree().Validate()
+		if err == nil && r.sync {
+			err = soak.Sweep(treePairs(d.Tree()))
+		}
+		if err != nil || inc == r.crashes {
+			d.Close()
+			if err != nil {
+				t.Fatalf("incarnation %d after recovery: %v", inc, err)
+			}
+			return
+		}
+		soak.Stop.Store(false)
+		soak.Autopsy = func(k []byte) string { return FormatPath(d.Tree().DescendPath(k)) }
+		var done func()
+		if r.observe != nil {
+			done = r.observe(d)
+		}
+		var crashed atomic.Bool
+		var cps sync.WaitGroup
+		if r.checkpoint > 0 {
+			cps.Add(1)
+			go func() {
+				defer cps.Done()
+				tick := time.NewTicker(r.checkpoint)
+				defer tick.Stop()
+				for range tick.C {
+					if soak.Stop.Load() {
+						return
+					}
+					if _, err := d.Checkpoint(); err != nil && !crashed.Load() {
+						t.Errorf("checkpoint before the crash: %v", err)
+					}
+				}
+			}()
+		}
+		crashAt := r.crashAfter
+		if crashAt == 0 {
+			crashAt = dur/4 + time.Duration(rng.Int63n(int64(dur/2)))
+		}
+		crashDone := make(chan struct{})
+		crash := time.AfterFunc(crashAt, func() {
+			defer close(crashDone)
+			crashed.Store(true)
+			if err := d.Crash(); err != nil {
+				t.Errorf("crash: %v", err)
+			}
+			soak.Stop.Store(true)
+		})
+		wseed := rng.Int63()
+		err = soak.Run(crashAt+time.Minute, 10*time.Second, func(w int) error {
+			s := d.NewSession()
+			defer s.Release()
+			err := soak.Work(w, s, rand.New(rand.NewSource(wseed+int64(w))), 0)
+			if errors.Is(err, wal.ErrCrashed) || errors.Is(err, wal.ErrClosed) {
+				return nil // the write in flight is pending
+			}
+			return err
+		})
+		if !crash.Stop() {
+			<-crashDone
+		}
+		cps.Wait()
+		if done != nil {
+			done()
+		}
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("incarnation %d: %v", inc, err)
+		}
+		t.Logf("incarnation %d: crashed at %v", inc, crashAt.Round(time.Millisecond))
+		if rng.Intn(2) == 0 {
+			junk := make([]byte, 1+rng.Intn(64))
+			rng.Read(junk)
+			if err := appendGarbageToLastSegment(dir, junk); err != nil {
+				t.Fatalf("torn tail: %v", err)
+			}
+		}
+	}
+}
+
+// treePairs visits every pair of a quiescent tree in key order.
+func treePairs(tr *Tree) func(visit func([]byte, uint64)) {
+	return func(visit func([]byte, uint64)) {
+		s := tr.NewSession()
+		defer s.Release()
+		it := s.NewIterator()
+		for it.SeekFirst(); it.Valid(); it.Next() {
+			visit(it.Key(), it.Value())
+		}
+	}
+}
+
+// TestDurableCrashRecoverMatrix runs the acknowledged-write soak over
+// sync mode x checkpointing x crash timing, then as a seeded soak of the
+// SMO-churn geometry with two crashes on one directory.
 func TestDurableCrashRecoverMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash matrix is slow")
 	}
+	seed, dur, workers := soakSettings(t, time.Second, 4)
 	for _, tc := range []struct {
-		name       string
-		sync       bool
-		checkpoint bool
-		crashAfter time.Duration
+		name string
+		r    crashRun
 	}{
-		{"sync-early-crash", true, false, 5 * time.Millisecond},
-		{"sync-late-crash", true, false, 60 * time.Millisecond},
-		{"sync-with-checkpoint", true, true, 60 * time.Millisecond},
-		{"async-with-checkpoint", false, true, 60 * time.Millisecond},
+		{"sync-early-crash", crashRun{opts: DefaultOptions(), keys: 200, sync: true, crashAfter: 5 * time.Millisecond, crashes: 1}},
+		{"sync-late-crash", crashRun{opts: DefaultOptions(), keys: 200, sync: true, crashAfter: 60 * time.Millisecond, crashes: 1}},
+		{"sync-with-checkpoint", crashRun{opts: DefaultOptions(), keys: 200, sync: true, crashAfter: 60 * time.Millisecond, checkpoint: 30 * time.Millisecond, crashes: 1}},
+		{"async-with-checkpoint", crashRun{opts: DefaultOptions(), keys: 200, crashAfter: 60 * time.Millisecond, checkpoint: 30 * time.Millisecond, crashes: 1}},
+		{"soak", crashRun{opts: soakOptions(), keys: 20000, sync: true, checkpoint: min(time.Second, dur/8), crashes: 2}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			d, err := OpenDurable(dir, DurableOptions{SyncOnCommit: tc.sync})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			const workers = 4
-			logs := make([]*workerLog, workers)
-			var wg sync.WaitGroup
-			var stop atomic.Bool
-			for wi := 0; wi < workers; wi++ {
-				logs[wi] = &workerLog{mirror: make(map[uint64]uint64)}
-				wg.Add(1)
-				go func(wi int, lg *workerLog) {
-					defer wg.Done()
-					s := d.NewSession()
-					defer s.Release()
-					rng := rand.New(rand.NewSource(int64(wi) * 7919))
-					for i := 0; !stop.Load(); i++ {
-						// Each worker owns the congruence class k = wi mod workers.
-						k := uint64(wi) + uint64(rng.Intn(200))*workers
-						key := dkey(k)
-						old, exists := lg.mirror[k]
-						var op byte
-						var val uint64
-						switch {
-						case !exists:
-							op, val = wal.OpInsert, uint64(i)<<8|uint64(wi)
-						case rng.Intn(3) == 0:
-							op, val = wal.OpDelete, old
-						default:
-							op, val = wal.OpUpdate, uint64(i)<<8|uint64(wi)
-						}
-						var ok bool
-						var err error
-						switch op {
-						case wal.OpInsert:
-							ok, err = s.Insert(key, val)
-						case wal.OpUpdate:
-							ok, err = s.Update(key, val)
-						case wal.OpDelete:
-							ok, err = s.Delete(key, old)
-						}
-						if err != nil {
-							// Crashed mid-commit: the op may or may not have
-							// become durable. Record it as unresolved.
-							lg.pending = &pendingOp{op: op, key: k, val: val}
-							return
-						}
-						if !ok {
-							t.Errorf("worker %d: op %c on key %d unexpectedly returned false", wi, op, k)
-							return
-						}
-						if tc.sync {
-							// Acknowledged: must survive.
-							if op == wal.OpDelete {
-								delete(lg.mirror, k)
-							} else {
-								lg.mirror[k] = val
-							}
-						} else {
-							// Async acks are not crash-durable; track state
-							// only for pending-op bookkeeping. A crash may
-							// roll back an arbitrary suffix, so this mirror
-							// is not checked in async mode.
-							if op == wal.OpDelete {
-								delete(lg.mirror, k)
-							} else {
-								lg.mirror[k] = val
-							}
-						}
-					}
-				}(wi, logs[wi])
-			}
-
-			if tc.checkpoint {
-				// Race a checkpoint against the writers.
-				go func() {
-					time.Sleep(tc.crashAfter / 2)
-					d.Checkpoint() // error ignored: may race the crash
-				}()
-			}
-			time.Sleep(tc.crashAfter)
-			if err := d.Crash(); err != nil {
-				t.Fatal(err)
-			}
-			stop.Store(true)
-			wg.Wait()
-			if err := d.Close(); err != nil {
-				t.Fatalf("Close after crash: %v", err)
-			}
-
-			d2, err := OpenDurable(dir, DurableOptions{})
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
-			defer d2.Close()
-			if err := d2.Tree().Validate(); err != nil {
-				t.Fatalf("Validate after crash recovery: %v", err)
-			}
-			if !tc.sync {
-				return // no per-key guarantees to check in async mode
-			}
-			s := d2.NewSession()
-			defer s.Release()
-			var out []uint64
-			for wi, lg := range logs {
-				pendingKey := uint64(1 << 62) // sentinel: no pending key
-				if lg.pending != nil {
-					pendingKey = lg.pending.key
-				}
-				for k, v := range lg.mirror {
-					if k == pendingKey {
-						continue // checked below with both outcomes allowed
-					}
-					out = s.Lookup(dkey(k), out[:0])
-					if len(out) != 1 || out[0] != v {
-						t.Errorf("worker %d: acked key %d = %v, want [%d]", wi, k, out, v)
-					}
-				}
-				if lg.pending != nil {
-					// The unresolved op either applied or it did not; both
-					// states are legal, anything else is not.
-					p := lg.pending
-					out = s.Lookup(dkey(p.key), out[:0])
-					before, had := lg.mirror[p.key]
-					okBefore := (had && len(out) == 1 && out[0] == before) || (!had && len(out) == 0)
-					var okAfter bool
-					switch p.op {
-					case wal.OpDelete:
-						okAfter = len(out) == 0
-					default:
-						okAfter = len(out) == 1 && out[0] == p.val
-					}
-					if !okBefore && !okAfter {
-						t.Errorf("worker %d: pending key %d = %v, want pre-state (%v,%d) or post-state (%c,%d)",
-							wi, p.key, out, had, before, p.op, p.val)
-					}
-				}
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { tc.r.run(t, seed, dur, workers) })
 	}
 }
 

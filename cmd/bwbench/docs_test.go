@@ -23,6 +23,7 @@ var docFiles = []string{
 	"README.md",
 	"DESIGN.md",
 	"EXPERIMENTS.md",
+	"PAPER.md",
 	".claude/skills/verify/SKILL.md",
 	".github/workflows/ci.yml",
 }
@@ -31,6 +32,22 @@ var docFiles = []string{
 // or `go run ./cmd/bwbench` — then its numeric flags, and captures the
 // experiment names that follow on the same line.
 var bwbenchCall = regexp.MustCompile("(?:^|[\\s`(]|\\./cmd/)bwbench(?:[ \\t]+-\\w+(?:[ =][\\d_]+)?)*((?:[ \\t]+[a-z][a-z0-9-]*)+)")
+
+// forEachDocLine runs visit, in one subtest per document, on every line
+// of the documents, numbered from 1.
+func forEachDocLine(t *testing.T, visit func(t *testing.T, doc string, n int, line string)) {
+	for _, doc := range docFiles {
+		t.Run(doc, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("..", "..", doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(data), "\n") {
+				visit(t, doc, i+1, line)
+			}
+		})
+	}
+}
 
 // TestDocsNameLiveExperiments fails when a document runs a bwbench
 // experiment that no longer exists or points at a deleted bench/BENCH*
@@ -41,27 +58,19 @@ func TestDocsNameLiveExperiments(t *testing.T) {
 		known[e.Name] = true
 	}
 	calls := 0
-	for _, name := range docFiles {
-		t.Run(name, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join("..", "..", name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, line := range strings.Split(string(data), "\n") {
-				if strings.Contains(line, "bench/BENCH") {
-					t.Errorf("%s:%d: points at a deleted bench/BENCH* baseline: %s", name, i+1, line)
-				}
-				for _, m := range bwbenchCall.FindAllStringSubmatch(line, -1) {
-					calls++
-					for _, exp := range strings.Fields(m[1]) {
-						if !known[exp] {
-							t.Errorf("%s:%d: bwbench has no experiment %q: %s", name, i+1, exp, line)
-						}
-					}
+	forEachDocLine(t, func(t *testing.T, doc string, n int, line string) {
+		if strings.Contains(line, "bench/BENCH") {
+			t.Errorf("%s:%d: points at a deleted bench/BENCH* baseline: %s", doc, n, line)
+		}
+		for _, m := range bwbenchCall.FindAllStringSubmatch(line, -1) {
+			calls++
+			for _, exp := range strings.Fields(m[1]) {
+				if !known[exp] {
+					t.Errorf("%s:%d: bwbench has no experiment %q: %s", doc, n, exp, line)
 				}
 			}
-		})
-	}
+		}
+	})
 	if calls == 0 {
 		t.Fatal("found no bwbench invocation in the documents; the pattern is broken")
 	}
@@ -81,23 +90,36 @@ func TestDocsNameLiveOptions(t *testing.T) {
 		}
 	}
 	refs := 0
-	for _, name := range docFiles {
-		t.Run(name, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join("..", "..", name))
-			if err != nil {
-				t.Fatal(err)
+	forEachDocLine(t, func(t *testing.T, doc string, n int, line string) {
+		for _, m := range optionRef.FindAllStringSubmatch(line, -1) {
+			refs++
+			if !fields[m[1]] {
+				t.Errorf("%s:%d: no option struct has a field %q: %s", doc, n, m[1], line)
 			}
-			for i, line := range strings.Split(string(data), "\n") {
-				for _, m := range optionRef.FindAllStringSubmatch(line, -1) {
-					refs++
-					if !fields[m[1]] {
-						t.Errorf("%s:%d: no option struct has a field %q: %s", name, i+1, m[1], line)
-					}
-				}
-			}
-		})
-	}
+		}
+	})
 	if refs == 0 {
 		t.Fatal("found no `Options.X` in the documents; the pattern is broken")
+	}
+}
+
+// commandRef matches a cmd/<name> path and captures name.
+var commandRef = regexp.MustCompile(`cmd/([a-z][a-z0-9-]*)`)
+
+// TestDocsNameLiveCommands fails when a document names a cmd/<name>
+// directory that does not exist, so a recipe left pointing at a deleted
+// command goes red.
+func TestDocsNameLiveCommands(t *testing.T) {
+	refs := 0
+	forEachDocLine(t, func(t *testing.T, doc string, n int, line string) {
+		for _, m := range commandRef.FindAllStringSubmatch(line, -1) {
+			refs++
+			if _, err := os.Stat(filepath.Join("..", m[1])); err != nil {
+				t.Errorf("%s:%d: names cmd/%s, which does not exist: %s", doc, n, m[1], line)
+			}
+		}
+	})
+	if refs == 0 {
+		t.Fatal("found no cmd/<name> in the documents; the pattern is broken")
 	}
 }

@@ -16,10 +16,6 @@
 // down gracefully — stop accepting, drain connections, checkpoint, close
 // the log.
 //
-// Drive it with the stress rig:
-//
-//	go run ./cmd/bwstress -server localhost:7070 -workers 64 -check
-//
 // The repo benchmark's wire-point, wire-pipe and wire-scan workloads
 // measure the same server over loopback
 // (bash benchmark/run.sh --workload wire-point).

@@ -30,11 +30,17 @@ func smallTreeOpts() bwtree.Options {
 // startServer spins up a volatile sharded server on a loopback port.
 func startServer(t *testing.T, shards int) (*Server, string) {
 	t.Helper()
+	return startServerWith(t, shards, smallTreeOpts())
+}
+
+// startServerWith is startServer over trees with the given options.
+func startServerWith(t *testing.T, shards int, opts bwtree.Options) (*Server, string) {
+	t.Helper()
 	r, err := shard.NewRouter("hash", shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := shard.Open(shard.Options{Shards: shards, Router: r, Tree: smallTreeOpts()})
+	st, err := shard.Open(shard.Options{Shards: shards, Router: r, Tree: opts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package bwproto
 import (
 	"encoding/binary"
 	"errors"
-	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/index"
@@ -111,100 +109,6 @@ func TestTxnRoundTrip(t *testing.T) {
 	if v, _, found, _ := c.GetVersion(tkey(4)); !found || v != cur {
 		t.Fatalf("moved value = (%d, %v), want (%d, true)", v, found, cur)
 	}
-}
-
-// TestTxnBankOverSocket runs the bank-transfer invariant across the wire:
-// concurrent clients move money between accounts sharded over four trees,
-// and the total is conserved — cross-shard atomicity observed end to end.
-func TestTxnBankOverSocket(t *testing.T) {
-	_, addr := startServer(t, 4)
-
-	const accounts = 64
-	const initial = 1000
-	setup := dialConn(t, addr)
-	for i := 0; i < accounts; i++ {
-		if _, err := setup.Insert(tkey(uint64(i)), initial); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	workers, transfers := 8, 200
-	if testing.Short() {
-		workers, transfers = 4, 50
-	}
-	var wg sync.WaitGroup
-	var commits, conflicts int64
-	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ix, err := DialIndex(addr)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer ix.Close()
-			ts := ix.NewTxnSession()
-			defer ts.Release()
-			rng := rand.New(rand.NewSource(int64(w)))
-			var myCommits, myConflicts int64
-			for i := 0; i < transfers; i++ {
-				from := uint64(rng.Intn(accounts))
-				to := uint64(rng.Intn(accounts))
-				if from == to {
-					continue
-				}
-				fv, fver, ok1, err1 := ts.GetVersion(tkey(from))
-				tv, tver, ok2, err2 := ts.GetVersion(tkey(to))
-				if err1 != nil || err2 != nil || !ok1 || !ok2 {
-					t.Errorf("read accounts: %v %v %v %v", ok1, ok2, err1, err2)
-					return
-				}
-				amount := uint64(rng.Intn(10))
-				if fv < amount {
-					continue
-				}
-				res, err := ts.CommitTxn(
-					[]index.TxnRead{{Key: tkey(from), Ver: fver}, {Key: tkey(to), Ver: tver}},
-					[]index.TxnWrite{
-						{Op: index.TxnPut, Key: tkey(from), Value: fv - amount},
-						{Op: index.TxnPut, Key: tkey(to), Value: tv + amount},
-					},
-				)
-				if err != nil {
-					t.Errorf("commit: %v", err)
-					return
-				}
-				if res.Status == index.TxnCommitted {
-					myCommits++
-				} else {
-					myConflicts++
-				}
-			}
-			mu.Lock()
-			commits += myCommits
-			conflicts += myConflicts
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	var sum uint64
-	for i := 0; i < accounts; i++ {
-		v, _, found, err := setup.GetVersion(tkey(uint64(i)))
-		if err != nil || !found {
-			t.Fatalf("account %d: found=%v err=%v", i, found, err)
-		}
-		sum += v
-	}
-	if sum != accounts*initial {
-		t.Fatalf("bank sum = %d, want %d (money not conserved)", sum, accounts*initial)
-	}
-	t.Logf("bank over socket: %d commits, %d conflicts, sum conserved", commits, conflicts)
 }
 
 // TestTxnReadCountOverLimit sends an OpTxn frame announcing more reads

@@ -106,13 +106,10 @@ type Options struct {
 	// FlightRecorderSize, when positive, gives each session a ring of
 	// the most recent operation summaries (class, latency, observed
 	// chain depth, CaS retries, aborts) — the always-on flight recorder.
-	// The ring is dumped automatically on anomaly (latency over
-	// FlightLatencyThreshold, chain depth over the consolidation
-	// trigger) and on demand via Tree.FlightRecent or /debug/flightrec.
+	// The ring is dumped automatically on anomaly (chain depth over the
+	// consolidation trigger) and on demand via Tree.FlightRecent or
+	// /debug/flightrec.
 	FlightRecorderSize int
-	// FlightLatencyThreshold is the per-op latency beyond which the
-	// flight recorder auto-dumps; zero disables the latency trigger.
-	FlightLatencyThreshold time.Duration
 
 	// GC selects the garbage-collection scheme.
 	GC GCScheme
@@ -211,9 +208,6 @@ func (o *Options) sanitize() {
 	}
 	if o.FlightRecorderSize < 0 {
 		o.FlightRecorderSize = 0
-	}
-	if o.FlightLatencyThreshold < 0 {
-		o.FlightLatencyThreshold = 0
 	}
 	// A node must be able to shed its merge threshold after a split.
 	if o.LeafMergeSize > o.LeafNodeSize/2 {

@@ -8,7 +8,7 @@ import (
 // Diagnostic path dump: the read-only descent walker originally grown
 // inside the high-pressure reproducer (zz_repro_test.go) to autopsy
 // wedged trees, promoted to a reusable debug surface. It is used by the
-// reproducer's stall autopsy, cmd/bwstress's stall detector, and
+// reproducer's stall autopsy, the soak tests' stall detector, and
 // bwtree-cli's "path" command.
 
 // PathStep describes one hop of a diagnostic descent.

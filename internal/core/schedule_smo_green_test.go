@@ -220,7 +220,7 @@ func TestScheduleNonUniqueInjectedRace(t *testing.T) {
 
 // TestScheduleFoldedSplitTailRace is the deterministic regression test
 // for mode (c) of the high-pressure SMO bug — the folded-split-tail
-// wedge found by the bwstress stall detector: a victim whose own split
+// wedge found by the soak stall detector: a victim whose own split
 // folded with its separator unposted must be refused by the merge
 // coverage guard, because the merge's ∆separator-delete cannot cover
 // the separator's full base range. Under -tags smoracebug the same

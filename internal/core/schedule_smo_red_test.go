@@ -50,7 +50,7 @@ func TestScheduleRedUnpostedSeparator(t *testing.T) {
 // the drained victim of a folded-but-unposted split is merged away and
 // the parent's base separator keeps routing the tail of the range into
 // the recycled node — the permanent stale route behind the all-workers
-// bwstress/soak livelock.
+// soak livelock.
 func TestScheduleRedFoldedSplitTail(t *testing.T) {
 	out := runFoldedSplitTailRace(t)
 	if out.sepFails == 0 {

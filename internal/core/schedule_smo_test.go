@@ -190,7 +190,7 @@ type foldedTailOutcome struct {
 // Pre-fix, step 3 merges the victim: Stage III's ∆separator-delete
 // covers only [leftKey, splitKey), so tail keys [splitKey, high) fall
 // through to the stale base separator and route into the recycled
-// victim — the permanent all-workers wedge seen in bwstress and the
+// victim — the permanent all-workers wedge seen in the ownership soak and the
 // BWTREE_REPRO soak. Post-fix, the coverage guard refuses the merge and
 // the half-split stays fully reachable.
 func runFoldedSplitTailRace(t *testing.T) foldedTailOutcome {

@@ -400,7 +400,7 @@ func (s *Session) tryMerge(parentID nodeID, parentHead *delta, id nodeID, head *
 		// separator and lands on the recycled victim — a permanent stale
 		// route that wedges every operation on those keys until the
 		// parent happens to consolidate (which the wedge itself then
-		// starves; this was the all-workers bwstress/soak livelock).
+		// starves; this was the all-workers soak livelock).
 		// Refusing is safe: the half-split state stays fully reachable
 		// via sibling links, exactly like an unposted sibling under the
 		// routing guard above.

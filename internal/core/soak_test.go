@@ -1,112 +1,68 @@
-package core
+package core_test
 
 import (
-	"encoding/binary"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/histcheck"
 )
 
-// TestSoakOwnership is the in-test version of cmd/bwstress: workers churn
-// a shared tree while each exactly tracks the state of a private slice of
-// the key space. Any mismatch is a real linearizability violation.
+// soakSettings reads the -soak.seed, -soak.dur and -soak.workers flags.
+var soakSettings = histcheck.SoakFlags()
+
+// soakSession adapts a tree session, whose writes cannot fail, to the
+// soak oracle.
+type soakSession struct{ *core.Session }
+
+func (s soakSession) Insert(k []byte, v uint64) (bool, error) { return s.Session.Insert(k, v), nil }
+func (s soakSession) Delete(k []byte, v uint64) (bool, error) { return s.Session.Delete(k, v), nil }
+func (s soakSession) Update(k []byte, v uint64) (bool, error) { return s.Session.Update(k, v), nil }
+
+// soakOptions is the SMO-churn geometry every tree soak runs: small
+// leaves, short chains and merges on, over DefaultOptions.
+func soakOptions() core.Options {
+	o := core.DefaultOptions()
+	o.LeafNodeSize, o.InnerNodeSize = 32, 16
+	o.LeafChainLength, o.InnerChainLength = 8, 2
+	o.LeafMergeSize, o.InnerMergeSize = 8, 4
+	return o
+}
+
+// TestSoakOwnership churns one tree with the soak geometry: each worker
+// runs the ownership oracle's mix over its own 20000 keys, so any outcome
+// that differs from its mirror is a linearizability violation, and a
+// stall reports each worker's descent path. The tree must then validate
+// and hold exactly the mirrors' union.
 func TestSoakOwnership(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak is slow")
 	}
-	opts := DefaultOptions()
-	opts.LeafNodeSize = 32
-	opts.InnerNodeSize = 16
-	opts.LeafChainLength = 8
-	opts.InnerChainLength = 2
-	opts.LeafMergeSize = 8
-	opts.InnerMergeSize = 4
-	tr := New(opts)
+	seed, dur, workers := soakSettings(t, 2*time.Second, 6)
+	tr := core.New(soakOptions())
 	defer tr.Close()
-
-	const nw = 6
-	const keyspace = 20000
-	deadline := time.Now().Add(8 * time.Second)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := tr.NewSession()
-			defer s.Release()
-			rng := rand.New(rand.NewSource(int64(w)*97 + 1))
-			owned := map[uint64]uint64{}
-			var out []uint64
-			for !stop.Load() {
-				k := uint64(w) + uint64(rng.Intn(keyspace))*nw + 1
-				switch rng.Intn(6) {
-				case 0:
-					v := rng.Uint64()
-					_, had := owned[k]
-					if s.Insert(key64(k), v) == had {
-						t.Errorf("worker %d: insert key %d inconsistent (had=%v)", w, k, had)
-						stop.Store(true)
-						return
-					}
-					if !had {
-						owned[k] = v
-					}
-				case 1:
-					_, had := owned[k]
-					if s.Delete(key64(k), 0) != had {
-						t.Errorf("worker %d: delete key %d inconsistent (had=%v)", w, k, had)
-						stop.Store(true)
-						return
-					}
-					delete(owned, k)
-				case 2:
-					v := rng.Uint64()
-					_, had := owned[k]
-					if s.Update(key64(k), v) != had {
-						t.Errorf("worker %d: update key %d inconsistent (had=%v)", w, k, had)
-						stop.Store(true)
-						return
-					}
-					if had {
-						owned[k] = v
-					}
-				case 3, 4:
-					want, had := owned[k]
-					out = s.Lookup(key64(k), out[:0])
-					if had != (len(out) == 1) || had && out[0] != want {
-						t.Errorf("worker %d: lookup key %d got %v want %d,%v", w, k, out, want, had)
-						stop.Store(true)
-						return
-					}
-				default:
-					var prev uint64
-					first := true
-					s.Scan(key64(k), 32, func(kk []byte, v uint64) bool {
-						cur := binary.BigEndian.Uint64(kk)
-						if !first && cur <= prev {
-							t.Errorf("worker %d: scan order violation %d after %d", w, cur, prev)
-							stop.Store(true)
-							return false
-						}
-						prev, first = cur, false
-						return true
-					})
-				}
-			}
-		}(w)
-	}
-	for time.Now().Before(deadline) && !stop.Load() {
-		time.Sleep(50 * time.Millisecond)
-	}
-	stop.Store(true)
-	wg.Wait()
-	if t.Failed() {
-		return
+	soak := histcheck.NewSoak(workers, 20000)
+	soak.Autopsy = func(k []byte) string { return core.FormatPath(tr.DescendPath(k)) }
+	err := soak.Run(dur, 30*time.Second, func(w int) error {
+		s := tr.NewSession()
+		defer s.Release()
+		return soak.Work(w, soakSession{s}, rand.New(rand.NewSource(seed+int64(w))), 0)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
+	}
+	if err := soak.Sweep(func(visit func([]byte, uint64)) {
+		s := tr.NewSession()
+		defer s.Release()
+		it := s.NewIterator()
+		for it.SeekFirst(); it.Valid(); it.Next() {
+			visit(it.Key(), it.Value())
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -80,7 +80,6 @@ func New(opts Options) *Tree {
 		tc.SampleEvery = opts.PhaseSampleEvery
 		tc.TraceBuf = opts.PhaseTraceBuffer
 		tc.FlightBuf = opts.FlightRecorderSize
-		tc.LatencyAnomalyNS = int64(opts.FlightLatencyThreshold)
 		// An op can legitimately observe a chain right at the
 		// consolidation trigger; strictly deeper means consolidation is
 		// losing its publish race repeatedly — worth a dump.

@@ -142,18 +142,6 @@ func (c *Checked) NewSession() index.Session {
 	return &session{c: c, inner: inner, batch: index.AsBatch(inner), log: l}
 }
 
-// Ops reports how many operations have been recorded so far. Only exact
-// once all sessions are quiescent.
-func (c *Checked) Ops() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, l := range c.logs {
-		n += len(l.ops)
-	}
-	return n
-}
-
 // History merges every session's log into one Inv-ordered history. All
 // sessions must be quiescent (no operation in flight).
 func (c *Checked) History() *History {

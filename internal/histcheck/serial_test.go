@@ -6,16 +6,17 @@ import (
 	"sync"
 	"testing"
 
+	"repro/bwtree"
 	"repro/internal/index"
 	"repro/internal/shard"
 	"repro/internal/txn"
 )
 
 // newTxnStore builds the OCC engine over a fresh one-shard in-memory
-// store, closed when the test ends.
+// store of DefaultOptions trees, closed when the test ends.
 func newTxnStore(t *testing.T) *txn.Store {
 	t.Helper()
-	ss, err := shard.Open(shard.Options{})
+	ss, err := shard.Open(shard.Options{Tree: bwtree.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,9 +136,6 @@ type DeepConfig struct {
 	// FlightBuf is the per-session flight-recorder capacity; 0 disables
 	// the flight recorder.
 	FlightBuf int
-	// LatencyAnomalyNS auto-dumps the flight recorder when an op takes
-	// longer than this many nanoseconds; 0 disables the latency trigger.
-	LatencyAnomalyNS int64
 	// ChainAnomaly auto-dumps when an op observes a leaf chain deeper
 	// than this (the consolidation trigger is the natural setting); 0
 	// disables the chain trigger.
@@ -323,7 +320,7 @@ func (d *Deep) Note(reason string) {
 }
 
 // anomalyDumpGap is the minimum spacing between automatic dumps, so an
-// anomaly storm (every op over threshold) degrades to one dump a second
+// anomaly storm (every op past the trigger) degrades to one dump a second
 // instead of a stderr flood.
 const anomalyDumpGap = int64(time.Second)
 
@@ -488,14 +485,9 @@ func (p *Probe) OpEnd(c OpClass, start, dur int64) {
 			Seq: p.d.seq.Add(1), Class: c, Start: start, Dur: dur,
 			ChainLen: p.opChain, CASRetries: p.opCAS, Aborts: p.opAborts,
 		})
-		cfg := &p.d.cfg
-		switch {
-		case cfg.LatencyAnomalyNS > 0 && dur > cfg.LatencyAnomalyNS:
-			p.d.anomaly(fmt.Sprintf("%s op took %dus (threshold %dus)",
-				c, dur/1000, cfg.LatencyAnomalyNS/1000), p)
-		case cfg.ChainAnomaly > 0 && p.opChain > uint32(cfg.ChainAnomaly):
+		if ca := p.d.cfg.ChainAnomaly; ca > 0 && p.opChain > uint32(ca) {
 			p.d.anomaly(fmt.Sprintf("%s op saw chain depth %d (consolidation trigger %d)",
-				c, p.opChain, cfg.ChainAnomaly), p)
+				c, p.opChain, ca), p)
 		}
 	}
 	if p.active {

@@ -160,16 +160,17 @@ func TestFlightRingKeepsNewest(t *testing.T) {
 }
 
 func TestAnomalyRateLimitAndNoteBypass(t *testing.T) {
-	d := NewDeep(DeepConfig{FlightBuf: 16, LatencyAnomalyNS: 1000})
+	d := NewDeep(DeepConfig{FlightBuf: 16, ChainAnomaly: 8})
 	var dumps atomic.Int64
 	d.SetAnomalySink(func(reason string, recent []OpSummary) {
 		dumps.Add(1)
 	})
 	p := d.Probe()
-	// A storm of over-threshold ops triggers many anomalies but at most
-	// one dump per rate-limit window.
+	// A storm of ops past the chain trigger raises many anomalies but
+	// at most one dump per rate-limit window.
 	for i := 0; i < 50; i++ {
 		p.OpBegin()
+		p.NoteChain(9)
 		endOp(p, OpScan, 5000)
 	}
 	if got := d.Anomalies(); got != 50 {

@@ -1,11 +1,10 @@
 package txn
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/bwtree"
 	"repro/internal/index"
 	"repro/internal/shard"
 )
@@ -15,11 +14,11 @@ func tkey(i uint64) []byte {
 	return index.EncodeUint64(b[:0], i)
 }
 
-// openStore opens a shard.Store with the given shard count, durable
-// under walDir when it is non-empty.
+// openStore opens a shard.Store of DefaultOptions trees with the given
+// shard count, durable under walDir when it is non-empty.
 func openStore(t *testing.T, shards int, walDir string) *shard.Store {
 	t.Helper()
-	ss, err := shard.Open(shard.Options{Shards: shards, WALDir: walDir, SyncOnCommit: walDir != ""})
+	ss, err := shard.Open(shard.Options{Shards: shards, Tree: bwtree.DefaultOptions(), WALDir: walDir, SyncOnCommit: walDir != ""})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,9 +237,11 @@ func TestTxnSharesDurableStripes(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
+		// Release before reporting: once the test has the outcome it may
+		// close the store, which must not race this session's release.
 		s2 := st.NewSession()
-		defer s2.Release()
 		res, err := s2.CommitTxn(nil, []index.TxnWrite{{Op: index.TxnPut, Key: x, Value: 7}})
+		s2.Release()
 		done <- outcome{res, err}
 	}()
 	select {
@@ -255,223 +256,6 @@ func TestTxnSharesDurableStripes(t *testing.T) {
 	}
 	if v, _, found, _ := s.GetVersion(x); !found || v != 7 {
 		t.Fatalf("x = %d %v, want 7", v, found)
-	}
-}
-
-// runBank drives concurrent random transfers over a transactional store
-// and returns the expected total. The invariant — the sum of all account
-// balances never changes — is what multi-key atomicity plus
-// serializability buys; either bug class breaks it.
-func runBank(t *testing.T, st *Store, accounts, workers, transfers int) uint64 {
-	t.Helper()
-	const initial = 1000
-	seed := st.NewSession()
-	stx := Begin(seed)
-	for i := 0; i < accounts; i++ {
-		stx.Put(tkey(uint64(i)), initial)
-	}
-	if res, err := stx.Commit(); err != nil || res.Status != index.TxnCommitted {
-		t.Fatalf("seed: %+v %v", res, err)
-	}
-	seed.Release()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) * 7919))
-			s := st.NewSession()
-			defer s.Release()
-			for i := 0; i < transfers; i++ {
-				from := uint64(rng.Intn(accounts))
-				to := uint64(rng.Intn(accounts))
-				if from == to {
-					continue
-				}
-				amt := uint64(rng.Intn(10) + 1)
-				_, err := RunTxn(s, 0, func(tx *Tx) error {
-					fv, _, err := tx.Get(tkey(from))
-					if err != nil {
-						return err
-					}
-					if fv < amt {
-						return nil // insufficient funds: commit read-only
-					}
-					tv, _, err := tx.Get(tkey(to))
-					if err != nil {
-						return err
-					}
-					tx.Put(tkey(from), fv-amt)
-					tx.Put(tkey(to), tv+amt)
-					return nil
-				})
-				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return uint64(accounts) * initial
-}
-
-func bankSum(t *testing.T, st *Store, accounts int) uint64 {
-	t.Helper()
-	s := st.NewSession()
-	defer s.Release()
-	var sum uint64
-	for i := 0; i < accounts; i++ {
-		v, _, found, err := s.GetVersion(tkey(uint64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !found {
-			t.Fatalf("account %d missing", i)
-		}
-		sum += v
-	}
-	return sum
-}
-
-func TestTxnBankPlainTree(t *testing.T) {
-	ss := openStore(t, 1, "")
-	defer ss.Close()
-	st := New(ss)
-	want := runBank(t, st, 32, 8, 300)
-	if got := bankSum(t, st, 32); got != want {
-		t.Fatalf("sum %d, want %d", got, want)
-	}
-	if st.Stats().Commits == 0 {
-		t.Fatal("no commits counted")
-	}
-}
-
-func TestTxnBankDurable(t *testing.T) {
-	dir := t.TempDir()
-	ss := openStore(t, 1, dir)
-	st := New(ss)
-	want := runBank(t, st, 32, 8, 200)
-	if got := bankSum(t, st, 32); got != want {
-		t.Fatalf("pre-close sum %d, want %d", got, want)
-	}
-	if err := ss.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Recovery must land on the same conserved total.
-	ss2 := openStore(t, 1, dir)
-	defer ss2.Close()
-	st2 := New(ss2)
-	if got := bankSum(t, st2, 32); got != want {
-		t.Fatalf("post-recovery sum %d, want %d", got, want)
-	}
-}
-
-func TestTxnBankShardDurable(t *testing.T) {
-	walDir := t.TempDir()
-	ss := openStore(t, 4, walDir)
-	st := New(ss)
-	want := runBank(t, st, 32, 8, 200)
-	if got := bankSum(t, st, 32); got != want {
-		t.Fatalf("pre-close sum %d, want %d", got, want)
-	}
-	if err := ss.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ss2 := openStore(t, 4, walDir)
-	defer ss2.Close()
-	st2 := New(ss2)
-	if got := bankSum(t, st2, 32); got != want {
-		t.Fatalf("post-recovery sum %d, want %d", got, want)
-	}
-	// The recovered ID counter sits above every logged transaction ID.
-	if ss2.RecoveryStats().MaxTxnID == 0 {
-		t.Fatal("recovered MaxTxnID is zero after transactional load")
-	}
-}
-
-// TestTxnBankShardCrash kills the log mid-workload (simulated power
-// failure: all unsynced buffers dropped) and checks the recovered store
-// conserved the total — a commit spanning shards is one record, so it
-// applies on every shard or on none.
-func TestTxnBankShardCrash(t *testing.T) {
-	walDir := t.TempDir()
-	ss := openStore(t, 4, walDir)
-	st := New(ss)
-
-	const accounts = 32
-	const initial = 1000
-	seed := st.NewSession()
-	stx := Begin(seed)
-	for i := 0; i < accounts; i++ {
-		stx.Put(tkey(uint64(i)), initial)
-	}
-	if res, err := stx.Commit(); err != nil || res.Status != index.TxnCommitted {
-		t.Fatalf("seed: %+v %v", res, err)
-	}
-	seed.Release()
-	if err := ss.Durable().Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) + 1))
-			s := st.NewSession()
-			defer s.Release()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				from := uint64(rng.Intn(accounts))
-				to := uint64(rng.Intn(accounts))
-				if from == to {
-					continue
-				}
-				_, err := RunTxn(s, 3, func(tx *Tx) error {
-					fv, _, err := tx.Get(tkey(from))
-					if err != nil {
-						return err
-					}
-					if fv < 5 {
-						return nil
-					}
-					tv, _, err := tx.Get(tkey(to))
-					if err != nil {
-						return err
-					}
-					tx.Put(tkey(from), fv-5)
-					tx.Put(tkey(to), tv+5)
-					return nil
-				})
-				if err != nil {
-					return // post-crash errors are expected
-				}
-			}
-		}(w)
-	}
-	time.Sleep(150 * time.Millisecond)
-	if err := ss.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	wg.Wait()
-	if err := ss.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ss2 := openStore(t, 4, walDir)
-	defer ss2.Close()
-	st2 := New(ss2)
-	if got := bankSum(t, st2, accounts); got != accounts*initial {
-		t.Fatalf("crash recovery broke conservation: sum %d, want %d", got, accounts*initial)
 	}
 }
 

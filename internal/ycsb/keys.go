@@ -22,37 +22,13 @@ const (
 	// counter + worker-id suffix), so all inserts hit the tree's right
 	// edge.
 	MonoHC
-	// Path is synthetic 48-byte hierarchical object keys
-	// (tenant/NNNNNN/rack/NN/object/NNN...) in the style of object-store
-	// and multitenant composite keys: sort-adjacent keys share long
-	// prefixes, so base-node separator sets carry 30-40 shared bytes —
-	// the regime prefix-skip node layouts target.
-	Path
 )
 
 var keyTypeNames = map[KeyType]string{
 	MonoInt: "Mono-Int", RandInt: "Rand-Int", Email: "Email", MonoHC: "Mono-HC",
-	Path: "Path",
 }
 
 func (k KeyType) String() string { return keyTypeNames[k] }
-
-// ParseKeyType converts a name like "mono" or "Rand-Int" to a KeyType.
-func ParseKeyType(s string) (KeyType, error) {
-	switch s {
-	case "mono", "Mono-Int", "mono-int":
-		return MonoInt, nil
-	case "rand", "Rand-Int", "rand-int":
-		return RandInt, nil
-	case "email", "Email":
-		return Email, nil
-	case "hc", "Mono-HC", "mono-hc":
-		return MonoHC, nil
-	case "path", "Path":
-		return Path, nil
-	}
-	return 0, fmt.Errorf("ycsb: unknown key type %q", s)
-}
 
 // emailUsers and emailDomains seed the synthetic email generator.
 var emailUsers = []string{
@@ -79,34 +55,6 @@ func emailKey(i uint64) []byte {
 		key[j] = '.'
 	}
 	return key
-}
-
-// pathKey builds a deterministic fixed-length 48-byte hierarchical key
-// for ordinal v: tenant changes every 4096 ordinals, rack is derived from
-// the tenant (so it is constant within one), and the zero-padded object
-// field carries the ordinal itself. Keys whose ordinals are close — the
-// ones that end up sort-adjacent and share a base node — agree on
-// everything but the last few object digits.
-func pathKey(v uint64) []byte {
-	s := fmt.Sprintf("tenant/%06d/rack/%02d/object/%016d", v>>12, (v>>12)%89, v)
-	key := make([]byte, 48)
-	copy(key, s)
-	for j := len(s); j < 48; j++ {
-		key[j] = '.'
-	}
-	return key
-}
-
-// pathOrdinal scrambles sequence number i into the path-key ordinal
-// space: an odd-multiplier bijection over a power-of-two range about 4x
-// the population, so insertion order is unrelated to sort order and all
-// ordinals are distinct.
-func pathOrdinal(i uint64, n int) uint64 {
-	m := uint64(1) << 14
-	for m < 4*uint64(n) {
-		m <<= 1
-	}
-	return (i * 2654435761) & (m - 1)
 }
 
 // KeySet is the materialized load-phase key population: Keys[i] is the
@@ -159,11 +107,6 @@ func NewKeySet(t KeyType, n int) *KeySet {
 			ks.Keys[i] = k
 			i++
 		}
-	case Path:
-		// The ordinal scramble is a bijection, so no dedup is needed.
-		for i := range ks.Keys {
-			ks.Keys[i] = pathKey(pathOrdinal(uint64(i), n))
-		}
 	}
 	ks.nextExtra.Store(uint64(n))
 	return ks
@@ -184,11 +127,6 @@ func (ks *KeySet) ExtraKey() []byte {
 		return u64Key(i << 16)
 	case RandInt:
 		return u64Key(fnv64(i+1)<<16 | i&0xffff)
-	case Path:
-		// Ordinals past the population stay inside the same bijection, so
-		// extras are distinct from loaded keys until the ordinal space
-		// wraps (collisions then just make that insert a no-op).
-		return pathKey(pathOrdinal(i, len(ks.Keys)))
 	default:
 		// Emails: extend the ordinal space past the load phase; collisions
 		// with loaded keys are possible but just make that insert a no-op,

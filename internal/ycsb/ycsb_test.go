@@ -159,7 +159,6 @@ func TestWorkloadMixes(t *testing.T) {
 		ReadOnly:   {read: 1},
 		ReadUpdate: {read: 0.5, update: 0.5},
 		ScanInsert: {scan: 0.95, insert: 0.05},
-		ReadMostly: {read: 0.95, update: 0.05},
 	}
 	for w, want := range cases {
 		s := NewStream(w, ks, 0, 99)
@@ -197,25 +196,6 @@ func TestWorkloadMixes(t *testing.T) {
 				t.Fatalf("average scan length %.1f, paper reports ~48", avg)
 			}
 		}
-	}
-}
-
-func TestParseHelpers(t *testing.T) {
-	for _, s := range []string{"mono", "rand", "email", "hc"} {
-		if _, err := ParseKeyType(s); err != nil {
-			t.Fatalf("ParseKeyType(%q): %v", s, err)
-		}
-	}
-	if _, err := ParseKeyType("bogus"); err == nil {
-		t.Fatal("ParseKeyType accepted bogus")
-	}
-	for _, s := range []string{"insert", "a", "b", "c", "e"} {
-		if _, err := ParseWorkload(s); err != nil {
-			t.Fatalf("ParseWorkload(%q): %v", s, err)
-		}
-	}
-	if _, err := ParseWorkload("bogus"); err == nil {
-		t.Fatal("ParseWorkload accepted bogus")
 	}
 }
 
