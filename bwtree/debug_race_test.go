@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/histcheck"
 	"repro/internal/obs"
 )
 
@@ -182,7 +183,7 @@ func checkChromeTraceBody(body []byte) error {
 // with op slices.
 func TestDurableDebugSurfacesUnderMutation(t *testing.T) {
 	seed, dur, workers := soakSettings(t, time.Second, 4)
-	opts := soakOptions()
+	opts := histcheck.SoakOptions()
 	opts.LatencyHistograms = true
 	opts.TraceRingSize = 1024
 	opts.PhaseSampleEvery = 16

@@ -178,16 +178,6 @@ func TestDurableFailedOpLogsNothing(t *testing.T) {
 // soakSettings reads the -soak.seed, -soak.dur and -soak.workers flags.
 var soakSettings = histcheck.SoakFlags()
 
-// soakOptions is the SMO-churn geometry the tree soaks run: small leaves,
-// short chains and merges on, over DefaultOptions.
-func soakOptions() Options {
-	o := DefaultOptions()
-	o.LeafNodeSize, o.InnerNodeSize = 32, 16
-	o.LeafChainLength, o.InnerChainLength = 8, 2
-	o.LeafMergeSize, o.InnerMergeSize = 8, 4
-	return o
-}
-
 // crashRun is one acknowledged-write soak on one directory: workers run
 // the ownership oracle's mix through durable sessions while checkpoints
 // race them, then the log crashes, and half the crashes also tear its
@@ -218,7 +208,7 @@ func (r crashRun) run(t *testing.T, seed int64, dur time.Duration, workers int) 
 		}
 		err = d.Tree().Validate()
 		if err == nil && r.sync {
-			err = soak.Sweep(treePairs(d.Tree()))
+			err = soak.Sweep(histcheck.TreePairs(d.Tree()))
 		}
 		if err != nil || inc == r.crashes {
 			d.Close()
@@ -298,18 +288,6 @@ func (r crashRun) run(t *testing.T, seed int64, dur time.Duration, workers int) 
 	}
 }
 
-// treePairs visits every pair of a quiescent tree in key order.
-func treePairs(tr *Tree) func(visit func([]byte, uint64)) {
-	return func(visit func([]byte, uint64)) {
-		s := tr.NewSession()
-		defer s.Release()
-		it := s.NewIterator()
-		for it.SeekFirst(); it.Valid(); it.Next() {
-			visit(it.Key(), it.Value())
-		}
-	}
-}
-
 // TestDurableCrashRecoverMatrix runs the acknowledged-write soak over
 // sync mode x checkpointing x crash timing, then as a seeded soak of the
 // SMO-churn geometry with two crashes on one directory.
@@ -326,7 +304,7 @@ func TestDurableCrashRecoverMatrix(t *testing.T) {
 		{"sync-late-crash", crashRun{opts: DefaultOptions(), keys: 200, sync: true, crashAfter: 60 * time.Millisecond, crashes: 1}},
 		{"sync-with-checkpoint", crashRun{opts: DefaultOptions(), keys: 200, sync: true, crashAfter: 60 * time.Millisecond, checkpoint: 30 * time.Millisecond, crashes: 1}},
 		{"async-with-checkpoint", crashRun{opts: DefaultOptions(), keys: 200, crashAfter: 60 * time.Millisecond, checkpoint: 30 * time.Millisecond, crashes: 1}},
-		{"soak", crashRun{opts: soakOptions(), keys: 20000, sync: true, checkpoint: min(time.Second, dur/8), crashes: 2}},
+		{"soak", crashRun{opts: histcheck.SoakOptions(), keys: 20000, sync: true, checkpoint: min(time.Second, dur/8), crashes: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { tc.r.run(t, seed, dur, workers) })
 	}

@@ -347,8 +347,8 @@ func (c *Conn) Stats() (json.RawMessage, error) {
 }
 
 // NetIndex is an index.Index whose sessions are bwproto connections, so
-// the harness, the mirror verifier, and histcheck drive a live server
-// through the same code paths they use against an in-process tree.
+// the harness and histcheck drive a live server through the same code
+// paths they use against an in-process tree.
 // Session methods panic on transport errors: the callers are correctness
 // and benchmark rigs that own the server's lifetime, where a vanished
 // server is a rig bug, not a condition to handle.
@@ -398,35 +398,6 @@ func (ix *NetIndex) Close() {
 		c.Close()
 	}
 }
-
-// NewTxnSession dials one connection for transactional use, making
-// NetIndex an index.TxnStore: transactions run against a live server
-// through the same engine in-process callers use.
-func (ix *NetIndex) NewTxnSession() index.TxnSession {
-	c, err := Dial(ix.addr)
-	if err != nil {
-		panic(fmt.Sprintf("bwproto: dial %s: %v", ix.addr, err))
-	}
-	ix.mu.Lock()
-	ix.conns = append(ix.conns, c)
-	ix.mu.Unlock()
-	return &netTxnSession{c: c}
-}
-
-// netTxnSession adapts a Conn to index.TxnSession. Unlike netSession it
-// returns transport errors instead of panicking: the kill/recover soak
-// drives transactions across deliberate server crashes.
-type netTxnSession struct{ c *Conn }
-
-func (s *netTxnSession) GetVersion(key []byte) (uint64, uint64, bool, error) {
-	return s.c.GetVersion(key)
-}
-
-func (s *netTxnSession) CommitTxn(reads []index.TxnRead, writes []index.TxnWrite) (index.TxnResult, error) {
-	return s.c.CommitTxn(reads, writes)
-}
-
-func (s *netTxnSession) Release() { s.c.Close() }
 
 // netSession adapts a Conn to index.BatchSession.
 type netSession struct {

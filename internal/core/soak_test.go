@@ -12,24 +12,6 @@ import (
 // soakSettings reads the -soak.seed, -soak.dur and -soak.workers flags.
 var soakSettings = histcheck.SoakFlags()
 
-// soakSession adapts a tree session, whose writes cannot fail, to the
-// soak oracle.
-type soakSession struct{ *core.Session }
-
-func (s soakSession) Insert(k []byte, v uint64) (bool, error) { return s.Session.Insert(k, v), nil }
-func (s soakSession) Delete(k []byte, v uint64) (bool, error) { return s.Session.Delete(k, v), nil }
-func (s soakSession) Update(k []byte, v uint64) (bool, error) { return s.Session.Update(k, v), nil }
-
-// soakOptions is the SMO-churn geometry every tree soak runs: small
-// leaves, short chains and merges on, over DefaultOptions.
-func soakOptions() core.Options {
-	o := core.DefaultOptions()
-	o.LeafNodeSize, o.InnerNodeSize = 32, 16
-	o.LeafChainLength, o.InnerChainLength = 8, 2
-	o.LeafMergeSize, o.InnerMergeSize = 8, 4
-	return o
-}
-
 // TestSoakOwnership churns one tree with the soak geometry: each worker
 // runs the ownership oracle's mix over its own 20000 keys, so any outcome
 // that differs from its mirror is a linearizability violation, and a
@@ -39,15 +21,15 @@ func TestSoakOwnership(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak is slow")
 	}
-	seed, dur, workers := soakSettings(t, 2*time.Second, 6)
-	tr := core.New(soakOptions())
+	seed, dur, workers := soakSettings(t, 8*time.Second, 6)
+	tr := core.New(histcheck.SoakOptions())
 	defer tr.Close()
 	soak := histcheck.NewSoak(workers, 20000)
 	soak.Autopsy = func(k []byte) string { return core.FormatPath(tr.DescendPath(k)) }
 	err := soak.Run(dur, 30*time.Second, func(w int) error {
 		s := tr.NewSession()
 		defer s.Release()
-		return soak.Work(w, soakSession{s}, rand.New(rand.NewSource(seed+int64(w))), 0)
+		return soak.Work(w, histcheck.Infallible(s), rand.New(rand.NewSource(seed+int64(w))), 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,14 +37,7 @@ func TestSoakOwnership(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	if err := soak.Sweep(func(visit func([]byte, uint64)) {
-		s := tr.NewSession()
-		defer s.Release()
-		it := s.NewIterator()
-		for it.SeekFirst(); it.Valid(); it.Next() {
-			visit(it.Key(), it.Value())
-		}
-	}); err != nil {
+	if err := soak.Sweep(histcheck.TreePairs(tr)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,6 +11,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/index"
 )
 
 // Soak is the ownership oracle of the core, durable and wire soak tests.
@@ -34,17 +37,38 @@ type pendingOp struct {
 }
 
 // SoakFlags registers -soak.seed, -soak.dur and -soak.workers, once per
-// test binary. Its function gives a soak's seed (0: from the clock),
-// duration and workers (0: the test's defaults) and logs them.
+// test binary. Its function gives a soak's seed (default 1), duration
+// and workers (0: the test's defaults) and logs them.
 func SoakFlags() func(tb interface{ Logf(string, ...any) }, dur time.Duration, workers int) (int64, time.Duration, int) {
-	seed := flag.Int64("soak.seed", 0, "seed of the soak tests (0: from the clock)")
+	seed := flag.Int64("soak.seed", 1, "seed of the soak tests")
 	d := flag.Duration("soak.dur", 0, "duration of each soak test (0: its default)")
 	nw := flag.Int("soak.workers", 0, "workers of each soak test (0: its default)")
 	return func(tb interface{ Logf(string, ...any) }, dur time.Duration, workers int) (int64, time.Duration, int) {
-		s := cmp.Or(*seed, time.Now().UnixNano())
 		dur, workers = cmp.Or(*d, dur), cmp.Or(*nw, workers)
-		tb.Logf("soak: -soak.seed %d -soak.dur %v -soak.workers %d", s, dur, workers)
-		return s, dur, workers
+		tb.Logf("soak: -soak.seed %d -soak.dur %v -soak.workers %d", *seed, dur, workers)
+		return *seed, dur, workers
+	}
+}
+
+// SoakOptions is the SMO-churn geometry the tree soaks run: small
+// leaves, short chains and merges on, over DefaultOptions.
+func SoakOptions() core.Options {
+	o := core.DefaultOptions()
+	o.LeafNodeSize, o.InnerNodeSize = 32, 16
+	o.LeafChainLength, o.InnerChainLength = 8, 2
+	o.LeafMergeSize, o.InnerMergeSize = 8, 4
+	return o
+}
+
+// TreePairs visits every pair of a quiescent tree in key order, for Sweep.
+func TreePairs(tr *core.Tree) func(visit func([]byte, uint64)) {
+	return func(visit func([]byte, uint64)) {
+		s := tr.NewSession()
+		defer s.Release()
+		it := s.NewIterator()
+		for it.SeekFirst(); it.Valid(); it.Next() {
+			visit(it.Key(), it.Value())
+		}
 	}
 }
 
@@ -57,6 +81,16 @@ type Session interface {
 	Lookup(key []byte, out []uint64) []uint64
 	Scan(start []byte, n int, visit func(key []byte, value uint64) bool) int
 }
+
+// Infallible adapts a session whose writes cannot fail, such as a tree's
+// or an index's, to Session.
+func Infallible(s index.Session) Session { return infallible{s} }
+
+type infallible struct{ index.Session }
+
+func (s infallible) Insert(k []byte, v uint64) (bool, error) { return s.Session.Insert(k, v), nil }
+func (s infallible) Delete(k []byte, v uint64) (bool, error) { return s.Session.Delete(k, v), nil }
+func (s infallible) Update(k []byte, v uint64) (bool, error) { return s.Session.Update(k, v), nil }
 
 // NewSoak returns the oracle of workers workers owning keys keys each.
 func NewSoak(workers, keys int) *Soak {

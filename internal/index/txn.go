@@ -77,8 +77,3 @@ type TxnSession interface {
 	// Release returns the session's resources.
 	Release()
 }
-
-// TxnStore is implemented by stores that support transactions.
-type TxnStore interface {
-	NewTxnSession() TxnSession
-}

@@ -26,8 +26,8 @@ import (
 // or recover; a torn commit, a lost write or a half-applied log record
 // shifts it. Three probes check it at different trust levels:
 //
-//  1. Every 256th transaction of a worker is a read-only audit of every
-//     account. A committed audit passed validation, so its sum is exact
+//  1. A worker's first transaction and every 256th after it is a
+//     read-only audit of every account. A committed audit passed validation, so its sum is exact
 //     while transfers run.
 //  2. A quiescent sweep re-reads all accounts after every open and
 //     recovery and at the end.
@@ -73,6 +73,7 @@ type bankRun struct {
 	shards  int
 	durable bool
 	kills   int  // crash and recovery cycles
+	wire    bool // serve the store over sockets from this process
 	spawn   bool // serve the store from a spawned test binary, killed with SIGKILL
 }
 
@@ -81,6 +82,7 @@ type bankStore struct {
 	session func() (index.TxnSession, error)
 	kill    func() // a power cut, or SIGKILL
 	close   func()
+	txs     *txn.Store // the engine, unless spawned
 }
 
 // connTxn is a wire connection as a transactional session.
@@ -88,33 +90,58 @@ type connTxn struct{ *bwproto.Conn }
 
 func (c connTxn) Release() { c.Close() }
 
+// dialTxn opens sessions as connections to addr.
+func dialTxn(addr string) func() (index.TxnSession, error) {
+	return func() (index.TxnSession, error) {
+		c, err := bwproto.Dial(addr)
+		return connTxn{c}, err
+	}
+}
+
 func acct(i uint64) []byte { return histcheck.Key(i) }
 
 // open opens the shape's store over dir, recovering what it holds.
 func (r bankRun) open(t *testing.T, dir string, cycle int) bankStore {
-	if !r.spawn {
-		ss, err := shard.Open(shard.Options{Shards: r.shards, Tree: bwtree.DefaultOptions(), WALDir: dir, SyncOnCommit: r.durable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cycle > 0 && r.shards > 1 && ss.RecoveryStats().MaxTxnID == 0 {
-			t.Errorf("cycle %d: recovered MaxTxnID is zero after transactional load", cycle)
-		}
-		st := txn.New(ss)
-		return bankStore{
-			session: func() (index.TxnSession, error) { return st.NewSession(), nil },
-			kill: func() {
-				if err := ss.Crash(); err != nil {
-					t.Error(err)
-				}
-			},
-			close: func() {
-				if err := ss.Close(); err != nil {
-					t.Error(err)
-				}
-			},
-		}
+	if r.spawn {
+		return spawnBank(t, dir)
 	}
+	ss, err := shard.Open(shard.Options{Shards: r.shards, Tree: bwtree.DefaultOptions(), WALDir: dir, SyncOnCommit: r.durable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cycle > 0 && r.shards > 1 && ss.RecoveryStats().MaxTxnID == 0 {
+		t.Errorf("cycle %d: recovered MaxTxnID is zero after transactional load", cycle)
+	}
+	bs := bankStore{
+		kill: func() {
+			if err := ss.Crash(); err != nil {
+				t.Error(err)
+			}
+		},
+		close: func() {
+			if err := ss.Close(); err != nil {
+				t.Error(err)
+			}
+		},
+	}
+	if !r.wire {
+		st := txn.New(ss)
+		bs.txs, bs.session = st, func() (index.TxnSession, error) { return st.NewSession(), nil }
+		return bs
+	}
+	sv := bwproto.NewServer(ss)
+	if err := sv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	closeStore := bs.close
+	bs.txs, bs.session = sv.Txn(), dialTxn(sv.Addr())
+	bs.close = func() { sv.Shutdown(2 * time.Second); closeStore() }
+	return bs
+}
+
+// spawnBank serves a four-shard durable store over dir from a spawned
+// test binary, killed with SIGKILL.
+func spawnBank(t *testing.T, dir string) bankStore {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -137,14 +164,7 @@ func (r bankRun) open(t *testing.T, dir string, cycle int) bankStore {
 			t.Fatalf("spawned server at %s did not come up: %v", addr, err)
 		}
 	}
-	return bankStore{
-		session: func() (index.TxnSession, error) {
-			c, err := bwproto.Dial(addr)
-			return connTxn{c}, err
-		},
-		kill:  stop,
-		close: stop,
-	}
+	return bankStore{session: dialTxn(addr), kill: stop, close: stop}
 }
 
 // soak runs the bank-transfer soak in shape r.
@@ -188,7 +208,7 @@ func (r bankRun) soak(t *testing.T) {
 				}
 				for i := 0; err == nil && !stop.Load(); i++ {
 					var committed bool
-					if i%256 == 255 {
+					if i%256 == 0 {
 						committed, err = bankAudit(t, s)
 						audits.Add(b2u(committed))
 					} else {
@@ -209,6 +229,9 @@ func (r bankRun) soak(t *testing.T) {
 		}
 		stop.Store(true)
 		wg.Wait()
+		if st.txs != nil && st.txs.Stats().Commits == 0 {
+			t.Errorf("cycle %d: the engine counted no commits", cycle)
+		}
 		if cycle == r.kills {
 			s, err := st.session()
 			if err != nil {
@@ -266,27 +289,30 @@ func bankSweep(t *testing.T, s index.TxnSession, what string) {
 	}
 }
 
-// bankTransfer moves a random amount between two random accounts.
+// bankTransfer moves a random amount between two random accounts
+// through RunTxn, which retries a conflict twice. A transfer the balance
+// cannot cover commits as a read-only transaction.
 func bankTransfer(s index.TxnSession, rng *rand.Rand) (bool, error) {
 	from, to := acct(uint64(rng.Intn(bankAccounts))), acct(uint64(rng.Intn(bankAccounts)))
 	if string(from) == string(to) {
 		return false, nil
 	}
-	fv, fver, ok1, err := s.GetVersion(from)
-	if err != nil {
-		return false, err
-	}
-	tv, tver, ok2, err := s.GetVersion(to)
-	if err != nil || !ok1 || !ok2 {
-		return false, fmt.Errorf("transfer read: %v %v %v", ok1, ok2, err)
-	}
 	amount := 1 + uint64(rng.Intn(bankInitial/10+1))
-	if fv < amount {
-		return false, nil
-	}
-	res, err := s.CommitTxn(
-		[]index.TxnRead{{Key: from, Ver: fver}, {Key: to, Ver: tver}},
-		[]index.TxnWrite{{Op: index.TxnPut, Key: from, Value: fv - amount}, {Op: index.TxnPut, Key: to, Value: tv + amount}})
+	res, err := txn.RunTxn(s, 3, func(tx *txn.Tx) error {
+		fv, ok1, err := tx.Get(from)
+		if err != nil {
+			return err
+		}
+		tv, ok2, err := tx.Get(to)
+		if err != nil || !ok1 || !ok2 {
+			return fmt.Errorf("transfer read: %v %v %v", ok1, ok2, err)
+		}
+		if fv >= amount {
+			tx.Put(from, fv-amount)
+			tx.Put(to, tv+amount)
+		}
+		return nil
+	})
 	return res.Status == index.TxnCommitted, err
 }
 
@@ -322,6 +348,11 @@ func TestTxnBankDurable(t *testing.T) { bankRun{shards: 1, durable: true, kills:
 // log through two crashes: a commit spanning shards is one record, so it
 // applies on every shard or on none.
 func TestTxnBankShardCrash(t *testing.T) { bankRun{shards: 4, durable: true, kills: 2}.soak(t) }
+
+// TestTxnBankOverWire runs the soak over real sockets against a
+// four-shard server in this process, so a data race in the server's
+// concurrent commits fails it under -race.
+func TestTxnBankOverWire(t *testing.T) { bankRun{shards: 4, wire: true}.soak(t) }
 
 // TestTxnBankOverSocket runs the soak over real sockets against a
 // spawned four-shard durable server, killed with SIGKILL and restarted

@@ -148,7 +148,7 @@ func (st *Store) Stats() Stats {
 	return s
 }
 
-// NewTxnSession implements index.TxnStore.
+// NewTxnSession returns NewSession as an index.TxnSession.
 func (st *Store) NewTxnSession() index.TxnSession { return st.NewSession() }
 
 // NewSession returns a per-worker transactional handle.
