@@ -7,26 +7,27 @@ import (
 	"repro/internal/obs"
 )
 
+// The types below are recorded only by trees built with Options.Trace,
+// the one switch of the observability pipeline.
+
 // LatencySnapshot is a mergeable point-in-time copy of a tree's
-// per-operation-class latency histograms (requires
-// Options.LatencyHistograms). Obtain one with Tree.Latencies.
+// per-operation-class latency histograms. Obtain one with Tree.Latencies.
 type LatencySnapshot = obs.LatencySnapshot
 
 // TraceEvent is one structural event (split, merge, consolidate, abort)
-// drained from the sessions' event rings (requires Options.TraceRingSize
-// > 0). Obtain them with Tree.TraceEvents.
+// drained from the sessions' event rings. Obtain them with
+// Tree.TraceEvents.
 type TraceEvent = obs.Event
 
 // DebugServer is a live HTTP debug surface over one tree.
 type DebugServer = obs.Server
 
-// OpSummary is one flight-recorder entry (requires
-// Options.FlightRecorderSize > 0). Obtain them with Tree.FlightRecent.
+// OpSummary is one flight-recorder entry. Obtain them with
+// Tree.FlightRecent.
 type OpSummary = obs.OpSummary
 
-// OpTrace is one sampled operation's phase breakdown (requires
-// Options.PhaseSampleEvery > 0). Obtain them with Tree.PhaseTraces and
-// export with WriteChromeTrace.
+// OpTrace is one sampled operation's phase breakdown. Obtain them with
+// Tree.PhaseTraces and export with WriteChromeTrace.
 type OpTrace = obs.OpTrace
 
 // WriteChromeTrace renders sampled phase traces as Chrome trace-event
@@ -34,8 +35,8 @@ type OpTrace = obs.OpTrace
 var WriteChromeTrace = obs.WriteChromeTrace
 
 // DebugVars builds the observability data source for t: counters and
-// gauges from Stats, plus latency and trace feeds when the tree was
-// built with them enabled. Useful for mounting the debug surface into an
+// gauges from Stats, plus the latency, event, chain-depth, flight and
+// phase-trace feeds when the tree was built with Options.Trace. Useful for mounting the debug surface into an
 // existing HTTP server via obs.Mux.
 func DebugVars(t *Tree) obs.Vars { return treesVars([]*Tree{t}, false) }
 
@@ -187,48 +188,40 @@ func treesVars(trees []*Tree, perPart bool) obs.Vars {
 			return m
 		},
 	}
-	opts := trees[0].Options()
-	if opts.LatencyHistograms {
-		v.Latency = func() *obs.LatencySnapshot {
-			agg := &obs.LatencySnapshot{}
-			for _, t := range trees {
-				agg.Merge(t.Latencies())
-			}
-			return agg
+	if !trees[0].Options().Trace {
+		return v
+	}
+	v.Latency = func() *obs.LatencySnapshot {
+		agg := &obs.LatencySnapshot{}
+		for _, t := range trees {
+			agg.Merge(t.Latencies())
 		}
+		return agg
 	}
-	if opts.TraceRingSize > 0 {
-		v.Trace = func() []obs.Event { return concat(trees, (*Tree).TraceEvents) }
-		v.TraceDropped = func() uint64 {
-			var n uint64
-			for _, t := range trees {
-				n += t.TraceDropped()
-			}
-			return n
+	v.Trace = func() []obs.Event { return concat(trees, (*Tree).TraceEvents) }
+	v.TraceDropped = func() uint64 {
+		var n uint64
+		for _, t := range trees {
+			n += t.TraceDropped()
 		}
+		return n
 	}
-	if opts.PhaseSampleEvery > 0 || opts.FlightRecorderSize > 0 {
-		v.MetricHists = func() []obs.HistFeed {
-			var depth obs.HistSnapshot
-			for _, t := range trees {
-				snap := t.ChainDepths()
-				depth.Merge(&snap)
-			}
-			return []obs.HistFeed{{
-				Name: "bwtree_chain_depth",
-				Help: "Leaf delta-chain depth observed per operation.",
-				Snap: depth,
-			}}
+	v.MetricHists = func() []obs.HistFeed {
+		var depth obs.HistSnapshot
+		for _, t := range trees {
+			snap := t.ChainDepths()
+			depth.Merge(&snap)
 		}
+		return []obs.HistFeed{{
+			Name: "bwtree_chain_depth",
+			Help: "Leaf delta-chain depth observed per operation.",
+			Snap: depth,
+		}}
 	}
-	if opts.FlightRecorderSize > 0 {
-		v.Flight = func(n int) []obs.OpSummary {
-			return concat(trees, func(t *Tree) []obs.OpSummary { return t.FlightRecent(n) })
-		}
+	v.Flight = func(n int) []obs.OpSummary {
+		return concat(trees, func(t *Tree) []obs.OpSummary { return t.FlightRecent(n) })
 	}
-	if opts.PhaseSampleEvery > 0 {
-		v.PhaseTraces = func() []obs.OpTrace { return concat(trees, (*Tree).PhaseTraces) }
-	}
+	v.PhaseTraces = func() []obs.OpTrace { return concat(trees, (*Tree).PhaseTraces) }
 	return v
 }
 

@@ -112,11 +112,7 @@ func checkShape(body []byte) error {
 // Meaningful under -race; the parse checks also catch torn text output.
 func TestDebugSurfacesUnderMutation(t *testing.T) {
 	opts := DefaultOptions()
-	opts.LatencyHistograms = true
-	opts.TraceRingSize = 1024
-	opts.PhaseSampleEvery = 8
-	opts.PhaseTraceBuffer = 1024
-	opts.FlightRecorderSize = 128
+	opts.Trace = true
 	tr := New(opts)
 	defer tr.Close()
 
@@ -184,16 +180,17 @@ func checkChromeTraceBody(body []byte) error {
 func TestDurableDebugSurfacesUnderMutation(t *testing.T) {
 	seed, dur, workers := soakSettings(t, time.Second, 4)
 	opts := histcheck.SoakOptions()
-	opts.LatencyHistograms = true
-	opts.TraceRingSize = 1024
-	opts.PhaseSampleEvery = 16
-	opts.PhaseTraceBuffer = 4096
-	opts.FlightRecorderSize = 512
+	opts.Trace = true
 	checkDurableMetrics := func(body []byte) error {
 		if err := checkPrometheus(body); err != nil {
 			return err
 		}
 		for _, want := range []string{"bwtree_wal_queue_records", "bwtree_checkpoint_age_seconds", "bwtree_epoch_lag", "bwtree_chain_depth"} {
+			// A summary with no observation is not rendered, and only
+			// per-op probes observe chain depths.
+			if want == "bwtree_chain_depth" && !deepProbes {
+				continue
+			}
 			if !strings.Contains(string(body), want) {
 				return fmt.Errorf("missing %s", want)
 			}
@@ -247,7 +244,7 @@ func TestDurableDebugSurfacesUnderMutation(t *testing.T) {
 			names[e.Name]++
 		}
 	}
-	if len(names) == 0 {
+	if deepProbes && len(names) == 0 {
 		t.Fatalf("%d sampled ops exported no op slices", len(traces))
 	}
 	t.Logf("%d sampled ops; slices: %v", len(traces), names)
@@ -262,9 +259,7 @@ func TestDurableDebugSurfacesUnderMutation(t *testing.T) {
 // surface is kept, next to the log's.
 func TestPartitionedDurableDebugVars(t *testing.T) {
 	topts := DefaultOptions()
-	topts.LatencyHistograms = true
-	topts.PhaseSampleEvery = 8
-	topts.FlightRecorderSize = 128
+	topts.Trace = true
 	d, err := OpenDurable(t.TempDir(), DurableOptions{Tree: topts, Router: lastDigitRouter(2)})
 	if err != nil {
 		t.Fatal(err)

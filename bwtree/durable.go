@@ -168,7 +168,7 @@ func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 	d.lastCP.Store(time.Now().UnixNano())
 	if d.rec.Replayed > 0 || d.rec.TornTail {
 		// Surface the recovery in the flight recorder (no-op unless the
-		// trees were opened with FlightRecorderSize set).
+		// trees were opened with Trace set).
 		note := fmt.Sprintf("recovery: replayed %d records after LSN %d (torn tail: %v)",
 			d.rec.Replayed, d.rec.SnapshotLSN, d.rec.TornTail)
 		for _, t := range d.trees {

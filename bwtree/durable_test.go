@@ -207,6 +207,9 @@ func (r crashRun) run(t *testing.T, seed int64, dur time.Duration, workers int) 
 			t.Fatalf("incarnation %d: recovery: %v", inc, err)
 		}
 		err = d.Tree().Validate()
+		if rec := d.RecoveryStats(); err == nil && r.opts.Trace && (rec.Replayed > 0 || rec.TornTail) && d.Tree().Anomalies() == 0 {
+			err = fmt.Errorf("recovery replayed %d records (torn tail %v) and left no note in the flight recorder", rec.Replayed, rec.TornTail)
+		}
 		if err == nil && r.sync {
 			err = soak.Sweep(histcheck.TreePairs(d.Tree()))
 		}

@@ -10,6 +10,11 @@
 //
 //	go run ./cmd/bwserver -addr :7070 -shards 8 -debug-addr :7071
 //
+// Add -trace (bwtree Options.Trace on every shard) for latency quantiles,
+// structural events, the flight recorder and sampled phase traces at
+// /debug/latency, /debug/trace, /debug/flightrec and /debug/phasetrace,
+// and bwtree_chain_depth on /metrics.
+//
 // With -wal DIR the store is durable: every shard writes one log in DIR
 // (group commit, synchronous acknowledgement), recovery replays it once
 // and loads the shards in parallel on startup, and SIGINT/SIGTERM shut
@@ -45,18 +50,14 @@ func main() {
 	walDir := flag.String("wal", "", "WAL directory (empty = volatile); every shard writes its one log")
 	sync := flag.Bool("sync", true, "durable only: fsync before acknowledging commits")
 	debugAddr := flag.String("debug-addr", "", "serve /debug and /metrics on this address")
-	lat := flag.Bool("lat", false, "record latency histograms (adds two clock reads per op)")
-	phaseEvery := flag.Int("phase-every", 0, "sample a full phase trace every N ops per session (0 = off)")
-	flightRec := flag.Int("flightrec", 0, "per-session flight-recorder ring size (0 = off)")
+	trace := flag.Bool("trace", false, "record latency histograms, events, the flight recorder and a phase trace of every 7th op (adds two clock reads per op)")
 	drainTimeout := flag.Duration("drain", 5*time.Second, "shutdown: how long to wait for connections to drain")
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("bwserver: ")
 
 	treeOpts := bwtree.DefaultOptions()
-	treeOpts.LatencyHistograms = *lat
-	treeOpts.PhaseSampleEvery = *phaseEvery
-	treeOpts.FlightRecorderSize = *flightRec
+	treeOpts.Trace = *trace
 
 	r, err := shard.NewRouter(*router, *shards)
 	if err != nil {

@@ -44,11 +44,22 @@ func freeAddr(t *testing.T) string {
 // it) with four shards and a debug surface, writes through it, and reads
 // its /metrics, which must parse as Prometheus text and carry the shard
 // and mapping-table series, and its /debug/stats, which must be JSON.
-// SIGTERM must then drain the server, which exits 0.
+// With -trace, /debug/latency and /debug/flightrec must answer JSON,
+// /metrics must carry bwtree_chain_depth and /debug/phasetrace must hold
+// Chrome "X" slices. SIGTERM must then drain the server, which exits 0.
 func TestServeDrainsOnSIGTERM(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { serveAndDrain(t, false) })
+	t.Run("trace", func(t *testing.T) { serveAndDrain(t, true) })
+}
+
+func serveAndDrain(t *testing.T, trace bool) {
 	addr, debug := freeAddr(t), freeAddr(t)
+	args := "-addr " + addr + " -shards 4 -debug-addr " + debug
+	if trace {
+		args += " -trace"
+	}
 	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), argsEnv+"=-addr "+addr+" -shards 4 -debug-addr "+debug)
+	cmd.Env = append(os.Environ(), argsEnv+"="+args)
 	var out bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &out
 	if err := cmd.Start(); err != nil {
@@ -85,13 +96,40 @@ func TestServeDrainsOnSIGTERM(t *testing.T) {
 	if _, err := obs.ParsePrometheus(bytes.NewReader(metrics)); err != nil {
 		t.Errorf("/metrics: %v", err)
 	}
-	for _, name := range []string{"bwtree_shards", "bwtree_mapping_live"} {
+	series := []string{"bwtree_shards", "bwtree_mapping_live"}
+	if trace {
+		series = append(series, "bwtree_chain_depth")
+	}
+	for _, name := range series {
 		if !bytes.Contains(metrics, []byte(name)) {
 			t.Errorf("/metrics lacks %s", name)
 		}
 	}
-	if stats := get("/debug/stats"); !json.Valid(stats) {
-		t.Errorf("/debug/stats is not JSON: %s", stats)
+	paths := []string{"/debug/stats"}
+	if trace {
+		paths = append(paths, "/debug/latency", "/debug/flightrec")
+	}
+	for _, path := range paths {
+		if body := get(path); !json.Valid(body) {
+			t.Errorf("%s is not JSON: %s", path, body)
+		}
+	}
+	if trace {
+		var doc struct {
+			TraceEvents []struct{ Ph string } `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(get("/debug/phasetrace"), &doc); err != nil {
+			t.Errorf("/debug/phasetrace: %v", err)
+		}
+		slices := 0
+		for _, e := range doc.TraceEvents {
+			if e.Ph == "X" {
+				slices++
+			}
+		}
+		if slices == 0 {
+			t.Errorf("/debug/phasetrace holds no X slices among %d events", len(doc.TraceEvents))
+		}
 	}
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {

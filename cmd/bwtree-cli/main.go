@@ -65,12 +65,11 @@ func main() {
 
 	opts := bwtree.DefaultOptions()
 	if len(args) > 0 && args[0] == "trace" {
-		// The trace subcommand needs phase sampling compiled into the
-		// tree it is about to exercise. The period is coprime to the
-		// 4-op workload cycle so every op class gets sampled.
-		opts.PhaseSampleEvery = 7
-		opts.PhaseTraceBuffer = 1 << 14
-		opts.FlightRecorderSize = 256
+		// The trace subcommand needs the trace pipeline in the tree it
+		// is about to exercise. Its sampling period (obs.SampleEvery, 7)
+		// is coprime to the 4-op workload cycle, so every op class gets
+		// sampled.
+		opts.Trace = true
 		if load == 0 {
 			load = 50_000
 		}
@@ -170,17 +169,19 @@ first). Without one, starts an interactive shell.
   snapshot <dir>  checkpoint the tree into a fresh <dir> (snapshot + manifest)
   restore <dir>   recover the durable state in <dir>, validate it, and
                   print recovery statistics
-  trace [file]    run a mixed workload with phase sampling on and write
-                  the Chrome trace-event JSON to file (default stdout);
-                  load it in chrome://tracing or ui.perfetto.dev
+  trace [file]    run a mixed workload with tracing on and write the
+                  newest 256 sampled ops (one op in 7) as Chrome
+                  trace-event JSON to file (default stdout); load it in
+                  chrome://tracing or ui.perfetto.dev
   promcheck <src> parse Prometheus text from a URL, file, or - (stdin)
                   and verify it is well-formed (exit 1 if not)
 `)
 }
 
 // runTrace exercises the tree with a mixed single-op workload (the -load
-// preload already ran sampled inserts), then renders every sampled phase
-// trace as Chrome trace-event JSON.
+// preload already ran sampled inserts), then renders the sampled phase
+// traces the session's ring still holds, the newest obs.RingSize, as
+// Chrome trace-event JSON.
 func runTrace(t *bwtree.Tree, s *bwtree.Session, load int, outPath string) error {
 	key := make([]byte, 8)
 	var out []uint64
@@ -210,7 +211,8 @@ func runTrace(t *bwtree.Tree, s *bwtree.Session, load int, outPath string) error
 	if err := bwtree.WriteChromeTrace(w, traces); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "bwtree-cli: wrote %d sampled op traces\n", len(traces))
+	fmt.Fprintf(os.Stderr, "bwtree-cli: wrote %d sampled op traces (the newest %d at most, one op in %d)\n",
+		len(traces), obs.RingSize, obs.SampleEvery)
 	if len(traces) == 0 {
 		return fmt.Errorf("no traces sampled (is -load too small?)")
 	}

@@ -56,9 +56,11 @@ func sweepOverWire(t *testing.T, soak *histcheck.Soak, addr string) {
 // contend on 4096 shared keys of small trees, so every dial does real
 // work next to dozens of live peers and splits and merges churn beneath
 // them. In "owned", -soak.workers connections (50 here, 1000 in CI) run
-// the ownership oracle's mix over 50000 keys each for -soak.dur, every
+// the ownership oracle's mix over 64 keys each for -soak.dur, every
 // worker re-dialing after 50 operations; the store must then hold exactly
-// the mirrors' union. Each must end with no malformed frame, every closed
+// the mirrors' union. A worker runs hundreds of operations, so its writes
+// revisit its keys and deletes and updates of present keys are checked,
+// not only inserts of absent ones. Each must end with no malformed frame, every closed
 // connection out of the registry and a valid store. Run under -race it
 // doubles as the serving tier's data-race probe.
 func TestConnectionChurn(t *testing.T) {
@@ -143,7 +145,7 @@ func TestConnectionChurn(t *testing.T) {
 		}
 		seed, dur, workers := soakSettings(t, dur, workers)
 		sv, addr := startServerWith(t, 4, bwtree.DefaultOptions())
-		soak := histcheck.NewSoak(workers, 50000)
+		soak := histcheck.NewSoak(workers, 64)
 		var dials atomic.Uint64
 		err := soak.Run(dur, 30*time.Second, func(w int) error {
 			rng := rand.New(rand.NewSource(seed + int64(w)))

@@ -16,7 +16,7 @@ import (
 // keys force splits, merges, and consolidations.
 //
 // Stream format: byte 0 is a config header (bit 0 non-unique, bit 1
-// centralized GC, bit 2 merges off, bit 3 every observability probe on,
+// centralized GC, bit 2 merges off, bit 3 Options.Trace (every probe on),
 // bit 4 in-place updates off);
 // the rest is a sequence of operations, each one opcode
 // byte followed by its operands (see fuzzStep). Truncated operands end
@@ -177,12 +177,7 @@ func runFuzzStream(t *testing.T, data []byte) {
 	if hdr&4 != 0 {
 		opts.LeafMergeSize, opts.InnerMergeSize = 0, 0
 	}
-	if hdr&8 != 0 {
-		opts.LatencyHistograms = true
-		opts.TraceRingSize = 256
-		opts.PhaseSampleEvery = 7
-		opts.FlightRecorderSize = 64
-	}
+	opts.Trace = hdr&8 != 0
 	opts.UpdateInPlace = hdr&16 == 0
 
 	tree := New(opts)

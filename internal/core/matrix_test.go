@@ -10,9 +10,9 @@ import (
 // of the four switchable paper optimizations (§4.1 pre-allocation, §4.3
 // fast consolidation, §4.4 search shortcuts, §3.1 non-unique keys) plus
 // three settings nothing else combines with them — merges off, every
-// observability probe on, and in-place updates off — under both GC
-// schemes: 128 flag combinations × 2 schemes, so no combination can
-// silently rot. Nodes are tiny so the smoke forces splits,
+// observability probe on (Options.Trace), and in-place updates off —
+// under both GC schemes: 128 flag combinations × 2 schemes, so no
+// combination can silently rot. Nodes are tiny so the smoke forces splits,
 // consolidations and (unless disabled) merges; the workload mixes the
 // single-op and batch paths, and a read-only phase then checks that
 // lookups consolidate the chains it left.
@@ -35,12 +35,7 @@ func TestOptionsMatrix(t *testing.T) {
 			opts.LeafMergeSize, opts.InnerMergeSize = 0, 0
 		}
 		probes := mask&32 != 0
-		if probes {
-			opts.LatencyHistograms = true
-			opts.TraceRingSize = 256
-			opts.PhaseSampleEvery = 7
-			opts.FlightRecorderSize = 64
-		}
+		opts.Trace = probes
 		opts.UpdateInPlace = mask&64 == 0
 		for _, gc := range []GCScheme{GCDecentralized, GCCentralized} {
 			opts.GC = gc

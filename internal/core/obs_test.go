@@ -79,11 +79,13 @@ func TestStatsConcurrentWithWrites(t *testing.T) {
 	}
 }
 
-// TestLatencyHistograms verifies the opt-in latency recorder: enabled
-// trees report per-class counts and quantiles, disabled trees report nil.
+// TestLatencyHistograms verifies the latency histograms Options.Trace
+// turns on: traced trees report per-class counts and quantiles (none
+// under -tags notrace, which compiles the per-op records out), untraced
+// trees report nil.
 func TestLatencyHistograms(t *testing.T) {
 	opts := DefaultOptions()
-	opts.LatencyHistograms = true
+	opts.Trace = true
 	tr := New(opts)
 	defer tr.Close()
 	s := tr.NewSession()
@@ -97,67 +99,73 @@ func TestLatencyHistograms(t *testing.T) {
 	}
 	s.Scan(key64(0), 100, func([]byte, uint64) bool { return true })
 
+	recorded := func(ops uint64) uint64 {
+		if deepProbes {
+			return ops
+		}
+		return 0
+	}
 	// Live sessions must be visible...
 	snap := tr.Latencies()
 	if snap == nil {
-		t.Fatal("Latencies() = nil with LatencyHistograms enabled")
+		t.Fatal("Latencies() = nil with Trace on")
 	}
-	if got := snap.Class(obs.OpInsert).Total(); got != n {
-		t.Fatalf("insert latency count = %d, want %d", got, n)
+	if got := snap.Class(obs.OpInsert).Total(); got != recorded(n) {
+		t.Fatalf("insert latency count = %d, want %d", got, recorded(n))
 	}
-	if got := snap.Class(obs.OpRead).Total(); got != n {
-		t.Fatalf("read latency count = %d, want %d", got, n)
+	if got := snap.Class(obs.OpRead).Total(); got != recorded(n) {
+		t.Fatalf("read latency count = %d, want %d", got, recorded(n))
 	}
-	if got := snap.Class(obs.OpScan).Total(); got != 1 {
-		t.Fatalf("scan latency count = %d, want 1", got)
+	if got := snap.Class(obs.OpScan).Total(); got != recorded(1) {
+		t.Fatalf("scan latency count = %d, want %d", got, recorded(1))
 	}
-	if p99 := snap.Class(obs.OpRead).Quantile(0.99); p99 <= 0 {
+	if p99 := snap.Class(obs.OpRead).Quantile(0.99); deepProbes && p99 <= 0 {
 		t.Fatalf("read p99 = %v, want > 0", p99)
 	}
 
-	// ...and released sessions must fold into the closed snapshot.
+	// ...and so must released sessions, whose handles the tree keeps.
 	s.Release()
 	snap = tr.Latencies()
-	if got := snap.Total(); got != 2*n+1 {
-		t.Fatalf("total after release = %d, want %d", got, 2*n+1)
+	if got := snap.Total(); got != recorded(2*n+1) {
+		t.Fatalf("total after release = %d, want %d", got, recorded(2*n+1))
 	}
-	sum := snap.Summary()
-	if _, ok := sum["insert"]; !ok {
+	if _, ok := snap.Summary()["insert"]; deepProbes && !ok {
 		t.Fatal("summary missing insert class")
 	}
 
-	// Disabled by default: nil snapshot, near-zero overhead path.
+	// Off by default: nil snapshot, near-zero overhead path.
 	tr2 := New(DefaultOptions())
 	defer tr2.Close()
 	if tr2.Latencies() != nil {
-		t.Fatal("Latencies() non-nil with histograms disabled")
+		t.Fatal("Latencies() non-nil with Trace off")
 	}
 }
 
-// TestTraceEvents churns a tiny-node tree so SMOs fire, then checks the
-// drained stream is ordered and contains the structural kinds, and that
-// events, phase traces and flight entries draw Seq from one counter.
+// TestTraceEvents churns a tiny-node tree so SMOs fire, draining the
+// event rings often enough that none wraps, then checks the drained
+// stream is ordered and contains the structural kinds, and that events,
+// phase traces and flight entries draw Seq from one counter.
 func TestTraceEvents(t *testing.T) {
 	opts := DefaultOptions()
 	opts.LeafNodeSize = 8
 	opts.InnerNodeSize = 4
 	opts.LeafChainLength = 4
 	opts.InnerChainLength = 2
-	opts.TraceRingSize = 4096
-	opts.PhaseSampleEvery = 1
-	opts.FlightRecorderSize = 64
+	opts.Trace = true
 	tr := New(opts)
 	defer tr.Close()
 	s := tr.NewSession()
 	defer s.Release()
 
+	var events []obs.Event
 	for i := uint64(0); i < 2000; i++ {
 		s.Insert(key64(i), i)
+		if i%100 == 99 {
+			events = append(events, tr.TraceEvents()...)
+		}
 	}
-
-	events := tr.TraceEvents()
-	if len(events) == 0 {
-		t.Fatal("no trace events after SMO churn")
+	if len(events) == 0 || tr.TraceDropped() != 0 {
+		t.Fatalf("%d trace events drained and %d dropped after SMO churn", len(events), tr.TraceDropped())
 	}
 	kinds := map[obs.EventKind]int{}
 	for i, ev := range events {
@@ -175,7 +183,7 @@ func TestTraceEvents(t *testing.T) {
 
 	traces, flight := tr.PhaseTraces(), tr.FlightRecent(0)
 	if deepProbes && (len(traces) == 0 || len(flight) == 0) {
-		t.Fatalf("%d phase traces and %d flight entries with every op sampled", len(traces), len(flight))
+		t.Fatalf("%d phase traces and %d flight entries after 2000 traced ops", len(traces), len(flight))
 	}
 	// Each stream strictly increases, and no Seq appears in two records.
 	seen := map[uint64]bool{}
@@ -196,11 +204,11 @@ func TestTraceEvents(t *testing.T) {
 		note("flight", f.Seq)
 	}
 
-	// Disabled by default.
+	// Off by default.
 	tr2 := New(DefaultOptions())
 	defer tr2.Close()
 	if tr2.TraceEvents() != nil {
-		t.Fatal("TraceEvents non-nil with tracing disabled")
+		t.Fatal("TraceEvents non-nil with Trace off")
 	}
 }
 
@@ -209,7 +217,7 @@ func TestTraceEvents(t *testing.T) {
 // epochs its GC goroutine advances in the background.
 func TestIdleTreeEmitsNoEvents(t *testing.T) {
 	opts := DefaultOptions()
-	opts.TraceRingSize = 64
+	opts.Trace = true
 	opts.GCInterval = time.Millisecond
 	tr := New(opts)
 	defer tr.Close()

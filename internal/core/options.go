@@ -83,33 +83,20 @@ type Options struct {
 	// every update as a delta.
 	UpdateInPlace bool
 
-	// LatencyHistograms enables per-session log-bucketed latency
-	// histograms for every public operation class, merged on demand by
-	// Tree.Latencies. Off by default: recording costs one clock read and
-	// two atomic adds per operation.
-	LatencyHistograms bool
-	// TraceRingSize, when positive, enables the structural event tracer:
-	// each session gets a fixed ring of that many split/merge/
-	// consolidate/abort events, drained tree-wide in sequence order by
-	// Tree.TraceEvents. Zero disables tracing.
-	TraceRingSize int
-	// PhaseSampleEvery, when positive, phase-samples every Nth operation
-	// per session: the sampled op records a span per hot-path phase
+	// Trace turns on the whole observability pipeline (internal/obs),
+	// at fixed sizes. Each session keeps per-class latency histograms
+	// (Tree.Latencies); the leaf-chain-depth histogram (Tree.ChainDepths);
+	// and three rings of obs.RingSize records: structural events
+	// (split/merge/consolidate/abort, Tree.TraceEvents), the flight
+	// recorder's summary of every operation (Tree.FlightRecent, dumped
+	// automatically when an op sees a chain deeper than LeafChainLength),
+	// and a full phase trace of every obs.SampleEvery-th operation
 	// (descend, chain walk, base search, CaS, consolidation, WAL append,
-	// fsync wait) into a fixed per-session ring, drained by
-	// Tree.PhaseTraces for Chrome-trace export. Zero disables sampling.
-	// Disabled cost is one nil check per probe (see probes_on.go).
-	PhaseSampleEvery int
-	// PhaseTraceBuffer is the per-session capacity of the sampled-trace
-	// ring (default 256 when sampling is enabled).
-	PhaseTraceBuffer int
-	// FlightRecorderSize, when positive, gives each session a ring of
-	// the most recent operation summaries (class, latency, observed
-	// chain depth, CaS retries, aborts) — the always-on flight recorder.
-	// The ring is dumped automatically on anomaly (chain depth over the
-	// consolidation trigger) and on demand via Tree.FlightRecent or
-	// /debug/flightrec.
-	FlightRecorderSize int
+	// fsync wait; Tree.PhaseTraces, for Chrome-trace export). Off, the
+	// tree holds no pipeline and every probe is one nil check (see
+	// probes_on.go); on, an op costs two clock reads and a few
+	// uncontended atomic adds and mutex sections.
+	Trace bool
 
 	// GC selects the garbage-collection scheme.
 	GC GCScheme
@@ -196,18 +183,6 @@ func (o *Options) sanitize() {
 	}
 	if o.InnerMergeSize < 0 {
 		o.InnerMergeSize = 0
-	}
-	if o.TraceRingSize < 0 {
-		o.TraceRingSize = 0
-	}
-	if o.PhaseSampleEvery < 0 {
-		o.PhaseSampleEvery = 0
-	}
-	if o.PhaseTraceBuffer < 0 {
-		o.PhaseTraceBuffer = 0
-	}
-	if o.FlightRecorderSize < 0 {
-		o.FlightRecorderSize = 0
 	}
 	// A node must be able to shed its merge threshold after a split.
 	if o.LeafMergeSize > o.LeafNodeSize/2 {

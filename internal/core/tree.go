@@ -30,10 +30,10 @@ type Tree struct {
 	leafSlabs  slabPool
 	innerSlabs slabPool
 
-	// trace is the trace pipeline (structural events, sampled phase
-	// traces, flight recorder) when any of Options.TraceRingSize,
-	// PhaseSampleEvery or FlightRecorderSize is set; nil otherwise. A
-	// nil *obs.Deep reads as empty, so the accessors below need no check.
+	// trace is the observability pipeline (latency histograms, structural
+	// events, sampled phase traces, flight recorder) when Options.Trace
+	// is set; nil otherwise. A nil *obs.Deep reads as empty, so the
+	// accessors below need no check.
 	trace *obs.Deep
 
 	// verCtr issues version stamps for leaf records: every published leaf
@@ -42,10 +42,9 @@ type Tree struct {
 	// read validation relies on. See delta.ver.
 	verCtr atomic.Uint64
 
-	mu        sync.Mutex // guards sessions registry (cold path)
-	sessions  map[*Session]struct{}
-	closed    sessionStats        // counters absorbed from released sessions
-	latClosed obs.LatencySnapshot // histograms absorbed from released sessions
+	mu       sync.Mutex // guards sessions registry (cold path)
+	sessions map[*Session]struct{}
+	closed   sessionStats // counters absorbed from released sessions
 }
 
 // getSlab returns a recycled or fresh slab for a new base node.
@@ -73,20 +72,11 @@ func New(opts Options) *Tree {
 		t.gc = epoch.NewDecentralized(opts.GCInterval, opts.GCThreshold)
 	}
 	t.hpool = epoch.NewPool(t.gc)
-	tc := obs.DeepConfig{EventBuf: opts.TraceRingSize}
-	if deepProbes {
-		// Under -tags notrace the per-op probes are compiled out, so only
-		// structural events, emitted at SMO sites, can fill a ring.
-		tc.SampleEvery = opts.PhaseSampleEvery
-		tc.TraceBuf = opts.PhaseTraceBuffer
-		tc.FlightBuf = opts.FlightRecorderSize
+	if opts.Trace {
 		// An op can legitimately observe a chain right at the
 		// consolidation trigger; strictly deeper means consolidation is
 		// losing its publish race repeatedly — worth a dump.
-		tc.ChainAnomaly = opts.LeafChainLength
-	}
-	if tc.EventBuf > 0 || tc.SampleEvery > 0 || tc.FlightBuf > 0 {
-		t.trace = obs.NewDeep(tc)
+		t.trace = obs.NewDeep(opts.LeafChainLength)
 	}
 
 	t.root = t.mt.Allocate()
@@ -170,14 +160,11 @@ type Session struct {
 	// (plain increments) and flushed into stats.pointerChases with one
 	// atomic add per completed operation.
 	chases uint64
-	// lat records per-class operation latencies when
-	// Options.LatencyHistograms is set; nil otherwise.
-	lat *obs.Recorder
-	// probe is the session's trace handle (its event, sampled-trace and
-	// flight rings) when the tree has a trace pipeline; nil otherwise.
-	// Every per-op use is additionally gated by the deepProbes build-tag
-	// constant so -tags notrace builds compile those probes out
-	// entirely; structural events still record.
+	// probe is the session's trace handle (its latency histograms and
+	// event, sampled-trace and flight rings) when the tree has a trace
+	// pipeline; nil otherwise. Every per-op use is additionally gated by
+	// the deepProbes build-tag constant so -tags notrace builds compile
+	// those probes out entirely; structural events still record.
 	probe *obs.Probe
 
 	// leafHits/parentHits batch the traversal-cache hit counters the same
@@ -248,9 +235,6 @@ func (a *sessionStats) add(b *sessionStats) {
 // NewSession registers a worker goroutine with the tree.
 func (t *Tree) NewSession() *Session {
 	s := &Session{t: t, h: t.hpool.Get(), probe: t.trace.Probe()}
-	if t.opts.LatencyHistograms {
-		s.lat = &obs.Recorder{}
-	}
 	t.mu.Lock()
 	t.sessions[s] = struct{}{}
 	t.mu.Unlock()
@@ -270,32 +254,25 @@ func (s *Session) Release() {
 	s.t.mu.Lock()
 	delete(s.t.sessions, s)
 	s.t.closed.add(&s.stats)
-	if s.lat != nil {
-		s.lat.AddTo(&s.t.latClosed)
-	}
 	s.t.mu.Unlock()
 	s.t.trace.Release(s.probe)
 	s.probe = nil
 	s.t.hpool.Put(s.h)
 }
 
-// opStart returns the operation start timestamp, or 0 when neither
-// latency histograms nor deep-path tracing is enabled (the common case:
-// two predictable nil checks, no clock read).
+// opStart returns the operation start timestamp, or 0 when tracing is
+// off (the common case: one predictable nil check, no clock read).
 func (s *Session) opStart() int64 {
-	if deepProbes && s.probe.RecordsOps() {
+	if deepProbes && s.probe != nil {
 		s.probe.OpBegin()
 		return obs.Now()
 	}
-	if s.lat == nil {
-		return 0
-	}
-	return obs.Now()
+	return 0
 }
 
 // opDone closes out one public operation: it counts the op, flushes the
-// owner-private counters, records the latency when enabled, and finalizes
-// the deep-path probe (flight-recorder entry, sampled phase trace,
+// owner-private counters, and, when tracing, records the latency and
+// finalizes the deep-path probe (flight-recorder entry, sampled phase trace,
 // anomaly checks).
 func (s *Session) opDone(c obs.OpClass, start int64) { s.opsDone(1, c, start) }
 
@@ -322,22 +299,17 @@ func (s *Session) opsDone(n int, c obs.OpClass, start int64) {
 	s.opLat(c, start)
 }
 
-// opLat records one per-operation latency when histograms are enabled.
-// Inside a batch this replaces opDone: op counting and counter flushes are
-// amortized into the batch's one opsDone. The probe OpEnd balances the
-// OpBegin issued by the per-op opStart — it nests inside the batch-level
-// begin, so it only decrements the nest counter (the batch-level OpEnd
+// opLat records one per-operation latency when tracing. Inside a batch
+// this replaces opDone: op counting and counter flushes are amortized
+// into the batch's one opsDone. The probe OpEnd balances the OpBegin
+// issued by the per-op opStart — it nests inside the batch-level begin,
+// so it only decrements the nest counter (the batch-level OpEnd
 // finalizes the flight entry / sampled trace).
 func (s *Session) opLat(c obs.OpClass, start int64) {
-	if s.lat == nil && !(deepProbes && s.probe.RecordsOps()) {
-		return
-	}
-	end := obs.Now()
-	if s.lat != nil {
-		s.lat.Record(c, end-start)
-	}
-	if deepProbes && s.probe.RecordsOps() {
-		s.probe.OpEnd(c, start, end-start)
+	if deepProbes && s.probe != nil {
+		dur := obs.Now() - start
+		s.probe.Latency(c, dur)
+		s.probe.OpEnd(c, start, dur)
 	}
 }
 
@@ -455,26 +427,12 @@ func (t *Tree) Stats() Stats {
 
 // Latencies merges every session's latency histograms (live and
 // released) into one snapshot. Returns nil unless the tree was built
-// with Options.LatencyHistograms.
-func (t *Tree) Latencies() *obs.LatencySnapshot {
-	if !t.opts.LatencyHistograms {
-		return nil
-	}
-	snap := &obs.LatencySnapshot{}
-	t.mu.Lock()
-	snap.Merge(&t.latClosed)
-	for s := range t.sessions {
-		if s.lat != nil {
-			s.lat.AddTo(snap)
-		}
-	}
-	t.mu.Unlock()
-	return snap
-}
+// with Options.Trace, and records nothing under -tags notrace.
+func (t *Tree) Latencies() *obs.LatencySnapshot { return t.trace.Latencies() }
 
 // TraceEvents drains every session's structural events into one stream
-// ordered by sequence number. Returns nil unless Options.TraceRingSize >
-// 0. Draining is destructive: each event is returned once.
+// ordered by sequence number. Returns nil unless Options.Trace is set.
+// Draining is destructive: each event is returned once.
 func (t *Tree) TraceEvents() []obs.Event { return t.trace.Events() }
 
 // TraceDropped returns how many trace events were lost to ring
@@ -482,34 +440,32 @@ func (t *Tree) TraceEvents() []obs.Event { return t.trace.Events() }
 func (t *Tree) TraceDropped() uint64 { return t.trace.EventsDropped() }
 
 // PhaseTraces drains the sampled per-op phase traces from every session,
-// ordered by completion sequence. Returns nil unless the tree was built
-// with Options.PhaseSampleEvery > 0 (or under -tags notrace). Draining
-// is destructive: each trace is returned once.
+// ordered by completion sequence: each session's newest obs.RingSize
+// traces. Returns nil unless the tree was built with Options.Trace (and
+// always under -tags notrace). Draining is destructive: each trace is
+// returned once.
 func (t *Tree) PhaseTraces() []obs.OpTrace { return t.trace.Traces() }
-
-// PhaseTraceDropped returns how many sampled phase traces were lost to
-// ring wraparound before they could be drained.
-func (t *Tree) PhaseTraceDropped() uint64 { return t.trace.TracesDropped() }
 
 // FlightRecent returns up to n of the most recent operation summaries
 // from the flight recorder, oldest first, merged across sessions by
 // completion sequence. Non-destructive. Returns nil unless the tree was
-// built with Options.FlightRecorderSize > 0. n <= 0 means no limit.
+// built with Options.Trace (and always under -tags notrace). n <= 0
+// means no limit.
 func (t *Tree) FlightRecent(n int) []obs.OpSummary { return t.trace.Flight(n) }
 
 // ChainDepths returns the distribution of delta-chain depths observed by
 // completed operations (one observation per op: the deepest chain it
-// walked). Zero-valued snapshot unless deep-path tracing is enabled.
+// walked). Zero-valued snapshot unless Options.Trace is set.
 func (t *Tree) ChainDepths() obs.HistSnapshot { return t.trace.ChainDepths() }
 
 // SetAnomalySink replaces the flight recorder's anomaly handler (the
 // default logs a compact line to stderr). Pass nil to restore the
-// default. No-op unless a trace option is set.
+// default. No-op unless Options.Trace is set.
 func (t *Tree) SetAnomalySink(sink obs.AnomalySink) { t.trace.SetAnomalySink(sink) }
 
 // AnomalyNote force-dumps the flight recorder with the given reason,
 // bypassing the anomaly rate limit. Used by the durability layer to mark
-// recovery starts. No-op unless deep-path tracing is enabled.
+// recovery starts. No-op unless Options.Trace is set.
 func (t *Tree) AnomalyNote(reason string) { t.trace.Note(reason) }
 
 // Anomalies returns the number of anomaly dumps emitted so far.
@@ -523,11 +479,10 @@ func (t *Tree) MappingStats() mapping.TableStats {
 
 // Probe exposes the session's deep-path probe so outer layers (the
 // durability façade) can attach WAL-append and fsync-wait spans to the
-// same sampled operation. Returns nil unless phase sampling or the
-// flight recorder is on, and always under -tags notrace; *obs.Probe
-// methods are nil-receiver-safe.
+// same sampled operation. Returns nil unless Options.Trace is set, and
+// always under -tags notrace; *obs.Probe methods are nil-receiver-safe.
 func (s *Session) Probe() *obs.Probe {
-	if deepProbes && s.probe.RecordsOps() {
+	if deepProbes {
 		return s.probe
 	}
 	return nil

@@ -44,7 +44,3 @@ func (s *Session) LookupVersion(key []byte) (value uint64, ver uint64, found boo
 // until the next write to that key, so a caller that excludes other
 // writers of the key reads the stamp here instead of looking it up.
 func (s *Session) LastStamp() uint64 { return s.stamp }
-
-// VersionCounter reports the tree-global version counter's current value:
-// every stamp issued so far is <= it. Diagnostics only.
-func (t *Tree) VersionCounter() uint64 { return t.verCtr.Load() }

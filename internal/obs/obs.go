@@ -1,8 +1,9 @@
 // Package obs is the tree's observability layer: allocation-free
 // log-bucketed latency histograms; one trace pipeline (phase.go) whose
-// per-session handle keeps three rings of one generic type (ring.go) —
-// structural SMO events, sampled per-operation phase traces and the
-// always-on flight recorder — all ordered by one sequence counter;
+// per-session handle keeps the latency histograms and three rings of one
+// generic type (ring.go) — structural SMO events, sampled per-operation
+// phase traces and the flight recorder — all ordered by one sequence
+// counter;
 // Chrome trace-event export (chrometrace.go); and a live /debug +
 // /metrics HTTP surface built from expvar, net/http/pprof, and a
 // Prometheus text renderer (prom.go).

@@ -10,8 +10,9 @@ import (
 )
 
 // This file is the trace pipeline: one Deep per tree and one Probe
-// handle per session. Each handle keeps three rings of the same generic
-// type (ring.go):
+// handle per session. Each handle keeps per-class latency histograms, the
+// leaf-chain-depth histogram, and three rings of the same generic type
+// (ring.go), each RingSize records long:
 //
 //   - events: structural modifications (split, merge, consolidate,
 //     abort), drained destructively by /debug/trace;
@@ -24,8 +25,8 @@ import (
 // of the three streams across sessions, or all three together, restores
 // the tree-wide order in which the records were written.
 //
-// The recording discipline matches the package contract: with every
-// trace option off the tree holds no Deep at all, every session's handle
+// The recording discipline matches the package contract: with tracing
+// off the tree holds no Deep at all, every session's handle
 // is nil, and every probe call is a single nil check. When enabled, the
 // per-op state (span array, counters) is owner-private plain memory; the
 // only shared work per record is one sequence fetch plus one short
@@ -120,47 +121,24 @@ type OpSummary struct {
 // first).
 type AnomalySink func(reason string, recent []OpSummary)
 
-// DeepConfig configures a Deep. Each per-session ring whose capacity is
-// zero is off.
-type DeepConfig struct {
-	// EventBuf is the per-session structural-event ring capacity; 0
-	// disables event tracing.
-	EventBuf int
-	// SampleEvery samples every Nth operation per session into a full
-	// phase trace; 0 disables phase sampling (the flight recorder can
-	// still run).
-	SampleEvery int
-	// TraceBuf is the per-session sampled-trace ring capacity
-	// (default 256 when sampling).
-	TraceBuf int
-	// FlightBuf is the per-session flight-recorder capacity; 0 disables
-	// the flight recorder.
-	FlightBuf int
-	// ChainAnomaly auto-dumps when an op observes a leaf chain deeper
-	// than this (the consolidation trigger is the natural setting); 0
-	// disables the chain trigger.
-	ChainAnomaly int
-}
-
-func (c *DeepConfig) sanitize() {
-	c.EventBuf = max(c.EventBuf, 0)
-	c.SampleEvery = max(c.SampleEvery, 0)
-	c.FlightBuf = max(c.FlightBuf, 0)
-	switch {
-	case c.SampleEvery == 0:
-		c.TraceBuf = 0
-	case c.TraceBuf <= 0:
-		c.TraceBuf = 256
-	}
-}
+// RingSize is the capacity of each of a handle's three rings (events,
+// sampled traces, flight entries), and SampleEvery the period, in outermost
+// operations per session, of the full phase trace. Seven is coprime to
+// short workload cycles (bwtree-cli's is four ops), so every op class
+// gets sampled.
+const (
+	RingSize    = 256
+	SampleEvery = 7
+)
 
 // Deep owns one tree's trace pipeline: the handle registry, the one
 // sequence counter, the drop counts and the anomaly sink. A nil *Deep is
-// the tree with every trace option off: its accessors return empty
-// results and its Probe returns a nil handle.
+// the tree with tracing off: its accessors return empty results and its
+// Probe returns a nil handle.
 type Deep struct {
-	cfg DeepConfig
-	ops bool // sampling or flight recorder on: handles record operations
+	size         int    // capacity of each ring of a handle
+	every        uint64 // phase-sample every Nth outermost op per handle
+	chainAnomaly uint32 // dump when an op sees a deeper leaf chain; 0 never
 
 	seq           atomic.Uint64
 	eventsDropped atomic.Uint64 // events lost to ring wraparound
@@ -174,11 +152,16 @@ type Deep struct {
 	free   []*Probe
 }
 
-// NewDeep returns a trace pipeline configured by cfg (zero fields
-// defaulted).
-func NewDeep(cfg DeepConfig) *Deep {
-	cfg.sanitize()
-	return &Deep{cfg: cfg, ops: cfg.SampleEvery > 0 || cfg.FlightBuf > 0}
+// NewDeep returns a trace pipeline with RingSize rings and 1-in-SampleEvery
+// phase sampling. An op that observes a leaf chain deeper than
+// chainAnomaly dumps the flight recorder (the consolidation trigger is
+// the natural setting); 0 disables the chain trigger.
+func NewDeep(chainAnomaly int) *Deep { return newDeep(RingSize, SampleEvery, chainAnomaly) }
+
+// newDeep is NewDeep with the ring capacity and sampling period chosen,
+// so tests can wrap small rings.
+func newDeep(size, every, chainAnomaly int) *Deep {
+	return &Deep{size: size, every: uint64(every), chainAnomaly: uint32(max(chainAnomaly, 0))}
 }
 
 // SetAnomalySink replaces the automatic-dump destination. A nil sink
@@ -206,10 +189,10 @@ func (d *Deep) Probe() *Probe {
 		d.free = d.free[:n-1]
 		return p
 	}
-	p := &Probe{d: d, worker: int32(len(d.probes)), ops: d.ops}
-	p.events.buf = make([]Event, d.cfg.EventBuf)
-	p.traces.buf = make([]OpTrace, d.cfg.TraceBuf)
-	p.flight.buf = make([]OpSummary, d.cfg.FlightBuf)
+	p := &Probe{d: d, worker: int32(len(d.probes))}
+	p.events.buf = make([]Event, d.size)
+	p.traces.buf = make([]OpTrace, d.size)
+	p.flight.buf = make([]OpSummary, d.size)
 	d.probes = append(d.probes, p)
 	return p
 }
@@ -307,11 +290,24 @@ func (d *Deep) ChainDepths() HistSnapshot {
 	return s
 }
 
+// Latencies merges every handle's per-class latency histograms, live and
+// released, into one snapshot; nil for a nil Deep.
+func (d *Deep) Latencies() *LatencySnapshot {
+	if d == nil {
+		return nil
+	}
+	snap := &LatencySnapshot{}
+	for _, p := range d.handles() {
+		p.lat.AddTo(snap)
+	}
+	return snap
+}
+
 // Note pushes an out-of-band event (e.g. recovery start) through the
 // anomaly sink, bypassing the rate limit, with the current tree-wide
-// flight tail attached. A no-op unless handles record operations.
+// flight tail attached.
 func (d *Deep) Note(reason string) {
-	if d == nil || !d.ops {
+	if d == nil {
 		return
 	}
 	d.anomalies.Add(1)
@@ -360,14 +356,13 @@ func defaultAnomalySink(reason string, recent []OpSummary) {
 	log.Print(line)
 }
 
-// Probe is one session's trace handle. All Emit/Op*/Note*/Span methods
-// are called only by the owning session goroutine; a nil receiver is
+// Probe is one session's trace handle. All Emit/Op*/Note*/Span/Latency
+// methods are called only by the owning session goroutine; a nil receiver is
 // valid everywhere and makes each call a single nil check — the
 // disabled-mode contract.
 type Probe struct {
 	d      *Deep
 	worker int32
-	ops    bool // Deep.ops: the per-operation methods record
 
 	// Owner-private per-op state: plain fields, single writer.
 	ctr      uint64 // outermost ops begun, drives sampling
@@ -378,27 +373,24 @@ type Probe struct {
 	opAborts uint32
 	cur      OpTrace
 
-	// depth is the live leaf-chain-depth distribution (atomic adds; read
-	// concurrently by ChainDepths).
+	// depth is the live leaf-chain-depth distribution and lat the
+	// per-class latency histograms (atomic adds; read concurrently by
+	// ChainDepths and Latencies).
 	depth Histogram
+	lat   Recorder
 
 	events ring[Event]
 	traces ring[OpTrace]
 	flight ring[OpSummary]
 }
 
-// RecordsOps reports whether the handle records operations (phase
-// sampling or the flight recorder is on); callers gate their op clock
-// reads on it.
-func (p *Probe) RecordsOps() bool { return p != nil && p.ops }
-
 // Active reports whether the current operation is being phase-sampled;
 // span probes gate their clock reads on it.
 func (p *Probe) Active() bool { return p != nil && p.active }
 
-// Emit records one structural event. A no-op unless event tracing is on.
+// Emit records one structural event.
 func (p *Probe) Emit(kind EventKind, node, a, b uint64) {
-	if p == nil || !p.events.on() {
+	if p == nil {
 		return
 	}
 	ev := Event{Seq: p.d.seq.Add(1), Time: Now(), Kind: kind, Node: node, A: a, B: b}
@@ -411,7 +403,7 @@ func (p *Probe) Emit(kind EventKind, node, a, b uint64) {
 // wrapping the in-memory apply, or per-op accounting inside a batch)
 // attach to the outermost operation; only it is sampled and summarized.
 func (p *Probe) OpBegin() {
-	if !p.RecordsOps() {
+	if p == nil {
 		return
 	}
 	p.nest++
@@ -419,12 +411,10 @@ func (p *Probe) OpBegin() {
 		return
 	}
 	p.opChain, p.opCAS, p.opAborts = 0, 0, 0
-	if p.traces.on() {
-		p.ctr++
-		if every := uint64(p.d.cfg.SampleEvery); p.ctr%every == 0 {
-			p.active = true
-			p.cur = OpTrace{Worker: p.worker}
-		}
+	p.ctr++
+	if p.ctr%p.d.every == 0 {
+		p.active = true
+		p.cur = OpTrace{Worker: p.worker}
 	}
 }
 
@@ -439,20 +429,22 @@ func (p *Probe) Span(ph Phase, start int64, arg uint64) {
 }
 
 // NoteChain records one observed leaf-chain depth: it feeds the live
-// depth distribution and the current op's summary.
+// depth distribution and the current op's summary. Every lookup calls
+// it, so the nil check stays small enough to inline into the caller.
 func (p *Probe) NoteChain(n uint32) {
-	if !p.RecordsOps() {
-		return
+	if p != nil {
+		p.noteChain(n)
 	}
-	if n > p.opChain {
-		p.opChain = n
-	}
+}
+
+func (p *Probe) noteChain(n uint32) {
+	p.opChain = max(p.opChain, n)
 	p.depth.RecordNS(int64(n))
 }
 
 // NoteCASFail counts one lost mapping-table publish.
 func (p *Probe) NoteCASFail() {
-	if !p.RecordsOps() {
+	if p == nil {
 		return
 	}
 	p.opCAS++
@@ -460,17 +452,27 @@ func (p *Probe) NoteCASFail() {
 
 // NoteAbort counts one traversal restart.
 func (p *Probe) NoteAbort() {
-	if !p.RecordsOps() {
+	if p == nil {
 		return
 	}
 	p.opAborts++
+}
+
+// Latency records one latency observation of ns nanoseconds in class c.
+// Unlike OpEnd it counts nested operations too: each op of a batch in its
+// own class next to the batch's one OpBatch observation.
+func (p *Probe) Latency(c OpClass, ns int64) {
+	if p == nil {
+		return
+	}
+	p.lat.Record(c, ns)
 }
 
 // OpEnd closes the operation opened by the matching OpBegin. At the
 // outermost level it publishes the flight entry, checks the anomaly
 // triggers, and finalizes the sampled trace if the op was sampled.
 func (p *Probe) OpEnd(c OpClass, start, dur int64) {
-	if !p.RecordsOps() {
+	if p == nil {
 		return
 	}
 	p.nest--
@@ -480,15 +482,13 @@ func (p *Probe) OpEnd(c OpClass, start, dur int64) {
 	if p.nest < 0 {
 		p.nest = 0 // tolerate an unmatched OpEnd rather than corrupt state
 	}
-	if p.flight.on() {
-		p.flight.push(OpSummary{
-			Seq: p.d.seq.Add(1), Class: c, Start: start, Dur: dur,
-			ChainLen: p.opChain, CASRetries: p.opCAS, Aborts: p.opAborts,
-		})
-		if ca := p.d.cfg.ChainAnomaly; ca > 0 && p.opChain > uint32(ca) {
-			p.d.anomaly(fmt.Sprintf("%s op saw chain depth %d (consolidation trigger %d)",
-				c, p.opChain, ca), p)
-		}
+	p.flight.push(OpSummary{
+		Seq: p.d.seq.Add(1), Class: c, Start: start, Dur: dur,
+		ChainLen: p.opChain, CASRetries: p.opCAS, Aborts: p.opAborts,
+	})
+	if ca := p.d.chainAnomaly; ca > 0 && p.opChain > ca {
+		p.d.anomaly(fmt.Sprintf("%s op saw chain depth %d (consolidation trigger %d)",
+			c, p.opChain, ca), p)
 	}
 	if p.active {
 		p.active = false

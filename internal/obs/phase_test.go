@@ -16,7 +16,7 @@ func endOp(p *Probe, c OpClass, dur int64) {
 }
 
 func TestProbeSamplingCadence(t *testing.T) {
-	d := NewDeep(DeepConfig{SampleEvery: 4, TraceBuf: 1024})
+	d := newDeep(1024, 4, 0)
 	p := d.Probe()
 	const ops = 100
 	for i := 0; i < ops; i++ {
@@ -51,13 +51,14 @@ func TestProbeNilReceiver(t *testing.T) {
 	p.NoteAbort()
 	p.OpEnd(OpInsert, 0, 0)
 	p.Emit(EvSplit, 1, 0, 0)
-	if p.Active() || p.RecordsOps() {
-		t.Fatal("nil probe reports Active or RecordsOps")
+	p.Latency(OpRead, 1)
+	if p.Active() {
+		t.Fatal("nil probe reports Active")
 	}
-	// A nil Deep is the tree with every trace option off.
+	// A nil Deep is the tree with tracing off.
 	var d *Deep
 	if d.Probe() != nil || d.Events() != nil || d.Traces() != nil || d.Flight(0) != nil ||
-		d.EventsDropped() != 0 || d.TracesDropped() != 0 || d.Anomalies() != 0 {
+		d.Latencies() != nil || d.EventsDropped() != 0 || d.TracesDropped() != 0 || d.Anomalies() != 0 {
 		t.Fatal("nil Deep returned a handle or records")
 	}
 	d.Release(nil)
@@ -65,29 +66,50 @@ func TestProbeNilReceiver(t *testing.T) {
 	d.Note("ignored")
 }
 
-func TestEventsOnlyHandleRecordsNoOps(t *testing.T) {
-	d := NewDeep(DeepConfig{EventBuf: 8})
-	var dumps atomic.Int64
-	d.SetAnomalySink(func(string, []OpSummary) { dumps.Add(1) })
+// TestNewDeepFixedSizes checks the one configuration NewDeep builds:
+// RingSize records per ring and one phase trace every SampleEvery ops.
+func TestNewDeepFixedSizes(t *testing.T) {
+	d := NewDeep(0)
 	p := d.Probe()
-	if p.RecordsOps() {
-		t.Fatal("events-only handle reports RecordsOps")
+	const ops = 2 * RingSize * SampleEvery
+	for i := 0; i < ops; i++ {
+		p.OpBegin()
+		p.Emit(EvSplit, uint64(i), 0, 0)
+		endOp(p, OpRead, 10)
 	}
-	p.OpBegin()
-	p.NoteChain(40)
-	p.Emit(EvSplit, 1, 0, 0)
-	endOp(p, OpInsert, 10)
-	d.Note("recovery start")
-	if evs := d.Events(); len(evs) != 1 || evs[0].Seq != 1 {
-		t.Fatalf("events = %+v, want one with seq 1", evs)
+	if got := len(d.Events()); got != RingSize {
+		t.Fatalf("event ring kept %d, want %d", got, RingSize)
 	}
-	if depth := d.ChainDepths(); depth.Total() != 0 || dumps.Load() != 0 || d.Traces() != nil || d.Flight(0) != nil {
-		t.Fatal("events-only handle recorded an operation")
+	if got := len(d.Flight(0)); got != RingSize {
+		t.Fatalf("flight ring kept %d, want %d", got, RingSize)
+	}
+	if got, dropped := len(d.Traces()), d.TracesDropped(); got != RingSize || got+int(dropped) != ops/SampleEvery {
+		t.Fatalf("trace ring kept %d and dropped %d of %d ops, want %d kept of 1 in %d",
+			got, dropped, ops, RingSize, SampleEvery)
+	}
+}
+
+// TestLatenciesMergeHandles checks that Latencies sums every handle,
+// released ones included, and that only Latency calls record: a nested
+// op's OpEnd adds nothing.
+func TestLatenciesMergeHandles(t *testing.T) {
+	d := NewDeep(0)
+	p1, p2 := d.Probe(), d.Probe()
+	for i := 0; i < 10; i++ {
+		p1.Latency(OpRead, 100)
+		p2.Latency(OpInsert, 200)
+	}
+	p2.OpBegin()
+	endOp(p2, OpInsert, 300)
+	d.Release(p2)
+	snap := d.Latencies()
+	if r, w := snap.Class(OpRead).Total(), snap.Class(OpInsert).Total(); r != 10 || w != 10 {
+		t.Fatalf("merged %d reads and %d inserts, want 10 and 10", r, w)
 	}
 }
 
 func TestProbeNesting(t *testing.T) {
-	d := NewDeep(DeepConfig{SampleEvery: 1, TraceBuf: 64, FlightBuf: 64})
+	d := newDeep(64, 1, 0)
 	p := d.Probe()
 	// A durable commit wraps the in-memory apply: two OpBegins, two
 	// OpEnds, but only the outermost finalizes (one trace, one flight
@@ -111,7 +133,7 @@ func TestProbeNesting(t *testing.T) {
 }
 
 func TestTraceRingWrapCountsDropped(t *testing.T) {
-	d := NewDeep(DeepConfig{SampleEvery: 1, TraceBuf: 8})
+	d := newDeep(8, 1, 0)
 	p := d.Probe()
 	const ops = 20
 	for i := 0; i < ops; i++ {
@@ -131,13 +153,14 @@ func TestTraceRingWrapCountsDropped(t *testing.T) {
 			t.Fatalf("drain not Seq-sorted: %d after %d", traces[i].Seq, traces[i-1].Seq)
 		}
 	}
-	if traces[len(traces)-1].Seq != ops {
-		t.Fatalf("newest trace Seq = %d, want %d", traces[len(traces)-1].Seq, ops)
+	// Each op draws its flight entry's Seq, then its trace's.
+	if traces[len(traces)-1].Seq != 2*ops {
+		t.Fatalf("newest trace Seq = %d, want %d", traces[len(traces)-1].Seq, 2*ops)
 	}
 }
 
 func TestFlightRingKeepsNewest(t *testing.T) {
-	d := NewDeep(DeepConfig{FlightBuf: 4})
+	d := newDeep(4, 1000, 0) // no op sampled: flight entries alone draw Seqs
 	p := d.Probe()
 	for i := 0; i < 10; i++ {
 		p.OpBegin()
@@ -160,7 +183,7 @@ func TestFlightRingKeepsNewest(t *testing.T) {
 }
 
 func TestAnomalyRateLimitAndNoteBypass(t *testing.T) {
-	d := NewDeep(DeepConfig{FlightBuf: 16, ChainAnomaly: 8})
+	d := newDeep(16, 1000, 8)
 	var dumps atomic.Int64
 	d.SetAnomalySink(func(reason string, recent []OpSummary) {
 		dumps.Add(1)
@@ -188,7 +211,7 @@ func TestAnomalyRateLimitAndNoteBypass(t *testing.T) {
 }
 
 func TestAnomalyChainTrigger(t *testing.T) {
-	d := NewDeep(DeepConfig{FlightBuf: 8, ChainAnomaly: 16})
+	d := newDeep(8, 1000, 16)
 	var reason atomic.Pointer[string]
 	d.SetAnomalySink(func(r string, recent []OpSummary) { reason.Store(&r) })
 	p := d.Probe()
@@ -202,7 +225,7 @@ func TestAnomalyChainTrigger(t *testing.T) {
 }
 
 func TestProbeReusePreservesTraces(t *testing.T) {
-	d := NewDeep(DeepConfig{EventBuf: 16, SampleEvery: 1, TraceBuf: 64, FlightBuf: 8})
+	d := newDeep(16, 1, 0)
 	p := d.Probe()
 	p.OpBegin()
 	p.Emit(EvAbort, 1, 0, 0)
@@ -226,7 +249,7 @@ func TestProbeReusePreservesTraces(t *testing.T) {
 }
 
 func TestChromeTraceRoundTrip(t *testing.T) {
-	d := NewDeep(DeepConfig{SampleEvery: 1, TraceBuf: 64})
+	d := newDeep(64, 1, 0)
 	p := d.Probe()
 	p.OpBegin()
 	if p.Active() {

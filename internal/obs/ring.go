@@ -7,16 +7,12 @@ import "sync"
 // The owning session is its only writer; dump endpoints drain or copy it
 // concurrently. The mutex exists so a reader never sees a torn record:
 // the writer holds it for a few stores, and it is contended only while a
-// dump runs. A ring without a buffer is off.
+// dump runs.
 type ring[T any] struct {
 	mu   sync.Mutex
 	buf  []T    // fixed when the owning handle is built
 	next uint64 // records pushed since the last drain
 }
-
-// on reports whether the ring has a buffer. buf never changes after the
-// handle is built, so this reads it without the lock.
-func (r *ring[T]) on() bool { return len(r.buf) > 0 }
 
 // push stores v, overwriting the oldest record once the ring is full,
 // and reports whether the overwritten record was never drained.

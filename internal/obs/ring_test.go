@@ -53,13 +53,3 @@ func TestRingWrapDrainPeek(t *testing.T) {
 		})
 	}
 }
-
-func TestRingOff(t *testing.T) {
-	var r ring[int]
-	if r.on() {
-		t.Fatal("a ring without a buffer reports on")
-	}
-	if got := r.drain(nil); got != nil {
-		t.Fatalf("drain of an off ring = %v, want nil", got)
-	}
-}

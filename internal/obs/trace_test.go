@@ -6,7 +6,7 @@ import (
 )
 
 func TestEventsOrderedDrain(t *testing.T) {
-	d := NewDeep(DeepConfig{EventBuf: 64})
+	d := newDeep(64, 1000, 0)
 	p1, p2 := d.Probe(), d.Probe()
 	// Interleave emissions across two handles.
 	for i := uint64(0); i < 10; i++ {
@@ -28,7 +28,7 @@ func TestEventsOrderedDrain(t *testing.T) {
 }
 
 func TestEventsWraparound(t *testing.T) {
-	d := NewDeep(DeepConfig{EventBuf: 8})
+	d := newDeep(8, 1000, 0)
 	p := d.Probe()
 	for i := uint64(0); i < 20; i++ {
 		p.Emit(EvConsolidate, i, 0, 0)
@@ -54,7 +54,7 @@ func TestEventsWraparound(t *testing.T) {
 // accounting checks that every record was either drained once or
 // counted as dropped.
 func TestConcurrentEmitAndDrain(t *testing.T) {
-	d := NewDeep(DeepConfig{EventBuf: 64, SampleEvery: 2, TraceBuf: 16, FlightBuf: 32})
+	d := newDeep(16, 2, 0)
 	const workers = 4
 	const perWorker = 500
 	var wg sync.WaitGroup
@@ -103,7 +103,7 @@ func TestConcurrentEmitAndDrain(t *testing.T) {
 // entries draw from one counter: within one session's op the event comes
 // first, and no two records of any kind share a Seq.
 func TestOneSeqAcrossKinds(t *testing.T) {
-	d := NewDeep(DeepConfig{EventBuf: 64, SampleEvery: 1, FlightBuf: 64})
+	d := newDeep(64, 1, 0)
 	p := d.Probe()
 	for i := 0; i < 10; i++ {
 		p.OpBegin()

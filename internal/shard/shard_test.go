@@ -503,7 +503,7 @@ func TestLegacyShardDirsRefused(t *testing.T) {
 // log's.
 func TestStoreStatsAggregation(t *testing.T) {
 	opts := smallTreeOpts()
-	opts.LatencyHistograms = true
+	opts.Trace = true
 	st, err := Open(Options{Shards: 3, Tree: opts, WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -540,7 +540,7 @@ func TestStoreStatsAggregation(t *testing.T) {
 		t.Fatalf("wal_appends = %d, the log's Appends = %d, want them equal and >= 3000", got, want)
 	}
 	if v.Latency == nil {
-		t.Fatal("latency feed missing with LatencyHistograms on")
+		t.Fatal("latency feed missing with Trace on")
 	}
 	if total := v.Latency().Total(); total == 0 {
 		t.Fatal("merged latency snapshot empty")
@@ -564,8 +564,7 @@ func TestStoreStatsAggregation(t *testing.T) {
 // the same HELP text: one series must not be described two ways.
 func TestDebugVarsHelpAgrees(t *testing.T) {
 	opts := smallTreeOpts()
-	opts.PhaseSampleEvery = 8
-	opts.FlightRecorderSize = 128
+	opts.Trace = true
 	d, err := bwtree.OpenDurable(t.TempDir(), bwtree.DurableOptions{Tree: opts, SyncOnCommit: true})
 	if err != nil {
 		t.Fatal(err)
