@@ -36,17 +36,10 @@ var WriteChromeTrace = obs.WriteChromeTrace
 
 // DebugVars builds the observability data source for t: counters and
 // gauges from Stats, plus the latency, event, chain-depth, flight and
-// phase-trace feeds when the tree was built with Options.Trace. Useful for mounting the debug surface into an
-// existing HTTP server via obs.Mux.
+// phase-trace feeds (and the phase_traces_dropped counter) when the tree
+// was built with Options.Trace. Useful for mounting the debug surface
+// into an existing HTTP server via obs.Mux.
 func DebugVars(t *Tree) obs.Vars { return treesVars([]*Tree{t}, false) }
-
-// PartitionedDebugVars is DebugVars over trees that partition one key
-// space, indexed by their Router's shard numbers: counters summed (and
-// epoch lag maxed, where a sum lies), histograms merged, event, flight
-// and phase feeds concatenated, plus per-partition op counters
-// (shardNN_ops, which surface routing skew), a partition-count gauge
-// (shards) and a per-partition list in the shape (shards).
-func PartitionedDebugVars(trees []*Tree) obs.Vars { return treesVars(trees, true) }
 
 // SumStats aggregates the counters of trees that partition one key space:
 // every counter summed, epoch lag maxed.
@@ -104,9 +97,14 @@ func shapeMap(st StructureStats) map[string]any {
 }
 
 // treesVars is the one debug surface over a store's trees, all built with
-// the same Options; DebugVars is its one-tree case. perPart adds the
-// per-partition keys.
+// the same Options; DebugVars is its one-tree case. Over several
+// partitions counters are summed (and epoch lag maxed, where a sum lies),
+// histograms merged, and event, flight and phase feeds concatenated;
+// perPart adds per-partition op counters (shardNN_ops, which surface
+// routing skew), a partition-count gauge (shards) and a per-partition
+// list in the shape (shards).
 func treesVars(trees []*Tree, perPart bool) obs.Vars {
+	traced := trees[0].Options().Trace
 	v := obs.Vars{
 		Counters: func() map[string]uint64 {
 			st := SumStats(trees)
@@ -127,6 +125,14 @@ func treesVars(trees []*Tree, perPart bool) obs.Vars {
 			if perPart {
 				for i, t := range trees {
 					m[fmt.Sprintf("shard%02d_ops", i)] = t.Stats().Ops
+				}
+			}
+			if traced {
+				// Sampled phase traces lost to ring wraparound before
+				// /debug/phasetrace drained them.
+				m["phase_traces_dropped"] = 0
+				for _, t := range trees {
+					m["phase_traces_dropped"] += t.PhaseTracesDropped()
 				}
 			}
 			return m
@@ -188,7 +194,7 @@ func treesVars(trees []*Tree, perPart bool) obs.Vars {
 			return m
 		},
 	}
-	if !trees[0].Options().Trace {
+	if !traced {
 		return v
 	}
 	v.Latency = func() *obs.LatencySnapshot {
@@ -235,12 +241,16 @@ func concat[E any](trees []*Tree, feed func(*Tree) []E) []E {
 }
 
 // DurableDebugVars is the debug surface over every partition of d (see
-// DebugVars and PartitionedDebugVars) plus the durability layer's health
-// surface: WAL counters, flush-queue depth, group-commit batch and
-// fsync-latency distributions, pending (appended but not yet durable)
-// LSNs, and checkpoint age.
+// DebugVars and treesVars; a store with a Router reports per-partition
+// keys) plus, when d has a log, the durability layer's health surface:
+// WAL counters, flush-queue depth, group-commit batch and fsync-latency
+// distributions, pending (appended but not yet durable) LSNs, and
+// checkpoint age.
 func DurableDebugVars(d *Durable) obs.Vars {
 	v := treesVars(d.trees, d.o.Router != nil)
+	if d.w == nil {
+		return v
+	}
 	treeCounters, treeGauges, treeHists := v.Counters, v.Gauges, v.MetricHists
 	v.Counters = func() map[string]uint64 {
 		m := treeCounters()

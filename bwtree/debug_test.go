@@ -3,10 +3,13 @@ package bwtree
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func getJSON(t *testing.T, url string, into any) {
@@ -113,6 +116,52 @@ func TestDebugServer(t *testing.T) {
 	}
 }
 
+// TestPhaseTracesDroppedReported: a traced session samples one op in
+// obs.SampleEvery into a ring of obs.RingSize traces, so undrained it
+// loses every sampled trace past the ring's capacity; /debug/stats and
+// /metrics must report that loss.
+func TestPhaseTracesDroppedReported(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Trace = true
+	tr := New(opts)
+	defer tr.Close()
+	s := tr.NewSession()
+	defer s.Release()
+	const ops = (obs.RingSize + 100) * obs.SampleEvery
+	key := make([]byte, 8)
+	for i := uint64(0); i < ops; i++ {
+		binary.BigEndian.PutUint64(key, i)
+		s.Insert(key, i)
+	}
+	want := uint64(ops/obs.SampleEvery - obs.RingSize)
+	if !deepProbes {
+		want = 0 // nothing is sampled under -tags notrace
+	}
+
+	srv, err := ServeDebug(tr, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ServeDebug: %v", err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr()
+	var stats struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	getJSON(t, base+"/debug/stats", &stats)
+	if got, ok := stats.Counters["phase_traces_dropped"]; !ok || got != want {
+		t.Fatalf("/debug/stats phase_traces_dropped = %d (present %v), want %d", got, ok, want)
+	}
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if line := fmt.Sprintf("bwtree_phase_traces_dropped_total %d\n", want); !strings.Contains(string(body), line) {
+		t.Fatalf("/metrics lacks %q", line)
+	}
+}
+
 func TestDebugServerDisabledSurfaces(t *testing.T) {
 	// Default options: Trace off, so the pipeline's endpoints 404 but
 	// counters still serve.
@@ -141,5 +190,8 @@ func TestDebugServerDisabledSurfaces(t *testing.T) {
 	getJSON(t, base+"/debug/stats", &stats)
 	if _, ok := stats.Counters["ops"]; !ok {
 		t.Fatal("stats missing counters.ops")
+	}
+	if _, ok := stats.Counters["phase_traces_dropped"]; ok {
+		t.Fatal("an untraced tree reports phase_traces_dropped")
 	}
 }

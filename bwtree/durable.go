@@ -33,8 +33,7 @@ type DurableOptions struct {
 	// Tree configures the in-memory index. Zero-value fields are filled
 	// with defaults as in New.
 	Tree Options
-	// WAL configures the log writer (segment size, group-commit interval
-	// and size, NoSync).
+	// WAL configures the log writer (segment size, NoSync).
 	WAL wal.Options
 	// SyncOnCommit makes every mutating operation wait until its log
 	// record is fsynced before returning — the acknowledged-write
@@ -51,28 +50,31 @@ type DurableOptions struct {
 	Router Router
 }
 
-// Durable is a durable store: one or, with a Router, several trees over
-// one log, with logging of effects, epoch-consistent checkpoints, and
-// crash recovery (see internal/wal for the on-disk format). A single-key
+// Durable is a store of one or, with a Router, several trees over one
+// log, with logging of effects, epoch-consistent checkpoints, and crash
+// recovery (see internal/wal for the on-disk format); opened with no
+// directory it is the same store without the log. A single-key
 // mutation is applied first and logged only if it took effect, so a
 // failed insert, update or delete writes nothing; a transaction's
 // resolved write set is logged, then applied. Recovery merges the newest
 // checkpoint snapshot with the log tail, folded last-writer-wins per key,
 // into one BulkLoad per tree.
 //
-// Durable is the store's one owner: every method acts on the whole
-// store. Sessions and the convenience operations route each key to the
-// partition its Router names; Trees and Stripes expose the partitions'
-// trees and lock tables by partition number.
+// Durable is the store's one owner, logged or not: every method acts on
+// the whole store. Sessions route each key to the partition its Router
+// names; Trees and Stripes expose the partitions' trees and lock tables
+// by partition number.
 //
 // Concurrency: obtain one DurableSession per goroutine, exactly as with
 // Tree. Commit ordering between conflicting operations is established by
 // a striped lock held across the tree-apply + log-append pair, so the
 // log's LSN order agrees with the tree's apply order for any single key —
-// the property replay depends on. Checkpoint runs concurrently with
+// the property replay depends on. Without a log the stripe is still
+// held across the apply, so plain and transactional writers exclude each
+// other in memory exactly as on disk. Checkpoint runs concurrently with
 // writers.
 type Durable struct {
-	w   *wal.Writer
+	w   *wal.Writer // nil without a log
 	dir string
 	o   DurableOptions
 	rec RecoveryStats
@@ -84,9 +86,7 @@ type Durable struct {
 	trees   []*Tree
 	stripes []*Stripes
 
-	mu     sync.Mutex // guards closed and conv
-	closed bool
-	conv   *DurableSession // lazy session backing the convenience methods
+	closed atomic.Bool // set once, by Close
 
 	// lastCP is the wall-clock UnixNano of the last durability baseline:
 	// set at open (recovery establishes one) and on every successful
@@ -139,6 +139,8 @@ var ErrDurableClosed = errors.New("bwtree: durable tree closed")
 // dir. If dir holds a previous incarnation's state, every partition is
 // rebuilt from the newest checkpoint snapshot and the log tail
 // (truncating a torn final record), and logging resumes at the next LSN.
+// An empty dir opens a volatile store: empty trees, no log, nothing to
+// recover.
 func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 	if o.Tree.NonUnique {
 		// The log records the one value a key holds; last-writer-wins
@@ -155,9 +157,12 @@ func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 	for i := range d.trees {
 		d.trees[i], d.stripes[i] = core.New(o.Tree), NewStripes()
 	}
-	next, err := d.rebuild()
-	if err == nil {
-		d.w, err = wal.NewWriter(dir, o.WAL, next)
+	var err error
+	if dir != "" {
+		var next uint64
+		if next, err = d.rebuild(); err == nil {
+			d.w, err = wal.NewWriter(dir, o.WAL, next)
+		}
 	}
 	if err != nil {
 		for _, t := range d.trees {
@@ -421,25 +426,46 @@ func (d *Durable) Stripes(p int) *Stripes { return d.stripes[p] }
 func (d *Durable) RecoveryStats() RecoveryStats { return d.rec }
 
 // WALStats returns the log writer's counters and histograms (fsync
-// latency, group-commit batch sizes).
-func (d *Durable) WALStats() wal.Stats { return d.w.Stats() }
+// latency, group-commit batch sizes); zero without a log.
+func (d *Durable) WALStats() wal.Stats {
+	if d.w == nil {
+		return wal.Stats{}
+	}
+	return d.w.Stats()
+}
 
-// Sync blocks until every operation logged so far is fsynced.
-func (d *Durable) Sync() error { return d.w.Sync() }
+// Sync blocks until every operation logged so far is fsynced; at once
+// without a log.
+func (d *Durable) Sync() error {
+	if d.w == nil {
+		return nil
+	}
+	return d.w.Sync()
+}
 
 // AppendTxn logs a whole write set, whichever partitions it spans, as one
 // wal.OpTxn record and returns its LSN. The caller must hold every write
 // stripe of the transaction across this call and the in-memory apply.
+// Without a log it appends nothing and returns LSN 0.
 func (d *Durable) AppendTxn(txnID uint64, ops []wal.TxnOp) (uint64, error) {
+	if d.w == nil {
+		return 0, nil
+	}
 	return d.w.AppendTxn(txnID, ops)
 }
 
-// WaitLSN blocks until lsn is fsynced.
-func (d *Durable) WaitLSN(lsn uint64) error { return d.w.WaitDurable(lsn) }
+// WaitLSN blocks until lsn is fsynced; at once without a log.
+func (d *Durable) WaitLSN(lsn uint64) error {
+	if d.w == nil {
+		return nil
+	}
+	return d.w.WaitDurable(lsn)
+}
 
-// SyncOnCommit reports whether the store was opened with the
-// acknowledged-write guarantee.
-func (d *Durable) SyncOnCommit() bool { return d.o.SyncOnCommit }
+// SyncOnCommit reports whether commits wait for their record to be
+// fsynced: the store has a log and was opened with the acknowledged-write
+// guarantee.
+func (d *Durable) SyncOnCommit() bool { return d.o.SyncOnCommit && d.w != nil }
 
 // DurableSession is a single goroutine's handle to a Durable store: one
 // tree Session per partition plus the logging protocol. Mutations return
@@ -501,11 +527,11 @@ func applyOp(s *Session, op byte, key []byte, value uint64) bool {
 
 // commit is the one single-key commit protocol: under the key's stripe
 // lock in its partition, apply the mutation to the partition's tree and,
-// only if it took effect, append its record (assigning its LSN); then,
-// outside the lock, wait for group commit if configured. A failed
-// operation writes nothing and waits for nothing. Holding the stripe
-// across apply and append keeps each key's LSN order equal to its apply
-// order.
+// only if it took effect and the store has a log, append its record
+// (assigning its LSN); then, outside the lock, wait for group commit if
+// configured. A failed operation writes nothing and waits for nothing.
+// Holding the stripe across apply and append keeps each key's LSN order
+// equal to its apply order.
 //
 // Deep-path tracing (a non-nil probe) wraps the whole protocol in one
 // probe operation: the inner tree apply nests inside it (see
@@ -526,9 +552,9 @@ func (ds *DurableSession) commit(op byte, key []byte, value uint64) (ok bool, er
 	stripes := d.stripes[p]
 	si := stripes.Of(key)
 	stripes.Lock(si)
-	if ok = applyOp(s, op, key, value); !ok {
+	if ok = applyOp(s, op, key, value); !ok || d.w == nil {
 		stripes.Unlock(si)
-		return false, nil
+		return ok, nil
 	}
 	var t0 int64
 	if pr.Active() {
@@ -590,47 +616,6 @@ func (ds *DurableSession) Scan(start []byte, n int, visit func(key []byte, value
 	return ds.ss[0].Scan(start, n, visit)
 }
 
-// Insert is a convenience single-caller form of DurableSession.Insert.
-// The convenience operations share one session under a mutex, so
-// concurrent callers serialize, group-commit wait included; concurrent
-// workloads should use per-goroutine sessions instead.
-func (d *Durable) Insert(key []byte, value uint64) (bool, error) {
-	return d.convenience(func(s *DurableSession) (bool, error) { return s.Insert(key, value) })
-}
-
-// Update is the convenience form of DurableSession.Update.
-func (d *Durable) Update(key []byte, value uint64) (bool, error) {
-	return d.convenience(func(s *DurableSession) (bool, error) { return s.Update(key, value) })
-}
-
-// Delete is the convenience form of DurableSession.Delete.
-func (d *Durable) Delete(key []byte, value uint64) (bool, error) {
-	return d.convenience(func(s *DurableSession) (bool, error) { return s.Delete(key, value) })
-}
-
-// Lookup is the convenience form of DurableSession.Lookup.
-func (d *Durable) Lookup(key []byte, out []uint64) (res []uint64, err error) {
-	_, err = d.convenience(func(s *DurableSession) (bool, error) {
-		res = s.Lookup(key, out)
-		return true, nil
-	})
-	return res, err
-}
-
-// convenience runs op on the session backing the convenience operations,
-// opening it on first use.
-func (d *Durable) convenience(op func(*DurableSession) (bool, error)) (bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return false, ErrDurableClosed
-	}
-	if d.conv == nil {
-		d.conv = d.NewSession()
-	}
-	return op(d.conv)
-}
-
 // Checkpoint writes an epoch-consistent snapshot of every partition's
 // tree, one after another into one snapshot file, plus a manifest, and
 // prunes log segments the snapshot covers. It runs concurrently with
@@ -643,18 +628,19 @@ func (d *Durable) convenience(op func(*DurableSession) (bool, error)) (bool, err
 //
 // Returns the manifest LSN (the new replay start). Concurrent
 // Checkpoint calls serialize, and Close waits for an in-flight
-// checkpoint before tearing the writer and trees down.
+// checkpoint before tearing the writer and trees down. A store without a
+// log has nothing to checkpoint into and returns 0.
 func (d *Durable) Checkpoint() (uint64, error) {
+	if d.w == nil {
+		return 0, nil
+	}
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()
 	d.life.RLock()
 	defer d.life.RUnlock()
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+	if d.closed.Load() {
 		return 0, ErrDurableClosed
 	}
-	d.mu.Unlock()
 
 	cpLSN := d.w.AppendedLSN()
 	// A single-key commit applies before it appends, so its effect is in
@@ -744,23 +730,18 @@ func Snapshot(t *Tree, dir string) (uint64, error) {
 // down. It does not checkpoint; call Checkpoint first to make the next
 // open fast.
 func (d *Durable) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+	if d.closed.Swap(true) {
 		return nil
 	}
-	d.closed = true
-	if d.conv != nil {
-		d.conv.Release()
-		d.conv = nil
-	}
-	d.mu.Unlock()
 	// Wait for any in-flight Checkpoint (it holds the lifecycle
 	// read-lock across its walk) before releasing the writer and trees;
 	// checkpoints arriving after this see closed and return early.
 	d.life.Lock()
 	defer d.life.Unlock()
-	err := d.w.Close()
+	var err error
+	if d.w != nil {
+		err = d.w.Close()
+	}
 	for _, t := range d.trees {
 		t.Close()
 	}
@@ -773,15 +754,16 @@ func (d *Durable) Close() error {
 // fails with wal.ErrCrashed. The in-memory trees stay alive — concurrent
 // sessions may be mid-operation — but are no longer authoritative; call
 // Close to release them, then reopen the directory with OpenDurable to
-// get the surviving state.
+// get the surviving state. Without a log there is nothing to lose, and
+// Crash does nothing.
 func (d *Durable) Crash() error {
-	d.life.RLock()
-	defer d.life.RUnlock()
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+	if d.w == nil {
 		return nil
 	}
-	d.mu.Unlock()
+	d.life.RLock()
+	defer d.life.RUnlock()
+	if d.closed.Load() {
+		return nil
+	}
 	return d.w.Crash()
 }

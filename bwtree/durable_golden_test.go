@@ -32,6 +32,7 @@ func goldenHistory(t *testing.T, dir string, o DurableOptions) diffModel {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := d.NewSession()
 	model := diffModel{}
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%02d", i)) }
 	single := func(op byte, i int, v uint64) {
@@ -40,11 +41,11 @@ func goldenHistory(t *testing.T, dir string, o DurableOptions) diffModel {
 		var err error
 		switch op {
 		case wal.OpInsert:
-			ok, err = d.Insert(k, v)
+			ok, err = ds.Insert(k, v)
 		case wal.OpUpdate:
-			ok, err = d.Update(k, v)
+			ok, err = ds.Update(k, v)
 		case wal.OpDelete:
-			ok, err = d.Delete(k, v)
+			ok, err = ds.Delete(k, v)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -90,6 +91,7 @@ func goldenHistory(t *testing.T, dir string, o DurableOptions) diffModel {
 		{Op: wal.OpInsert, Key: key(13), Value: 513},
 		{Op: wal.OpDelete, Key: key(2)},
 	})
+	ds.Release()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,9 @@ func TestDurableBasicRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := d.NewSession()
 	for i := uint64(0); i < 100; i++ {
-		if ok, err := d.Insert(dkey(i), i); err != nil || !ok {
+		if ok, err := ds.Insert(dkey(i), i); err != nil || !ok {
 			t.Fatalf("Insert(%d) = %v, %v", i, ok, err)
 		}
 	}
@@ -41,15 +42,16 @@ func TestDurableBasicRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 50; i++ {
-		if ok, err := d.Update(dkey(i), i+1000); err != nil || !ok {
+		if ok, err := ds.Update(dkey(i), i+1000); err != nil || !ok {
 			t.Fatalf("Update(%d) = %v, %v", i, ok, err)
 		}
 	}
 	for i := uint64(90); i < 100; i++ {
-		if ok, err := d.Delete(dkey(i), i); err != nil || !ok {
+		if ok, err := ds.Delete(dkey(i), i); err != nil || !ok {
 			t.Fatalf("Delete(%d) = %v, %v", i, ok, err)
 		}
 	}
+	ds.Release()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +100,13 @@ func TestDurableRecoverFreshLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := d.NewSession()
 	for i := uint64(0); i < 32; i++ {
-		if _, err := d.Insert(dkey(i), i); err != nil {
+		if _, err := ds.Insert(dkey(i), i); err != nil {
 			t.Fatal(err)
 		}
 	}
+	ds.Release()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,19 +118,19 @@ func TestDurableRecoverFreshLog(t *testing.T) {
 	if rec := d2.RecoveryStats(); rec.SnapshotKeys != 0 || rec.Replayed != 32 {
 		t.Fatalf("recovery stats = %+v", rec)
 	}
+	s := d2.NewSession()
+	defer s.Release()
 	for i := uint64(0); i < 32; i++ {
-		out, err := d2.Lookup(dkey(i), nil)
-		if err != nil || len(out) != 1 || out[0] != i {
-			t.Fatalf("key %d = %v, %v", i, out, err)
+		if out := s.Lookup(dkey(i), nil); len(out) != 1 || out[0] != i {
+			t.Fatalf("key %d = %v", i, out)
 		}
 	}
 }
 
 // TestDurableFailedOpLogsNothing: on a SyncOnCommit store, an insert on a
 // present key and an update or delete on an absent one return false, nil
-// through both DurableSession and the convenience methods, append no
-// record and wait for no fsync; an op that takes effect appends exactly
-// one record.
+// through a DurableSession, append no record and wait for no fsync; an op
+// that takes effect appends exactly one record.
 func TestDurableFailedOpLogsNothing(t *testing.T) {
 	d, err := OpenDurable(t.TempDir(), DurableOptions{SyncOnCommit: true})
 	if err != nil {
@@ -146,11 +150,6 @@ func TestDurableFailedOpLogsNothing(t *testing.T) {
 		{"session update absent", func() (bool, error) { return s.Update(absent, 3) }, false},
 		{"session delete absent", func() (bool, error) { return s.Delete(absent, 0) }, false},
 		{"session update", func() (bool, error) { return s.Update(present, 4) }, true},
-		{"convenience insert present", func() (bool, error) { return d.Insert(present, 5) }, false},
-		{"convenience update absent", func() (bool, error) { return d.Update(absent, 6) }, false},
-		{"convenience delete absent", func() (bool, error) { return d.Delete(absent, 0) }, false},
-		{"convenience insert", func() (bool, error) { return d.Insert(absent, 7) }, true},
-		{"convenience delete", func() (bool, error) { return d.Delete(absent, 0) }, true},
 		{"session delete", func() (bool, error) { return s.Delete(present, 0) }, true},
 	}
 	for _, tc := range cases {
@@ -321,11 +320,13 @@ func TestDurableTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := d.NewSession()
 	for i := uint64(0); i < 20; i++ {
-		if _, err := d.Insert(dkey(i), i); err != nil {
+		if _, err := ds.Insert(dkey(i), i); err != nil {
 			t.Fatal(err)
 		}
 	}
+	ds.Release()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -345,9 +346,8 @@ func TestDurableTornTail(t *testing.T) {
 		t.Fatalf("replayed %d, want 20", rec.Replayed)
 	}
 	for i := uint64(0); i < 20; i++ {
-		out, err := d2.Lookup(dkey(i), nil)
-		if err != nil || len(out) != 1 || out[0] != i {
-			t.Fatalf("key %d = %v, %v", i, out, err)
+		if out := lookup(d2, dkey(i)); len(out) != 1 || out[0] != i {
+			t.Fatalf("key %d = %v", i, out)
 		}
 	}
 	// And the truncation is sticky: a third open sees a clean log.
@@ -475,9 +475,11 @@ func TestSnapshotRefusesDurableDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Insert([]byte("k"), 1); err != nil {
+	ds := d.NewSession()
+	if _, err := ds.Insert([]byte("k"), 1); err != nil {
 		t.Fatal(err)
 	}
+	ds.Release()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -572,11 +574,13 @@ func stripeBarrier(t *testing.T, o DurableOptions) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := d.NewSession()
 	for i := uint64(0); i < 100; i++ {
-		if _, err := d.Insert(dkey(i), i+1); err != nil {
+		if _, err := ds.Insert(dkey(i), i+1); err != nil {
 			t.Fatal(err)
 		}
 	}
+	ds.Release()
 
 	// Emulate a transaction commit descheduled between its append and
 	// its apply: take the write stripe, append, and park.
@@ -628,11 +632,7 @@ func stripeBarrier(t *testing.T, o DurableOptions) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	out, err := d2.Lookup(key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0] != 42 {
+	if out := lookup(d2, key); len(out) != 1 || out[0] != 42 {
 		t.Fatalf("%d partitions: acknowledged write lost across checkpoint+reopen: got %v, want [42]", parts, out)
 	}
 }
@@ -706,11 +706,13 @@ func TestDurableCheckpointCloseRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ds := d.NewSession()
 		for i := uint64(0); i < 2000; i++ {
-			if _, err := d.Insert(dkey(i), i); err != nil {
+			if _, err := ds.Insert(dkey(i), i); err != nil {
 				t.Fatal(err)
 			}
 		}
+		ds.Release()
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -808,6 +810,7 @@ func diffRecoverSeed(dir string, seed int) error {
 		return err
 	}
 	defer d.Close() // no-op once the script has closed it
+	ds := d.NewSession()
 
 	model := diffModel{}
 	hist := []diffModel{{}} // hist[lsn] = model after the record at lsn
@@ -825,11 +828,11 @@ func diffRecoverSeed(dir string, seed int) error {
 		var err error
 		switch op {
 		case wal.OpInsert:
-			ok, err = d.Insert(key, v)
+			ok, err = ds.Insert(key, v)
 		case wal.OpUpdate:
-			ok, err = d.Update(key, v)
+			ok, err = ds.Update(key, v)
 		case wal.OpDelete:
-			ok, err = d.Delete(key, v)
+			ok, err = ds.Delete(key, v)
 		}
 		if want := model.apply(wal.TxnOp{Op: op, Key: key, Value: v}); err == nil && ok != want {
 			err = fmt.Errorf("seed %d: op %c %s returned %v, model says %v", seed, op, key, ok, want)
@@ -874,6 +877,7 @@ func diffRecoverSeed(dir string, seed int) error {
 		}
 	}
 	last := int(d.w.AppendedLSN())
+	ds.Release()
 	if err := d.Close(); err != nil {
 		return err
 	}
@@ -967,16 +971,18 @@ func TestDurableRecoverySnapshotErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ds := d.NewSession()
 			for i := uint64(0); i < 50; i++ {
-				d.Insert(dkey(i), i)
+				ds.Insert(dkey(i), i)
 			}
 			if _, err := d.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			for i := uint64(40); i < 60; i++ { // a tail on, between and past snapshot keys
-				d.Update(dkey(i), i+1)
-				d.Insert(dkey(i), i+2)
+				ds.Update(dkey(i), i+1)
+				ds.Insert(dkey(i), i+2)
 			}
+			ds.Release()
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -56,3 +56,10 @@ func truncateLastSegment(dir string, n int64) error {
 	}
 	return os.Truncate(p, fi.Size()-n)
 }
+
+// lookup reads key through a short-lived session of d.
+func lookup(d *Durable, key []byte) []uint64 {
+	s := d.NewSession()
+	defer s.Release()
+	return s.Lookup(key, nil)
+}

@@ -27,15 +27,21 @@ func applyTxnOps(t *Tree, ops []wal.TxnOp) {
 }
 
 func lookup1(t *testing.T, d *Durable, key []byte) (uint64, bool) {
-	t.Helper()
-	out, err := d.Lookup(key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := lookup(d, key)
 	if len(out) == 0 {
 		return 0, false
 	}
 	return out[0], true
+}
+
+// insert1 inserts (key, v) through a short-lived session of d.
+func insert1(t *testing.T, d *Durable, key []byte, v uint64) {
+	t.Helper()
+	s := d.NewSession()
+	defer s.Release()
+	if _, err := s.Insert(key, v); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDurableTxnReplay replays a commit record on both directory shapes
@@ -51,9 +57,7 @@ func TestDurableTxnReplay(t *testing.T) {
 		// Baseline singles, optionally folded into a checkpoint so the
 		// reopen merges the tail with a snapshot.
 		for i := uint64(0); i < 10; i++ {
-			if _, err := d.Insert(dkey(i), i); err != nil {
-				t.Fatal(err)
-			}
+			insert1(t, d, dkey(i), i)
 		}
 		if withCP {
 			if _, err := d.Checkpoint(); err != nil {
@@ -134,9 +138,7 @@ func TestDurableTxnTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Insert(dkey(1), 1); err != nil {
-		t.Fatal(err)
-	}
+	insert1(t, d, dkey(1), 1)
 	last := []wal.TxnOp{
 		{Op: wal.OpInsert, Key: dkey(50), Value: 50},
 		{Op: wal.OpInsert, Key: dkey(51), Value: 51},
@@ -187,9 +189,7 @@ func TestDurableTxnCrashLosesWholeRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Insert(dkey(1), 1); err != nil {
-		t.Fatal(err)
-	}
+	insert1(t, d, dkey(1), 1)
 	injected := errors.New("injected log write failure")
 	restore := wal.SetTestFault(func(op string, _ int) (int, error) {
 		if op == "write" {

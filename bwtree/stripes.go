@@ -12,10 +12,10 @@ const NStripes = 256
 
 // Stripes is the commit-ordering lock table: NStripes mutexes indexed by
 // a seeded hash of the key. A Durable orders single-key apply+append
-// pairs with one; the transaction engine locks a commit's write stripes
-// in sorted index order and try-locks its read stripes, on the same table
-// when the store is durable, so transactional and single-key writers
-// exclude each other.
+// pairs (the apply alone without a log) with one per partition; the
+// transaction engine locks a commit's write stripes in sorted index order
+// and try-locks its read stripes on the same tables, so transactional and
+// single-key writers exclude each other.
 type Stripes struct {
 	mu   [NStripes]sync.Mutex
 	seed maphash.Seed

@@ -10,6 +10,10 @@
 //
 //	go run ./cmd/bwserver -addr :7070 -shards 8 -debug-addr :7071
 //
+// A volatile server is the durable store without its log: plain writes
+// (SET/DEL/BATCH) and transactional commits (OpTxn) take the same
+// per-key stripes, so clients may mix them safely, exactly as with -wal.
+//
 // Add -trace (bwtree Options.Trace on every shard) for latency quantiles,
 // structural events, the flight recorder and sampled phase traces at
 // /debug/latency, /debug/trace, /debug/flightrec and /debug/phasetrace,

@@ -439,6 +439,10 @@ func (t *Tree) TraceEvents() []obs.Event { return t.trace.Events() }
 // wraparound before they could be drained.
 func (t *Tree) TraceDropped() uint64 { return t.trace.EventsDropped() }
 
+// PhaseTracesDropped returns how many sampled phase traces were lost to
+// ring wraparound before PhaseTraces drained them.
+func (t *Tree) PhaseTracesDropped() uint64 { return t.trace.TracesDropped() }
+
 // PhaseTraces drains the sampled per-op phase traces from every session,
 // ordered by completion sequence: each session's newest obs.RingSize
 // traces. Returns nil unless the tree was built with Options.Trace (and

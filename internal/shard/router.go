@@ -5,9 +5,10 @@
 // shard never synchronizes with another shard. Cross-shard work exists
 // only at the edges: a Router decides which shard owns a key, range scans
 // scatter to every shard and gather through a merged k-way iterator (see
-// Session.Scan), and a durable store is one bwtree.Durable whose
-// partitions are the shards, so a commit spanning shards is one record
-// on its one log.
+// Session.Scan). A store, in memory or durable, is one bwtree.Durable
+// whose partitions are the shards: every writer, plain or transactional,
+// takes its key's stripe on the same one commit path, and with a log a
+// commit spanning shards is one record on the one log.
 package shard
 
 import (

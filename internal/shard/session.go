@@ -6,82 +6,23 @@ import (
 	"repro/bwtree"
 )
 
-// Session is one goroutine's handle to every shard: point operations
-// route to the owning shard, scans scatter-gather. Reads and scans go
-// through one tree session per shard. In memory, writes go through the
-// same sessions; when the store is durable they go through one
-// DurableSession, which logs them, and the tree sessions are its own.
-// Like a tree session it must be used by at most one goroutine.
+// Session is one goroutine's handle to every shard: a
+// bwtree.DurableSession, whose point operations route to the owning
+// shard and take its commit path, plus the scatter-gather Scan over
+// every shard's tree session. Like a tree session it must be used by at
+// most one goroutine.
 type Session struct {
+	*bwtree.DurableSession
 	st     *Store
-	subs   []*bwtree.Session      // indexed by shard
-	ds     *bwtree.DurableSession // nil in memory
-	curs   []cursor               // scan state, reused across Scan calls
-	active []*cursor              // merge working set, reused across Scan calls
+	curs   []cursor  // scan state, reused across Scan calls
+	active []*cursor // merge working set, reused across Scan calls
 }
 
 // NewSession opens a session on every shard. Sessions are the unit of
 // stickiness: a connection (or worker) holds one and reuses its per-shard
 // epoch handles and scratch buffers for its whole lifetime.
 func (st *Store) NewSession() *Session {
-	s := &Session{st: st, subs: make([]*bwtree.Session, len(st.trees))}
-	if st.d != nil {
-		s.ds = st.d.NewSession()
-	}
-	for i, t := range st.trees {
-		if s.ds != nil {
-			s.subs[i] = s.ds.Partition(i)
-		} else {
-			s.subs[i] = t.NewSession()
-		}
-	}
-	return s
-}
-
-// Release returns every shard session.
-func (s *Session) Release() {
-	if s.ds != nil {
-		s.ds.Release()
-		return
-	}
-	for _, sub := range s.subs {
-		sub.Release()
-	}
-}
-
-// route returns the tree session owning key.
-func (s *Session) route(key []byte) *bwtree.Session {
-	return s.subs[s.st.router.Shard(key)]
-}
-
-// Insert adds (key, value) on the owning shard. The error is non-nil
-// only for durable stores whose writer is gone (closed or crashed).
-func (s *Session) Insert(key []byte, value uint64) (bool, error) {
-	if s.ds != nil {
-		return s.ds.Insert(key, value)
-	}
-	return s.route(key).Insert(key, value), nil
-}
-
-// Update replaces key's value on the owning shard.
-func (s *Session) Update(key []byte, value uint64) (bool, error) {
-	if s.ds != nil {
-		return s.ds.Update(key, value)
-	}
-	return s.route(key).Update(key, value), nil
-}
-
-// Delete removes key from the owning shard.
-func (s *Session) Delete(key []byte, value uint64) (bool, error) {
-	if s.ds != nil {
-		return s.ds.Delete(key, value)
-	}
-	return s.route(key).Delete(key, value), nil
-}
-
-// Lookup reads key from the owning shard.
-func (s *Session) Lookup(key []byte, out []uint64) []uint64 {
-	return s.route(key).Lookup(key, out)
+	return &Session{DurableSession: st.d.NewSession(), st: st}
 }
 
 // minStartKey substitutes for an empty scan start key.
@@ -177,25 +118,25 @@ func (s *Session) Scan(start []byte, n int, visit func(key []byte, value uint64)
 		start = minStartKey
 	}
 	chunk := min(n, scanChunk)
-	from := scanFrom(s.st.router, start)
+	from, k := scanFrom(s.st.router, start), s.st.NumShards()
 	// first is min(chunk, n/k + scanSlack), written so that n near
 	// math.MaxInt cannot overflow.
 	first := chunk
-	if share := n / (len(s.subs) - from); share < chunk-scanSlack {
+	if share := n / (k - from); share < chunk-scanSlack {
 		first = share + scanSlack
 	}
-	if cap(s.curs) < len(s.subs) {
-		s.curs = make([]cursor, len(s.subs))
+	if cap(s.curs) < k {
+		s.curs = make([]cursor, k)
 	}
 	// active holds pointers to the cursors with a live head.
 	active := s.active[:0]
-	for i := from; i < len(s.subs); i++ {
+	for i := from; i < k; i++ {
 		c := &s.curs[i]
 		if c.add == nil {
 			c.add = c.push
 		}
 		c.tail = false
-		c.sub = s.subs[i]
+		c.sub = s.Partition(i)
 		c.resume = append(c.resume[:0], start...)
 		if c.fill(first) {
 			active = append(active, c)

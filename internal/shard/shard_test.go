@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -179,7 +180,7 @@ func TestScanFetchesRoughlyWhatItReturns(t *testing.T) {
 	// shards handed over is what the scan emitted plus what the cursors
 	// still buffer.
 	pulled := got
-	for i := range s.subs {
+	for i := range s.curs {
 		pulled += s.curs[i].len() - s.curs[i].pos
 	}
 	if pulled >= 2*n {
@@ -495,6 +496,39 @@ func TestLegacyShardDirsRefused(t *testing.T) {
 	if st, err := Open(Options{Shards: 2, WALDir: dir}); err == nil {
 		st.Close()
 		t.Fatal("Open accepted a directory of per-shard logs")
+	}
+}
+
+// TestVolatileStoreHasNoLog: every store, volatile or not, is one
+// bwtree.Durable; without a log its checkpoint and crash do nothing, its
+// data stays, and /metrics carries no log or checkpoint series.
+func TestVolatileStoreHasNoLog(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		st, err := Open(Options{Shards: 2, Tree: smallTreeOpts(), WALDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Durable() == nil {
+			t.Fatalf("WALDir %q: Durable() is nil", dir)
+		}
+		s := st.NewSession()
+		for i := uint64(0); i < 100; i++ {
+			s.Insert(key64(i), i)
+		}
+		s.Release()
+		if err := errors.Join(st.Checkpoint(), st.Crash()); err != nil {
+			t.Fatalf("WALDir %q: %v", dir, err)
+		}
+		if got := st.Count(); got != 100 {
+			t.Fatalf("WALDir %q: Count = %d after checkpoint and crash, want 100", dir, got)
+		}
+		var b bytes.Buffer
+		obs.WritePrometheus(&b, DebugVars(st))
+		logged := strings.Contains(b.String(), "bwtree_wal_") || strings.Contains(b.String(), "checkpoint_age")
+		if logged != (dir != "") {
+			t.Errorf("WALDir %q: /metrics has log or checkpoint series: %v, want %v", dir, logged, dir != "")
+		}
+		st.Close()
 	}
 }
 

@@ -12,14 +12,12 @@ import (
 // The caller holds every write stripe across the call, and waits for
 // the returned LSN (waitDurable) only after releasing them. An error
 // means the commit outcome is unresolved exactly as in
-// bwtree.DurableSession (possible only on a closed or crashed log). An
-// in-memory store logs nothing.
+// bwtree.DurableSession (possible only on a closed or crashed log). A
+// store without a log appends nothing.
 func (s *Session) logApply(txnID uint64, vers []uint64) (lsn uint64, err error) {
 	st := s.st
-	if st.log != nil {
-		if lsn, err = st.log.AppendTxn(txnID, s.ops); err != nil {
-			return 0, err
-		}
+	if lsn, err = st.log.AppendTxn(txnID, s.ops); err != nil {
+		return 0, err
 	}
 	for j := range s.ops {
 		vers[s.opWrite[j]] = applyOp(s.sess[st.router.Shard(s.ops[j].Key)], s.ops[j])
@@ -30,7 +28,7 @@ func (s *Session) logApply(txnID uint64, vers []uint64) (lsn uint64, err error) 
 // waitDurable waits until the record at lsn is durable when the store
 // acknowledges commits only then.
 func (st *Store) waitDurable(lsn uint64) error {
-	if st.log == nil || !st.log.SyncOnCommit() {
+	if !st.log.SyncOnCommit() {
 		return nil
 	}
 	return st.log.WaitLSN(lsn)

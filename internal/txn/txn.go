@@ -1,7 +1,7 @@
 // Package txn layers optimistic multi-key transactions over the sharded
-// store (shard.Store; a one-shard store is a single plain or durable
-// tree) with Silo-style OCC validation (Tu et al., SOSP 2013) and
-// WAL-atomic commit.
+// store (shard.Store: one bwtree.Durable, logged or not, whose
+// partitions are the shards) with Silo-style OCC validation (Tu et al.,
+// SOSP 2013) and WAL-atomic commit.
 //
 // # Protocol
 //
@@ -11,9 +11,9 @@
 // touching each key's tree once per phase:
 //
 //  1. Lock the write set's stripes in sorted global order: one
-//     bwtree.Stripes table per shard, the same table a durable store
-//     orders its single-key commits with, so transactional and plain
-//     writers exclude each other.
+//     bwtree.Stripes table per shard, the same table the store orders
+//     its single-key commits with, with or without a log, so
+//     transactional and plain writers exclude each other.
 //  2. Validate the read set: try-lock each read stripe not already held
 //     (a failed try is a conservative abort — never block on a reader's
 //     behalf, never deadlock), then recheck that each key still carries
@@ -23,8 +23,8 @@
 //     (insert/update/delete) under the held locks: a key that was also
 //     read resolves against what step 2 read (its write stripe has been
 //     held since step 1), and only a blind write looks its key up. Append
-//     one WAL record spanning all of them, apply in memory, taking each
-//     write's version stamp from the apply itself
+//     one WAL record spanning all of them (nothing without a log), apply
+//     in memory, taking each write's version stamp from the apply itself
 //     (core.Session.LastStamp), and release.
 //
 // Deadlock freedom: write stripes are acquired in sorted order and read
@@ -38,7 +38,9 @@
 // so the commit point is atomic; a read validated at the commit point
 // either still holds its observed version forever-after-this-instant or
 // the transaction aborts. This is exactly Silo's argument, with stripe
-// try-locks standing in for per-record lock words.
+// try-locks standing in for per-record lock words. Plain single-key
+// writes (bwtree.DurableSession) hold the same stripe across their apply,
+// with or without a log, so they serialize with commits as well.
 package txn
 
 import (
@@ -70,16 +72,18 @@ var validateBarrier func()
 // concurrent Sessions.
 type Store struct {
 	router shard.Router
-	trees  []*bwtree.Tree
-	// stripes holds one commit-ordering table per shard: the durable
-	// store's own (so transactional and single-key writers exclude each
-	// other), or engine-private in memory. Global stripe i is stripe
-	// i%NStripes of shard i/NStripes, so sorted-order acquisition is one
-	// deadlock-free total order across shards.
+	// stripes holds every shard's commit-ordering table, the store's own,
+	// so transactional and single-key writers exclude each other. Global
+	// stripe i is stripe i%NStripes of shard i/NStripes, so sorted-order
+	// acquisition is one deadlock-free total order across shards.
 	stripes []*bwtree.Stripes
-	log     *bwtree.Durable // the store's log; nil in memory
-	nextID  atomic.Uint64
+	log     *bwtree.Durable // the store; it logs nothing in memory
 
+	// Every commit writes the fields below, and every stripe lookup reads
+	// the ones above: the pad keeps them on different cache lines, so two
+	// committers do not invalidate each other's reads.
+	_         [64]byte
+	nextID    atomic.Uint64
 	commits   atomic.Uint64
 	conflicts atomic.Uint64
 	readOnly  atomic.Uint64
@@ -88,25 +92,12 @@ type Store struct {
 
 // New builds the engine over st, seeding the transaction-ID counter
 // above every ID the store's recovery saw, so IDs stay unique across
-// incarnations.
-//
-// On an in-memory store the stripes are engine-private: transactions
-// serialize correctly against each other, but non-transactional writers
-// bypass the stripes, so mixing them with transactional writers is
-// unsupported there. On a durable store the two paths mix freely.
+// incarnations. Every shard's stripes are the store's own, so plain and
+// transactional writers mix freely, in memory as on disk.
 func New(st *shard.Store) *Store {
-	s := &Store{
-		router:  st.Router(),
-		stripes: make([]*bwtree.Stripes, st.NumShards()),
-		log:     st.Durable(),
-	}
-	for i, sh := range st.Shards() {
-		s.trees = append(s.trees, sh.Tree())
-		if s.log != nil {
-			s.stripes[i] = s.log.Stripes(i)
-		} else {
-			s.stripes[i] = bwtree.NewStripes()
-		}
+	s := &Store{router: st.Router(), log: st.Durable()}
+	for i := range st.NumShards() {
+		s.stripes = append(s.stripes, s.log.Stripes(i))
 	}
 	s.nextID.Store(st.RecoveryStats().MaxTxnID)
 	return s
@@ -153,8 +144,8 @@ func (st *Store) NewTxnSession() index.TxnSession { return st.NewSession() }
 
 // NewSession returns a per-worker transactional handle.
 func (st *Store) NewSession() *Session {
-	s := &Session{st: st, sess: make([]*bwtree.Session, len(st.trees))}
-	for i, t := range st.trees {
+	s := &Session{st: st, sess: make([]*bwtree.Session, len(st.stripes))}
+	for i, t := range st.log.Trees() {
 		s.sess[i] = t.NewSession()
 	}
 	return s

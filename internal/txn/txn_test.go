@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -197,65 +198,132 @@ func TestTxnDuplicateWriteKey(t *testing.T) {
 	}
 }
 
-// TestTxnSharesDurableStripes pins that a durable shard lends its own
-// stripe table to the engine: a single-key writer holding x's stripe
-// between apply and append must both fail the validation of a
-// transaction that read x and block a transaction that writes x.
+// TestTxnSharesDurableStripes pins that a shard lends its store's own
+// stripe table to the engine, with or without a log: a single-key writer
+// holding x's stripe between apply and append must both fail the
+// validation of a transaction that read x and block a transaction that
+// writes x.
 func TestTxnSharesDurableStripes(t *testing.T) {
-	ss := openStore(t, 1, t.TempDir())
-	defer ss.Close()
-	st := New(ss)
-	s := st.NewSession()
-	defer s.Release()
+	for _, tc := range []struct{ name, dir string }{{"memory", ""}, {"durable", t.TempDir()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ss := openStore(t, 1, tc.dir)
+			defer ss.Close()
+			st := New(ss)
+			s := st.NewSession()
+			defer s.Release()
 
-	stripes := ss.Durable().Stripes(0)
-	x, y := tkey(1), tkey(2)
-	for i := uint64(3); stripes.Of(y) == stripes.Of(x); i++ {
-		y = tkey(i)
-	}
-	xi := stripes.Of(x)
-	stripes.Lock(xi)
-	locked := true
-	defer func() {
-		if locked {
+			stripes := ss.Durable().Stripes(0)
+			x, y := tkey(1), tkey(2)
+			for i := uint64(3); stripes.Of(y) == stripes.Of(x); i++ {
+				y = tkey(i)
+			}
+			xi := stripes.Of(x)
+			stripes.Lock(xi)
+			locked := true
+			defer func() {
+				if locked {
+					stripes.Unlock(xi)
+				}
+			}()
+
+			tx := Begin(s)
+			if _, _, err := tx.Get(x); err != nil {
+				t.Fatal(err)
+			}
+			tx.Put(y, 1)
+			if res, err := tx.Commit(); err != nil || res.Status != index.TxnConflict {
+				t.Fatalf("read of a held stripe validated: %+v %v", res, err)
+			}
+
+			type outcome struct {
+				res index.TxnResult
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				// Release before reporting: once the test has the outcome it may
+				// close the store, which must not race this session's release.
+				s2 := st.NewSession()
+				res, err := s2.CommitTxn(nil, []index.TxnWrite{{Op: index.TxnPut, Key: x, Value: 7}})
+				s2.Release()
+				done <- outcome{res, err}
+			}()
+			select {
+			case o := <-done:
+				t.Fatalf("write to a held stripe finished: %+v %v", o.res, o.err)
+			case <-time.After(50 * time.Millisecond):
+			}
 			stripes.Unlock(xi)
-		}
-	}()
+			locked = false
+			if o := <-done; o.err != nil || o.res.Status != index.TxnCommitted {
+				t.Fatalf("write after release: %+v %v", o.res, o.err)
+			}
+			if v, _, found, _ := s.GetVersion(x); !found || v != 7 {
+				t.Fatalf("x = %d %v, want 7", v, found)
+			}
+		})
+	}
+}
 
-	tx := Begin(s)
-	if _, _, err := tx.Get(x); err != nil {
-		t.Fatal(err)
-	}
-	tx.Put(y, 1)
-	if res, err := tx.Commit(); err != nil || res.Status != index.TxnConflict {
-		t.Fatalf("read of a held stripe validated: %+v %v", res, err)
-	}
+// TestTxnPlainWriteDuringCommit: a plain update of a key that a
+// transaction read and writes must wait while the transaction is parked
+// between validation and apply, on a store with or without a log, so
+// the update lands after the commit instead of being lost under it.
+func TestTxnPlainWriteDuringCommit(t *testing.T) {
+	for _, tc := range []struct{ name, dir string }{{"memory", ""}, {"durable", t.TempDir()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ss := openStore(t, 2, tc.dir)
+			defer ss.Close()
+			st := New(ss)
+			plain := ss.NewSession()
+			defer plain.Release()
+			x := tkey(1)
+			if ok, err := plain.Insert(x, 5); !ok || err != nil {
+				t.Fatalf("insert x: %v %v", ok, err)
+			}
 
-	type outcome struct {
-		res index.TxnResult
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		// Release before reporting: once the test has the outcome it may
-		// close the store, which must not race this session's release.
-		s2 := st.NewSession()
-		res, err := s2.CommitTxn(nil, []index.TxnWrite{{Op: index.TxnPut, Key: x, Value: 7}})
-		s2.Release()
-		done <- outcome{res, err}
-	}()
-	select {
-	case o := <-done:
-		t.Fatalf("write to a held stripe finished: %+v %v", o.res, o.err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	stripes.Unlock(xi)
-	locked = false
-	if o := <-done; o.err != nil || o.res.Status != index.TxnCommitted {
-		t.Fatalf("write after release: %+v %v", o.res, o.err)
-	}
-	if v, _, found, _ := s.GetVersion(x); !found || v != 7 {
-		t.Fatalf("x = %d %v, want 7", v, found)
+			parked, resume := make(chan struct{}), make(chan struct{})
+			validateBarrier = func() {
+				close(parked)
+				<-resume
+			}
+			defer func() { validateBarrier = nil }()
+			committed := make(chan error, 1)
+			go func() {
+				s := st.NewSession()
+				defer s.Release()
+				v, ver, _, _ := s.GetVersion(x)
+				res, err := s.CommitTxn([]index.TxnRead{{Key: x, Ver: ver}},
+					[]index.TxnWrite{{Op: index.TxnPut, Key: x, Value: v + 1}})
+				if err == nil && res.Status != index.TxnCommitted {
+					err = fmt.Errorf("x=5 -> 6 did not commit: %v", res.Status)
+				}
+				committed <- err
+			}()
+			<-parked
+
+			updated := make(chan error, 1)
+			go func() {
+				_, err := plain.Update(x, 100)
+				updated <- err
+			}()
+			select {
+			case err := <-updated:
+				updated <- err
+				t.Error("a plain update of x returned while a commit that read and writes x was parked")
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(resume)
+			if err := <-committed; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-updated; err != nil {
+				t.Fatal(err)
+			}
+			if out := plain.Lookup(x, nil); len(out) != 1 || out[0] != 100 {
+				t.Fatalf("x = %v after the commit and the update, want [100]", out)
+			}
+		})
 	}
 }
 

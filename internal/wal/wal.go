@@ -55,7 +55,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
 )
 
 // Op identifies the logged operation. The values are stable on-disk
@@ -84,22 +83,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures a Writer. The zero value is usable: 64 MiB
 // segments, fsync as soon as the previous fsync completes (group commit
-// emerges from fsync latency), no artificial delay.
+// emerges from fsync latency: everything appended during one fsync
+// commits in the next).
 type Options struct {
 	// SegmentSize rotates to a new segment file once the active one
 	// exceeds this many bytes (default 64 MiB). Rotation granularity is
 	// one flush batch, so segments may overshoot by up to one batch.
 	SegmentSize int64
-	// GroupCommitInterval, when positive, makes the flusher wait this
-	// long after noticing pending records before it fsyncs, trading
-	// commit latency for larger batches. Zero means fsync immediately;
-	// batching then comes only from appends arriving during the previous
-	// fsync.
-	GroupCommitInterval time.Duration
-	// GroupCommitBytes skips the GroupCommitInterval delay when at least
-	// this many bytes are already pending (default 256 KiB): a full batch
-	// gains nothing from waiting.
-	GroupCommitBytes int
 	// NoSync skips fsync entirely: records are durable against process
 	// crash once written, but not against power failure. Crash() then
 	// treats every written byte as durable. For benchmarks and tests.
@@ -112,12 +102,6 @@ func (o *Options) sanitize() {
 	}
 	if o.SegmentSize < headerSize+frameSize {
 		o.SegmentSize = headerSize + frameSize
-	}
-	if o.GroupCommitBytes <= 0 {
-		o.GroupCommitBytes = 256 << 10
-	}
-	if o.GroupCommitInterval < 0 {
-		o.GroupCommitInterval = 0
 	}
 }
 

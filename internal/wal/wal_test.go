@@ -137,13 +137,27 @@ func TestReplayAfterLSN(t *testing.T) {
 	}
 }
 
+// TestGroupCommitBatches: on the default path (no coalescing window)
+// everything appended while an fsync runs commits in the next batch. The
+// first fsync is parked until all workers have appended once, so at
+// least one later batch carries several records and the mean batch
+// exceeds one record, however the goroutines are scheduled.
 func TestGroupCommitBatches(t *testing.T) {
-	dir := t.TempDir()
-	w, err := NewWriter(dir, Options{GroupCommitInterval: 2 * time.Millisecond}, 0)
+	const workers, per = 8, 50
+	var appended sync.WaitGroup
+	appended.Add(workers)
+	var parked sync.Once
+	restore := SetTestFault(func(op string, size int) (int, error) {
+		if op == "sync" {
+			parked.Do(appended.Wait)
+		}
+		return size, nil
+	})
+	defer restore()
+	w, err := NewWriter(t.TempDir(), Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers, per = 8, 50
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -151,6 +165,9 @@ func TestGroupCommitBatches(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				lsn, err := w.Append(OpInsert, []byte(fmt.Sprintf("w%d-%d", g, i)), uint64(i))
+				if i == 0 {
+					appended.Done()
+				}
 				if err != nil {
 					t.Error(err)
 					return
@@ -173,6 +190,7 @@ func TestGroupCommitBatches(t *testing.T) {
 	if mean := st.Batch.Mean(); mean <= 1.0 {
 		t.Errorf("group commit never batched: mean records/fsync = %.2f", mean)
 	}
+	t.Logf("%d batches, mean %.2f records/fsync", st.Batch.Total(), st.Batch.Mean())
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -264,8 +263,7 @@ func (w *Writer) Stats() Stats {
 }
 
 // flusher is the group-commit loop: it sleeps until records are pending,
-// optionally waits GroupCommitInterval to let the batch grow, then writes
-// and fsyncs the whole batch and advances durableLSN by the batch's last
+// then writes and fsyncs the whole batch and advances durableLSN by the batch's last
 // LSN. Everything that piles up during one fsync commits in the next.
 func (w *Writer) flusher() {
 	defer w.flusherWG.Done()
@@ -277,16 +275,6 @@ func (w *Writer) flusher() {
 		if w.crashed || (w.closed && len(w.buf) == 0) || w.err != nil {
 			w.mu.Unlock()
 			return
-		}
-		if d := w.opts.GroupCommitInterval; d > 0 && len(w.buf) < w.opts.GroupCommitBytes && !w.closed {
-			// Coalescing window: let concurrent appenders extend the batch.
-			w.mu.Unlock()
-			time.Sleep(d)
-			w.mu.Lock()
-			if w.crashed {
-				w.mu.Unlock()
-				return
-			}
 		}
 		chunk := w.buf
 		recs := w.bufRecs
