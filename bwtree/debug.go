@@ -93,6 +93,7 @@ func shapeMap(st StructureStats) map[string]any {
 		"inner_slab_bytes":     st.InnerSlabBytes,
 		"pooled_slabs":         st.PooledSlabs,
 		"pooled_slab_bytes":    st.PooledSlabBytes,
+		"mapping_bytes":        st.MappingBytes,
 	}
 }
 

@@ -99,7 +99,7 @@ func checkShape(body []byte) error {
 	if err := json.Unmarshal(body, &shape); err != nil {
 		return err
 	}
-	for _, k := range []string{"leaf_nodes", "pooled_slabs", "pooled_slab_bytes"} {
+	for _, k := range []string{"leaf_nodes", "pooled_slabs", "pooled_slab_bytes", "mapping_bytes"} {
 		if _, ok := shape[k]; !ok {
 			return fmt.Errorf("missing %s", k)
 		}
@@ -346,7 +346,7 @@ func TestPartitionedDurableDebugVars(t *testing.T) {
 			t.Errorf("partition shape key %s missing", k)
 		}
 	}
-	for _, k := range []string{"height", "inner_nodes", "leaf_nodes", "pooled_slabs", "pooled_slab_bytes", "arena_bytes"} {
+	for _, k := range []string{"height", "inner_nodes", "leaf_nodes", "pooled_slabs", "pooled_slab_bytes", "arena_bytes", "mapping_bytes"} {
 		if _, ok := shape[k]; !ok {
 			t.Errorf("summary shape key %s missing", k)
 		}

@@ -364,6 +364,7 @@ func printShape(t *bwtree.Tree) {
 		{"inner_slab_bytes", st.InnerSlabBytes},
 		{"pooled_slabs", st.PooledSlabs},
 		{"pooled_slab_bytes", st.PooledSlabBytes},
+		{"mapping_bytes", st.MappingBytes},
 	})
 }
 

@@ -59,9 +59,7 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 		nb.size = int32(len(keys))
 		nb.vals, nb.vers = vals, vers
 		setBaseKeys(nb, keys)
-		if t.opts.Preallocate {
-			nb.slab = t.getSlab(true)
-		}
+		nb.wantSlab = t.opts.Preallocate
 		id := t.mt.Allocate()
 		if len(seps) == 0 {
 			nb.lowKey = nil
@@ -134,9 +132,7 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 			nb.kids = kids
 			nb.lowKey = ks[0]
 			setBaseKeys(nb, ks)
-			if t.opts.Preallocate {
-				nb.slab = t.getSlab(false)
-			}
+			nb.wantSlab = t.opts.Preallocate
 			id := t.mt.Allocate()
 			t.mt.Store(id, nb)
 			if prevInner != nil {
@@ -167,9 +163,7 @@ func (t *Tree) BulkLoad(next func() (key []byte, value uint64, ok bool)) error {
 		newRoot.sfx, newRoot.kids, newRoot.arena = tb.sfx, tb.kids, tb.arena
 		t.mt.Recycle(level[0].id)
 	}
-	if t.opts.Preallocate {
-		newRoot.slab = t.getSlab(false)
-	}
+	newRoot.wantSlab = t.opts.Preallocate
 	t.mt.Store(t.root, newRoot)
 	t.mt.Recycle(oldLeafID)
 	return nil

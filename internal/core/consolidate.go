@@ -52,11 +52,11 @@ func (s *Session) maybeConsolidateTr(tr *traversal, head *delta) {
 // readDone closes every point read (Lookup, LookupVersion, LookupBatch)
 // on leaf tr.head: a read that walked a chain counts itself on the head,
 // and the read whose count reaches LeafNodeSize consolidates the leaf as
-// the iterator does, into a slab-less base. A write replaces the head and
-// so restarts the count; a leaf that is only read stops paying its chain
-// once readers have spent about one consolidation's worth of replays
-// (DESIGN.md, "Read-triggered consolidation"). A lost CaS is ignored: the
-// read is already answered. A published base becomes tr.head, so a cached
+// the iterator does, into a base that never takes a slab. A write
+// replaces the head and so restarts the count; a leaf that is only read
+// stops paying its chain once readers have spent about one
+// consolidation's worth of replays (DESIGN.md, "Read-triggered
+// consolidation"). A lost CaS is ignored: the read is already answered. A published base becomes tr.head, so a cached
 // traversal never reuses the retired chain.
 func (s *Session) readDone(tr *traversal) {
 	head := tr.head
@@ -83,9 +83,9 @@ func (s *Session) consolidate(tr *traversal, head *delta) {
 //
 // It returns the replayed content and, when this call published it, the
 // new base: nil after a lost CaS or a split. A reader (the iterator, or a
-// point read in readDone) passes reader=true: its base takes no slab and
-// the retired chain's slab goes to the Go GC rather than the pool
-// (DESIGN.md, "Slab recycling").
+// point read in readDone) passes reader=true: its base never takes a
+// slab, and writes to it heap-allocate their deltas until the writer
+// consolidation at LeafChainLength (DESIGN.md, "Slab recycling").
 func (s *Session) consolidateID(id nodeID, head *delta, parentID nodeID, parentHead *delta, reader bool) (collected, *delta) {
 	t0 := s.phStart()
 	c, nb := s.consolidateIDInner(id, head, parentID, parentHead, reader)
@@ -117,7 +117,7 @@ func (s *Session) consolidateIDInner(id nodeID, head *delta, parentID nodeID, pa
 	}
 	s.stats.consolidations.Add(1)
 	s.emit(obs.EvConsolidate, id, uint64(head.depth), uint64(nb.size))
-	s.retireChain(head, !reader)
+	s.retireChain(head)
 	if mergeSize > 0 && len(c.keys) < mergeSize &&
 		id != s.t.root && nb.lowKey != nil {
 		if parentID == invalidNode || parentHead == nil {
@@ -143,13 +143,14 @@ func retireNoop() {}
 
 // retireChain routes a replaced chain through the epoch GC, accounts the
 // retiring slab's utilization (Table 2's IPU/LPU), and — once the epoch
-// drains — returns the slab to the tree's recycling pool when pool is
-// set, or leaves it to the Go GC otherwise. A pooled slab's claimed
-// slots are cleared first, so the retired records, the base they lead
-// to and everything that base holds become garbage with the epoch, not
-// when a later claim overwrites them.
-func (s *Session) retireChain(head *delta, pool bool) {
-	sl := head.base.slab
+// drains — returns the slab to the tree's recycling pool while that pool
+// is below its bound; a slab over the bound is left to the Go GC, with no
+// callback to keep it alive. A pooled slab's claimed slots are cleared
+// first, so the retired records, the base they lead to and everything
+// that base holds become garbage with the epoch, not when a later claim
+// overwrites them.
+func (s *Session) retireChain(head *delta) {
+	sl := head.base.slab.Load()
 	if sl == nil {
 		s.h.Retire(retireNoop)
 		return
@@ -162,24 +163,21 @@ func (s *Session) retireChain(head *delta, pool bool) {
 		s.stats.innerSlabUsed.Add(used)
 		s.stats.innerSlabCap.Add(capacity)
 	}
-	if !pool {
+	pool, _ := s.t.slabs(head.isLeaf)
+	if pool.full() {
 		s.h.Retire(retireNoop)
 		return
 	}
-	t, leaf := s.t, head.isLeaf
 	s.h.Retire(func() {
 		clear(sl.slots[:sl.used()])
-		if leaf {
-			t.leafSlabs.put(sl)
-		} else {
-			t.innerSlabs.put(sl)
-		}
+		pool.put(sl)
 	})
 }
 
 // buildBase materializes collected content as a fresh immutable base node
-// carrying head's current attributes, with a pre-allocation slab when
-// withSlab is set and the Preallocate optimization is on.
+// carrying head's current attributes. With withSlab set and the
+// Preallocate optimization on, the base is marked to take a slab at its
+// first delta (allocDelta).
 func (s *Session) buildBase(c collected, head *delta, withSlab bool) *delta {
 	k := kInnerBase
 	if c.leaf {
@@ -199,9 +197,7 @@ func (s *Session) buildBase(c collected, head *delta, withSlab bool) *delta {
 	} else {
 		nb.kids = c.kids
 	}
-	if withSlab && s.t.opts.Preallocate {
-		nb.slab = s.t.getSlab(c.leaf)
-	}
+	nb.wantSlab = withSlab && s.t.opts.Preallocate
 	return nb
 }
 

@@ -333,19 +333,24 @@ func TestFlatBulkLoad(t *testing.T) {
 	if st.ArenaBytes == 0 || st.KeyBytes == 0 || st.LeafBytesPerEntry == 0 {
 		t.Errorf("footprint metrics missing: %+v", st)
 	}
-	// A bulk-loaded leaf carries arena, offsets, values, versions, slab.
-	if st.GCPtrsPerLeaf != 5 {
-		t.Errorf("GCPtrsPerLeaf=%v, want 5", st.GCPtrsPerLeaf)
+	// A bulk-loaded leaf carries arena, offsets, values and versions, and
+	// takes its slab at its first delta.
+	if st.GCPtrsPerLeaf != 4 {
+		t.Errorf("unwritten: GCPtrsPerLeaf=%v, want 4", st.GCPtrsPerLeaf)
+	}
+	writeEveryLeaf(tr)
+	if st := tr.StructureStats(); st.GCPtrsPerLeaf != 5 {
+		t.Errorf("written: GCPtrsPerLeaf=%v, want 5", st.GCPtrsPerLeaf)
 	}
 }
 
 // TestStructureStatsFootprint pins the pointer accounting on consolidated
-// trees: a leaf carries 5 GC-visible payload pointers (arena, offsets,
-// values, versions, slab) however many keys it holds, and an inner base
-// 4 or 5 (arena, offsets, suffix words, children, and a slab when it has
-// one).
+// trees: a leaf carries 4 GC-visible payload pointers (arena, offsets,
+// values, versions) however many keys it holds, and 5 once a delta has
+// given it a slab; an inner base 4 or 5 (arena, offsets, suffix words,
+// children, and a slab when it has one).
 func TestStructureStatsFootprint(t *testing.T) {
-	build := func(n int) StructureStats {
+	build := func(n int) (unwritten, written StructureStats) {
 		tr := New(DefaultOptions())
 		defer tr.Close()
 		s := tr.NewSession()
@@ -354,19 +359,25 @@ func TestStructureStatsFootprint(t *testing.T) {
 			s.Insert(key64(uint64(i)), uint64(i))
 		}
 		tr.ConsolidateAll()
-		return tr.StructureStats()
+		unwritten = tr.StructureStats()
+		writeEveryLeaf(tr)
+		return unwritten, tr.StructureStats()
 	}
-	small := build(50)
-	if small.LeafNodes != 1 || small.GCPtrsPerLeaf != 5 {
-		t.Errorf("50 keys: %d leaves, GCPtrsPerLeaf=%v, want 1 leaf with 5", small.LeafNodes, small.GCPtrsPerLeaf)
+	small, smallW := build(50)
+	if small.LeafNodes != 1 || small.GCPtrsPerLeaf != 4 || smallW.GCPtrsPerLeaf != 5 {
+		t.Errorf("50 keys: %d leaves, GCPtrsPerLeaf=%v then %v written, want 1 leaf with 4 then 5",
+			small.LeafNodes, small.GCPtrsPerLeaf, smallW.GCPtrsPerLeaf)
 	}
 	if small.KeyBytes != 50*8 {
 		t.Errorf("KeyBytes=%d, want %d", small.KeyBytes, 50*8)
 	}
+	if small.MappingBytes <= 0 {
+		t.Errorf("MappingBytes=%d, want the mapping table's spine and chunks", small.MappingBytes)
+	}
 
-	big := build(50_000)
-	if big.GCPtrsPerLeaf != 5 {
-		t.Errorf("50k keys: GCPtrsPerLeaf=%v, want 5", big.GCPtrsPerLeaf)
+	big, bigW := build(50_000)
+	if big.GCPtrsPerLeaf != 4 || bigW.GCPtrsPerLeaf != 5 {
+		t.Errorf("50k keys: GCPtrsPerLeaf=%v then %v written, want 4 then 5", big.GCPtrsPerLeaf, bigW.GCPtrsPerLeaf)
 	}
 	if big.InnerNodes == 0 || big.GCPtrsPerInner < 4 || big.GCPtrsPerInner > 5 {
 		t.Errorf("50k keys: GCPtrsPerInner=%v over %d inner nodes, want 4..5", big.GCPtrsPerInner, big.InnerNodes)

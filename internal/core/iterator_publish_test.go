@@ -185,48 +185,62 @@ func TestScanLostConsolidationServesCopy(t *testing.T) {
 }
 
 // TestReaderBuiltLeafSlab follows one leaf through a scan's
-// consolidation: the base the scan publishes has no slab, the chain it
-// retires does not feed the slab pool, writers then prepend heap deltas
-// up to LeafChainLength, and the writer consolidation there gives the
-// leaf a slab again.
+// consolidation: the base the scan publishes never takes a slab, and
+// the slab of the chain it retires returns to the pool. Writers then
+// prepend heap deltas up to LeafChainLength; the writer consolidation
+// there publishes a base that is marked but slab-less, and the next
+// insert installs a slab from the pool.
 func TestReaderBuiltLeafSlab(t *testing.T) {
 	opts := DefaultOptions()
 	tr := New(opts)
 	s := tr.NewSession()
 	leafID := tr.load(tr.root).kids[0]
 	head := func() *delta { return tr.load(leafID) }
+	slabbed := func(h *delta) bool { return h.base.slab.Load() != nil }
 
 	for k := uint64(1); k <= 5; k++ {
 		s.Insert(key64(k), k)
 	}
-	if h := head(); h.depth != 5 || h.base.slab == nil {
-		t.Fatalf("loaded leaf: depth %d, slab %v; want 5 deltas on a slab", h.depth, h.base.slab != nil)
+	if h := head(); h.depth != 5 || !slabbed(h) {
+		t.Fatalf("loaded leaf: depth %d, slab %v; want 5 deltas on a slab", h.depth, slabbed(h))
 	}
 	s.Scan(key64(1), math.MaxInt, func([]byte, uint64) bool { return true })
-	if h := head(); h.kind != kLeafBase || h.slab != nil {
-		t.Fatalf("after the scan: head %v, slab %v; want a slab-less base", h.kind, h.slab != nil)
+	if h := head(); h.kind != kLeafBase || slabbed(h) || h.wantSlab {
+		t.Fatalf("after the scan: head %v, slab %v, marked %v; want an unmarked slab-less base", h.kind, slabbed(h), h.wantSlab)
 	}
 
 	for i := 1; i < opts.LeafChainLength; i++ {
 		k := uint64(100 + i)
 		s.Insert(key64(k), k)
-		if h := head(); int(h.depth) != i || h.base.slab != nil {
-			t.Fatalf("insert %d: depth %d, slab %v; want %d heap deltas", i, h.depth, h.base.slab != nil, i)
+		if h := head(); int(h.depth) != i || slabbed(h) {
+			t.Fatalf("insert %d: depth %d, slab %v; want %d heap deltas", i, h.depth, slabbed(h), i)
 		}
 	}
 	s.Insert(key64(100+uint64(opts.LeafChainLength)), 1)
-	if h := head(); h.kind != kLeafBase || h.slab == nil {
-		t.Fatalf("at LeafChainLength: head %v, slab %v; want a writer-built base with a slab", h.kind, h.slab != nil)
+	if h := head(); h.kind != kLeafBase || slabbed(h) || !h.wantSlab {
+		t.Fatalf("at LeafChainLength: head %v, slab %v, marked %v; want a marked slab-less base", h.kind, slabbed(h), h.wantSlab)
 	}
 	if n := s.stats.slabFull.Load(); n != 0 {
 		t.Fatalf("%d slab-exhaustion events on a slab-less leaf", n)
 	}
 	s.Release()
+	// Close drains every epoch, so the slab of the chain the scan retired
+	// is pooled by now.
 	tr.Close()
-	// Close drains every epoch, so every pooled slab is back in the pool
-	// by now. The writer consolidation above retired a slab-less chain,
-	// and the scan's retired slab must not have been pooled.
-	if tr.leafSlabs.head.Load() != nil {
-		t.Fatal("the chain a scan retired returned its slab to the pool")
+	if n := tr.leafSlabs.n.Load(); n != 1 {
+		t.Fatalf("%d pooled leaf slabs after the scan's retirement drained; want 1", n)
+	}
+
+	s = tr.NewSession()
+	defer s.Release()
+	s.Insert(key64(1000), 1)
+	if h := head(); h.depth != 1 || !slabbed(h) || h.base.slab.Load().used() != 1 {
+		t.Fatalf("first insert on the written base: depth %d, slab %v; want one delta in a slab", h.depth, slabbed(h))
+	}
+	if n := tr.leafSlabs.n.Load(); n != 0 {
+		t.Fatalf("%d pooled leaf slabs after the install; want the pooled slab taken", n)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

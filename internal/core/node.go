@@ -118,6 +118,10 @@ type baseData struct {
 	offs []uint32
 	pfx  uint32
 	nil0 bool
+	// wantSlab marks a base a writer built while Preallocate is on: its
+	// first delta installs slab (allocDelta). It fills the padding after
+	// nil0, so baseData does not grow.
+	wantSlab bool
 	// sfx is the partial-key search plane every inner base carries:
 	// sfx[i] is the first 8 post-prefix bytes of key i packed big-endian
 	// (zero padded), so a routing probe binary-searches one pointer-free,
@@ -139,9 +143,9 @@ type baseData struct {
 	// record's version only changes when its value may have.
 	vers []uint64
 
-	// slab is the node's pre-allocated delta area (when the Preallocate
-	// optimization is on).
-	slab *slab
+	// slab is the node's pre-allocated delta area: nil until the first
+	// delta on a wantSlab base installs one, and nil for good otherwise.
+	slab atomic.Pointer[slab]
 }
 
 // baseNode co-allocates a base header with its payload. Allocating the
@@ -198,9 +202,11 @@ func newSMO(k kind) *delta {
 
 // slab is the pre-allocated delta area attached to a base node (§4.1).
 // Threads claim slots with a single atomic add on marker; the slots array
-// is contiguous, so chain traversal touches adjacent memory. When the slab
-// is exhausted the claiming thread triggers a consolidation, which installs
-// a fresh base node with a fresh slab.
+// is contiguous, so chain traversal touches adjacent memory. A base takes
+// its slab at its first delta, not when it is built, so a leaf that is
+// only read or updated in place holds none. When the slab is exhausted
+// the claiming thread triggers a consolidation, whose fresh base takes a
+// slab again at its own first delta.
 type slab struct {
 	marker atomic.Int32
 	slots  []delta
@@ -230,7 +236,9 @@ func (s *slab) claim() *delta {
 // what makes pre-allocation pay off under Go's GC, where allocating a
 // fresh pointer-dense slab per consolidation would dwarf the delta
 // allocations it saves. A pooled slab holds no record: it is cleared
-// before put, so an idle slab pins no retired chain.
+// before put, so an idle slab pins no retired chain. The pool keeps at
+// most maxPooledSlabs slabs and leaves the rest to the Go GC, so it never
+// hoards what the bases give up.
 type slabPool struct {
 	head atomic.Pointer[pooledSlab]
 	// n counts the slabs on the stack (StructureStats.PooledSlabs).
@@ -242,9 +250,27 @@ type pooledSlab struct {
 	next *pooledSlab
 }
 
+// maxPooledSlabs bounds each pool: enough to feed the first deltas of a
+// burst of writes, small beside a tree of thousands of leaves.
+const maxPooledSlabs = 256
+
+// full reports whether the pool holds its bound.
+func (p *slabPool) full() bool { return p.n.Load() >= maxPooledSlabs }
+
+// put pushes s unless the pool already holds maxPooledSlabs, in which
+// case s is left to the Go GC.
 func (p *slabPool) put(s *slab) {
+	for {
+		// Counted before the push, so a racing get never drives n below 0.
+		c := p.n.Load()
+		if c >= maxPooledSlabs {
+			return
+		}
+		if p.n.CompareAndSwap(c, c+1) {
+			break
+		}
+	}
 	n := &pooledSlab{s: s}
-	p.n.Add(1) // before the push, so a racing get never drives n below 0
 	for {
 		h := p.head.Load()
 		n.next = h

@@ -94,10 +94,38 @@ func TestValidatePayloadOwnership(t *testing.T) {
 	})
 }
 
+// writeEveryLeaf posts one insert delta on every non-empty leaf: the
+// leaf's first key with a zero byte appended, which sorts before the
+// leaf's second key and before its right sibling's low key.
+func writeEveryLeaf(tr *Tree) {
+	s := tr.NewSession()
+	defer s.Release()
+	var firsts [][]byte
+	var walk func(id nodeID)
+	walk = func(id nodeID) {
+		head := tr.load(id)
+		c := s.collect(head)
+		if !head.isLeaf {
+			for _, kid := range c.kids {
+				walk(kid)
+			}
+			return
+		}
+		if len(c.keys) > 0 {
+			firsts = append(firsts, append(cloneKey(c.keys[0]), 0))
+		}
+	}
+	walk(tr.root)
+	for _, k := range firsts {
+		s.Insert(k, 0)
+	}
+}
+
 // TestLeafSlabBytes holds the pre-allocated delta area per leaf at the
 // default LeafChainLength (24 slots) to at most 4 KiB — the price of a
 // slot is one delta record, with no base or SMO payload in it — and
-// checks the totals StructureStats reports.
+// checks the totals StructureStats reports: none on a consolidated tree
+// nobody has written since, one whole slab per written leaf.
 func TestLeafSlabBytes(t *testing.T) {
 	opts := DefaultOptions()
 	if opts.LeafChainLength != 24 || !opts.Preallocate {
@@ -109,8 +137,20 @@ func TestLeafSlabBytes(t *testing.T) {
 	for i := uint64(0); i < 20000; i++ {
 		s.Insert(key64(i*7919%20000), i)
 	}
-	s.Release()
 	tr.ConsolidateAll()
+	if st := tr.StructureStats(); st.LeafSlabBytes != 0 || st.InnerSlabBytes != 0 {
+		t.Fatalf("unwritten consolidated tree: slab bytes leaf %d inner %d, want 0", st.LeafSlabBytes, st.InnerSlabBytes)
+	}
+	writeEveryLeaf(tr)
+	// Separator posts from splits at the right edge write inner bases;
+	// every second post on a node consolidates it (InnerChainLength 2),
+	// so stop at a post that left a slab.
+	for i := uint64(20000); i < 30000 && tr.StructureStats().InnerSlabBytes == 0; i += 16 {
+		for j := i; j < i+16; j++ {
+			s.Insert(key64(j), j)
+		}
+	}
+	s.Release()
 	st := tr.StructureStats()
 	if st.LeafNodes < 2 || st.LeafSlabBytes == 0 || st.InnerSlabBytes == 0 {
 		t.Fatalf("shape %+v: want several leaves and slab bytes at both levels", st)
@@ -139,10 +179,10 @@ func TestLeafSlabBytes(t *testing.T) {
 }
 
 // TestReclaimedSlabsHoldNoRecords requires a recycled slab to pin
-// nothing: after an insert load and four update rounds on one session,
-// no slab attached to a live base holds a record at or past its marker,
-// no pooled slab holds a record at all, and StructureStats counts the
-// pool. A slab whose slots kept their records would keep each retired
+// nothing: after an insert load, four update rounds and one insert into
+// every leaf on one session, no slab attached to a live base holds a
+// record at or past its marker, no pooled slab holds a record at all,
+// and StructureStats counts the pool. A slab whose slots kept their records would keep each retired
 // chain, its base node and that base's own older slab reachable until a
 // later claim overwrote the slot.
 func TestReclaimedSlabsHoldNoRecords(t *testing.T) {
@@ -158,6 +198,7 @@ func TestReclaimedSlabsHoldNoRecords(t *testing.T) {
 		}
 	}
 	s.Release()
+	writeEveryLeaf(tr)
 	tr.Close() // drains every epoch, so every retired slab is pooled by now
 
 	s = tr.NewSession()
@@ -167,7 +208,7 @@ func TestReclaimedSlabsHoldNoRecords(t *testing.T) {
 	var walk func(id nodeID)
 	walk = func(id nodeID) {
 		head := tr.load(id)
-		if sl := head.base.slab; sl != nil {
+		if sl := head.base.slab.Load(); sl != nil {
 			attached++
 			if checkSlabTail(sl) != nil {
 				dirty++
@@ -201,6 +242,9 @@ func TestReclaimedSlabsHoldNoRecords(t *testing.T) {
 	}
 	if pooled == 0 || holding != 0 {
 		t.Errorf("%d of %d pooled slabs hold a record; want 0 of > 0", holding, pooled)
+	}
+	if pooled > 2*maxPooledSlabs {
+		t.Errorf("%d pooled slabs, want at most %d per pool", pooled, maxPooledSlabs)
 	}
 	st := tr.StructureStats()
 	if st.PooledSlabs != pooled || st.PooledSlabBytes <= 0 {

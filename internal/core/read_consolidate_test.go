@@ -94,8 +94,8 @@ func TestLookupConsolidatesUnwrittenLeaf(t *testing.T) {
 				}
 				before := tr.Stats().Consolidations
 				check(n - 1)
-				if h := tr.load(leafID); h.kind != kLeafBase || h.slab != nil {
-					t.Fatalf("after %d reads: head %v, slab %v; want a slab-less base", n, h.kind, h.slab != nil)
+				if h := tr.load(leafID); h.kind != kLeafBase || h.slab.Load() != nil || h.wantSlab {
+					t.Fatalf("after %d reads: head %v, slab %v, marked %v; want an unmarked slab-less base", n, h.kind, h.slab.Load() != nil, h.wantSlab)
 				}
 				if got := tr.Stats().Consolidations; got != before+1 {
 					t.Fatalf("read %d consolidated %d times, want 1", n, got-before)

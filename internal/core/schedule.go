@@ -92,6 +92,9 @@ const (
 	// SPSeal fires before a copy of a leaf base seals it against
 	// in-place updates. Node is zero: the copy does not know it.
 	SPSeal
+	// SPSlabInstall fires before a writer publishes a slab on a marked
+	// base at its first delta. Node is zero: the base does not know it.
+	SPSlabInstall
 
 	numSyncPoints
 )
@@ -116,6 +119,7 @@ var syncPointNames = [numSyncPoints]string{
 	SPBackoff:         "Backoff",
 	SPSeqClaim:        "SeqClaim",
 	SPSeal:            "Seal",
+	SPSlabInstall:     "SlabInstall",
 }
 
 func (p SyncPoint) String() string {

@@ -34,7 +34,7 @@ func (s *Session) split(id nodeID, head *delta, c collected, parentID nodeID, pa
 		if t.cas(id, head, nb) {
 			s.stats.consolidations.Add(1)
 			s.emit(obs.EvConsolidate, id, uint64(head.depth), uint64(nb.size))
-			s.retireChain(head, true)
+			s.retireChain(head)
 		} else {
 			s.stats.casFailures.Add(1)
 		}
@@ -86,7 +86,7 @@ func (s *Session) split(id nodeID, head *delta, c collected, parentID nodeID, pa
 	schedPoint(SPSplitLeftFold, id, rid, nil)
 	if t.cas(id, sd, left) {
 		s.stats.consolidations.Add(1)
-		s.retireChain(head, true)
+		s.retireChain(head)
 	}
 }
 
@@ -161,9 +161,7 @@ func (s *Session) splitRoot(head *delta, c collected) {
 	newRoot.size = 2
 	newRoot.kids = []nodeID{lid, rid}
 	setBaseKeys(newRoot, [][]byte{nil, splitKey})
-	if s.t.opts.Preallocate {
-		newRoot.slab = s.t.getSlab(false)
-	}
+	newRoot.wantSlab = s.t.opts.Preallocate
 	schedPoint(SPSplitRoot, t.root, rid, splitKey)
 	if !t.cas(t.root, head, newRoot) {
 		t.mt.Recycle(lid)
@@ -173,7 +171,7 @@ func (s *Session) splitRoot(head *delta, c collected) {
 	}
 	s.stats.splits.Add(1)
 	s.emit(obs.EvSplit, t.root, rid, uint64(mid))
-	s.retireChain(head, true)
+	s.retireChain(head)
 }
 
 // postSeparator publishes the (splitKey → rightID) separator in the

@@ -49,6 +49,9 @@ type StructureStats struct {
 	// the tree holds that no node reaches.
 	PooledSlabs     int64
 	PooledSlabBytes int64
+	// MappingBytes is the mapping table's committed footprint: its spine
+	// plus every installed chunk (mapping.Table.MemoryFootprint).
+	MappingBytes int64
 }
 
 // StructureStats walks the tree and aggregates shape statistics. The walk
@@ -77,7 +80,7 @@ func (t *Tree) StructureStats() StructureStats {
 		}
 		ptrs := 1 // offs: every base has one, empty or not
 		for _, live := range []bool{base.arena != nil, base.sfx != nil, base.kids != nil,
-			base.vals != nil, base.vers != nil, base.slab != nil} {
+			base.vals != nil, base.vers != nil, base.slab.Load() != nil} {
 			if live {
 				ptrs++
 			}
@@ -104,10 +107,10 @@ func (t *Tree) StructureStats() StructureStats {
 			before := st.KeyBytes
 			leafPtrs += footprint(base)
 			leafPayload += st.KeyBytes - before + 8*int64(n)
-			if base.slab != nil {
-				leafSlabUsed += float64(base.slab.used())
-				leafSlabCap += float64(len(base.slab.slots))
-				st.LeafSlabBytes += int64(len(base.slab.slots)) * slotBytes
+			if sl := base.slab.Load(); sl != nil {
+				leafSlabUsed += float64(sl.used())
+				leafSlabCap += float64(len(sl.slots))
+				st.LeafSlabBytes += int64(len(sl.slots)) * slotBytes
 			}
 			return
 		}
@@ -115,10 +118,10 @@ func (t *Tree) StructureStats() StructureStats {
 		innerChain += float64(head.depth)
 		innerSize += float64(base.baseLen())
 		innerPtrs += footprint(base)
-		if base.slab != nil {
-			innerSlabUsed += float64(base.slab.used())
-			innerSlabCap += float64(len(base.slab.slots))
-			st.InnerSlabBytes += int64(len(base.slab.slots)) * slotBytes
+		if sl := base.slab.Load(); sl != nil {
+			innerSlabUsed += float64(sl.used())
+			innerSlabCap += float64(len(sl.slots))
+			st.InnerSlabBytes += int64(len(sl.slots)) * slotBytes
 		}
 		c := s.collect(head)
 		for _, kid := range c.kids {
@@ -131,6 +134,7 @@ func (t *Tree) StructureStats() StructureStats {
 	st.PooledSlabs = leafPooled + innerPooled
 	st.PooledSlabBytes = (leafPooled*int64(t.opts.LeafChainLength) +
 		innerPooled*int64(t.opts.InnerChainLength)) * slotBytes
+	st.MappingBytes = int64(t.mt.MemoryFootprint())
 
 	if st.InnerNodes > 0 {
 		st.AvgInnerChainLen = innerChain / float64(st.InnerNodes)

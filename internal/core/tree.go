@@ -47,12 +47,12 @@ type Tree struct {
 	closed   sessionStats // counters absorbed from released sessions
 }
 
-// getSlab returns a recycled or fresh slab for a new base node.
-func (t *Tree) getSlab(leaf bool) *slab {
+// slabs returns the slab pool and the slab size of leaf or inner bases.
+func (t *Tree) slabs(leaf bool) (*slabPool, int) {
 	if leaf {
-		return t.leafSlabs.get(t.opts.LeafChainLength)
+		return &t.leafSlabs, t.opts.LeafChainLength
 	}
-	return t.innerSlabs.get(t.opts.InnerChainLength)
+	return &t.innerSlabs, t.opts.InnerChainLength
 }
 
 // New returns an empty tree configured by opts. Per §2.1 of the paper the
@@ -83,18 +83,14 @@ func New(opts Options) *Tree {
 	leafID := t.mt.Allocate()
 	leaf := newBaseNode(kLeafBase)
 	setBaseKeys(leaf, nil)
-	if opts.Preallocate {
-		leaf.slab = t.getSlab(true)
-	}
+	leaf.wantSlab = opts.Preallocate
 	t.mt.Store(leafID, leaf)
 
 	root := newBaseNode(kInnerBase)
 	root.size = 1
 	root.kids = []nodeID{leafID}
 	setBaseKeys(root, [][]byte{nil}) // -inf separator
-	if opts.Preallocate {
-		root.slab = t.getSlab(false)
-	}
+	root.wantSlab = opts.Preallocate
 	t.mt.Store(t.root, root)
 	return t
 }

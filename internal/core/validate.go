@@ -20,7 +20,8 @@ import (
 //     bases only, an smoData on the four SMO kinds only
 //   - a leaf base holds one value and one version stamp per key, the
 //     slots an in-place update writes
-//   - a base's slab holds no record at or past its marker
+//   - only a base a writer built holds a slab, and the slab holds no
+//     record at or past its marker
 func (t *Tree) Validate() error {
 	s := t.NewSession()
 	defer s.Release()
@@ -41,7 +42,11 @@ func (t *Tree) validateNode(s *Session, id nodeID, low, high []byte) error {
 	if err := checkPayloads(head); err != nil {
 		return fmt.Errorf("node %d: %v", id, err)
 	}
-	if err := checkSlabTail(head.base.slab); err != nil {
+	sl := head.base.slab.Load()
+	if sl != nil && !head.base.wantSlab {
+		return fmt.Errorf("node %d: a base no writer built holds a slab", id)
+	}
+	if err := checkSlabTail(sl); err != nil {
 		return fmt.Errorf("node %d: %v", id, err)
 	}
 	c := s.collect(head)

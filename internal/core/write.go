@@ -63,14 +63,36 @@ func checkKey(k []byte) {
 }
 
 // allocDelta returns a delta record for appending to head's chain: a slot
-// from the base node's pre-allocated slab when the Preallocate
-// optimization is on (§4.1), otherwise a heap allocation. nil means the
-// slab is exhausted and the caller must consolidate.
+// from the base node's pre-allocated slab (§4.1) when it has one or is
+// marked to take one, otherwise a heap allocation. nil means the slab is
+// exhausted and the caller must consolidate.
 func (s *Session) allocDelta(head *delta) *delta {
-	if sl := head.base.slab; sl != nil {
+	b := head.base
+	if sl := b.slab.Load(); sl != nil {
 		return sl.claim()
 	}
-	return &delta{}
+	if !b.wantSlab {
+		return &delta{}
+	}
+	return s.installSlab(b).claim()
+}
+
+// installSlab gives the marked base b its slab at its first delta: a
+// pool slab published with a CaS, so every writer racing the install
+// claims from the one slab that won. The loser's slab was never
+// published and goes straight back to the pool. A stale writer may
+// install on a base a consolidation has just retired; its delta CaS then
+// fails against the new head, and the slab goes to the Go GC with the
+// base.
+func (s *Session) installSlab(b *delta) *slab {
+	pool, n := s.t.slabs(b.isLeaf)
+	sl := pool.get(n)
+	schedPoint(SPSlabInstall, 0, 0, nil)
+	if b.slab.CompareAndSwap(nil, sl) {
+		return sl
+	}
+	pool.put(sl)
+	return b.slab.Load()
 }
 
 // appendLeaf builds and publishes one leaf delta record. It returns false

@@ -210,7 +210,7 @@ func (t *Table[T]) Stats() TableStats {
 }
 
 // MemoryFootprint returns the approximate bytes committed by the table's
-// spine and installed chunks. Used by the Fig. 15 memory experiment.
+// spine and installed chunks (core's StructureStats.MappingBytes).
 func (t *Table[T]) MemoryFootprint() uintptr {
 	var total uintptr = unsafe.Sizeof(atomic.Pointer[chunk[T]]{}) * SpineSize
 	for i := range t.spine {

@@ -48,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/bwtree"
@@ -79,15 +80,34 @@ type Store struct {
 	stripes []*bwtree.Stripes
 	log     *bwtree.Durable // the store; it logs nothing in memory
 
-	// Every commit writes the fields below, and every stripe lookup reads
-	// the ones above: the pad keeps them on different cache lines, so two
-	// committers do not invalidate each other's reads.
-	_         [64]byte
-	nextID    atomic.Uint64
+	mu       sync.Mutex // guards sessions and closed (cold path)
+	sessions map[*Session]struct{}
+	closed   Stats // counters folded in from released sessions
+
+	// Every commit writes nextID, and every stripe lookup reads the
+	// fields above: the pad keeps them on different cache lines, so two
+	// committers do not invalidate each other's reads. IDs stay shared so
+	// they are unique across sessions and recoveries; the commit counters
+	// live in each Session.
+	_      [64]byte
+	nextID atomic.Uint64
+}
+
+// counters are one session's commit counters: only its own commits
+// write them, so committers on different sessions share no counter line.
+type counters struct {
 	commits   atomic.Uint64
 	conflicts atomic.Uint64
 	readOnly  atomic.Uint64
 	validate  obs.Histogram
+}
+
+// addTo accumulates c into s.
+func (c *counters) addTo(s *Stats) {
+	s.Commits += c.commits.Load()
+	s.Conflicts += c.conflicts.Load()
+	s.ReadOnly += c.readOnly.Load()
+	c.validate.AddTo(&s.Validate)
 }
 
 // New builds the engine over st, seeding the transaction-ID counter
@@ -95,7 +115,7 @@ type Store struct {
 // incarnations. Every shard's stripes are the store's own, so plain and
 // transactional writers mix freely, in memory as on disk.
 func New(st *shard.Store) *Store {
-	s := &Store{router: st.Router(), log: st.Durable()}
+	s := &Store{router: st.Router(), log: st.Durable(), sessions: make(map[*Session]struct{})}
 	for i := range st.NumShards() {
 		s.stripes = append(s.stripes, s.log.Stripes(i))
 	}
@@ -128,14 +148,15 @@ type Stats struct {
 	Validate obs.HistSnapshot
 }
 
-// Stats snapshots the engine's counters.
+// Stats snapshots the engine's counters: the live sessions' counters
+// plus what released sessions folded in.
 func (st *Store) Stats() Stats {
-	s := Stats{
-		Commits:   st.commits.Load(),
-		Conflicts: st.conflicts.Load(),
-		ReadOnly:  st.readOnly.Load(),
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	s := st.closed
+	for sess := range st.sessions {
+		sess.c.addTo(&s)
 	}
-	st.validate.AddTo(&s.Validate)
 	return s
 }
 
@@ -148,6 +169,9 @@ func (st *Store) NewSession() *Session {
 	for i, t := range st.log.Trees() {
 		s.sess[i] = t.NewSession()
 	}
+	st.mu.Lock()
+	st.sessions[s] = struct{}{}
+	st.mu.Unlock()
 	return s
 }
 
@@ -157,6 +181,7 @@ func (st *Store) NewSession() *Session {
 type Session struct {
 	st   *Store
 	sess []*bwtree.Session // one tree session per shard
+	c    counters
 
 	// commit scratch, reused across transactions
 	wOrder   []int32    // write indices sorted by key
@@ -174,8 +199,16 @@ type observed struct {
 	found bool
 }
 
-// Release returns the session's resources.
+// Release returns the session's resources and folds its counters into
+// the store's total.
 func (s *Session) Release() {
+	st := s.st
+	st.mu.Lock()
+	if _, live := st.sessions[s]; live {
+		delete(st.sessions, s)
+		s.c.addTo(&st.closed)
+	}
+	st.mu.Unlock()
 	for _, ts := range s.sess {
 		ts.Release()
 	}
@@ -248,7 +281,7 @@ func (s *Session) CommitTxn(reads []index.TxnRead, writes []index.TxnWrite) (ind
 	// Phase 2: read validation at the commit point.
 	if !s.validateReads(reads) {
 		unlockWrites()
-		st.conflicts.Add(1)
+		s.c.conflicts.Add(1)
 		return index.TxnResult{Status: index.TxnConflict}, nil
 	}
 	if h := validateBarrier; h != nil {
@@ -296,15 +329,15 @@ func (s *Session) CommitTxn(reads []index.TxnRead, writes []index.TxnWrite) (ind
 		s.opWrite = append(s.opWrite, int32(i))
 	}
 	id := st.nextID.Add(1)
-	st.validate.RecordNS(obs.Now() - t0)
+	s.c.validate.RecordNS(obs.Now() - t0)
 
 	vers := make([]uint64, len(writes))
 	if len(s.ops) == 0 {
 		// Read-only (or every write was a no-op): validation alone is
 		// the commit; nothing to log or apply.
 		unlockWrites()
-		st.commits.Add(1)
-		st.readOnly.Add(1)
+		s.c.commits.Add(1)
+		s.c.readOnly.Add(1)
 		return index.TxnResult{Status: index.TxnCommitted, TxnID: id, WriteVers: vers}, nil
 	}
 
@@ -313,7 +346,7 @@ func (s *Session) CommitTxn(reads []index.TxnRead, writes []index.TxnWrite) (ind
 	if err != nil {
 		return index.TxnResult{}, err
 	}
-	st.commits.Add(1)
+	s.c.commits.Add(1)
 	return index.TxnResult{Status: index.TxnCommitted, TxnID: id, WriteVers: vers}, st.waitDurable(lsn)
 }
 

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -353,4 +354,82 @@ func TestTxnReadOnlyAndStats(t *testing.T) {
 	if stats.Validate.Total() != 2 {
 		t.Fatalf("validation histogram count = %d", stats.Validate.Total())
 	}
+}
+
+// TestTxnStatsSumSessions checks that Stats adds up the per-session
+// counters: N sessions commit concurrently, and the totals equal the
+// commits, read-only commits, conflicts and validations they saw, both
+// while the sessions are live and after each has released and folded its
+// counters into the store's total. Keys are private to a worker, but a
+// read's stripe can be another worker's write stripe, so a commit may
+// still meet a conservative conflict; it is counted and retried.
+func TestTxnStatsSumSessions(t *testing.T) {
+	const workers, perWorker = 4, 200
+	ss := openStore(t, 2, "")
+	defer ss.Close()
+	st := New(ss)
+	sessions := make([]*Session, workers)
+	commits := make([]uint64, workers)
+	readOnly := make([]uint64, workers)
+	conflicts := make([]uint64, workers)
+	var wg sync.WaitGroup
+	for w := range sessions {
+		sessions[w] = st.NewSession()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tx := Begin(sessions[w])
+			for i := uint64(0); i < perWorker; {
+				tx.Reset()
+				k := tkey(uint64(w)*perWorker + i)
+				if i%4 == 3 {
+					if _, _, err := tx.Get(k); err != nil {
+						t.Error(err)
+						return
+					}
+				} else {
+					tx.Put(k, i+1)
+				}
+				res, err := tx.Commit()
+				if err != nil {
+					t.Errorf("worker %d commit %d: %v", w, i, err)
+					return
+				}
+				if res.Status == index.TxnConflict {
+					conflicts[w]++
+					continue
+				}
+				commits[w]++
+				if i%4 == 3 {
+					readOnly[w]++
+				}
+				i++
+			}
+		}()
+	}
+	wg.Wait()
+	var wantCommits, wantReadOnly, wantConflicts uint64
+	for w := range commits {
+		wantCommits += commits[w]
+		wantReadOnly += readOnly[w]
+		wantConflicts += conflicts[w]
+	}
+	if wantCommits != workers*perWorker {
+		t.Fatalf("%d commits, want %d", wantCommits, workers*perWorker)
+	}
+	check := func(when string) {
+		s := st.Stats()
+		if s.Commits != wantCommits || s.ReadOnly != wantReadOnly || s.Conflicts != wantConflicts ||
+			s.Validate.Total() != wantCommits {
+			t.Errorf("%s: stats commits %d read-only %d conflicts %d validations %d; want %d, %d, %d, %d",
+				when, s.Commits, s.ReadOnly, s.Conflicts, s.Validate.Total(), wantCommits, wantReadOnly, wantConflicts, wantCommits)
+		}
+	}
+	check("live sessions")
+	for i, s := range sessions {
+		s.Release()
+		check(fmt.Sprintf("%d of %d released", i+1, workers))
+	}
+	sessions[0].Release() // a second Release folds nothing twice
+	check("after a repeated Release")
 }
