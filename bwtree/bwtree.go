@@ -11,8 +11,8 @@
 // nodes split and merge through multi-stage lock-free protocols that
 // concurrent threads help complete. Memory reclamation is epoch-based.
 // One mutation skips the chain: with Options.UpdateInPlace (on in
-// DefaultOptions), an update of a key held by a base node that has no
-// delta above it stores the new value into the base under the base's
+// DefaultOptions), an update of a key held by a base node that no delta
+// above it overrides stores the new value into the base under the base's
 // sequence word.
 //
 // # Usage
@@ -53,7 +53,9 @@ type Iterator = core.Iterator
 
 // Options configures a Tree. LeafNodeSize has two roles: a leaf splits
 // past that many items, and the LeafNodeSize-th lookup of a leaf's delta
-// chain with no write in between consolidates the leaf.
+// chain with no delta posted in between consolidates the leaf; an
+// in-place update under the chain counts as LeafNodeSize/LeafChainLength
+// lookups.
 type Options = core.Options
 
 // Stats is a point-in-time aggregate of a Tree's internal counters.

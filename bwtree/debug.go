@@ -62,6 +62,7 @@ func SumStats(trees []*Tree) Stats {
 		agg.BatchLeafHits += s.BatchLeafHits
 		agg.BatchParentHits += s.BatchParentHits
 		agg.InPlaceUpdates += s.InPlaceUpdates
+		agg.SeqWaits += s.SeqWaits
 		agg.GC.Retired += s.GC.Retired
 		agg.GC.Reclaimed += s.GC.Reclaimed
 		agg.GC.Advances += s.GC.Advances
@@ -119,6 +120,7 @@ func treesVars(trees []*Tree, perPart bool) obs.Vars {
 				"pointer_chases":   st.PointerChases,
 				"cas_failures":     st.CASFailures,
 				"in_place_updates": st.InPlaceUpdates,
+				"seq_waits":        st.SeqWaits,
 				"gc_retired":       st.GC.Retired,
 				"gc_reclaimed":     st.GC.Reclaimed,
 				"gc_advances":      st.GC.Advances,

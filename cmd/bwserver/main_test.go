@@ -42,8 +42,9 @@ func freeAddr(t *testing.T) string {
 
 // TestServeDrainsOnSIGTERM runs bwserver (this test binary re-executed as
 // it) with four shards and a debug surface, writes through it, and reads
-// its /metrics, which must parse as Prometheus text and carry the shard
-// and mapping-table series, and its /debug/stats, which must be JSON.
+// its /metrics, which must parse as Prometheus text and carry the shard,
+// mapping-table and sequence-word wait series, and its /debug/stats,
+// which must be JSON.
 // With -trace, /debug/latency and /debug/flightrec must answer JSON,
 // /metrics must carry bwtree_chain_depth and /debug/phasetrace must hold
 // Chrome "X" slices. SIGTERM must then drain the server, which exits 0.
@@ -96,7 +97,7 @@ func serveAndDrain(t *testing.T, trace bool) {
 	if _, err := obs.ParsePrometheus(bytes.NewReader(metrics)); err != nil {
 		t.Errorf("/metrics: %v", err)
 	}
-	series := []string{"bwtree_shards", "bwtree_mapping_live"}
+	series := []string{"bwtree_shards", "bwtree_mapping_live", "bwtree_seq_waits_total"}
 	if trace {
 		series = append(series, "bwtree_chain_depth")
 	}

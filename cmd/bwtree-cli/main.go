@@ -334,6 +334,7 @@ func printStats(t *bwtree.Tree) {
 		{"pointer_chases", st.PointerChases},
 		{"cas_failures", st.CASFailures},
 		{"in_place_updates", st.InPlaceUpdates},
+		{"seq_waits", st.SeqWaits},
 		{"leaf_prealloc_util", st.LeafPreallocUtilization()},
 		{"inner_prealloc_util", st.InnerPreallocUtilization()},
 		{"gc_retired", st.GC.Retired},

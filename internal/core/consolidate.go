@@ -50,18 +50,36 @@ func (s *Session) maybeConsolidateTr(tr *traversal, head *delta) {
 }
 
 // readDone closes every point read (Lookup, LookupVersion, LookupBatch)
-// on leaf tr.head: a read that walked a chain counts itself on the head,
-// and the read whose count reaches LeafNodeSize consolidates the leaf as
-// the iterator does, into a base that never takes a slab. A write
-// replaces the head and so restarts the count; a leaf that is only read
-// stops paying its chain once readers have spent about one
+// on leaf tr.head: a read that walked a chain counts 1 on the head, and
+// the count that reaches LeafNodeSize consolidates the leaf as the
+// iterator does, into a base that never takes a slab. A write that posts
+// a delta replaces the head and so restarts the count; a leaf that is
+// only read stops paying its chain once readers have spent about one
 // consolidation's worth of replays (DESIGN.md, "Read-triggered
-// consolidation"). A lost CaS is ignored: the read is already answered. A published base becomes tr.head, so a cached
-// traversal never reuses the retired chain.
-func (s *Session) readDone(tr *traversal) {
+// consolidation"). A lost CaS is ignored: the read is already answered.
+// A published base becomes tr.head, so a cached traversal never reuses
+// the retired chain.
+func (s *Session) readDone(tr *traversal) { s.countFold(tr, 1) }
+
+// storeDone closes an in-place store into a base under chained head
+// tr.head. The store stands in for the ∆update it did not post, and
+// LeafChainLength of those would have forced a writer consolidation, so
+// it counts LeafNodeSize/LeafChainLength (at least 1) toward readDone's
+// trigger: a chain that only serves stores folds after about
+// LeafChainLength of them, and reads and stores add up in proportion.
+func (s *Session) storeDone(tr *traversal) {
+	s.countFold(tr, max(1, s.t.opts.LeafNodeSize/s.t.opts.LeafChainLength))
+}
+
+// countFold adds w to chained leaf head tr.head's count, and the call
+// whose add takes the count to LeafNodeSize or past it consolidates the
+// leaf as a reader (readDone).
+func (s *Session) countFold(tr *traversal, w int) {
 	head := tr.head
-	if head.kind == kLeafBase || s.t.opts.InPlaceLeafUpdates ||
-		int(head.reads.Add(1)) != s.t.opts.LeafNodeSize {
+	if head.kind == kLeafBase || s.t.opts.InPlaceLeafUpdates {
+		return
+	}
+	if n, l := int(head.reads.Add(uint32(w))), s.t.opts.LeafNodeSize; n < l || n-w >= l {
 		return
 	}
 	if _, nb := s.consolidateID(tr.id, head, tr.parentID, tr.parentHead, true); nb != nil {
@@ -303,7 +321,7 @@ func (s *Session) gatherLeafRecords(head *delta, ins, del []effRec) (insOut, del
 		case kLeafBase:
 			// Every copy of a base's values starts here, so sealing here
 			// keeps in-place updates out of every copy (inplace.go).
-			d.seal()
+			d.seal(&s.seqWaits)
 			return ins, del, d, subchains, hasMerge
 		default:
 			return ins, del, nil, subchains, hasMerge

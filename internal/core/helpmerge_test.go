@@ -46,7 +46,9 @@ func halfMergeFixture(t *testing.T) (tr *Tree, s *Session, victimID nodeID, rm *
 // TestHelpMergeRedirects: with Stage II unposted, a traversal hitting
 // the ∆remove must restart (only the initiator posts the ∆merge — see
 // tryMerge); once the initiator's ∆merge is in place, helpers redirect
-// to the absorbing left sibling, and lookups in the victim's range work.
+// to the absorbing left sibling, lookups in the victim's range work, and
+// an update of a key the victim's base holds stores into that base
+// through the ∆merge's content.
 func TestHelpMergeRedirects(t *testing.T) {
 	tr, s, victimID, rm, parentID, parentHead := halfMergeFixture(t)
 	defer tr.Close()
@@ -76,11 +78,27 @@ func TestHelpMergeRedirects(t *testing.T) {
 		t.Fatalf("redirect: %d %v", int64(left2), ok)
 	}
 
+	// Key 30 is held by the victim's base, which an update reaches
+	// through the ∆merge's content: it stores into that base in place
+	// and leaves the ∆merge the head.
+	inPlace := tr.Stats().InPlaceUpdates
+	if !s.Update(key64(30), 300) {
+		t.Fatal("update through the ∆merge failed")
+	}
+	if h := tr.load(leftID); h != lhead || tr.Stats().InPlaceUpdates != inPlace+1 {
+		t.Fatalf("update through the ∆merge: head %v, %d in-place stores; want the ∆merge, 1",
+			h.kind, tr.Stats().InPlaceUpdates-inPlace)
+	}
+
 	// The victim's keys remain reachable through the merged left node —
 	// public lookups route via helpMerge on every traversal.
 	for i := uint64(1); i <= 64; i++ {
+		want := i
+		if i == 30 {
+			want = 300
+		}
 		got := s.Lookup(key64(i), nil)
-		if len(got) != 1 || got[0] != i {
+		if len(got) != 1 || got[0] != want {
 			t.Fatalf("lookup %d during half-merge: %v", i, got)
 		}
 	}
@@ -116,6 +134,10 @@ func TestHelpMergeRedirects(t *testing.T) {
 	tr.mt.Recycle(victimID)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("validate after manual stage III: %v", err)
+	}
+	tr.ConsolidateAll()
+	if got := s.Lookup(key64(30), nil); len(got) != 1 || got[0] != 999 {
+		t.Fatalf("after folding the merge: key 30 = %v, want [999]", got)
 	}
 }
 

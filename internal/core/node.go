@@ -59,9 +59,11 @@ type delta struct {
 	// where the existing key sits. Drives fast consolidation (§4.3) and
 	// search shortcuts (§4.4). Negative when unknown.
 	offset int32
-	// reads counts the point reads that walked this leaf chain head (never
-	// a base); a write replaces the head, so it restarts at zero. It fills
-	// the padding before lowKey, so the struct does not grow (readDone).
+	// reads counts the point reads and in-place stores that walked this
+	// leaf chain head (never a base), a store weighing
+	// LeafNodeSize/LeafChainLength; a write that posts a delta replaces
+	// the head, so it restarts at zero. It fills the padding before
+	// lowKey, so the struct does not grow (readDone, storeDone).
 	reads atomic.Uint32
 
 	// *baseData is non-nil exactly on kLeafBase/kInnerBase elements and

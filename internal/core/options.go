@@ -10,8 +10,8 @@
 // memory reclamation uses epoch-based GC. A base node's keys never change
 // once it is published. Its values are immutable too, with one exception:
 // with Options.UpdateInPlace, an Update of a key held by a leaf base that
-// is the bare head of its chain stores the new value into the base's slot
-// under the base's sequence word instead of prepending a ∆update, and any
+// no delta of its chain overrides stores the new value into the base's
+// slot under the base's sequence word instead of prepending a ∆update, and any
 // copy of a base first seals it against such stores (DESIGN.md, "In-place
 // updates").
 //
@@ -41,8 +41,9 @@ type Options struct {
 	// LeafNodeSize is the maximum number of items in a leaf base node
 	// before it splits (paper default 128). It is also the read-trigger
 	// threshold: the LeafNodeSize-th point read of a leaf chain with no
-	// write in between consolidates the leaf, since by then readers have
-	// replayed about as much as one consolidation copies.
+	// delta posted in between consolidates the leaf, since by then readers
+	// have replayed about as much as one consolidation copies. An in-place
+	// store under the chain counts LeafNodeSize/LeafChainLength reads.
 	LeafNodeSize int
 	// InnerNodeSize is the maximum number of separator items in an inner
 	// base node before it splits (paper default 64).
@@ -74,10 +75,12 @@ type Options struct {
 	// delta visibility with present/deleted value sets, and inserts of an
 	// existing key with a new value succeed.
 	NonUnique bool
-	// UpdateInPlace lets a unique-key Update of a key held by a bare leaf
-	// base (a chain with no delta above it) store the new value and a
-	// fresh version stamp into the base's slot under the base's sequence
-	// word, instead of prepending a ∆update. A base that is being copied
+	// UpdateInPlace lets a unique-key Update of a key held by a leaf
+	// base, when no delta of the chain decides the key, store the new
+	// value and a fresh version stamp into the base's slot under the
+	// base's sequence word, instead of prepending a ∆update. A store on a
+	// chained leaf counts toward its read-triggered consolidation (see
+	// LeafNodeSize). A base that is being copied
 	// is sealed first, and an update that finds it sealed falls back to
 	// the ∆update. Off in BaselineOptions: the original Bw-Tree posts
 	// every update as a delta.

@@ -87,8 +87,16 @@ const (
 	// failed descent or lost CaS.
 	SPBackoff
 	// SPSeqClaim fires before an in-place update claims the sequence
-	// word of node Node's bare leaf base to store Key's new value.
+	// word of the leaf base that answered its walk of node Node's chain,
+	// to store Key's new value.
 	SPSeqClaim
+	// SPSeqStore fires inside an in-place update's section: the
+	// sequence word is claimed and Key's value is not yet stored.
+	SPSeqStore
+	// SPSeqSpin fires inside the wait loops on a base's sequence word
+	// (a claim, a seal or a versioned read that found a store inside).
+	// Node is zero: the base does not know it.
+	SPSeqSpin
 	// SPSeal fires before a copy of a leaf base seals it against
 	// in-place updates. Node is zero: the copy does not know it.
 	SPSeal
@@ -118,6 +126,8 @@ var syncPointNames = [numSyncPoints]string{
 	SPMergeLeftSpin:   "MergeLeftSpin",
 	SPBackoff:         "Backoff",
 	SPSeqClaim:        "SeqClaim",
+	SPSeqStore:        "SeqStore",
+	SPSeqSpin:         "SeqSpin",
 	SPSeal:            "Seal",
 	SPSlabInstall:     "SlabInstall",
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -21,11 +22,18 @@ func TestSlabMarkFitsPadding(t *testing.T) {
 	}
 }
 
-// TestSlabUpdateOnlyLeavesHoldNone loads a tree, then runs a 50/50
-// lookup/update phase that leaves every leaf a bare base updated in
-// place. No leaf without a delta may then hold a slab, so LeafSlabBytes
-// is 0, and the retired slabs pooled once the epochs drain stay within
-// the pool bound.
+// TestSlabUpdateOnlyLeavesHoldNone pins that update-only leaves hold no
+// idle slab. It loads a tree by Insert, so every leaf is a chain on a
+// slab, then runs a 50/50 lookup/update phase in which every update
+// stores into a base in place. Afterwards no leaf without a delta holds
+// a slab, and every leaf still chained has a fold count below
+// LeafNodeSize: a chain that only serves in-place stores and reads
+// folds, as one that is only read does. The slabs pooled once the epochs
+// drain stay within the pool bound. A chained leaf then takes
+// alternating updates and lookups: the op whose count (1 per read,
+// LeafNodeSize/LeafChainLength per store) first reaches LeafNodeSize
+// folds the chain into a bare slab-less base, after 22 stores and 21
+// reads, where reads alone would have needed 128.
 func TestSlabUpdateOnlyLeavesHoldNone(t *testing.T) {
 	const n = 50000
 	tr := New(DefaultOptions())
@@ -49,7 +57,8 @@ func TestSlabUpdateOnlyLeavesHoldNone(t *testing.T) {
 
 	s = tr.NewSession()
 	defer s.Release()
-	bare, slabbed := 0, 0
+	leafNodeSize := tr.opts.LeafNodeSize
+	bare, slabbed, chained := 0, 0, 0
 	var walk func(id nodeID)
 	walk = func(id nodeID) {
 		head := tr.load(id)
@@ -64,6 +73,11 @@ func TestSlabUpdateOnlyLeavesHoldNone(t *testing.T) {
 			if head.slab.Load() != nil {
 				slabbed++
 			}
+			return
+		}
+		chained++
+		if r := int(head.reads.Load()); r >= leafNodeSize {
+			t.Errorf("leaf %d kept a chain of %d with a fold count of %d, want < %d", id, head.depth, r, leafNodeSize)
 		}
 	}
 	walk(tr.root)
@@ -71,8 +85,11 @@ func TestSlabUpdateOnlyLeavesHoldNone(t *testing.T) {
 	if bare == 0 || slabbed != 0 {
 		t.Errorf("%d of %d leaves without a delta hold a slab; want 0 of > 0", slabbed, bare)
 	}
-	if bare != st.LeafNodes || st.LeafSlabBytes != 0 {
-		t.Errorf("%d of %d leaves bare, LeafSlabBytes %d; want every leaf bare and 0 bytes", bare, st.LeafNodes, st.LeafSlabBytes)
+	if bare+chained != st.LeafNodes {
+		t.Errorf("walked %d bare and %d chained leaves, StructureStats counts %d", bare, chained, st.LeafNodes)
+	}
+	if tr.Stats().InPlaceUpdates == 0 {
+		t.Error("no update stored in place; the test proves nothing")
 	}
 	leafPooled, innerPooled := tr.leafSlabs.n.Load(), tr.innerSlabs.n.Load()
 	if leafPooled > maxPooledSlabs || innerPooled > maxPooledSlabs || st.PooledSlabs != leafPooled+innerPooled {
@@ -82,7 +99,68 @@ func TestSlabUpdateOnlyLeavesHoldNone(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d leaves, %d pooled slabs (%d B)", st.LeafNodes, st.PooledSlabs, st.PooledSlabBytes)
+	t.Logf("%d leaves: %d bare, %d chained; %d pooled slabs (%d B)", st.LeafNodes, bare, chained, st.PooledSlabs, st.PooledSlabBytes)
+
+	// One chained leaf, its keys 2..20 in the base, that only takes
+	// in-place stores and reads.
+	one, leafID := chainedLeaf(t)
+	defer one.Close()
+	os := one.NewSession()
+	defer os.Release()
+	model := map[uint64][]uint64{11: {11}}
+	for k := uint64(2); k <= 20; k += 2 {
+		model[k] = []uint64{k}
+	}
+	loaded := one.load(leafID)
+	if loaded.base.slab.Load() == nil {
+		t.Fatal("the chained leaf holds no slab; the test proves nothing")
+	}
+	// Updates and lookups alternate, each read following the store to its
+	// key. A read counts 1 toward the fold and a store w, so the chain
+	// must fold at the op whose count first reaches LeafNodeSize.
+	w := max(1, leafNodeSize/one.opts.LeafChainLength)
+	count, stores := 0, 0
+	for i := 0; ; i++ {
+		if h := one.load(leafID); h != loaded {
+			t.Fatalf("after %d ops (count %d) the head is a %v, want the loaded chain", i, count, h.kind)
+		}
+		k := uint64(2 * ((i/2)%10 + 1))
+		if i%2 == 0 {
+			model[k] = []uint64{uint64(1000 + i)}
+			if !os.Update(key64(k), model[k][0]) {
+				t.Fatalf("op %d: update of key %d refused", i, k)
+			}
+			count += w
+			stores++
+		} else {
+			if got := os.Lookup(key64(k), nil); !slices.Equal(got, model[k]) {
+				t.Fatalf("op %d: key %d = %v, model %v", i, k, got, model[k])
+			}
+			count++
+		}
+		if count >= leafNodeSize {
+			break
+		}
+	}
+	h := one.load(leafID)
+	if h.kind != kLeafBase {
+		t.Fatalf("after %d stores and the reads between them the head is a %v at depth %d, want a base", stores, h.kind, h.depth)
+	}
+	if h.slab.Load() != nil || h.wantSlab {
+		t.Fatalf("after %d stores: slab %v, marked %v; want an unmarked slab-less base",
+			stores, h.slab.Load() != nil, h.wantSlab)
+	}
+	if got := one.Stats().InPlaceUpdates; got != uint64(stores) {
+		t.Fatalf("InPlaceUpdates = %d, want %d", got, stores)
+	}
+	for k, want := range model {
+		if got := os.Lookup(key64(k), nil); !slices.Equal(got, want) {
+			t.Fatalf("after the fold: key %d = %v, model %v", k, got, want)
+		}
+	}
+	if err := one.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // bulkLeaf bulk-loads keys 10, 20, ..., 80 into one leaf, so every base

@@ -167,9 +167,11 @@ type Session struct {
 	// way chases batches pointer dereferences; flushed by opsDone.
 	leafHits   uint64
 	parentHits uint64
-	// inPlace counts updates stored into a bare leaf base (inplace.go),
-	// batched and flushed the same way.
-	inPlace uint64
+	// inPlace counts updates stored into a leaf base (inplace.go), and
+	// seqWaits the retry rounds spent waiting on a base's sequence word
+	// (seqSpin); both are batched and flushed the same way.
+	inPlace  uint64
+	seqWaits uint64
 	// stamp is the version stamp the session's current or last write op
 	// published, 0 while it has published none (LastStamp).
 	stamp uint64
@@ -208,6 +210,7 @@ type sessionStats struct {
 	batchLeafHits   atomic.Uint64
 	batchParentHits atomic.Uint64
 	inPlaceUpdates  atomic.Uint64
+	seqWaits        atomic.Uint64
 }
 
 func (a *sessionStats) add(b *sessionStats) {
@@ -226,6 +229,7 @@ func (a *sessionStats) add(b *sessionStats) {
 	a.batchLeafHits.Add(b.batchLeafHits.Load())
 	a.batchParentHits.Add(b.batchParentHits.Load())
 	a.inPlaceUpdates.Add(b.inPlaceUpdates.Load())
+	a.seqWaits.Add(b.seqWaits.Load())
 }
 
 // NewSession registers a worker goroutine with the tree.
@@ -246,6 +250,10 @@ func (s *Session) Release() {
 	if n := s.chases; n != 0 {
 		s.chases = 0
 		s.stats.pointerChases.Add(n)
+	}
+	if n := s.seqWaits; n != 0 {
+		s.seqWaits = 0
+		s.stats.seqWaits.Add(n)
 	}
 	s.t.mu.Lock()
 	delete(s.t.sessions, s)
@@ -291,6 +299,10 @@ func (s *Session) opsDone(n int, c obs.OpClass, start int64) {
 	if v := s.inPlace; v != 0 {
 		s.inPlace = 0
 		s.stats.inPlaceUpdates.Add(v)
+	}
+	if v := s.seqWaits; v != 0 {
+		s.seqWaits = 0
+		s.stats.seqWaits.Add(v)
 	}
 	s.opLat(c, start)
 }
@@ -357,11 +369,16 @@ type Stats struct {
 	// the root-to-leaf descent via the cached traversal.
 	BatchLeafHits   uint64
 	BatchParentHits uint64
-	// InPlaceUpdates counts updates stored into a bare leaf base under
-	// its sequence word instead of posted as a ∆update
+	// InPlaceUpdates counts updates stored into a leaf base under its
+	// sequence word instead of posted as a ∆update
 	// (Options.UpdateInPlace).
 	InPlaceUpdates uint64
-	GC             epoch.Stats
+	// SeqWaits counts retry rounds spent waiting on a leaf base's
+	// sequence word: an in-place store's claim, a copy's seal or a
+	// versioned read's pair load that found a store inside the section
+	// (or lost the word's CaS) and tried again.
+	SeqWaits uint64
+	GC       epoch.Stats
 }
 
 // AbortRate returns aborts per completed operation.
@@ -417,6 +434,7 @@ func (t *Tree) Stats() Stats {
 		BatchLeafHits:   agg.batchLeafHits.Load(),
 		BatchParentHits: agg.batchParentHits.Load(),
 		InPlaceUpdates:  agg.inPlaceUpdates.Load(),
+		SeqWaits:        agg.seqWaits.Load(),
 		GC:              t.gc.Stats(),
 	}
 }

@@ -29,7 +29,7 @@ func (s *Session) LookupVersion(key []byte) (value uint64, ver uint64, found boo
 		}
 		r := s.leafSeekProbed(tr.head, key)
 		if r.base != nil {
-			r.value, r.ver = r.base.loadPair(int(r.baseOff))
+			r.value, r.ver = r.base.loadPair(int(r.baseOff), &s.seqWaits)
 		}
 		s.readDone(&tr)
 		return r.value, r.ver, r.found

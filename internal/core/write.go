@@ -244,7 +244,8 @@ func (s *Session) deleteLeaf(tr *traversal, key []byte, value uint64) (done, del
 // whether the key was present. In non-unique mode it replaces the pair
 // (key, oldValue) for the first visible value; use UpdateValue for an
 // explicit pair. With Options.UpdateInPlace, a unique-mode update of a
-// key held by a bare leaf base stores into the base (updateInPlace).
+// key that the leaf's base decides, with no delta above it deciding the
+// key, stores into that base (updateInPlace).
 func (s *Session) Update(key []byte, value uint64) bool {
 	checkKey(key)
 	s.h.Enter()
@@ -289,8 +290,9 @@ func (s *Session) Update(key []byte, value uint64) bool {
 		if old == value {
 			return true
 		}
-		if base == tr.head && s.t.opts.UpdateInPlace &&
+		if base != nil && s.t.opts.UpdateInPlace &&
 			s.updateInPlace(tr.id, base, int(off), key, value) {
+			s.storeDone(&tr)
 			return true
 		}
 		if s.appendLeaf(&tr, kLeafUpdate, key, value, old, 0, off) {

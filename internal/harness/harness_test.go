@@ -105,8 +105,20 @@ func TestPreloadAndRunPhase(t *testing.T) {
 }
 
 func TestFormatBytes(t *testing.T) {
-	if got := FormatBytes(1 << 30); got != "1.00 GB" {
-		t.Fatalf("got %q", got)
+	for _, c := range []struct {
+		b    uint64
+		want string
+	}{
+		{1 << 30, "1.00 GB"},
+		{3 << 29, "1.50 GB"},
+		{1<<30 - 1, "1024.0 MB"},
+		{42 << 20, "42.0 MB"},
+		{45 << 19, "22.5 MB"},
+		{0, "0.0 MB"},
+	} {
+		if got := FormatBytes(c.b); got != c.want {
+			t.Errorf("FormatBytes(%d) = %q, want %q", c.b, got, c.want)
+		}
 	}
 }
 

@@ -246,7 +246,11 @@ func Preload(mk func() index.Index, kt ycsb.KeyType, keys, threads int, seed uin
 }
 
 // FormatBytes renders a byte count as GB with two decimals (the unit of
-// Fig. 15).
+// Fig. 15) from 1 GB up, and as MB with one decimal below that, where two
+// decimals of a GB would tie indexes that differ by tens of percent.
 func FormatBytes(b uint64) string {
+	if b < 1<<30 {
+		return fmt.Sprintf("%.1f MB", float64(b)/(1<<20))
+	}
 	return fmt.Sprintf("%.2f GB", float64(b)/(1<<30))
 }
