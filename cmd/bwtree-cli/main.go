@@ -79,13 +79,7 @@ func main() {
 	s := t.NewSession()
 	defer s.Release()
 
-	if load > 0 {
-		key := make([]byte, 8)
-		for i := 0; i < load; i++ {
-			binary.BigEndian.PutUint64(key, uint64(i))
-			s.Insert(key, uint64(i))
-		}
-	}
+	preload(s, load)
 
 	// One-shot mode: run the subcommand and exit.
 	if len(args) > 0 {
@@ -178,10 +172,20 @@ first). Without one, starts an interactive shell.
 `)
 }
 
+// preload inserts n sequential big-endian keys, key i with value i.
+func preload(s *bwtree.Session, n int) {
+	key := make([]byte, 8)
+	for i := 0; i < n; i++ {
+		binary.BigEndian.PutUint64(key, uint64(i))
+		s.Insert(key, uint64(i))
+	}
+}
+
 // runTrace exercises the tree with a mixed single-op workload (the -load
 // preload already ran sampled inserts), then renders the sampled phase
-// traces the session's ring still holds, the newest obs.RingSize, as
-// Chrome trace-event JSON.
+// traces the tree still holds as Chrome trace-event JSON. The CLI runs
+// one session, which writes one sink: the output is that sink's newest
+// obs.RingSize traces, all on one tid.
 func runTrace(t *bwtree.Tree, s *bwtree.Session, load int, outPath string) error {
 	key := make([]byte, 8)
 	var out []uint64

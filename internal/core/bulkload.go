@@ -194,7 +194,3 @@ func (t *Tree) Compact() (*Tree, error) {
 	}
 	return nt, nil
 }
-
-// MappingEntries reports how many logical node IDs the tree has ever
-// allocated — the mapping table's high-water mark (§3.3).
-func (t *Tree) MappingEntries() uint64 { return t.mt.Hwm() }

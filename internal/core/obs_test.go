@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -123,7 +125,7 @@ func TestLatencyHistograms(t *testing.T) {
 		t.Fatalf("read p99 = %v, want > 0", p99)
 	}
 
-	// ...and so must released sessions, whose handles the tree keeps.
+	// ...and so must released sessions, whose records stay in the sinks.
 	s.Release()
 	snap = tr.Latencies()
 	if got := snap.Total(); got != recorded(2*n+1) {
@@ -227,5 +229,152 @@ func TestIdleTreeEmitsNoEvents(t *testing.T) {
 	}
 	if evs := tr.TraceEvents(); len(evs) != 0 {
 		t.Fatalf("idle tree traced %d events, want 0; first: %+v", len(evs), evs[0])
+	}
+}
+
+// heapInUse returns the live heap after a full collection.
+func heapInUse() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestTracedSessionsHeapBounded opens 1000 sessions at once on a traced
+// tree and on an untraced one, then releases them. Tracing may keep at
+// most the sinks it built (2×GOMAXPROCS at most, however many sessions
+// came and went) plus 64 KB, and a live traced session may cost at most
+// 1 KB beyond an untraced one.
+func TestTracedSessionsHeapBounded(t *testing.T) {
+	if !deepProbes {
+		t.Skip("-tags notrace: the pipeline records no phase traces")
+	}
+	const sessions = 1000
+	// A sink's three ring buffers and its histograms, each allocation
+	// rounded up to the 8 KB page the heap hands large objects.
+	page := func(n uintptr) int64 { return int64((n + 8191) &^ 8191) }
+	var ev obs.Event
+	var tc obs.OpTrace
+	var fl obs.OpSummary
+	var h obs.Histogram
+	var r obs.Recorder
+	sinkBytes := page(unsafe.Sizeof(h)+unsafe.Sizeof(r)+256) +
+		page(obs.RingSize*unsafe.Sizeof(ev)) + page(obs.RingSize*unsafe.Sizeof(tc)) +
+		page(obs.RingSize*unsafe.Sizeof(fl))
+	sinks := int64(min(sessions, 2*runtime.GOMAXPROCS(0)))
+
+	measure := func(trace bool) (live, kept int64) {
+		opts := DefaultOptions()
+		opts.Trace = trace
+		tr := New(opts)
+		defer tr.Close()
+		base := heapInUse()
+		ss := make([]*Session, sessions)
+		for i := range ss {
+			ss[i] = tr.NewSession()
+			ss[i].Lookup(key64(uint64(i)), nil)
+		}
+		live = heapInUse() - base
+		for _, s := range ss {
+			s.Release()
+		}
+		clear(ss)
+		kept = heapInUse() - base
+		if trace && len(tr.FlightRecent(0)) == 0 {
+			t.Fatal("released sessions left no flight entries in the sinks")
+		}
+		return live, kept
+	}
+	plainLive, plainKept := measure(false)
+	traceLive, traceKept := measure(true)
+	var p obs.Probe
+	perSession := (traceLive - plainLive - sinks*sinkBytes) / sessions
+	t.Logf("handle %d B; %d sinks of %d B; live %d B traced vs %d B untraced (%d B per traced session beyond the sinks); kept %d B vs %d B",
+		unsafe.Sizeof(p), sinks, sinkBytes, traceLive, plainLive, perSession, traceKept, plainKept)
+	if limit := sinks*sinkBytes + 64<<10; traceKept-plainKept > limit {
+		t.Fatalf("tracing kept %d B after %d sessions were released, want at most %d (%d sinks of %d B + 64 KB)",
+			traceKept-plainKept, sessions, limit, sinks, sinkBytes)
+	}
+	if perSession > 1<<10 {
+		t.Fatalf("a live traced session costs %d B beyond an untraced one, want at most 1 KB", perSession)
+	}
+}
+
+// TestSharedSinksUnderDrain runs more sessions than there are sinks,
+// each on its own goroutine, while a reader drains and copies the sinks
+// the way the /debug endpoints do. Under -race it checks that sharing a
+// sink needs no locking beyond the rings'; the accounting checks that
+// every latency landed once and every sampled trace was either drained
+// once or counted as dropped.
+func TestSharedSinksUnderDrain(t *testing.T) {
+	opts := DefaultOptions()
+	opts.LeafNodeSize = 16
+	opts.InnerNodeSize = 8
+	opts.Trace = true
+	tr := New(opts)
+	defer tr.Close()
+	workers := 2*2*runtime.GOMAXPROCS(0) + 1
+	const perWorker = 200 // keys per worker; four ops each
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := tr.NewSession()
+			defer s.Release()
+			for i := 0; i < perWorker; i++ {
+				k := key64(uint64(w*perWorker + i))
+				s.Insert(k, 1)
+				s.Lookup(k, nil)
+				s.Update(k, 2)
+				s.Scan(k, 4, func([]byte, uint64) bool { return true })
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	drained := make(chan []obs.OpTrace)
+	go func() {
+		var traces []obs.OpTrace
+		for {
+			select {
+			case <-stop:
+				drained <- append(traces, tr.PhaseTraces()...)
+				return
+			default:
+			}
+			traces = append(traces, tr.PhaseTraces()...)
+			tr.TraceEvents()
+			tr.FlightRecent(64)
+			tr.Latencies()
+			tr.ChainDepths()
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	traces := <-drained
+
+	ops := uint64(workers * perWorker * 4)
+	if !deepProbes {
+		ops = 0
+	}
+	if got := tr.Latencies().Total(); got != ops {
+		t.Fatalf("latency histograms hold %d observations, want %d", got, ops)
+	}
+	sampled := ops / uint64(workers) / obs.SampleEvery * uint64(workers)
+	if got := uint64(len(traces)) + tr.PhaseTracesDropped(); got != sampled {
+		t.Fatalf("%d traces drained + %d dropped, want %d sampled", len(traces), tr.PhaseTracesDropped(), sampled)
+	}
+	seen := map[uint64]bool{}
+	tids := map[int32]bool{}
+	for _, tc := range traces {
+		if seen[tc.Seq] {
+			t.Fatalf("trace seq %d drained twice", tc.Seq)
+		}
+		seen[tc.Seq] = true
+		tids[tc.Worker] = true
+	}
+	if len(tids) > workers {
+		t.Fatalf("traces carry %d tids from %d sessions", len(tids), workers)
 	}
 }

@@ -156,11 +156,12 @@ type Session struct {
 	// (plain increments) and flushed into stats.pointerChases with one
 	// atomic add per completed operation.
 	chases uint64
-	// probe is the session's trace handle (its latency histograms and
-	// event, sampled-trace and flight rings) when the tree has a trace
-	// pipeline; nil otherwise. Every per-op use is additionally gated by
-	// the deepProbes build-tag constant so -tags notrace builds compile
-	// those probes out entirely; structural events still record.
+	// probe is the session's trace handle (its per-op state and the
+	// shared sink its histograms and rings live in) when the tree has a
+	// trace pipeline; nil otherwise. It is garbage with the session.
+	// Every per-op use is additionally gated by the deepProbes build-tag
+	// constant so -tags notrace builds compile those probes out
+	// entirely; structural events still record.
 	probe *obs.Probe
 
 	// leafHits/parentHits batch the traversal-cache hit counters the same
@@ -259,8 +260,6 @@ func (s *Session) Release() {
 	delete(s.t.sessions, s)
 	s.t.closed.add(&s.stats)
 	s.t.mu.Unlock()
-	s.t.trace.Release(s.probe)
-	s.probe = nil
 	s.t.hpool.Put(s.h)
 }
 
@@ -439,12 +438,13 @@ func (t *Tree) Stats() Stats {
 	}
 }
 
-// Latencies merges every session's latency histograms (live and
-// released) into one snapshot. Returns nil unless the tree was built
-// with Options.Trace, and records nothing under -tags notrace.
+// Latencies merges the latency histograms of every trace sink, and so
+// of every session, live or released, into one snapshot. Returns nil
+// unless the tree was built with Options.Trace, and records nothing
+// under -tags notrace.
 func (t *Tree) Latencies() *obs.LatencySnapshot { return t.trace.Latencies() }
 
-// TraceEvents drains every session's structural events into one stream
+// TraceEvents drains every sink's structural events into one stream
 // ordered by sequence number. Returns nil unless Options.Trace is set.
 // Draining is destructive: each event is returned once.
 func (t *Tree) TraceEvents() []obs.Event { return t.trace.Events() }
@@ -457,15 +457,16 @@ func (t *Tree) TraceDropped() uint64 { return t.trace.EventsDropped() }
 // ring wraparound before PhaseTraces drained them.
 func (t *Tree) PhaseTracesDropped() uint64 { return t.trace.TracesDropped() }
 
-// PhaseTraces drains the sampled per-op phase traces from every session,
-// ordered by completion sequence: each session's newest obs.RingSize
-// traces. Returns nil unless the tree was built with Options.Trace (and
-// always under -tags notrace). Draining is destructive: each trace is
-// returned once.
+// PhaseTraces drains the sampled per-op phase traces from every trace
+// sink, ordered by completion sequence: each sink's newest obs.RingSize
+// traces, from whichever of the sessions sharing it wrote them; at most
+// 2×GOMAXPROCS sinks, however many sessions came and went. Returns nil
+// unless the tree was built with Options.Trace (and always under -tags
+// notrace). Draining is destructive: each trace is returned once.
 func (t *Tree) PhaseTraces() []obs.OpTrace { return t.trace.Traces() }
 
 // FlightRecent returns up to n of the most recent operation summaries
-// from the flight recorder, oldest first, merged across sessions by
+// from the flight recorder, oldest first, merged across sinks by
 // completion sequence. Non-destructive. Returns nil unless the tree was
 // built with Options.Trace (and always under -tags notrace). n <= 0
 // means no limit.

@@ -106,10 +106,6 @@ func (t *Table[T]) CompareAndSwap(id uint64, old, new *T) bool {
 	return t.chunkFor(id).slots[id&chunkMask].CompareAndSwap(old, new)
 }
 
-// Hwm reports the high-water mark: the number of IDs ever allocated
-// (including recycled ones).
-func (t *Table[T]) Hwm() uint64 { return t.next.Load() }
-
 // freeList is a Treiber stack of recycled IDs.
 //
 // ABA audit. A Treiber stack's classic failure is pop's CaS(head, h ->

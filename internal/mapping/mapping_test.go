@@ -30,8 +30,8 @@ func TestAllocateDistinct(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if tb.Hwm() < 100000 {
-		t.Fatalf("hwm %d", tb.Hwm())
+	if hwm := tb.Stats().Allocated; hwm < 100000 {
+		t.Fatalf("hwm %d", hwm)
 	}
 }
 

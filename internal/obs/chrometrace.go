@@ -7,7 +7,7 @@ import (
 
 // Chrome trace-event export: renders sampled OpTraces in the JSON object
 // format understood by chrome://tracing and Perfetto. Each operation
-// becomes one complete ("X") event on (pid 1, tid = worker), with its
+// becomes one complete ("X") event on (pid 1, tid = session id), with its
 // recorded phases as nested complete events; chain length, CaS retries,
 // and abort counts ride along as args. Timestamps are microseconds since
 // process start (obs.Now / 1000), so spans line up across sessions.

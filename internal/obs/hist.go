@@ -50,10 +50,9 @@ func bucketHigh(idx int) uint64 {
 	return bucketLow(idx + 1)
 }
 
-// Histogram is a fixed-size log-bucketed histogram. One goroutine
-// records (lock-free, allocation-free: two uncontended atomic adds);
-// any number of goroutines may snapshot concurrently. The zero value is
-// ready to use.
+// Histogram is a fixed-size log-bucketed histogram. Any number of
+// goroutines may record (lock-free, allocation-free: two atomic adds)
+// and snapshot concurrently. The zero value is ready to use.
 type Histogram struct {
 	counts [NumBuckets]atomic.Uint64
 	sum    atomic.Uint64
@@ -147,8 +146,9 @@ func (s *HistSnapshot) Quantile(q float64) float64 {
 	return float64(bucketHigh(NumBuckets - 1))
 }
 
-// Recorder bundles one histogram per operation class — the per-session
-// latency state. The zero value is ready to use.
+// Recorder bundles one histogram per operation class — the latency
+// state of a trace sink or of one harness worker. The zero value is
+// ready to use.
 type Recorder struct {
 	hists [NumOpClasses]Histogram
 }

@@ -1,9 +1,9 @@
 // Package obs is the tree's observability layer: allocation-free
 // log-bucketed latency histograms; one trace pipeline (phase.go) whose
-// per-session handle keeps the latency histograms and three rings of one
-// generic type (ring.go) — structural SMO events, sampled per-operation
-// phase traces and the flight recorder — all ordered by one sequence
-// counter;
+// sinks, at most 2×GOMAXPROCS shared by all sessions, keep the latency
+// histograms and three rings of one generic type (ring.go) — structural
+// SMO events, sampled per-operation phase traces and the flight recorder
+// — all ordered by one sequence counter;
 // Chrome trace-event export (chrometrace.go); and a live /debug +
 // /metrics HTTP surface built from expvar, net/http/pprof, and a
 // Prometheus text renderer (prom.go).
@@ -15,8 +15,9 @@
 //   - disabled (the default): zero allocations and a single nil check on
 //     the hot path;
 //   - enabled: recording stays allocation-free (atomic adds, or one
-//     uncontended mutex section, into per-session fixed-size buffers),
-//     with aggregation cost paid only by the reader.
+//     short mutex section, into fixed-size buffers shared by the
+//     sessions of one sink), with aggregation cost paid only by the
+//     reader.
 package obs
 
 import (

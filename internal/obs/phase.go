@@ -3,35 +3,39 @@ package obs
 import (
 	"fmt"
 	"log"
+	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// This file is the trace pipeline: one Deep per tree and one Probe
-// handle per session. Each handle keeps per-class latency histograms, the
-// leaf-chain-depth histogram, and three rings of the same generic type
-// (ring.go), each RingSize records long:
+// This file is the trace pipeline: one Deep per tree, one small Probe
+// handle per session, and at most 2×GOMAXPROCS sinks per Deep, so its
+// memory is bounded by cores, not by sessions. Sessions share sinks
+// round-robin; a sink is built the first time a session picks it. Each
+// sink keeps per-class latency histograms, the leaf-chain-depth
+// histogram, and three rings of the same generic type (ring.go), each
+// RingSize records long:
 //
 //   - events: structural modifications (split, merge, consolidate,
 //     abort), drained destructively by /debug/trace;
 //   - traces: full phase breakdowns of sampled operations (1 in
-//     SampleEvery), drained destructively for Chrome-trace export;
+//     SampleEvery per session), drained destructively for Chrome-trace
+//     export;
 //   - flight: compact summaries of *every* completed operation, kept for
 //     post-hoc inspection and dumped automatically on anomaly.
 //
 // Every record draws its Seq from the Deep's one counter, so merging any
-// of the three streams across sessions, or all three together, restores
+// of the three streams across sinks, or all three together, restores
 // the tree-wide order in which the records were written.
 //
 // The recording discipline matches the package contract: with tracing
-// off the tree holds no Deep at all, every session's handle
-// is nil, and every probe call is a single nil check. When enabled, the
-// per-op state (span array, counters) is owner-private plain memory; the
-// only shared work per record is one sequence fetch plus one short
-// uncontended mutex section to publish it. The mutexes exist solely so
-// the HTTP dump endpoints can copy records without torn reads.
+// off the tree holds no Deep at all, every session's handle is nil, and
+// every probe call is a single nil check. When enabled, the per-op state
+// (span array, counters) is owner-private plain memory in the handle;
+// the only shared work per record is one sequence fetch plus one short
+// mutex section to publish it into the sink's ring, contended only by
+// the sessions sharing that sink and by dump endpoints copying records.
 
 // Phase enumerates the hot-path segments a sampled operation is broken
 // into. The Arg a span carries is phase-specific (see the constants).
@@ -94,7 +98,7 @@ const MaxOpSpans = 16
 type OpTrace struct {
 	Seq        uint64
 	Class      OpClass
-	Worker     int32 // probe (session) index, the Chrome-trace tid
+	Worker     int32 // session id, the Chrome-trace tid
 	Start      int64
 	Dur        int64
 	ChainLen   uint32 // deepest leaf chain observed
@@ -117,11 +121,12 @@ type OpSummary struct {
 }
 
 // AnomalySink receives automatic flight-recorder dumps: a one-line
-// reason and the dumping session's most recent op summaries (oldest
-// first).
+// reason and the most recent op summaries (oldest first) of the
+// dumping session's sink, so they include the ops of the sessions
+// sharing that sink.
 type AnomalySink func(reason string, recent []OpSummary)
 
-// RingSize is the capacity of each of a handle's three rings (events,
+// RingSize is the capacity of each of a sink's three rings (events,
 // sampled traces, flight entries), and SampleEvery the period, in outermost
 // operations per session, of the full phase trace. Seven is coprime to
 // short workload cycles (bwtree-cli's is four ops), so every op class
@@ -131,25 +136,39 @@ const (
 	SampleEvery = 7
 )
 
-// Deep owns one tree's trace pipeline: the handle registry, the one
-// sequence counter, the drop counts and the anomaly sink. A nil *Deep is
-// the tree with tracing off: its accessors return empty results and its
-// Probe returns a nil handle.
+// Deep owns one tree's trace pipeline: the sinks, the one sequence
+// counter, the drop counts and the anomaly sink. A nil *Deep is the tree
+// with tracing off: its accessors return empty results and its Probe
+// returns a nil handle.
 type Deep struct {
-	size         int    // capacity of each ring of a handle
+	size         int    // capacity of each ring of a sink
 	every        uint64 // phase-sample every Nth outermost op per handle
 	chainAnomaly uint32 // dump when an op sees a deeper leaf chain; 0 never
 
 	seq           atomic.Uint64
+	sessions      atomic.Uint64 // handles handed out; the newest one's id
 	eventsDropped atomic.Uint64 // events lost to ring wraparound
 	tracesDropped atomic.Uint64 // sampled traces lost to ring wraparound
 	anomalies     atomic.Uint64 // anomaly triggers (dumped or rate-limited)
-	lastDump      atomic.Int64  // obs.Now of the last sink invocation
-	sink          atomic.Pointer[AnomalySink]
+	lastDump      atomic.Int64  // obs.Now of the last anomaly dump
+	onAnomaly     atomic.Pointer[AnomalySink]
 
-	mu     sync.Mutex
-	probes []*Probe
-	free   []*Probe
+	// sinks is fixed at 2×GOMAXPROCS slots when the Deep is built; a
+	// slot's sink is built the first time a handle picks it.
+	sinks []atomic.Pointer[sink]
+}
+
+// sink is the record store a handle writes into, shared round-robin by
+// every session whose id maps to its slot: the chain-depth and latency
+// histograms (atomic adds) and the three rings (each push under the
+// ring's mutex). Sharing therefore needs no synchronisation of its own.
+type sink struct {
+	depth Histogram
+	lat   Recorder
+
+	events ring[Event]
+	traces ring[OpTrace]
+	flight ring[OpSummary]
 }
 
 // NewDeep returns a trace pipeline with RingSize rings and 1-in-SampleEvery
@@ -161,7 +180,10 @@ func NewDeep(chainAnomaly int) *Deep { return newDeep(RingSize, SampleEvery, cha
 // newDeep is NewDeep with the ring capacity and sampling period chosen,
 // so tests can wrap small rings.
 func newDeep(size, every, chainAnomaly int) *Deep {
-	return &Deep{size: size, every: uint64(every), chainAnomaly: uint32(max(chainAnomaly, 0))}
+	return &Deep{
+		size: size, every: uint64(every), chainAnomaly: uint32(max(chainAnomaly, 0)),
+		sinks: make([]atomic.Pointer[sink], 2*runtime.GOMAXPROCS(0)),
+	}
 }
 
 // SetAnomalySink replaces the automatic-dump destination. A nil sink
@@ -170,61 +192,51 @@ func (d *Deep) SetAnomalySink(fn AnomalySink) {
 	switch {
 	case d == nil:
 	case fn == nil:
-		d.sink.Store(nil)
+		d.onAnomaly.Store(nil)
 	default:
-		d.sink.Store(&fn)
+		d.onAnomaly.Store(&fn)
 	}
 }
 
-// Probe returns a handle for one session, reusing a released one when
-// available (its undrained records are preserved).
+// Probe returns a new handle for one session, with the next session id,
+// writing into the next sink in round-robin order. The handle is the
+// session's alone and needs no release: its records live in the sink.
 func (d *Deep) Probe() *Probe {
 	if d == nil {
 		return nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n := len(d.free); n > 0 {
-		p := d.free[n-1]
-		d.free = d.free[:n-1]
-		return p
+	id := d.sessions.Add(1)
+	slot := &d.sinks[(id-1)%uint64(len(d.sinks))]
+	s := slot.Load()
+	if s == nil {
+		s = &sink{}
+		s.events.buf = make([]Event, d.size)
+		s.traces.buf = make([]OpTrace, d.size)
+		s.flight.buf = make([]OpSummary, d.size)
+		if !slot.CompareAndSwap(nil, s) {
+			s = slot.Load()
+		}
 	}
-	p := &Probe{d: d, worker: int32(len(d.probes))}
-	p.events.buf = make([]Event, d.size)
-	p.traces.buf = make([]OpTrace, d.size)
-	p.flight.buf = make([]OpSummary, d.size)
-	d.probes = append(d.probes, p)
-	return p
+	return &Probe{d: d, s: s, id: int32(id)}
 }
 
-// Release returns a handle to the reuse pool. Its records stay
-// drainable.
-func (d *Deep) Release(p *Probe) {
-	if p == nil {
+// each calls fn on every sink built so far.
+func (d *Deep) each(fn func(*sink)) {
+	if d == nil {
 		return
 	}
-	d.mu.Lock()
-	d.free = append(d.free, p)
-	d.mu.Unlock()
-}
-
-// handles copies the registry for lock-free iteration.
-func (d *Deep) handles() []*Probe {
-	if d == nil {
-		return nil
+	for i := range d.sinks {
+		if s := d.sinks[i].Load(); s != nil {
+			fn(s)
+		}
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]*Probe(nil), d.probes...)
 }
 
-// Events drains every handle's structural events into one stream sorted
+// Events drains every sink's structural events into one stream sorted
 // by sequence number. Destructive: each event is returned once.
 func (d *Deep) Events() []Event {
 	var out []Event
-	for _, p := range d.handles() {
-		out = p.events.drain(out)
-	}
+	d.each(func(s *sink) { out = s.events.drain(out) })
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
@@ -238,13 +250,11 @@ func (d *Deep) EventsDropped() uint64 {
 	return d.eventsDropped.Load()
 }
 
-// Traces drains every handle's sampled phase traces into one stream
+// Traces drains every sink's sampled phase traces into one stream
 // sorted by sequence number. Destructive: each trace is returned once.
 func (d *Deep) Traces() []OpTrace {
 	var out []OpTrace
-	for _, p := range d.handles() {
-		out = p.traces.drain(out)
-	}
+	d.each(func(s *sink) { out = s.traces.drain(out) })
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
@@ -259,12 +269,10 @@ func (d *Deep) TracesDropped() uint64 {
 }
 
 // Flight returns the newest n flight-recorder entries across every
-// session (all entries when n <= 0), oldest first. Non-destructive.
+// sink (all entries when n <= 0), oldest first. Non-destructive.
 func (d *Deep) Flight(n int) []OpSummary {
 	var out []OpSummary
-	for _, p := range d.handles() {
-		out = p.flight.peek(out)
-	}
+	d.each(func(s *sink) { out = s.flight.peek(out) })
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	if n > 0 && n < len(out) {
 		out = out[len(out)-n:]
@@ -281,25 +289,22 @@ func (d *Deep) Anomalies() uint64 {
 	return d.anomalies.Load()
 }
 
-// ChainDepths merges every handle's observed leaf-chain-depth histogram.
+// ChainDepths merges every sink's observed leaf-chain-depth histogram.
 func (d *Deep) ChainDepths() HistSnapshot {
 	var s HistSnapshot
-	for _, p := range d.handles() {
-		p.depth.AddTo(&s)
-	}
+	d.each(func(k *sink) { k.depth.AddTo(&s) })
 	return s
 }
 
-// Latencies merges every handle's per-class latency histograms, live and
-// released, into one snapshot; nil for a nil Deep.
+// Latencies merges every sink's per-class latency histograms, and so
+// every session's, live and released, into one snapshot; nil for a nil
+// Deep.
 func (d *Deep) Latencies() *LatencySnapshot {
 	if d == nil {
 		return nil
 	}
 	snap := &LatencySnapshot{}
-	for _, p := range d.handles() {
-		p.lat.AddTo(snap)
-	}
+	d.each(func(s *sink) { s.lat.AddTo(snap) })
 	return snap
 }
 
@@ -321,7 +326,8 @@ func (d *Deep) Note(reason string) {
 const anomalyDumpGap = int64(time.Second)
 
 // anomaly handles one triggered condition from p's session: count it,
-// and dump that session's recent entries unless rate-limited.
+// and dump the recent entries of that session's sink unless
+// rate-limited.
 func (d *Deep) anomaly(reason string, p *Probe) {
 	d.anomalies.Add(1)
 	now := Now()
@@ -331,11 +337,11 @@ func (d *Deep) anomaly(reason string, p *Probe) {
 	if (last != 0 && now-last < anomalyDumpGap) || !d.lastDump.CompareAndSwap(last, now) {
 		return
 	}
-	d.dump(reason, p.flight.peek(nil))
+	d.dump(reason, p.s.flight.peek(nil))
 }
 
 func (d *Deep) dump(reason string, recent []OpSummary) {
-	if fn := d.sink.Load(); fn != nil {
+	if fn := d.onAnomaly.Load(); fn != nil {
 		(*fn)(reason, recent)
 		return
 	}
@@ -356,13 +362,15 @@ func defaultAnomalySink(reason string, recent []OpSummary) {
 	log.Print(line)
 }
 
-// Probe is one session's trace handle. All Emit/Op*/Note*/Span/Latency
-// methods are called only by the owning session goroutine; a nil receiver is
+// Probe is one session's trace handle: the session's own per-op state and
+// the sink its records go to. All Emit/Op*/Note*/Span/Latency methods
+// are called only by the owning session goroutine; a nil receiver is
 // valid everywhere and makes each call a single nil check — the
 // disabled-mode contract.
 type Probe struct {
-	d      *Deep
-	worker int32
+	d  *Deep
+	s  *sink
+	id int32 // session id, the Chrome-trace tid; unique below 2^31 sessions
 
 	// Owner-private per-op state: plain fields, single writer.
 	ctr      uint64 // outermost ops begun, drives sampling
@@ -372,16 +380,6 @@ type Probe struct {
 	opCAS    uint32
 	opAborts uint32
 	cur      OpTrace
-
-	// depth is the live leaf-chain-depth distribution and lat the
-	// per-class latency histograms (atomic adds; read concurrently by
-	// ChainDepths and Latencies).
-	depth Histogram
-	lat   Recorder
-
-	events ring[Event]
-	traces ring[OpTrace]
-	flight ring[OpSummary]
 }
 
 // Active reports whether the current operation is being phase-sampled;
@@ -394,7 +392,7 @@ func (p *Probe) Emit(kind EventKind, node, a, b uint64) {
 		return
 	}
 	ev := Event{Seq: p.d.seq.Add(1), Time: Now(), Kind: kind, Node: node, A: a, B: b}
-	if p.events.push(ev) {
+	if p.s.events.push(ev) {
 		p.d.eventsDropped.Add(1)
 	}
 }
@@ -414,7 +412,7 @@ func (p *Probe) OpBegin() {
 	p.ctr++
 	if p.ctr%p.d.every == 0 {
 		p.active = true
-		p.cur = OpTrace{Worker: p.worker}
+		p.cur = OpTrace{Worker: p.id}
 	}
 }
 
@@ -439,7 +437,7 @@ func (p *Probe) NoteChain(n uint32) {
 
 func (p *Probe) noteChain(n uint32) {
 	p.opChain = max(p.opChain, n)
-	p.depth.RecordNS(int64(n))
+	p.s.depth.RecordNS(int64(n))
 }
 
 // NoteCASFail counts one lost mapping-table publish.
@@ -465,7 +463,7 @@ func (p *Probe) Latency(c OpClass, ns int64) {
 	if p == nil {
 		return
 	}
-	p.lat.Record(c, ns)
+	p.s.lat.Record(c, ns)
 }
 
 // OpEnd closes the operation opened by the matching OpBegin. At the
@@ -482,7 +480,7 @@ func (p *Probe) OpEnd(c OpClass, start, dur int64) {
 	if p.nest < 0 {
 		p.nest = 0 // tolerate an unmatched OpEnd rather than corrupt state
 	}
-	p.flight.push(OpSummary{
+	p.s.flight.push(OpSummary{
 		Seq: p.d.seq.Add(1), Class: c, Start: start, Dur: dur,
 		ChainLen: p.opChain, CASRetries: p.opCAS, Aborts: p.opAborts,
 	})
@@ -499,7 +497,7 @@ func (p *Probe) OpEnd(c OpClass, start, dur int64) {
 		p.cur.ChainLen = p.opChain
 		p.cur.CASRetries = p.opCAS
 		p.cur.Aborts = p.opAborts
-		if p.traces.push(p.cur) {
+		if p.s.traces.push(p.cur) {
 			p.d.tracesDropped.Add(1)
 		}
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -61,7 +62,6 @@ func TestProbeNilReceiver(t *testing.T) {
 		d.Latencies() != nil || d.EventsDropped() != 0 || d.TracesDropped() != 0 || d.Anomalies() != 0 {
 		t.Fatal("nil Deep returned a handle or records")
 	}
-	d.Release(nil)
 	d.SetAnomalySink(nil)
 	d.Note("ignored")
 }
@@ -90,7 +90,7 @@ func TestNewDeepFixedSizes(t *testing.T) {
 }
 
 // TestLatenciesMergeHandles checks that Latencies sums every handle,
-// released ones included, and that only Latency calls record: a nested
+// dropped ones included, and that only Latency calls record: a nested
 // op's OpEnd adds nothing.
 func TestLatenciesMergeHandles(t *testing.T) {
 	d := NewDeep(0)
@@ -101,7 +101,6 @@ func TestLatenciesMergeHandles(t *testing.T) {
 	}
 	p2.OpBegin()
 	endOp(p2, OpInsert, 300)
-	d.Release(p2)
 	snap := d.Latencies()
 	if r, w := snap.Class(OpRead).Total(), snap.Class(OpInsert).Total(); r != 10 || w != 10 {
 		t.Fatalf("merged %d reads and %d inserts, want 10 and 10", r, w)
@@ -224,28 +223,69 @@ func TestAnomalyChainTrigger(t *testing.T) {
 	}
 }
 
-func TestProbeReusePreservesTraces(t *testing.T) {
+// TestReleasedSessionRecordsStayDrainable: a handle needs no release,
+// and what a session recorded before it went away stays in its sink
+// until drained, next to what later sessions record.
+func TestReleasedSessionRecordsStayDrainable(t *testing.T) {
 	d := newDeep(16, 1, 0)
 	p := d.Probe()
 	p.OpBegin()
 	p.Emit(EvAbort, 1, 0, 0)
 	endOp(p, OpInsert, 10)
-	d.Release(p)
-	// Undrained records of every kind must survive release and reuse.
+	// p's session is gone; its records stay in its sink.
 	p2 := d.Probe()
-	if p2 != p {
-		t.Fatal("released probe not reused")
-	}
 	p2.Emit(EvAbort, 2, 0, 0)
 	if events := d.Events(); len(events) != 2 {
-		t.Fatalf("undrained event lost across release/reuse: got %d, want 2", len(events))
+		t.Fatalf("undrained event lost with its session: got %d, want 2", len(events))
 	}
 	if traces := d.Traces(); len(traces) != 1 {
-		t.Fatalf("undrained trace lost across release/reuse: got %d", len(traces))
+		t.Fatalf("undrained trace lost with its session: got %d", len(traces))
 	}
 	if fl := d.Flight(0); len(fl) != 1 {
-		t.Fatalf("flight entry lost across release/reuse: got %d", len(fl))
+		t.Fatalf("flight entry lost with its session: got %d", len(fl))
 	}
+}
+
+// TestSinksBoundedByCores: however many handles a Deep hands out, it
+// builds at most 2×GOMAXPROCS sinks, round-robin and only on first use,
+// and every handle gets a fresh session id as its trace tid.
+func TestSinksBoundedByCores(t *testing.T) {
+	d := newDeep(4, 1, 0)
+	if got := built(d); got != 0 {
+		t.Fatalf("new Deep built %d sinks, want 0", got)
+	}
+	p := d.Probe()
+	if got := built(d); got != 1 {
+		t.Fatalf("one handle built %d sinks, want 1", got)
+	}
+	limit := 2 * runtime.GOMAXPROCS(0)
+	ids := map[int32]bool{p.id: true}
+	for i := 0; i < 3*limit; i++ {
+		q := d.Probe()
+		if ids[q.id] {
+			t.Fatalf("session id %d handed out twice", q.id)
+		}
+		ids[q.id] = true
+		q.OpBegin()
+		endOp(q, OpRead, 1)
+	}
+	if got := built(d); got != limit {
+		t.Fatalf("%d handles built %d sinks, want %d", 3*limit+1, got, limit)
+	}
+	tids := map[int32]bool{}
+	for _, tr := range d.Traces() {
+		tids[tr.Worker] = true
+	}
+	if len(tids) != 3*limit {
+		t.Fatalf("traces carry %d tids, want one per traced session (%d)", len(tids), 3*limit)
+	}
+}
+
+// built counts d's sinks built so far.
+func built(d *Deep) int {
+	n := 0
+	d.each(func(*sink) { n++ })
+	return n
 }
 
 func TestChromeTraceRoundTrip(t *testing.T) {

@@ -2,15 +2,14 @@ package obs
 
 import "sync"
 
-// ring is the fixed-size buffer behind every per-session trace record:
+// ring is the fixed-size buffer behind every trace record a sink keeps:
 // structural events, sampled phase traces and flight-recorder entries.
-// The owning session is its only writer; dump endpoints drain or copy it
-// concurrently. The mutex exists so a reader never sees a torn record:
-// the writer holds it for a few stores, and it is contended only while a
-// dump runs.
+// The sessions sharing the sink write it; dump endpoints drain or copy it
+// concurrently. The mutex orders the writers and keeps a reader from
+// seeing a torn record: a writer holds it for a few stores.
 type ring[T any] struct {
 	mu   sync.Mutex
-	buf  []T    // fixed when the owning handle is built
+	buf  []T    // fixed when the owning sink is built
 	next uint64 // records pushed since the last drain
 }
 

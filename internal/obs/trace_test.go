@@ -63,7 +63,6 @@ func TestConcurrentEmitAndDrain(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			p := d.Probe()
-			defer d.Release(p)
 			for i := 0; i < perWorker; i++ {
 				p.OpBegin()
 				p.Emit(EvSplit, uint64(w), uint64(i), 0)

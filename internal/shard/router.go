@@ -79,21 +79,6 @@ func NewRangeRouter(n int) *RangeRouter {
 	return &RangeRouter{bounds: bounds}
 }
 
-// NewRangeRouterBounds builds a range router from explicit ascending
-// separator keys; len(bounds)+1 shards result.
-func NewRangeRouterBounds(bounds [][]byte) (*RangeRouter, error) {
-	for i := 1; i < len(bounds); i++ {
-		if bytes.Compare(bounds[i-1], bounds[i]) >= 0 {
-			return nil, fmt.Errorf("shard: range bounds not strictly ascending at %d", i)
-		}
-	}
-	cp := make([][]byte, len(bounds))
-	for i, b := range bounds {
-		cp[i] = append([]byte(nil), b...)
-	}
-	return &RangeRouter{bounds: cp}, nil
-}
-
 // Shard binary-searches the separator list.
 func (r *RangeRouter) Shard(key []byte) int {
 	return sort.Search(len(r.bounds), func(i int) bool {
