@@ -89,8 +89,8 @@ func TestNewDeepFixedSizes(t *testing.T) {
 	}
 }
 
-// TestLatenciesMergeHandles checks that Latencies sums every handle,
-// dropped ones included, and that only Latency calls record: a nested
+// TestLatenciesMergeHandles checks that Latencies sums every sink (two
+// handles pick two sinks) and that only Latency calls record: a nested
 // op's OpEnd adds nothing.
 func TestLatenciesMergeHandles(t *testing.T) {
 	d := NewDeep(0)
